@@ -11,13 +11,17 @@
 //!
 //! ```text
 //! kernel_bench [--quick] [--threads 1,2,4] [--floor <gflops>]
-//!              [--gen-floor <gelems>] [--no-e2e]
+//!              [--trsm-floor <gflops>] [--gen-floor <gelems>] [--no-e2e]
 //! ```
 //!
-//! `--floor G` exits non-zero if single-thread f32 GEMM at 512³ achieves
-//! less than `G` GFLOP/s — the CI guard against accidentally falling off
-//! the packed-kernel path. `--gen-floor G` does the same for single-thread
-//! `gen_fill_f64` in Gelem/s (guards the jump-ahead fill path).
+//! `--threads` counts above the host's available parallelism are capped
+//! to it. `--floor G` exits non-zero if single-thread f32 GEMM at 512³
+//! achieves less than `G` GFLOP/s — the CI guard against accidentally
+//! falling off the packed-kernel path. `--trsm-floor G` does the same for
+//! the single-thread tight-`ldb` panel-solve rows (`trsm_l_low_f32`,
+//! `trsm_r_up_f32`; guards the vectorised TRSM base cases), and
+//! `--gen-floor G` for single-thread `gen_fill_f64` in Gelem/s (guards
+//! the jump-ahead fill path).
 
 use mxp_blas::{
     cast_f32_to_low, gemm, gemm_mixed, getrf_nopiv, kernel_info_f32, kernel_info_f64,
@@ -234,33 +238,66 @@ fn bench_gemm_shapes(
     }
 }
 
-fn bench_trsm(entries: &mut Vec<Entry>, threads: usize, kdim: usize, n: usize, reps: usize) {
-    // The paper's TRSM_L_LOW shape: unit-lower k×k triangle, k×n RHS.
-    let mut tri = rand_f32(kdim * kdim, 3);
-    for i in 0..kdim {
-        tri[i * kdim + i] = 1.0;
+/// One panel-solve shape: `k × k` triangle, `m × n` right-hand side at
+/// leading dimension `ldb` (`k = m` on the left, `k = n` on the right).
+struct TrsmCase {
+    kernel: &'static str,
+    side: Side,
+    uplo: Uplo,
+    diag: Diag,
+    m: usize,
+    n: usize,
+    ldb: usize,
+}
+
+fn bench_trsm(entries: &mut Vec<Entry>, threads: usize, case: &TrsmCase, reps: usize) {
+    let &TrsmCase {
+        kernel,
+        side,
+        uplo,
+        diag,
+        m,
+        n,
+        ldb,
+    } = case;
+    let k = if side == Side::Left { m } else { n };
+    // Dominant diagonal, so the NonUnit solve stays well conditioned.
+    let mut tri = rand_f32(k * k, 3);
+    for i in 0..k {
+        tri[i * k + i] = if diag == Diag::Unit { 1.0 } else { 2.0 };
     }
-    let rhs = rand_f32(kdim * n, 4);
-    let flops = kdim as f64 * kdim as f64 * n as f64; // k²·n MACs
+    let rhs = rand_f32(ldb * n, 4);
+    let flops = k as f64 * k as f64 * if side == Side::Left { n } else { m } as f64;
+    // The solve runs in place, so B is reset before every rep — outside
+    // the timed region: at a padded ldb the reset copies the whole
+    // ldb × n buffer, far more than the m × n the solve touches.
     let mut b = rhs.clone();
-    let secs = best_of(reps, || {
+    let mut secs = f64::INFINITY;
+    for _ in 0..reps {
         b.copy_from_slice(&rhs);
+        let t0 = Instant::now();
         trsm(
-            Side::Left,
-            Uplo::Lower,
-            Diag::Unit,
-            kdim,
+            side,
+            uplo,
+            diag,
+            m,
             n,
             1.0f32,
             black_box(&tri),
-            kdim,
+            k,
             &mut b,
-            kdim,
+            ldb,
         );
-    });
+        secs = secs.min(t0.elapsed().as_secs_f64());
+    }
+    let shape = if ldb == m {
+        format!("{m}x{n}")
+    } else {
+        format!("{m}x{n} ldb={ldb}")
+    };
     entries.push(Entry {
-        kernel: "trsm_l_low_f32".into(),
-        shape: format!("{kdim}x{n}"),
+        kernel: kernel.into(),
+        shape,
         threads,
         secs,
         gflops: flops / secs / 1e9,
@@ -436,7 +473,11 @@ fn main() {
         .iter()
         .position(|a| a == "--gen-floor")
         .map(|i| args[i + 1].parse().expect("--gen-floor takes a number"));
-    let threads: Vec<usize> = args
+    let trsm_floor: Option<f64> = args
+        .iter()
+        .position(|a| a == "--trsm-floor")
+        .map(|i| args[i + 1].parse().expect("--trsm-floor takes a number"));
+    let requested: Vec<usize> = args
         .iter()
         .position(|a| a == "--threads")
         .map(|i| {
@@ -446,6 +487,18 @@ fn main() {
                 .collect()
         })
         .unwrap_or_else(|| vec![1, 2, 4]);
+    // More workers than cores only measures oversubscription, so each
+    // requested count is capped at the host's parallelism (duplicates
+    // that the cap creates are dropped).
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let mut threads: Vec<usize> = Vec::new();
+    for t in requested {
+        let t = t.clamp(1, cores);
+        if !threads.contains(&t) {
+            threads.push(t);
+        }
+    }
+    eprintln!("threads {threads:?} (capped at {cores} available cores)");
 
     let square: Vec<(usize, usize, usize)> = if quick {
         vec![(256, 256, 256), (512, 512, 512)]
@@ -460,6 +513,42 @@ fn main() {
         (4096, 128, 4096)
     };
     let reps = if quick { 2 } else { 3 };
+    // The paper's two panel solves (Algorithm 1 lines 13/22). TRSM_L_LOW
+    // (unit lower, U panel) runs tight at the trajectory's historical shape
+    // and at the functional driver's: B = 256 against the 3072 local
+    // columns of the N = 6144 2×2 solve, inside the local matrix
+    // (ldb = 3072). TRSM_R_UP (non-unit upper, L panel) runs at the
+    // driver's 3072 local rows × B = 256.
+    let (drv_b, drv_loc) = (256, 3072);
+    let trsm_cases = [
+        TrsmCase {
+            kernel: "trsm_l_low_f32",
+            side: Side::Left,
+            uplo: Uplo::Lower,
+            diag: Diag::Unit,
+            m: 512,
+            n: if quick { 128 } else { 512 },
+            ldb: 512,
+        },
+        TrsmCase {
+            kernel: "trsm_l_low_f32",
+            side: Side::Left,
+            uplo: Uplo::Lower,
+            diag: Diag::Unit,
+            m: drv_b,
+            n: drv_loc,
+            ldb: drv_loc,
+        },
+        TrsmCase {
+            kernel: "trsm_r_up_f32",
+            side: Side::Right,
+            uplo: Uplo::Upper,
+            diag: Diag::NonUnit,
+            m: drv_loc,
+            n: drv_b,
+            ldb: drv_loc,
+        },
+    ];
 
     let mut entries = Vec::new();
     for &t in &threads {
@@ -467,7 +556,9 @@ fn main() {
         eprintln!("== threads={t}");
         bench_gemm_shapes(&mut entries, t, &square, reps);
         bench_gemm_shapes(&mut entries, t, &[tall], reps);
-        bench_trsm(&mut entries, t, 512, if quick { 128 } else { 512 }, reps);
+        for case in &trsm_cases {
+            bench_trsm(&mut entries, t, case, reps);
+        }
         bench_getrf(&mut entries, t, if quick { 384 } else { 768 }, reps);
         bench_casts(&mut entries, t, 1024, if quick { 256 } else { 1024 }, reps);
         let (gn, gc) = if quick { (1024, 256) } else { (2048, 512) };
@@ -547,6 +638,34 @@ fn main() {
             "floor check ok: single-thread f32 GEMM 512³ at {:.2} GFLOP/s >= {floor}",
             e.gflops
         );
+    }
+
+    if let Some(trsm_floor) = trsm_floor {
+        // Every single-thread panel-solve row at a tight ldb must clear the
+        // floor: a fall back to a latency-bound per-column substitution
+        // chain lands well under it. The padded-ldb row is reported but
+        // not gated — its rate is set by the cold stride-ldb gather, which
+        // swings with the runner's memory system more than the kernel.
+        let rows: Vec<&Entry> = report
+            .entries
+            .iter()
+            .filter(|e| e.kernel.starts_with("trsm_") && e.threads == 1)
+            .filter(|e| !e.shape.contains("ldb="))
+            .collect();
+        assert!(!rows.is_empty(), "no single-thread trsm entries");
+        for e in rows {
+            if e.gflops < trsm_floor {
+                eprintln!(
+                    "FAIL: single-thread {} {} at {:.2} GFLOP/s is below the floor {trsm_floor}",
+                    e.kernel, e.shape, e.gflops
+                );
+                std::process::exit(1);
+            }
+            eprintln!(
+                "trsm floor check ok: single-thread {} {} at {:.2} GFLOP/s >= {trsm_floor}",
+                e.kernel, e.shape, e.gflops
+            );
+        }
     }
 
     if let Some(gen_floor) = gen_floor {

@@ -232,18 +232,18 @@ pub fn gemm_with_variant<R: Real>(
 /// runs serially.
 pub fn gemm_task_grid(m: usize, n: usize, k: usize) -> (usize, usize) {
     let params = tune::with_resolved::<f32, _>(|rk| rk.params);
-    task_grid(m, n, k, &params)
+    task_grid(m, n, k, &params, rayon::current_num_threads())
 }
 
-/// [`gemm_task_grid`] for an explicit parameter set (what the engine itself
-/// uses, with `R`'s resolved params).
-fn task_grid(m: usize, n: usize, k: usize, p: &KernelParams) -> (usize, usize) {
+/// [`gemm_task_grid`] for an explicit parameter set and pool width (what
+/// the engine itself uses, with `R`'s resolved params).
+fn task_grid(m: usize, n: usize, k: usize, p: &KernelParams, threads: usize) -> (usize, usize) {
     if m == 0 || n == 0 || k == 0 {
         return (1, 1);
     }
     let flops = 2.0 * m as f64 * n as f64 * k as f64;
     let by_flops = (flops / p.min_flops_per_task()).floor() as usize;
-    let tasks = rayon::current_num_threads().min(by_flops).max(1);
+    let tasks = threads.min(by_flops).max(1);
     let mi = m.div_ceil(p.mr);
     let nj = n.div_ceil(p.nr);
     let mut best = (1usize, 1usize);
@@ -378,7 +378,7 @@ fn gemm_impl<S, R, WA, WB>(
     let (ti, tj) = if force_serial {
         (1, 1)
     } else {
-        task_grid(m, n, k, &params)
+        task_grid(m, n, k, &params, rayon::current_num_threads())
     };
     let parallel = ti * tj > 1;
 
@@ -1013,18 +1013,18 @@ mod tests {
     fn task_grid_splits_tall_skinny() {
         // With ≥2 workers the tall-skinny trailing-update shape must split
         // along rows — the old engine's n-only chunking left it serial.
-        std::env::set_var("RAYON_NUM_THREADS", "4");
-        let (ti, tj) = gemm_task_grid(4096, 128, 4096);
-        std::env::remove_var("RAYON_NUM_THREADS");
+        // The pool width is passed explicitly: other tests set
+        // RAYON_NUM_THREADS concurrently.
+        let params = tune::with_resolved::<f32, _>(|rk| rk.params);
+        let (ti, tj) = task_grid(4096, 128, 4096, &params, 4);
         assert!(ti * tj >= 2, "tall-skinny grid {ti}x{tj} did not split");
         assert!(ti >= 2, "expected a row split, got {ti}x{tj}");
     }
 
     #[test]
     fn task_grid_serial_below_flop_floor() {
-        std::env::set_var("RAYON_NUM_THREADS", "4");
-        let grid = gemm_task_grid(32, 32, 32);
-        std::env::remove_var("RAYON_NUM_THREADS");
+        let params = tune::with_resolved::<f32, _>(|rk| rk.params);
+        let grid = task_grid(32, 32, 32, &params, 4);
         assert_eq!(grid, (1, 1), "tiny GEMM must not pay parallel dispatch");
     }
 

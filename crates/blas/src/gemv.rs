@@ -9,12 +9,12 @@ use mxp_precision::Real;
 use rayon::prelude::*;
 
 /// Independent tasks worth dispatching for an `m × n` GEMV: bounded by the
-/// rayon pool and the flop floor shared with the GEMM/TRSM engines (a GEMV
-/// does `2·m·n` flops).
-fn gemv_task_count<R: Real>(m: usize, n: usize) -> usize {
+/// pool width `threads` and the flop floor shared with the GEMM/TRSM
+/// engines (a GEMV does `2·m·n` flops).
+fn gemv_task_count<R: Real>(m: usize, n: usize, threads: usize) -> usize {
     let flops = 2.0 * m as f64 * n as f64;
     let by_flops = (flops / crate::gemm::min_flops_per_task::<R>()).floor() as usize;
-    rayon::current_num_threads().min(by_flops).max(1)
+    threads.min(by_flops).max(1)
 }
 
 /// `y ← α·op(A)·x + β·y` with `A` an `m × n` column-major matrix.
@@ -75,7 +75,7 @@ pub fn gemv<R: Real>(
                     }
                 }
             };
-            let tasks = gemv_task_count::<R>(m, n).min(m);
+            let tasks = gemv_task_count::<R>(m, n, rayon::current_num_threads()).min(m);
             if tasks > 1 {
                 let rows_per = m.div_ceil(tasks);
                 y[..m]
@@ -100,7 +100,7 @@ pub fn gemv<R: Real>(
                     *yj = alpha.mul_add(acc, *yj);
                 }
             };
-            let tasks = gemv_task_count::<R>(m, n).min(n);
+            let tasks = gemv_task_count::<R>(m, n, rayon::current_num_threads()).min(n);
             if tasks > 1 {
                 let cols_per = n.div_ceil(tasks);
                 y[..n]
@@ -205,7 +205,7 @@ mod tests {
             gemv(trans, m, n, -1.0, a.as_slice(), m, &x, 1.0, &mut serial);
             std::env::set_var("RAYON_NUM_THREADS", "4");
             assert!(
-                super::gemv_task_count::<f64>(m, n) > 1,
+                super::gemv_task_count::<f64>(m, n, 4) > 1,
                 "shape must cross the task floor"
             );
             let mut par = y0.clone();

@@ -57,7 +57,7 @@ pub use norms::{mat_inf_norm, vec_inf_norm, vec_inf_norm_f32};
 pub use trsm::{trsm, Diag, Side, Uplo};
 pub use trsv::trsv;
 pub use tune::{
-    kernel_info_f32, kernel_info_f64, tune_stats, KernelInfo, KernelParams, TuneSource,
+    kernel_info_f32, kernel_info_f64, tune_stats, KernelInfo, KernelParams, TuneSource, TuneStats,
 };
 
 pub use mxp_precision::{LowPrec, Real};

@@ -6,6 +6,24 @@
 //! panel (right, upper, non-unit diagonal). All eight side/uplo/diag
 //! combinations are implemented so the kernel matches the full
 //! `cublasStrsm`/`rocblas_strsm` contract.
+//!
+//! # Bitwise invariant
+//!
+//! Like the GEMM engine (DESIGN.md §14), every result element has one
+//! fixed operation sequence, whatever the thread count, ISA level or tile
+//! shape. In the unblocked base case, element `x[i, j]` of a `Side::Left`
+//! solve starts from `b[i, j]`, takes `fma(−a[i, l], x[l, j], ·)` for the
+//! already-solved rows `l` in **ascending** order, then is divided by
+//! `a[i, i]` when `NonUnit`. The left base case computes that chain with
+//! the FMA vectorised across right-hand sides: a block of columns of B is
+//! transposed into a row-major tile, so one row of X is a vector of
+//! independent chains, each still taking its terms in the scalar order.
+//! The tile width only decides which chains share a vector, never what a
+//! chain computes, so it is bit-neutral and a plain constant, not a tuned
+//! parameter. The recursion cutoff `tb` is different: it decides which
+//! terms go through the blocked GEMM update and which through the base
+//! case, which regroups the sums, so it stays pinned at
+//! [`crate::tune::TB_PINNED`].
 
 use crate::gemm::{gemm, SendPtr, Trans};
 use crate::scratch;
@@ -109,7 +127,7 @@ pub fn trsm<R: Real>(
     // full triangular solve against the shared read-only A, so the
     // GEMM-rich recursion below runs concurrently per block.
     let tb = trsm_cutoff::<R>();
-    let tasks = trsm_task_count::<R>(side, m, n);
+    let tasks = trsm_task_count::<R>(side, m, n, rayon::current_num_threads());
     match side {
         Side::Left if tasks > 1 => {
             let cols = n.div_ceil(tasks);
@@ -158,9 +176,9 @@ pub fn trsm<R: Real>(
 }
 
 /// Number of independent solve tasks worth dispatching: bounded by the
-/// rayon pool, the per-task flop floor shared with the GEMM engine, and
-/// the count of independent columns (Left) or rows (Right).
-fn trsm_task_count<R: Real>(side: Side, m: usize, n: usize) -> usize {
+/// pool width `threads`, the per-task flop floor shared with the GEMM
+/// engine, and the count of independent columns (Left) or rows (Right).
+fn trsm_task_count<R: Real>(side: Side, m: usize, n: usize, threads: usize) -> usize {
     // A triangular solve does ~k² flops per independent vector (k = m for
     // Left, k = n for Right).
     let (k, indep) = match side {
@@ -169,7 +187,7 @@ fn trsm_task_count<R: Real>(side: Side, m: usize, n: usize) -> usize {
     };
     let flops = k * k * indep as f64;
     let by_flops = (flops / crate::gemm::min_flops_per_task::<R>()).floor() as usize;
-    rayon::current_num_threads().min(by_flops).min(indep).max(1)
+    threads.min(by_flops).min(indep).max(1)
 }
 
 /// Recursive blocked TRSM on the already α-scaled B.
@@ -364,6 +382,14 @@ fn split_cols<R>(b: &mut [R], k1: usize, ldb: usize) -> (&mut [R], &mut [R]) {
     b.split_at_mut(k1 * ldb)
 }
 
+/// Right-hand sides per transposed tile in the `Side::Left` base case.
+/// Bit-neutral (see [`trsm_left_base`]), so a plain constant rather than a
+/// tuned parameter. 64 measured fastest against 32 and 128 (f32, single
+/// thread, 64×3072 tight and 256×3072 at ldb 3072, AVX-512 Xeon): enough
+/// independent vector chains per row to cover the FMA latency, and a
+/// `tb × 64` tile of at most 32 KiB (f64) that stays in L1.
+const LEFT_TILE: usize = 64;
+
 #[allow(clippy::too_many_arguments)]
 fn trsm_unblocked<R: Real>(
     side: Side,
@@ -377,37 +403,7 @@ fn trsm_unblocked<R: Real>(
     ldb: usize,
 ) {
     match (side, uplo) {
-        (Side::Left, Uplo::Lower) => {
-            // Forward substitution down each column of B.
-            for j in 0..n {
-                let col = &mut b[j * ldb..j * ldb + m];
-                for i in 0..m {
-                    let mut x = col[i];
-                    for l in 0..i {
-                        x = (-a[l * lda + i]).mul_add(col[l], x);
-                    }
-                    if diag == Diag::NonUnit {
-                        x /= a[i * lda + i];
-                    }
-                    col[i] = x;
-                }
-            }
-        }
-        (Side::Left, Uplo::Upper) => {
-            for j in 0..n {
-                let col = &mut b[j * ldb..j * ldb + m];
-                for i in (0..m).rev() {
-                    let mut x = col[i];
-                    for l in i + 1..m {
-                        x = (-a[l * lda + i]).mul_add(col[l], x);
-                    }
-                    if diag == Diag::NonUnit {
-                        x /= a[i * lda + i];
-                    }
-                    col[i] = x;
-                }
-            }
-        }
+        (Side::Left, _) => trsm_left_base(uplo, diag, m, n, a, lda, b, ldb),
         (Side::Right, Uplo::Upper) => {
             // X U = B: columns of X resolved left to right.
             for j in 0..n {
@@ -454,6 +450,117 @@ fn trsm_unblocked<R: Real>(
             }
         }
     }
+}
+
+/// `Side::Left` base case: `B ← op(A)⁻¹·B` for `m ≤ tb` rows, solved
+/// [`LEFT_TILE`] right-hand sides at a time through a row-major transposed
+/// tile from the scratch arena.
+///
+/// A column-at-a-time substitution is a serial chain of up to `m − 1`
+/// dependent FMAs per element with a stride-`lda` read of A for every one
+/// of them. Transposing a block of columns into a tile whose rows are
+/// contiguous lets one row of X be computed as a vector: the FMA runs
+/// across the tile's right-hand sides, which are independent, while each
+/// element keeps exactly the scalar recurrence — start from `b[i, j]`,
+/// apply `fma(−a[i, l], x[l, j], ·)` for `l` ascending (`l < i` for Lower,
+/// `l > i` for Upper), then divide by `a[i, i]` when `NonUnit`. Results
+/// are therefore bitwise identical to the dot-form loop at any tile width.
+#[allow(clippy::too_many_arguments)]
+fn trsm_left_base<R: Real>(
+    uplo: Uplo,
+    diag: Diag,
+    m: usize,
+    n: usize,
+    a: &[R],
+    lda: usize,
+    b: &mut [R],
+    ldb: usize,
+) {
+    // Arena scratch: `left_tile` writes every lane before reading it.
+    let mut tile = scratch::take::<R>(m * LEFT_TILE);
+    for j0 in (0..n).step_by(LEFT_TILE) {
+        let w = (n - j0).min(LEFT_TILE);
+        left_tile(uplo, diag, m, w, a, lda, &mut b[j0 * ldb..], ldb, &mut tile);
+    }
+}
+
+/// Solves the `w ≤ LEFT_TILE` columns at the front of `b` through a
+/// row-major `m × LEFT_TILE` tile: gather, substitute row by row, scatter.
+/// Lanes `w..LEFT_TILE` are zero-filled padding that is solved alongside
+/// and never written back.
+#[allow(clippy::too_many_arguments)]
+fn left_tile<R: Real>(
+    uplo: Uplo,
+    diag: Diag,
+    m: usize,
+    w: usize,
+    a: &[R],
+    lda: usize,
+    b: &mut [R],
+    ldb: usize,
+    tile: &mut [R],
+) {
+    const W: usize = LEFT_TILE;
+    let tile = &mut tile[..m * W];
+    for jj in 0..W {
+        if jj < w {
+            for (i, &x) in b[jj * ldb..jj * ldb + m].iter().enumerate() {
+                tile[i * W + jj] = x;
+            }
+        } else {
+            for i in 0..m {
+                tile[i * W + jj] = R::ZERO;
+            }
+        }
+    }
+    match uplo {
+        Uplo::Lower => {
+            for i in 0..m {
+                left_tile_row(tile, i, 0..i, diag, a, lda);
+            }
+        }
+        Uplo::Upper => {
+            for i in (0..m).rev() {
+                left_tile_row(tile, i, i + 1..m, diag, a, lda);
+            }
+        }
+    }
+    for jj in 0..w {
+        for (i, x) in b[jj * ldb..jj * ldb + m].iter_mut().enumerate() {
+            *x = tile[i * W + jj];
+        }
+    }
+}
+
+/// Finishes tile row `i` against the already-solved rows `ls` (ascending):
+/// `LEFT_TILE` independent FMA chains held in a fixed-size accumulator so
+/// the compiler keeps them in vector registers across the whole `l` loop.
+#[inline(always)]
+fn left_tile_row<R: Real>(
+    tile: &mut [R],
+    i: usize,
+    ls: std::ops::Range<usize>,
+    diag: Diag,
+    a: &[R],
+    lda: usize,
+) {
+    const W: usize = LEFT_TILE;
+    let mut acc = [R::ZERO; W];
+    acc.copy_from_slice(&tile[i * W..(i + 1) * W]);
+    for l in ls {
+        let f = -a[l * lda + i];
+        let xl = &tile[l * W..(l + 1) * W];
+        for jj in 0..W {
+            acc[jj] = f.mul_add(xl[jj], acc[jj]);
+        }
+    }
+    if diag == Diag::NonUnit {
+        let d = a[i * lda + i];
+        for v in &mut acc {
+            *v /= d;
+        }
+    }
+    tile[i * W..(i + 1) * W].copy_from_slice(&acc);
 }
 
 #[cfg(test)]
@@ -746,7 +853,7 @@ mod tests {
             let mut par = b.clone();
             std::env::set_var("RAYON_NUM_THREADS", "4");
             assert!(
-                super::trsm_task_count::<f64>(side, m, n) > 1,
+                super::trsm_task_count::<f64>(side, m, n, 4) > 1,
                 "shape {m}x{n} must cross the task floor"
             );
             trsm(
@@ -764,6 +871,127 @@ mod tests {
             std::env::remove_var("RAYON_NUM_THREADS");
             assert_eq!(serial, par, "{side:?} parallel split diverged");
         }
+    }
+
+    /// The scalar dot-form `Side::Left` substitution the tiled base case
+    /// replaced — one column at a time, each element's FMA chain over `l`
+    /// ascending, then the `NonUnit` divide. Bitwise oracle for `trsm` at
+    /// `m ≤ tb`, where the base case runs alone.
+    #[allow(clippy::too_many_arguments)]
+    fn trsm_left_reference<R: Real>(
+        uplo: Uplo,
+        diag: Diag,
+        m: usize,
+        n: usize,
+        a: &[R],
+        lda: usize,
+        b: &mut [R],
+        ldb: usize,
+    ) {
+        match uplo {
+            Uplo::Lower => {
+                // Forward substitution down each column of B.
+                for j in 0..n {
+                    let col = &mut b[j * ldb..j * ldb + m];
+                    for i in 0..m {
+                        let mut x = col[i];
+                        for l in 0..i {
+                            x = (-a[l * lda + i]).mul_add(col[l], x);
+                        }
+                        if diag == Diag::NonUnit {
+                            x /= a[i * lda + i];
+                        }
+                        col[i] = x;
+                    }
+                }
+            }
+            Uplo::Upper => {
+                for j in 0..n {
+                    let col = &mut b[j * ldb..j * ldb + m];
+                    for i in (0..m).rev() {
+                        let mut x = col[i];
+                        for l in i + 1..m {
+                            x = (-a[l * lda + i]).mul_add(col[l], x);
+                        }
+                        if diag == Diag::NonUnit {
+                            x /= a[i * lda + i];
+                        }
+                        col[i] = x;
+                    }
+                }
+            }
+        }
+    }
+
+    /// `trsm` against [`trsm_left_reference`], bit for bit over the whole
+    /// (padded) buffer, with `A` at a padded `lda` and `B` at `ldb`.
+    fn assert_left_matches_reference<R: Real>(
+        uplo: Uplo,
+        diag: Diag,
+        m: usize,
+        n: usize,
+        ldb: usize,
+    ) {
+        let lda = m + 5;
+        let a64 = tri_mat(m, uplo, diag, 31 + m as u64);
+        let mut a = vec![R::from_f64(-7.0); lda * m];
+        for j in 0..m {
+            for i in 0..m {
+                a[j * lda + i] = R::from_f64(a64[(i, j)]);
+            }
+        }
+        let vals = rand_mat(m, n, 17 + n as u64);
+        // Padding rows carry a sentinel, so a stray write shows up too.
+        let mut b0 = vec![R::from_f64(99.0); ldb * (n - 1) + m];
+        for j in 0..n {
+            for i in 0..m {
+                b0[j * ldb + i] = R::from_f64(vals[(i, j)]);
+            }
+        }
+        let mut want = b0.clone();
+        trsm_left_reference(uplo, diag, m, n, &a, lda, &mut want, ldb);
+        for threads in ["1", "4"] {
+            std::env::set_var("RAYON_NUM_THREADS", threads);
+            let mut got = b0.clone();
+            trsm(Side::Left, uplo, diag, m, n, R::ONE, &a, lda, &mut got, ldb);
+            std::env::remove_var("RAYON_NUM_THREADS");
+            for (idx, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_f64().to_bits(),
+                    w.to_f64().to_bits(),
+                    "{uplo:?}/{diag:?} m={m} n={n} ldb={ldb} threads={threads}: \
+                     element {idx} is {g} instead of {w}"
+                );
+            }
+        }
+    }
+
+    fn left_base_case_oracle<R: Real>() {
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            for diag in [Diag::Unit, Diag::NonUnit] {
+                for m in [1, 7, 63, 64] {
+                    for n in [1, 63, 65, 200] {
+                        for ldb in [m, 3072] {
+                            assert_left_matches_reference::<R>(uplo, diag, m, n, ldb);
+                        }
+                    }
+                }
+                // Wide enough to split into column tasks at 4 threads, so
+                // each task's chunk ends in a ragged tail tile.
+                assert!(trsm_task_count::<R>(Side::Left, 64, 2055, 4) > 1);
+                assert_left_matches_reference::<R>(uplo, diag, 64, 2055, 3072);
+            }
+        }
+    }
+
+    #[test]
+    fn left_base_case_bitwise_matches_dot_form_f32() {
+        left_base_case_oracle::<f32>();
+    }
+
+    #[test]
+    fn left_base_case_bitwise_matches_dot_form_f64() {
+        left_base_case_oracle::<f64>();
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //!    entries for other ISA levels and the other element type are
 //!    preserved).
 //!
-//! [`tune_stats`] counts file hits and sweeps so tests (and CI) can assert
-//! that a second run with a persisted file performs no sweep work.
+//! Each resolution reports the work it did in [`KernelInfo::work`], so a
+//! test can assert that a second run with a persisted file performs no
+//! sweep work without reading process-wide state other resolutions also
+//! touch; [`tune_stats`] keeps the process totals for reporting.
 //!
 //! # What may be tuned, and what must not be
 //!
@@ -158,6 +160,7 @@ pub(crate) struct ResolvedKernel<R> {
     pub(crate) source: TuneSource,
     pub(crate) gflops: f64,
     pub(crate) tune_file: Option<PathBuf>,
+    pub(crate) work: TuneStats,
 }
 
 impl<R> ResolvedKernel<R> {
@@ -169,6 +172,7 @@ impl<R> ResolvedKernel<R> {
             source: self.source,
             gflops_at_tune: self.gflops,
             tune_file: self.tune_file.clone(),
+            work: self.work,
         }
     }
 }
@@ -189,6 +193,32 @@ pub struct KernelInfo {
     pub gflops_at_tune: f64,
     /// The tuning file consulted/updated, if any.
     pub tune_file: Option<PathBuf>,
+    /// The tuning work the resolution that produced this kernel performed.
+    pub work: TuneStats,
+}
+
+/// Tuning work done by one resolution: exactly one of the two counts is 1
+/// for a resolution that consulted the tuner, both are 0 for the generic
+/// fallback.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TuneStats {
+    /// Tuning-file entries loaded (zero sweep work).
+    pub file_hits: u64,
+    /// Timed sweeps run.
+    pub sweeps: u64,
+}
+
+impl TuneStats {
+    /// The work of a resolution that ran a sweep.
+    pub(crate) const SWEPT: TuneStats = TuneStats {
+        file_hits: 0,
+        sweeps: 1,
+    };
+    /// The work of a resolution that loaded a tuning-file entry.
+    pub(crate) const LOADED: TuneStats = TuneStats {
+        file_hits: 1,
+        sweeps: 0,
+    };
 }
 
 static FILE_HITS: AtomicU64 = AtomicU64::new(0);
@@ -196,7 +226,9 @@ static SWEEPS: AtomicU64 = AtomicU64::new(0);
 
 /// `(file_hits, sweeps)` since process start, across both element types
 /// and any `resolve_fresh_with_file` calls. A run that loads every kernel
-/// from a persisted tuning file shows `sweeps == 0`.
+/// from a persisted tuning file shows `sweeps == 0`. Concurrent
+/// resolutions all add to these totals; to attribute work to one
+/// resolution, read its [`KernelInfo::work`].
 pub fn tune_stats() -> (u64, u64) {
     (
         FILE_HITS.load(Ordering::Relaxed),
@@ -250,6 +282,7 @@ pub(crate) fn with_resolved<R: Real, T>(f: impl FnOnce(&ResolvedKernel<R>) -> T)
             source: TuneSource::Default,
             gflops: 0.0,
             tune_file: None,
+            work: TuneStats::default(),
         })
     }
 }
@@ -266,7 +299,8 @@ pub fn kernel_info_f64() -> KernelInfo {
 
 /// Resolves a kernel for one element type *without* touching the cached
 /// statics — the persistence tests use this to exercise the
-/// sweep/persist/load cycle repeatedly in one process. Counters in
+/// sweep/persist/load cycle repeatedly in one process. The returned
+/// [`KernelInfo::work`] counts this call's work alone; the totals in
 /// [`tune_stats`] are updated exactly as a cached resolution would.
 #[doc(hidden)]
 pub fn resolve_fresh_with_file(tag: &str, path: Option<&Path>) -> KernelInfo {
@@ -343,12 +377,12 @@ fn resolve<R: Real>(
     let isa = avail.first().map_or(Isa::Portable, |v| v.isa);
     if let Some(p) = path {
         if let Some(rk) = load_entry(p, isa, tag, &avail) {
-            FILE_HITS.fetch_add(1, Ordering::Relaxed);
+            FILE_HITS.fetch_add(rk.work.file_hits, Ordering::Relaxed);
             return rk;
         }
     }
-    SWEEPS.fetch_add(1, Ordering::Relaxed);
     let mut rk = sweep(&avail);
+    SWEEPS.fetch_add(rk.work.sweeps, Ordering::Relaxed);
     rk.tune_file = path.map(Path::to_path_buf);
     if let Some(p) = path {
         let _ = persist_entry(p, isa, tag, &rk);
@@ -398,6 +432,7 @@ fn load_entry<R: Real>(
         source: TuneSource::File,
         gflops: entry.get("gflops").and_then(Value::as_f64).unwrap_or(0.0),
         tune_file: Some(path.to_path_buf()),
+        work: TuneStats::LOADED,
     })
 }
 
@@ -465,6 +500,7 @@ fn sweep<R: Real>(avail: &[&'static KernelVariant<R>]) -> ResolvedKernel<R> {
                     source: TuneSource::Swept,
                     gflops,
                     tune_file: None,
+                    work: TuneStats::SWEPT,
                 });
             }
         }
@@ -563,31 +599,26 @@ mod tests {
         std::env::temp_dir().join(format!("hplai-tune-test-{}-{tag}.json", std::process::id()))
     }
 
-    /// Ensures the process-wide resolutions already happened so their
-    /// counter increments cannot race the deltas asserted below.
-    fn settle_global_resolution() {
-        let _ = kernel_info_f32();
-        let _ = kernel_info_f64();
-    }
-
     #[test]
     fn sweep_then_file_hit_performs_zero_sweep_work() {
-        settle_global_resolution();
         let path = tmp_file("roundtrip");
         let _ = std::fs::remove_file(&path);
 
-        let (h0, s0) = tune_stats();
         let first = resolve_fresh_with_file("f32", Some(&path));
-        let (h1, s1) = tune_stats();
-        assert_eq!(s1 - s0, 1, "first resolution must sweep");
-        assert_eq!(h1 - h0, 0);
+        assert_eq!(
+            (first.work.sweeps, first.work.file_hits),
+            (1, 0),
+            "first resolution must sweep exactly once"
+        );
         assert_eq!(first.source, TuneSource::Swept);
         assert!(path.exists(), "sweep must persist its winner");
 
         let second = resolve_fresh_with_file("f32", Some(&path));
-        let (h2, s2) = tune_stats();
-        assert_eq!(s2 - s1, 0, "second resolution must not sweep");
-        assert_eq!(h2 - h1, 1, "second resolution must hit the file");
+        assert_eq!(
+            (second.work.sweeps, second.work.file_hits),
+            (0, 1),
+            "second resolution must hit the file and not sweep"
+        );
         assert_eq!(second.source, TuneSource::File);
         assert_eq!(second.kernel, first.kernel);
         assert_eq!(second.params, first.params);
@@ -597,17 +628,15 @@ mod tests {
 
     #[test]
     fn file_keeps_entries_for_both_types() {
-        settle_global_resolution();
         let path = tmp_file("merge");
         let _ = std::fs::remove_file(&path);
         let f32_info = resolve_fresh_with_file("f32", Some(&path));
         let f64_info = resolve_fresh_with_file("f64", Some(&path));
         // Both entries must now load without sweeps.
-        let (_, s0) = tune_stats();
         let f32_again = resolve_fresh_with_file("f32", Some(&path));
         let f64_again = resolve_fresh_with_file("f64", Some(&path));
-        let (_, s1) = tune_stats();
-        assert_eq!(s1 - s0, 0);
+        assert_eq!((f32_again.work.sweeps, f32_again.work.file_hits), (0, 1));
+        assert_eq!((f64_again.work.sweeps, f64_again.work.file_hits), (0, 1));
         assert_eq!(f32_again.kernel, f32_info.kernel);
         assert_eq!(f64_again.kernel, f64_info.kernel);
         let _ = std::fs::remove_file(&path);
@@ -615,7 +644,6 @@ mod tests {
 
     #[test]
     fn foreign_host_key_forces_resweep() {
-        settle_global_resolution();
         let path = tmp_file("foreign");
         std::fs::write(
             &path,
@@ -626,10 +654,12 @@ mod tests {
             ),
         )
         .unwrap();
-        let (_, s0) = tune_stats();
         let info = resolve_fresh_with_file("f32", Some(&path));
-        let (_, s1) = tune_stats();
-        assert_eq!(s1 - s0, 1, "mismatched host must re-sweep");
+        assert_eq!(
+            (info.work.sweeps, info.work.file_hits),
+            (1, 0),
+            "mismatched host must re-sweep"
+        );
         assert_eq!(info.source, TuneSource::Swept);
         // The rewritten file carries the real host key and loads cleanly.
         let text = std::fs::read_to_string(&path).unwrap();
@@ -638,8 +668,19 @@ mod tests {
     }
 
     #[test]
+    fn process_totals_cover_each_resolution() {
+        // Other tests resolve concurrently, so the totals can only be
+        // checked as a lower bound: they include this resolution's sweep.
+        let path = tmp_file("totals");
+        let _ = std::fs::remove_file(&path);
+        let info = resolve_fresh_with_file("f64", Some(&path));
+        assert_eq!(info.work.sweeps, 1);
+        assert!(tune_stats().1 >= 1, "process totals missed a sweep");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn corrupt_entry_is_ignored() {
-        settle_global_resolution();
         let path = tmp_file("corrupt");
         std::fs::write(
             &path,
@@ -657,7 +698,6 @@ mod tests {
 
     #[test]
     fn swept_candidates_pin_bit_affecting_knobs() {
-        settle_global_resolution();
         let info = kernel_info_f32();
         assert_eq!(info.params.kc, KC_PINNED);
         assert_eq!(info.params.nb, NB_PINNED);

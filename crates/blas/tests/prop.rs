@@ -1,7 +1,7 @@
 //! Property-based tests for the BLAS kernels.
 
 use mxp_blas::{gemm, gemm_mixed, gemv, getrf_nopiv, trsm, trsv, Diag, Mat, Side, Trans, Uplo};
-use mxp_precision::F16;
+use mxp_precision::{Real, F16};
 use proptest::prelude::*;
 
 fn rand_mat(rows: usize, cols: usize, seed: u64) -> Mat<f64> {
@@ -81,6 +81,97 @@ fn dominant_mat(n: usize, seed: u64) -> Mat<f64> {
     })
 }
 
+/// Scalar dot-form `Side::Left` substitution, one column at a time: each
+/// element starts from `b[i, j]`, takes `fma(−a[i, l], x[l, j], ·)` for `l`
+/// ascending, then the `NonUnit` divide. `trsm` must reproduce it bit for
+/// bit whenever `m` is at most the recursion cutoff (64).
+#[allow(clippy::too_many_arguments)]
+fn left_dot_form<R: Real>(
+    uplo: Uplo,
+    diag: Diag,
+    m: usize,
+    n: usize,
+    a: &[R],
+    lda: usize,
+    b: &mut [R],
+    ldb: usize,
+) {
+    for j in 0..n {
+        let col = &mut b[j * ldb..j * ldb + m];
+        for step in 0..m {
+            let (i, ls) = match uplo {
+                Uplo::Lower => (step, 0..step),
+                Uplo::Upper => (m - 1 - step, m - step..m),
+            };
+            let mut x = col[i];
+            for l in ls {
+                x = (-a[l * lda + i]).mul_add(col[l], x);
+            }
+            if diag == Diag::NonUnit {
+                x /= a[i * lda + i];
+            }
+            col[i] = x;
+        }
+    }
+}
+
+/// Runs `trsm` and [`left_dot_form`] on the same padded operands and
+/// compares every element of B's buffer, padding included, by bits.
+#[allow(clippy::too_many_arguments)]
+fn left_base_case_bitwise<R: Real>(
+    uplo: Uplo,
+    diag: Diag,
+    m: usize,
+    n: usize,
+    lda: usize,
+    ldb: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    // NaN wherever a correct solve never reads A — the other triangle,
+    // the diagonal under Unit, the padding rows — so a stray read changes
+    // the result bits.
+    let mut a = rand_padded(m, m, lda, seed ^ 5);
+    for j in 0..m {
+        for i in 0..m {
+            let strict = match uplo {
+                Uplo::Lower => i > j,
+                Uplo::Upper => i < j,
+            };
+            let v = &mut a[j * lda + i];
+            *v = match (i == j, diag) {
+                (true, Diag::Unit) => f64::NAN,
+                (true, Diag::NonUnit) => 1.5 + *v,
+                (false, _) if strict => *v / m as f64,
+                (false, _) => f64::NAN,
+            };
+        }
+    }
+    let a: Vec<R> = a.iter().map(|&x| R::from_f64(x)).collect();
+    let b0: Vec<R> = rand_padded(m, n, ldb, seed ^ 9)
+        .iter()
+        .map(|&x| R::from_f64(x))
+        .collect();
+    let mut got = b0.clone();
+    let mut want = b0;
+    trsm(Side::Left, uplo, diag, m, n, R::ONE, &a, lda, &mut got, ldb);
+    left_dot_form(uplo, diag, m, n, &a, lda, &mut want, ldb);
+    for (idx, (g, w)) in got.iter().zip(&want).enumerate() {
+        // NaN padding compares by bits like everything else.
+        prop_assert_eq!(
+            g.to_f64().to_bits(),
+            w.to_f64().to_bits(),
+            "element {} of {:?}/{:?} m={} n={} ldb={}",
+            idx,
+            uplo,
+            diag,
+            m,
+            n,
+            ldb
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -152,6 +243,28 @@ proptest! {
 
     /// GETRF(no-pivot) factors every diagonally dominant matrix and the
     /// factors reproduce A.
+    /// The `Side::Left` base case (transposed-tile kernel) is bitwise
+    /// the scalar dot-form substitution, in both precisions, both
+    /// triangles, both diagonals, ragged tile widths and padded strides.
+    #[test]
+    fn trsm_left_base_case_bitwise_equals_dot_form(
+        m in 1usize..65,
+        n in 1usize..200,
+        upper: bool, unit: bool, wide: bool,
+        pa in 0usize..5,
+        pb in prop::sample::select(vec![0usize, 1, 3072]),
+        seed: u64,
+    ) {
+        let uplo = if upper { Uplo::Upper } else { Uplo::Lower };
+        let diag = if unit { Diag::Unit } else { Diag::NonUnit };
+        let (lda, ldb) = (m + pa, m + pb);
+        if wide {
+            left_base_case_bitwise::<f64>(uplo, diag, m, n, lda, ldb, seed)?;
+        } else {
+            left_base_case_bitwise::<f32>(uplo, diag, m, n, lda, ldb, seed)?;
+        }
+    }
+
     #[test]
     fn getrf_reconstructs(n in 2usize..70, seed: u64) {
         let a = dominant_mat(n, seed);
