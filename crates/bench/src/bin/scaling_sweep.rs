@@ -13,13 +13,27 @@
 //!   simulated-virtual-time curve is the paper's Fig. 9 shape and the
 //!   host-wall curve measures scheduler throughput as rank count grows.
 //!
+//! Every point is one [`hplai_core::run`] — the driver behind the CLI and
+//! the service — so the sweep reports exactly what a timing run reports.
+//! Both series end at the machine's full extent (Summit 27,648 ranks,
+//! Frontier 75,264), where they are the same configuration: that rung is
+//! simulated once and reported in both series. Its rank-0 comm timeline
+//! goes to `results/scaling_sweep_<system>.trace.json` (Chrome trace
+//! format), and every point's [`hplai_core::PerfReport`] to
+//! `results/scaling_sweep_perf.json`.
+//!
 //! ```text
-//! scaling_sweep [--quick] [--best-of N]
+//! scaling_sweep [--quick] [--best-of N] [--floor <ranks_per_sec>]
 //! ```
 //!
 //! `--quick` runs the Summit series only (the CI smoke configuration);
 //! the default also runs Frontier, whose largest strong point is the full
 //! 75,264-rank extent.
+//!
+//! `--floor R` exits non-zero if the Summit full-extent point simulates
+//! fewer than `R` ranks per wall-clock second — the CI guard against a
+//! scheduling or matching regression making full-machine runs
+//! impractical.
 //!
 //! `--best-of N` exists because host wall-clock numbers from shared boxes
 //! spread by more than 2× run to run (391–829 s observed for the same
@@ -30,10 +44,9 @@
 //! schema. Simulated results are bit-identical across samples, so only
 //! the host-side timings differ.
 
-use hplai_core::factor::{factor, FactorConfig, Fidelity};
-use hplai_core::ir::ir_time_model;
-use hplai_core::{frontier, run_with_backend, summit, Backend, ProcessGrid, RunConfig, SystemSpec};
-use mxp_bench::{gflops, results_dir, SchedPhases, Table};
+use hplai_core::trace::comm_chrome_trace;
+use hplai_core::{frontier, run, summit, Backend, ProcessGrid, RunConfig, SystemSpec};
+use mxp_bench::{emit_perf_reports, gflops, results_dir, NamedPerf, SchedPhases, Table};
 use mxp_msgsim::BcastAlgo;
 use serde::Serialize;
 use std::time::Instant;
@@ -95,10 +108,15 @@ fn lcm(a: usize, b: usize) -> usize {
 }
 
 /// Runs one grid extent of `sys` with problem size `n` and returns its
-/// measurement. Mirrors `event_scale`'s driver without the comm trace:
-/// only the scalar totals are kept, so the sweep's memory footprint stays
-/// with the fibers.
-fn run_point(sys: &SystemSpec, grid: ProcessGrid, n: usize, b: usize, mode: &str) -> SweepPoint {
+/// measurement and labelled report. At the machine's full extent it also
+/// writes rank 0's comm trace.
+fn run_point(
+    sys: &SystemSpec,
+    grid: ProcessGrid,
+    n: usize,
+    b: usize,
+    mode: &str,
+) -> (SweepPoint, NamedPerf) {
     let cfg = RunConfig::timing(sys.clone(), grid, n, b)
         .algo(BcastAlgo::Lib)
         .backend(Backend::EventTimed)
@@ -109,31 +127,23 @@ fn run_point(sys: &SystemSpec, grid: ProcessGrid, n: usize, b: usize, mode: &str
         "{} {mode}: {ranks} ranks as {}x{}, N = {n} (B = {b}, {n_b} iterations)",
         sys.name, grid.p_r, grid.p_c
     );
-    let fcfg = FactorConfig {
-        n: cfg.n,
-        b: cfg.b,
-        algo: cfg.algo,
-        lookahead: cfg.lookahead,
-        fidelity: Fidelity::Timing,
-        seed: cfg.seed,
-        prec: cfg.prec,
-    };
-    let sys_c = sys.clone();
     let started = Instant::now();
-    let totals = run_with_backend(&cfg, |ctx| {
-        let out = factor(ctx, &sys_c, &fcfg, 1.0);
-        let ir = ir_time_model(&sys_c, fcfg.n, ctx.grid().size(), 3);
-        ctx.charge(ir);
-        out.elapsed + ir
-    })
-    .expect("the event backend hosts every sweep extent");
+    let out = run(&cfg);
     let wall = started.elapsed().as_secs_f64();
     let stats = mxp_msgsim::last_event_stats();
     if let Some(s) = &stats {
         eprintln!("  {}", SchedPhases::from_stats(s).describe(s.shards));
     }
-    let virtual_secs = totals.iter().copied().fold(0.0, f64::max);
-    SweepPoint {
+    if ranks == sys.total_gcds() {
+        let path = results_dir().join(format!(
+            "scaling_sweep_{}.trace.json",
+            sys.name.to_lowercase()
+        ));
+        std::fs::write(&path, comm_chrome_trace(out.trace_rank0.events(), 0))
+            .expect("write comm trace");
+        eprintln!("  wrote {}", path.display());
+    }
+    let point = SweepPoint {
         system: sys.name.to_string(),
         mode: mode.to_string(),
         ranks,
@@ -143,13 +153,15 @@ fn run_point(sys: &SystemSpec, grid: ProcessGrid, n: usize, b: usize, mode: &str
         iterations: n_b,
         wall_secs: wall,
         ranks_per_sec: ranks as f64 / wall,
-        virtual_secs,
-        gflops_per_gcd: hplai_core::gflops_per_gcd(n, ranks, virtual_secs),
+        virtual_secs: out.perf.runtime,
+        gflops_per_gcd: out.perf.gflops_per_gcd,
         shards: stats.map_or(0, |s| s.shards),
         best_of: 1,
         wall_spread: 1.0,
         phases: stats.as_ref().map(SchedPhases::from_stats),
-    }
+    };
+    let label = format!("{} {mode} {ranks}", sys.name);
+    (point, NamedPerf::new(label, out.perf))
 }
 
 /// Marker environment variable: set on re-executed children, which run
@@ -200,7 +212,8 @@ fn fold_best_of(points: &mut [SweepPoint], best_of: usize, quick: bool) {
 
 /// The 4-point grid ladder for `sys`, oriented by the paper's node-local
 /// grid (`q_r`×`q_c` ranks per node) and ending at the machine's
-/// full-extent min-lcm split (matching `event_scale`). Every rung keeps
+/// full-extent split with the fewest iterations (`N/B = lcm(P_r, P_c)` at
+/// minimum `N`; on Frontier 224x336, 672 iterations). Every rung keeps
 /// `lcm/gcd` of the grid shape constant, so the weak series' per-rank
 /// tile count is identical at every point; ranks grow 4× per rung.
 fn ladder(sys: &SystemSpec, q_r: usize, q_c: usize) -> Vec<ProcessGrid> {
@@ -233,23 +246,33 @@ fn ladder(sys: &SystemSpec, q_r: usize, q_c: usize) -> Vec<ProcessGrid> {
 }
 
 /// Both series for one system: strong (fixed full-extent `N`) and weak
-/// (fixed per-rank tile count) over the same ladder.
-fn sweep_system(sys: &SystemSpec, q_r: usize, q_c: usize, points: &mut Vec<SweepPoint>) {
+/// (fixed per-rank tile count) over the same ladder. The weak series'
+/// top rung has `N = lcm(P_r, P_c)·B` on the full grid — the strong
+/// series' configuration there — so its measurement is reused.
+fn sweep_system(sys: &SystemSpec, q_r: usize, q_c: usize, out: &mut Vec<(SweepPoint, NamedPerf)>) {
     let b = sys.paper_b;
     let grids = ladder(sys, q_r, q_c);
-    let full = *grids.last().expect("ladder is non-empty");
+    let (full, rungs) = grids.split_last().expect("ladder is non-empty");
     let n_full = lcm(full.p_r, full.p_c) * b;
     for g in &grids {
         assert!(
             (n_full / b).is_multiple_of(lcm(g.p_r, g.p_c)),
             "strong-scaling N must tile every ladder grid"
         );
-        points.push(run_point(sys, *g, n_full, b, "strong"));
+        out.push(run_point(sys, *g, n_full, b, "strong"));
     }
-    for g in &grids {
-        let n = lcm(g.p_r, g.p_c) * b;
-        points.push(run_point(sys, *g, n, b, "weak"));
+    let (top, top_report) = out.last().cloned().expect("strong series measured");
+    for g in rungs {
+        out.push(run_point(sys, *g, lcm(g.p_r, g.p_c) * b, b, "weak"));
     }
+    let label = format!("{} weak {}", sys.name, top.ranks);
+    out.push((
+        SweepPoint {
+            mode: "weak".into(),
+            ..top
+        },
+        NamedPerf::new(label, top_report.perf),
+    ));
 }
 
 fn repo_root() -> std::path::PathBuf {
@@ -266,15 +289,23 @@ fn main() {
         .iter()
         .position(|a| a == "--best-of")
         .map_or(1, |i| args[i + 1].parse().expect("--best-of takes a count"));
+    let floor: Option<f64> = args
+        .iter()
+        .position(|a| a == "--floor")
+        .map(|i| args[i + 1].parse().expect("--floor takes ranks/sec"));
     let child = std::env::var_os(CHILD_ENV).is_some();
 
-    let mut points = Vec::new();
+    // `run` records the f32 kernel's ISA: resolve it now, so a first-use
+    // tuning sweep is not timed as part of the first point.
+    mxp_blas::kernel_info_f32();
+    let mut measured = Vec::new();
     // Summit: 4608 nodes × 6 V100, 3x2 node-local grid.
-    sweep_system(&summit(), 3, 2, &mut points);
+    sweep_system(&summit(), 3, 2, &mut measured);
     if !quick {
         // Frontier: 9408 nodes × 8 GCDs, 2x4 node-local grid.
-        sweep_system(&frontier(), 2, 4, &mut points);
+        sweep_system(&frontier(), 2, 4, &mut measured);
     }
+    let (mut points, mut reports): (Vec<SweepPoint>, Vec<NamedPerf>) = measured.into_iter().unzip();
 
     if child {
         // Re-executed sample: report wall times to the parent and stop —
@@ -288,6 +319,9 @@ fn main() {
     }
     if best_of > 1 {
         fold_best_of(&mut points, best_of, quick);
+        for (np, p) in reports.iter_mut().zip(&points) {
+            np.perf.wall_vs_virtual_time = p.wall_secs / p.virtual_secs;
+        }
     }
 
     let mut t = Table::new(
@@ -323,6 +357,7 @@ fn main() {
         ]);
     }
     t.emit("scaling_sweep");
+    emit_perf_reports("scaling_sweep", &reports);
 
     let report = Report {
         schema: "event-scaling-v2".into(),
@@ -335,4 +370,21 @@ fn main() {
     )
     .expect("write BENCH_scaling.json");
     eprintln!("wrote {}", path.display());
+
+    if let Some(floor) = floor {
+        let full = summit().total_gcds();
+        let p = report
+            .points
+            .iter()
+            .find(|p| p.system == "Summit" && p.ranks == full)
+            .expect("every sweep ends at Summit's full extent");
+        if p.ranks_per_sec < floor {
+            eprintln!(
+                "FLOOR VIOLATION: {:.0} ranks/sec < required {floor} at {} ranks",
+                p.ranks_per_sec, p.ranks
+            );
+            std::process::exit(1);
+        }
+        eprintln!("floor ok: {:.0} ranks/sec >= {floor}", p.ranks_per_sec);
+    }
 }

@@ -117,7 +117,7 @@ impl Table {
 /// [`mxp_msgsim::last_event_stats`]: where the host wall-clock went, so a
 /// throughput regression is attributable to fiber switching, delivery, or
 /// rank compute rather than a single opaque number. Serialized by the
-/// scale and scaling-sweep bins alongside their headline points.
+/// scaling-sweep bin alongside its headline points.
 #[derive(Clone, Debug, Serialize)]
 pub struct SchedPhases {
     /// Worker seconds inside rank fibers (rank compute + switches).

@@ -23,7 +23,7 @@
 //!   test pins it against the emergent driver at small scale.
 //!
 //! Orthogonally, the emergent fidelities run on either of two runtime
-//! *backends* behind the [`CommBackend`] API, selected with
+//! *backends*, the variants of [`Backend`], selected with
 //! [`RunConfigBuilder::backend`](solve::RunConfigBuilder::backend):
 //! [`Backend::Functional`] hosts each rank on an OS thread (real payloads,
 //! up to O(10³) ranks), while [`Backend::EventTimed`] schedules ranks as
@@ -85,8 +85,8 @@ pub use metrics::{gflops_per_gcd, hplai_flops, parallel_efficiency};
 pub use msg::{PanelData, PanelMsg, TrailingPrecision};
 pub use report::PerfReport;
 pub use runtime::{
-    Backend, BackendError, CommBackend, CommEvent, CommOp, CommScope, CommStats, CommTotals,
-    CommTrace, PanelBcast, RankCtx, TagAllocator, TagError,
+    Backend, BackendError, CommEvent, CommOp, CommScope, CommStats, CommTotals, CommTrace,
+    PanelBcast, RankCtx, TagAllocator, TagError,
 };
 pub use service::{
     job_log_filename, parse_batch, BatchError, BatchFile, JobRecord, LatencyStats, ServiceConfig,

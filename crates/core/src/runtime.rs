@@ -33,38 +33,17 @@ use crate::grid::ProcessGrid;
 use crate::msg::{PanelData, PanelMsg};
 use mxp_msgsim::{BcastAlgo, BcastRequest, Comm, Group, WorldSpec};
 
-/// A strategy for executing one closure per rank over a [`WorldSpec`] —
-/// the seam between drivers (algorithms over [`RankCtx`]) and the
-/// machinery that hosts the ranks. Two implementations ship: the
-/// *functional* thread-per-rank transport and the *event-timed*
-/// fiber-per-rank discrete-event scheduler; both produce bit-identical
-/// simulated clocks, so a driver never branches on which one it runs
-/// under.
+/// The runtime that hosts a run's ranks, selectable on
+/// [`RunConfig::backend`](crate::solve::RunConfigBuilder::backend) — the
+/// seam between drivers (algorithms over [`RankCtx`]) and the machinery
+/// that executes one closure per rank over a [`WorldSpec`]. Both variants
+/// produce bit-identical simulated clocks, so a driver never branches on
+/// which one it runs under.
 ///
-/// The recipe for a new backend: implement `execute` so every rank's
-/// closure runs against a [`mxp_msgsim::Comm`] endpoint honouring the
-/// send/receive matching discipline (per-(src, tag) FIFO streams), and
-/// results come back in rank order with rank panics re-thrown.
-pub trait CommBackend {
-    /// Stable lower-case label, recorded in
-    /// [`PerfReport`](crate::report::PerfReport) and serialized JSON.
-    fn label(&self) -> &'static str;
-
-    /// Largest world this backend can reasonably host; exceeding it makes
-    /// [`Backend::check_scale`] return a typed error instead of letting
-    /// the run die on resource exhaustion.
-    fn max_ranks(&self) -> usize;
-
-    /// Executes the per-rank closure over the spec, returning results in
-    /// rank order. Panics in any rank propagate, like an MPI abort.
-    fn execute<T, F>(&self, spec: &WorldSpec, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Comm<PanelMsg>) -> T + Sync;
-}
-
-/// The shipped [`CommBackend`] implementations, selectable on
-/// [`RunConfig::backend`](crate::solve::RunConfigBuilder::backend).
+/// A new backend is one more variant whose [`Backend::execute`] arm runs
+/// every rank's closure against a [`mxp_msgsim::Comm`] endpoint honouring
+/// the send/receive matching discipline (per-(src, tag) FIFO streams),
+/// returning results in rank order with rank panics re-thrown.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Thread-per-rank with real payloads — the verification substrate.
@@ -77,15 +56,20 @@ pub enum Backend {
     EventTimed,
 }
 
-impl CommBackend for Backend {
-    fn label(&self) -> &'static str {
+impl Backend {
+    /// Stable lower-case label, recorded in
+    /// [`PerfReport`](crate::report::PerfReport) and serialized JSON.
+    pub fn label(&self) -> &'static str {
         match self {
             Backend::Functional => "functional",
             Backend::EventTimed => "event-timed",
         }
     }
 
-    fn max_ranks(&self) -> usize {
+    /// Largest world this backend can reasonably host; exceeding it makes
+    /// [`Backend::check_scale`] return a typed error instead of letting
+    /// the run die on resource exhaustion.
+    pub fn max_ranks(&self) -> usize {
         match self {
             // Thread-per-rank: stay well under default pid/VM limits.
             Backend::Functional => 8192,
@@ -94,7 +78,9 @@ impl CommBackend for Backend {
         }
     }
 
-    fn execute<T, F>(&self, spec: &WorldSpec, f: F) -> Vec<T>
+    /// Executes the per-rank closure over the spec, returning results in
+    /// rank order. Panics in any rank propagate, like an MPI abort.
+    pub fn execute<T, F>(&self, spec: &WorldSpec, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(Comm<PanelMsg>) -> T + Sync,
@@ -104,9 +90,7 @@ impl CommBackend for Backend {
             Backend::EventTimed => spec.run_event(f),
         }
     }
-}
 
-impl Backend {
     /// Typed scale guard: `Err` when `ranks` exceeds what this backend can
     /// host, instead of an OOM or thread-spawn abort mid-run.
     pub fn check_scale(&self, ranks: usize) -> Result<(), BackendError> {
@@ -722,9 +706,9 @@ impl RankCtx {
 
     /// Enables or disables [`CommEvent`] recording. Aggregate counters
     /// (`bytes_sent`, `wait_total`, `hidden_total`) accumulate either way;
-    /// only the per-event list stops growing. Full-machine event-backend
-    /// runs keep tracing on for a handful of ranks and off elsewhere, or
-    /// a 75k-rank run would hold tens of gigabytes of event lists.
+    /// only the per-event list stops growing. [`crate::run`] traces rank 0
+    /// only — the rank it reports — or a 75k-rank run would hold tens of
+    /// gigabytes of event lists.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
     }

@@ -16,7 +16,7 @@ use crate::grid::ProcessGrid;
 use crate::ir::{ir_time_model, refine};
 use crate::msg::TrailingPrecision;
 use crate::report::PerfReport;
-use crate::runtime::{Backend, BackendError, CommBackend, CommScope, RankCtx};
+use crate::runtime::{Backend, BackendError, CommScope, CommTrace, RankCtx};
 use crate::systems::SystemSpec;
 use mxp_gpusim::GcdFleet;
 use mxp_msgsim::{BcastAlgo, WorldSpec};
@@ -355,7 +355,7 @@ impl RunConfig {
 
     /// The msgsim world this configuration describes: placement, network
     /// tuning and injected link faults. Backend-agnostic — the same spec
-    /// is handed to whichever [`CommBackend`] the config selects.
+    /// is handed to whichever [`Backend`] the config selects.
     pub fn world_spec(&self) -> WorldSpec {
         let grid = &self.grid;
         assert_eq!(
@@ -553,6 +553,10 @@ pub struct RunOutcome {
     /// Per-iteration breakdown of every rank (rank-major) — the input of
     /// progress monitoring and fault supervision.
     pub records: Vec<Vec<IterRecord>>,
+    /// Rank 0's communication trace, the source of the Chrome comm lanes.
+    /// Only rank 0 records one: every other rank keeps just its aggregate
+    /// counters, so full-machine runs do not hold an event list per rank.
+    pub trace_rank0: CommTrace,
 }
 
 impl RunOutcome {
@@ -574,9 +578,12 @@ struct RankResult {
     comm_bytes: u64,
     comm_wait: f64,
     ckpt: CkptMeter,
+    trace: CommTrace,
 }
 
-/// Executes a full benchmark run and aggregates the outcome.
+/// Executes a full benchmark run and aggregates the outcome — the one
+/// driver behind the CLI, the service, the supervisor and the timing
+/// bins. Only rank 0 records a [`CommTrace`] ([`RunOutcome::trace_rank0`]).
 pub fn run(cfg: &RunConfig) -> RunOutcome {
     let grid = cfg.grid;
     let fcfg = FactorConfig {
@@ -597,6 +604,7 @@ pub fn run(cfg: &RunConfig) -> RunOutcome {
 
     let started = std::time::Instant::now();
     let mut results: Vec<RankResult> = run_with_backend(cfg, |ctx| {
+        ctx.set_tracing(ctx.rank() == 0);
         let base = cfg
             .fleet
             .as_ref()
@@ -631,6 +639,7 @@ pub fn run(cfg: &RunConfig) -> RunOutcome {
                     comm_bytes: 0,
                     comm_wait: 0.0,
                     ckpt: ckpt_meter,
+                    trace: CommTrace::default(),
                 }
             }
             Fidelity::Timing => {
@@ -650,11 +659,13 @@ pub fn run(cfg: &RunConfig) -> RunOutcome {
                     comm_bytes: 0,
                     comm_wait: 0.0,
                     ckpt: ckpt_meter,
+                    trace: CommTrace::default(),
                 }
             }
         };
         result.comm_bytes = ctx.bytes_sent();
         result.comm_wait = ctx.wait_total();
+        result.trace = ctx.take_trace();
         result
     })
     .unwrap_or_else(|e| panic!("run: {e}"));
@@ -698,6 +709,7 @@ pub fn run(cfg: &RunConfig) -> RunOutcome {
         scaled_residual: results[0].scaled,
         ir_iters: results[0].ir_iters,
         solution: results[0].x.take(),
+        trace_rank0: std::mem::take(&mut results[0].trace),
         records: results.into_iter().map(|r| r.records).collect(),
     }
 }

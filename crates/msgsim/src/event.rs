@@ -275,7 +275,7 @@ thread_local! {
 }
 
 /// Scheduler cost breakdown of one event-backend run, for perf-report
-/// provenance and the `event_scale` per-phase output. All wall-clock
+/// provenance and the `scaling_sweep` per-phase output. All wall-clock
 /// quantities are host-dependent; none of them feed back into simulated
 /// results.
 #[derive(Clone, Copy, Debug, Default)]

@@ -2,7 +2,7 @@
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use mxp_netsim::{GcdLoc, NetworkConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::collectives::CollectiveTuning;
 use crate::event::EventWorld;
@@ -79,20 +79,23 @@ impl WorldSpec {
         for _ in 0..p {
             let (tx, rx) = unbounded::<Envelope<M>>();
             senders.push(tx);
-            receivers.push(rx);
+            receivers.push(Arc::new(Mutex::new(rx)));
         }
         let senders = Arc::new(senders);
         let spec = Arc::new(self.clone());
         let mut out: Vec<Option<T>> = (0..p).map(|_| None).collect();
+        // `receivers` outlives the scope: a rank that returns (dropping
+        // its `Comm`) keeps its inbox open, so an eager send to it still
+        // completes, as it does on the event host.
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(p);
-            for (rank, rx) in receivers.into_iter().enumerate() {
+            for (rank, rx) in receivers.iter().enumerate() {
                 let senders = Arc::clone(&senders);
                 let spec = Arc::clone(&spec);
+                let inbox = Arc::clone(rx);
                 let f = &f;
                 handles.push(scope.spawn(move || {
-                    let comm =
-                        Comm::with_endpoint(rank, spec, Endpoint::Thread { senders, inbox: rx });
+                    let comm = Comm::with_endpoint(rank, spec, Endpoint::Thread { senders, inbox });
                     f(comm)
                 }));
             }
@@ -165,7 +168,9 @@ pub(crate) enum Endpoint<M> {
     /// Thread-per-rank transport.
     Thread {
         senders: Arc<Vec<Sender<Envelope<M>>>>,
-        inbox: Receiver<Envelope<M>>,
+        /// Shared with [`WorldSpec::run`], which keeps it open until every
+        /// rank has returned; only this rank ever locks it.
+        inbox: Arc<Mutex<Receiver<Envelope<M>>>>,
     },
     /// Fiber-per-rank transport: the sharded event world routes envelopes
     /// between shard workers and keeps a per-rank indexed mailbox.
@@ -234,7 +239,7 @@ impl<M: Send + 'static> Comm<M> {
         *seq += 1;
         match &self.endpoint {
             Endpoint::Thread { senders, .. } => {
-                senders[dst].send(env).expect("destination rank hung up")
+                senders[dst].send(env).expect("inboxes outlive every rank")
             }
             Endpoint::Event(world) => world.deliver(dst, env),
         }
@@ -255,6 +260,7 @@ impl<M: Send + 'static> Comm<M> {
                 if let Some(pos) = pending.iter().position(matches) {
                     return pending.remove(pos);
                 }
+                let inbox = inbox.lock().expect("only this rank locks its inbox");
                 loop {
                     let env = inbox.recv().expect("world torn down mid-recv");
                     if matches(&env) {
@@ -275,6 +281,7 @@ impl<M: Send + 'static> Comm<M> {
             endpoint, pending, ..
         } = self;
         if let Endpoint::Thread { inbox, .. } = endpoint {
+            let inbox = inbox.lock().expect("only this rank locks its inbox");
             while let Ok(env) = inbox.try_recv() {
                 pending.push(env);
             }
@@ -955,6 +962,50 @@ mod tests {
         let b = w.run_event(job);
         assert_eq!(a.len(), 16384);
         assert_eq!(a, b);
+    }
+
+    /// Rank 1 returns, dropping its endpoint, before rank 0's eager send
+    /// to it leaves. Legal MPI, so no host may fail it. The first message
+    /// orders the ranks deterministically even when both share one event
+    /// shard, where a spin-wait alone would never yield to rank 1.
+    fn send_to_returned_rank(w: &WorldSpec, event: bool) -> Vec<u64> {
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        let returned = AtomicBool::new(false);
+        let job = |mut c: Comm<()>| {
+            if c.rank() == 1 {
+                c.send(0, 1, (), 8);
+                let clock = c.now().to_bits();
+                drop(c);
+                returned.store(true, SeqCst);
+                return clock;
+            }
+            c.recv(1, 1);
+            while !returned.load(SeqCst) {
+                std::thread::yield_now();
+            }
+            c.send(1, 2, (), 1 << 20);
+            c.now().to_bits()
+        };
+        if event {
+            w.run_event(job)
+        } else {
+            w.run(job)
+        }
+    }
+
+    #[test]
+    fn eager_send_to_a_returned_rank_completes_on_every_host() {
+        let mut w = spec(2, 1);
+        let threads = send_to_returned_rank(&w, false);
+        // One shard hosts both ranks; two put them on different workers.
+        for shards in [1, 2] {
+            w.event_shards = shards;
+            assert_eq!(
+                send_to_returned_rank(&w, true),
+                threads,
+                "event host, {shards} shard(s)"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 use hplai_core::factor::{factor, FactorConfig, Fidelity};
 use hplai_core::ir::ir_time_model;
 use hplai_core::{
-    run, run_with_backend, testbed, Backend, CommScope, PerfReport, ProcessGrid, RunConfig,
+    run, run_with_backend, testbed, Backend, CommEvent, CommScope, PerfReport, ProcessGrid,
+    RunConfig,
 };
 use mxp_msgsim::BcastAlgo;
 use proptest::prelude::*;
@@ -25,31 +26,50 @@ use proptest::prelude::*;
 /// scope, payload bytes, and the clock columns as bits.
 type EventSig = (&'static str, Option<CommScope>, u64, u64, u64);
 
+fn signature(events: &[CommEvent]) -> Vec<EventSig> {
+    events
+        .iter()
+        .map(|e| {
+            (
+                e.op.label(),
+                e.scope,
+                e.bytes,
+                e.ts.to_bits(),
+                e.waited.to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// The differential suite's timing-fidelity run on `grid`. `shards` fixes
+/// the event scheduler's partition count (0 = automatic; ignored by the
+/// thread backend).
+fn timing_config(grid: ProcessGrid, algo: BcastAlgo, backend: Backend, shards: usize) -> RunConfig {
+    let b = 512;
+    // Smallest valid N at or past 8192: grids whose lcm does not divide
+    // 16 blocks (e.g. 6x4) round up instead of failing validation.
+    let n = hplai_core::adjust_n(8192, &grid, b);
+    let nodes = grid.size() / grid.gcds_per_node();
+    RunConfig::timing(testbed(nodes, grid.gcds_per_node()), grid, n, b)
+        .algo(algo)
+        .backend(backend)
+        .event_shards(shards)
+        .build()
+        .expect("valid differential config")
+}
+
 /// Runs a timing-fidelity factorization on the given backend and returns
-/// (per-rank final clocks as bits, per-rank event signatures). `shards`
-/// fixes the event scheduler's partition count (0 = automatic; ignored by
-/// the thread backend).
+/// (per-rank final clocks as bits, per-rank event signatures).
 fn timing_signature(
     grid: ProcessGrid,
     algo: BcastAlgo,
     backend: Backend,
     shards: usize,
 ) -> (Vec<u64>, Vec<Vec<EventSig>>) {
-    let b = 512;
-    // Smallest valid N at or past 8192: grids whose lcm does not divide
-    // 16 blocks (e.g. 6x4) round up instead of failing validation.
-    let n = hplai_core::adjust_n(8192, &grid, b);
-    let nodes = grid.size() / grid.gcds_per_node();
-    let sys = testbed(nodes, grid.gcds_per_node());
-    let cfg = RunConfig::timing(sys.clone(), grid, n, b)
-        .algo(algo)
-        .backend(backend)
-        .event_shards(shards)
-        .build()
-        .expect("valid differential config");
+    let cfg = timing_config(grid, algo, backend, shards);
     let fcfg = FactorConfig {
-        n,
-        b,
+        n: cfg.n,
+        b: cfg.b,
         algo,
         lookahead: true,
         fidelity: Fidelity::Timing,
@@ -57,22 +77,8 @@ fn timing_signature(
         prec: cfg.prec,
     };
     let outs = run_with_backend(&cfg, |ctx| {
-        let out = factor(ctx, &sys, &fcfg, 1.0);
-        let events = ctx
-            .take_trace()
-            .events()
-            .iter()
-            .map(|e| {
-                (
-                    e.op.label(),
-                    e.scope,
-                    e.bytes,
-                    e.ts.to_bits(),
-                    e.waited.to_bits(),
-                )
-            })
-            .collect::<Vec<_>>();
-        (out.elapsed.to_bits(), events)
+        let out = factor(ctx, &cfg.sys, &fcfg, 1.0);
+        (out.elapsed.to_bits(), signature(ctx.take_trace().events()))
     })
     .expect("differential grids fit both backends");
     outs.into_iter().unzip()
@@ -95,6 +101,18 @@ fn backends_trace_identical_comm_sequences() {
                 "{}x{} {algo:?}: final clocks diverged across backends",
                 grid.p_r, grid.p_c
             );
+            // `run` traces rank 0 only; on either backend its trace must be
+            // the one a tracing closure over the same stepper collects.
+            for backend in [Backend::Functional, Backend::EventTimed] {
+                let out = run(&timing_config(grid, algo, backend, 0));
+                assert_eq!(
+                    signature(out.trace_rank0.events()),
+                    t_events[0],
+                    "{}x{} {algo:?} {backend}: run()'s rank-0 trace diverged",
+                    grid.p_r,
+                    grid.p_c
+                );
+            }
             for (rank, (te, ee)) in t_events.iter().zip(&e_events).enumerate() {
                 assert_eq!(
                     te, ee,
