@@ -85,6 +85,10 @@ struct SweepPoint {
     wall_spread: f64,
     /// Per-phase scheduler breakdown.
     phases: Option<SchedPhases>,
+    /// Peak resident memory of the sweep process so far, MiB (`VmHWM`
+    /// read after the point): monotone along the sweep, so a point that
+    /// raises it is the one that needed the memory.
+    peak_rss_mb: f64,
 }
 
 /// Trajectory file schema.
@@ -105,6 +109,18 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
 
 fn lcm(a: usize, b: usize) -> usize {
     a / gcd(a, b) * b
+}
+
+/// Peak resident set size of this process, MiB (`VmHWM`; 0 where
+/// `/proc/self/status` is unreadable).
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .unwrap_or_default()
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_whitespace().next()?.parse::<f64>().ok())
+        .unwrap_or(0.0)
+        / 1024.0
 }
 
 /// Runs one grid extent of `sys` with problem size `n` and returns its
@@ -134,6 +150,8 @@ fn run_point(
     if let Some(s) = &stats {
         eprintln!("  {}", SchedPhases::from_stats(s).describe(s.shards));
     }
+    let peak_rss_mb = peak_rss_mb();
+    eprintln!("  {wall:.1} s wall, process peak RSS {peak_rss_mb:.0} MiB");
     if ranks == sys.total_gcds() {
         let path = results_dir().join(format!(
             "scaling_sweep_{}.trace.json",
@@ -159,6 +177,7 @@ fn run_point(
         best_of: 1,
         wall_spread: 1.0,
         phases: stats.as_ref().map(SchedPhases::from_stats),
+        peak_rss_mb,
     };
     let label = format!("{} {mode} {ranks}", sys.name);
     (point, NamedPerf::new(label, out.perf))
@@ -339,6 +358,7 @@ fn main() {
             "ranks/s",
             "virtual s",
             "GFLOPS/GCD",
+            "peak MiB",
         ],
     );
     for p in &points {
@@ -354,6 +374,7 @@ fn main() {
             &format!("{:.0}", p.ranks_per_sec),
             &format!("{:.3}", p.virtual_secs),
             &gflops(p.gflops_per_gcd),
+            &format!("{:.0}", p.peak_rss_mb),
         ]);
     }
     t.emit("scaling_sweep");

@@ -7,9 +7,11 @@
 //! instrumented communication inconsistently. [`RankCtx`] centralizes all
 //! of it:
 //!
-//! * **Sub-communicators** — lazily-built row, column, and world groups
-//!   addressed by [`CommScope`], with their colors issued by a
-//!   collision-checked [`TagAllocator`] instead of magic constants;
+//! * **Sub-communicators** — row, column, and world groups addressed by
+//!   [`CommScope`], with their colors issued by a collision-checked
+//!   [`TagAllocator`] instead of magic constants. Their member lists are
+//!   built once per run and shared by every rank, so a rank's state does
+//!   not grow with the world size;
 //! * **Typed collectives** — [`RankCtx::allreduce_f64`],
 //!   [`RankCtx::allreduce_max_by`], [`RankCtx::bcast_panel`] and friends
 //!   pack and unpack [`PanelMsg`] internally, so a wrong-variant message
@@ -32,6 +34,7 @@
 use crate::grid::ProcessGrid;
 use crate::msg::{PanelData, PanelMsg};
 use mxp_msgsim::{BcastAlgo, BcastRequest, Comm, Group, WorldSpec};
+use std::sync::Arc;
 
 /// The runtime that hosts a run's ranks, selectable on
 /// [`RunConfig::backend`](crate::solve::RunConfigBuilder::backend) — the
@@ -556,9 +559,30 @@ impl PanelBcast {
     }
 }
 
+/// The member lists of a grid's world, row and column groups, built once
+/// per run and shared by every rank's [`RankCtx`]. A private copy of the
+/// world list per rank would cost P² words — 45 GB at Frontier extent.
+pub(crate) struct GridMembers {
+    grid: ProcessGrid,
+    world: Arc<[usize]>,
+    rows: Vec<Arc<[usize]>>,
+    cols: Vec<Arc<[usize]>>,
+}
+
+impl GridMembers {
+    pub(crate) fn new(grid: &ProcessGrid) -> Self {
+        GridMembers {
+            grid: *grid,
+            world: grid.world_members().into(),
+            rows: (0..grid.p_r).map(|r| grid.row_members(r).into()).collect(),
+            cols: (0..grid.p_c).map(|c| grid.col_members(c).into()).collect(),
+        }
+    }
+}
+
 /// The per-rank runtime context: the [`Comm`] endpoint, this rank's grid
-/// coordinates, the lazily-built scope groups, the [`TagAllocator`], and
-/// the [`CommTrace`].
+/// coordinates, the scope groups, the [`TagAllocator`], and the
+/// [`CommTrace`].
 ///
 /// See the [module docs](self) for the ownership model and the
 /// new-driver recipe.
@@ -568,12 +592,9 @@ pub struct RankCtx {
     my_r: usize,
     my_c: usize,
     tags: TagAllocator,
-    row_colors: ColorRange,
-    col_colors: ColorRange,
-    world_colors: ColorRange,
-    row: Option<Group>,
-    col: Option<Group>,
-    world: Option<Group>,
+    row: Group,
+    col: Group,
+    world: Group,
     trace: CommTrace,
     tracing: bool,
 }
@@ -581,26 +602,41 @@ pub struct RankCtx {
 impl RankCtx {
     /// Builds the context for this rank. Group colors are reserved up
     /// front (one per grid row, one per grid column, one for the world) so
-    /// no later claim can collide with them; the groups themselves are
-    /// built on first use.
+    /// no later claim can collide with them.
+    ///
+    /// The groups get member lists of their own; a run hosting many ranks
+    /// goes through [`crate::run_with_backend`], which shares one set.
     pub fn new(comm: Comm<PanelMsg>, grid: &ProcessGrid) -> Self {
-        let (my_r, my_c) = grid.coord_of(comm.rank());
+        RankCtx::with_members(comm, &GridMembers::new(grid))
+    }
+
+    /// [`RankCtx::new`] over member lists shared with the run's other
+    /// ranks. This rank's index in each group follows from its grid
+    /// coordinates: its rank in the world, its column in its row, its row
+    /// in its column.
+    pub(crate) fn with_members(comm: Comm<PanelMsg>, members: &GridMembers) -> Self {
+        let grid = members.grid;
+        let rank = comm.rank();
+        let (my_r, my_c) = grid.coord_of(rank);
         let mut tags = TagAllocator::new();
         let row_colors = tags.alloc_colors("row-groups", grid.p_r as u32);
         let col_colors = tags.alloc_colors("col-groups", grid.p_c as u32);
         let world_colors = tags.alloc_colors("world-group", 1);
+        let row = Group::shared(Arc::clone(&members.rows[my_r]), my_c, row_colors.at(my_r));
+        let col = Group::shared(Arc::clone(&members.cols[my_c]), my_r, col_colors.at(my_c));
+        let world = Group::shared(Arc::clone(&members.world), rank, world_colors.at(0));
+        for g in [&row, &col, &world] {
+            assert_eq!(g.member(g.my_idx()), rank, "grid coordinates disagree");
+        }
         RankCtx {
             comm,
-            grid: *grid,
+            grid,
             my_r,
             my_c,
             tags,
-            row_colors,
-            col_colors,
-            world_colors,
-            row: None,
-            col: None,
-            world: None,
+            row,
+            col,
+            world,
             trace: CommTrace::default(),
             tracing: true,
         }
@@ -728,41 +764,12 @@ impl RankCtx {
         }
     }
 
-    fn take_group(&mut self, scope: CommScope) -> Group {
-        let slot = match scope {
-            CommScope::Row => &mut self.row,
-            CommScope::Col => &mut self.col,
-            CommScope::World => &mut self.world,
-        };
-        if let Some(g) = slot.take() {
-            return g;
-        }
-        let rank = self.comm.rank();
+    fn group(&self, scope: CommScope) -> &Group {
         match scope {
-            CommScope::Row => Group::new(
-                rank,
-                self.grid.row_members(self.my_r),
-                self.row_colors.at(self.my_r),
-            ),
-            CommScope::Col => Group::new(
-                rank,
-                self.grid.col_members(self.my_c),
-                self.col_colors.at(self.my_c),
-            ),
-            CommScope::World => {
-                Group::new(rank, self.grid.world_members(), self.world_colors.at(0))
-            }
+            CommScope::Row => &self.row,
+            CommScope::Col => &self.col,
+            CommScope::World => &self.world,
         }
-        .expect("rank must be a member of its own scope groups")
-    }
-
-    fn put_group(&mut self, scope: CommScope, g: Group) {
-        let slot = match scope {
-            CommScope::Row => &mut self.row,
-            CommScope::Col => &mut self.col,
-            CommScope::World => &mut self.world,
-        };
-        *slot = Some(g);
     }
 
     /// Runs a group operation with the scope's sharers installed,
@@ -774,12 +781,15 @@ impl RankCtx {
         bytes: u64,
         f: impl FnOnce(&mut Comm<PanelMsg>, &mut Group) -> (T, f64),
     ) -> (T, CommStats) {
-        let mut g = self.take_group(scope);
         self.comm.set_default_sharers(self.scope_sharers(scope));
         let ts = self.comm.now();
         let w0 = self.comm.wait_total();
-        let (out, hidden) = f(&mut self.comm, &mut g);
-        self.put_group(scope, g);
+        let group = match scope {
+            CommScope::Row => &mut self.row,
+            CommScope::Col => &mut self.col,
+            CommScope::World => &mut self.world,
+        };
+        let (out, hidden) = f(&mut self.comm, group);
         let waited = self.comm.wait_total() - w0;
         let busy = (self.comm.now() - ts) - waited;
         let stats = CommStats {
@@ -1011,11 +1021,8 @@ impl RankCtx {
     }
 
     /// This rank's member index within a scope's group.
-    pub fn group_idx(&mut self, scope: CommScope) -> usize {
-        let g = self.take_group(scope);
-        let idx = g.my_idx();
-        self.put_group(scope, g);
-        idx
+    pub fn group_idx(&self, scope: CommScope) -> usize {
+        self.group(scope).my_idx()
     }
 }
 
@@ -1114,6 +1121,35 @@ mod tests {
         let mut t = TagAllocator::new();
         let r = t.alloc_tags("small", 4);
         let _ = r.at(4);
+    }
+
+    #[test]
+    fn every_rank_of_a_run_shares_one_member_list_per_group() {
+        use crate::solve::{run_with_backend, RunConfig};
+        let grid = ProcessGrid::node_local(4, 6, 2, 2);
+        for backend in [Backend::Functional, Backend::EventTimed] {
+            let cfg = RunConfig::timing(crate::systems::testbed(6, 4), grid, 96, 4)
+                .backend(backend)
+                .build()
+                .unwrap();
+            let groups = run_with_backend(&cfg, |ctx| {
+                (
+                    ctx.coords(),
+                    [&ctx.world, &ctx.row, &ctx.col].map(Group::clone),
+                )
+            })
+            .unwrap();
+            // One allocation per list: equal slice pointers.
+            let shared = |a: &Group, b: &Group| std::ptr::eq(a.members(), b.members());
+            let [world0, _, _] = &groups[0].1;
+            for ((r, c), [world, row, col]) in &groups {
+                assert!(shared(world, world0), "{backend}");
+                for ((r2, c2), [_, row2, col2]) in &groups {
+                    assert_eq!(shared(row, row2), r == r2, "{backend}");
+                    assert_eq!(shared(col, col2), c == c2, "{backend}");
+                }
+            }
+        }
     }
 
     fn two_rank_world() -> WorldSpec {

@@ -16,7 +16,7 @@ use crate::grid::ProcessGrid;
 use crate::ir::{ir_time_model, refine};
 use crate::msg::TrailingPrecision;
 use crate::report::PerfReport;
-use crate::runtime::{Backend, BackendError, CommScope, CommTrace, RankCtx};
+use crate::runtime::{Backend, BackendError, CommScope, CommTrace, GridMembers, RankCtx};
 use crate::systems::SystemSpec;
 use mxp_gpusim::GcdFleet;
 use mxp_msgsim::{BcastAlgo, WorldSpec};
@@ -528,8 +528,9 @@ where
     let grid = cfg.grid;
     cfg.backend.check_scale(grid.size())?;
     let spec = cfg.world_spec();
+    let members = GridMembers::new(&grid);
     Ok(cfg.backend.execute(&spec, |comm| {
-        let mut ctx = RankCtx::new(comm, &grid);
+        let mut ctx = RankCtx::with_members(comm, &members);
         f(&mut ctx)
     }))
 }

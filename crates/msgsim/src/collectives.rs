@@ -147,7 +147,7 @@ impl CollectiveTuning {
 
 /// Split-phase broadcast handle returned by [`Group::ibcast_start`].
 pub struct PendingBcast<M> {
-    tag: u32,
+    tag: u64,
     root_idx: usize,
     bytes: u64,
     /// Root's own copy (and deferred payload when progress is lazy).
@@ -174,8 +174,8 @@ pub struct BcastRequest<M> {
     algo: BcastAlgo,
     root_idx: usize,
     bytes: u64,
-    tag: u32,
-    tag2: u32,
+    tag: u64,
+    tag2: u64,
     posted_at: f64,
     /// Payload already in hand at post time (root, single-member group).
     resolved: Option<M>,
@@ -258,9 +258,7 @@ impl Group {
         };
         if self.len() == 1 {
             req.resolved = Some(msg.expect("single-member broadcast needs the payload"));
-            return req;
-        }
-        if self.my_idx() == root_idx {
+        } else if self.my_idx() == root_idx {
             match algo {
                 BcastAlgo::Lib => {
                     req.resolved = Some(self.lib_bcast(comm, root_idx, msg, bytes, tag, 1.0));
@@ -284,6 +282,11 @@ impl Group {
                     req.resolved = Some(self.ring2m_bcast(comm, root_idx, msg, bytes, tag, tag2));
                 }
             }
+        }
+        if req.resolved.is_some() {
+            // This rank's part is over: the join has nothing left to do.
+            comm.retire(tag);
+            comm.retire(tag2);
         }
         req
     }
@@ -333,6 +336,8 @@ impl Group {
                 req.tag2,
             ),
         };
+        comm.retire(req.tag);
+        comm.retire(req.tag2);
         let waited = comm.wait_total() - wait0;
         // Overlap credit: the part of the flight time (post → last arrival)
         // this rank spent on its own work instead of idling. A deferred
@@ -382,21 +387,25 @@ impl Group {
         mut pending: PendingBcast<M>,
     ) -> M {
         let penalty = comm.spec().tuning.ibcast_penalty;
-        if self.my_idx() == pending.root_idx && pending.sends_done {
-            return pending.msg.expect("root keeps its payload");
-        }
-        // Progress-at-wait for everyone else: the root injects now if it
-        // hasn't, and non-roots run their part of the library algorithm
-        // (receive, and forward when the binomial tree needs them to).
-        let m = pending.msg.take();
-        self.lib_bcast(
-            comm,
-            pending.root_idx,
-            m,
-            pending.bytes,
-            pending.tag,
-            penalty,
-        )
+        let m = if self.my_idx() == pending.root_idx && pending.sends_done {
+            pending.msg.expect("root keeps its payload")
+        } else {
+            // Progress-at-wait for everyone else: the root injects now if
+            // it hasn't, and non-roots run their part of the library
+            // algorithm (receive, and forward when the binomial tree needs
+            // them to).
+            let m = pending.msg.take();
+            self.lib_bcast(
+                comm,
+                pending.root_idx,
+                m,
+                pending.bytes,
+                pending.tag,
+                penalty,
+            )
+        };
+        comm.retire(pending.tag);
+        m
     }
 
     /// Vendor `MPI_Bcast`: behaviour depends on [`LibQuality`].
@@ -406,7 +415,7 @@ impl Group {
         root_idx: usize,
         msg: Option<M>,
         bytes: u64,
-        tag: u32,
+        tag: u64,
         penalty: f64,
     ) -> M {
         let g = self.len();
@@ -440,7 +449,7 @@ impl Group {
                     }
                     m
                 } else {
-                    let (m, _) = comm.recv(self.member(root_idx), tag);
+                    let (m, _) = comm.recv_stream(self.member(root_idx), tag);
                     m
                 }
             }
@@ -461,7 +470,7 @@ impl Group {
                 let mut mask = 1usize;
                 while mask < g {
                     if vr & mask != 0 {
-                        let (m, _) = comm.recv(to_world(vr - mask), tag);
+                        let (m, _) = comm.recv_stream(to_world(vr - mask), tag);
                         held = Some(m);
                         break;
                     }
@@ -474,7 +483,7 @@ impl Group {
                         if hop_tax > 0.0 {
                             comm.charge(hop_tax);
                         }
-                        comm.send(to_world(vr + mask), tag, m.clone(), bytes);
+                        comm.send_stream(to_world(vr + mask), tag, m.clone(), bytes);
                     }
                     mask >>= 1;
                 }
@@ -490,7 +499,7 @@ impl Group {
         root_idx: usize,
         msg: Option<M>,
         bytes: u64,
-        tag: u32,
+        tag: u64,
     ) -> M {
         let g = self.len();
         if g == 1 {
@@ -503,7 +512,7 @@ impl Group {
         let mut held: Option<M> = if vr == 0 { msg } else { None };
         for c in 0..chunks {
             if vr > 0 {
-                let (m, _) = comm.recv(to_world(vr - 1), tag);
+                let (m, _) = comm.recv_stream(to_world(vr - 1), tag);
                 if c == 0 {
                     held = Some(m);
                 }
@@ -514,7 +523,7 @@ impl Group {
                 } else {
                     M::default()
                 };
-                comm.send(to_world(vr + 1), tag, payload, chunk_bytes[c as usize]);
+                comm.send_stream(to_world(vr + 1), tag, payload, chunk_bytes[c as usize]);
             }
         }
         held.expect("ring must deliver the payload")
@@ -528,7 +537,7 @@ impl Group {
         root_idx: usize,
         msg: Option<M>,
         bytes: u64,
-        tag: u32,
+        tag: u64,
     ) -> M {
         let g = self.len();
         if g <= 2 {
@@ -550,13 +559,13 @@ impl Group {
             };
             if vr == 0 {
                 // Root feeds both chains.
-                comm.send(
+                comm.send_stream(
                     to_world(1),
                     tag,
                     payload_of(&held, c),
                     chunk_bytes[c as usize],
                 );
-                comm.send(
+                comm.send_stream(
                     to_world(mid),
                     tag,
                     payload_of(&held, c),
@@ -564,14 +573,14 @@ impl Group {
                 );
             } else {
                 let src = if vr == mid { 0 } else { vr - 1 };
-                let (m, _) = comm.recv(to_world(src), tag);
+                let (m, _) = comm.recv_stream(to_world(src), tag);
                 if c == 0 {
                     held = Some(m);
                 }
                 let next = vr + 1;
                 let is_chain_end = next == mid || next == g;
                 if !is_chain_end {
-                    comm.send(
+                    comm.send_stream(
                         to_world(next),
                         tag,
                         payload_of(&held, c),
@@ -593,8 +602,8 @@ impl Group {
         root_idx: usize,
         msg: Option<M>,
         bytes: u64,
-        tag_cw: u32,
-        tag_ccw: u32,
+        tag_cw: u64,
+        tag_ccw: u64,
     ) -> M {
         let g = self.len();
         if g <= 2 {
@@ -619,13 +628,13 @@ impl Group {
                 }
             };
             if vr == 0 {
-                comm.send(
+                comm.send_stream(
                     to_world(1),
                     tag_cw,
                     payload_of(&held, c),
                     cw_bytes[c as usize],
                 );
-                comm.send(
+                comm.send_stream(
                     to_world(g - 1),
                     tag_ccw,
                     payload_of(&held, c),
@@ -633,12 +642,12 @@ impl Group {
                 );
             } else if vr <= cw_last {
                 // Clockwise participant.
-                let (m, _) = comm.recv(to_world(vr - 1), tag_cw);
+                let (m, _) = comm.recv_stream(to_world(vr - 1), tag_cw);
                 if c == 0 {
                     held = Some(m);
                 }
                 if vr < cw_last {
-                    comm.send(
+                    comm.send_stream(
                         to_world(vr + 1),
                         tag_cw,
                         payload_of(&held, c),
@@ -648,12 +657,12 @@ impl Group {
             } else {
                 // Counter-clockwise participant (vr in cw_last+1 .. g-1).
                 let src = if vr == g - 1 { 0 } else { vr + 1 };
-                let (m, _) = comm.recv(to_world(src), tag_ccw);
+                let (m, _) = comm.recv_stream(to_world(src), tag_ccw);
                 if c == 0 {
                     held = Some(m);
                 }
                 if vr > cw_last + 1 {
-                    comm.send(
+                    comm.send_stream(
                         to_world(vr - 1),
                         tag_ccw,
                         payload_of(&held, c),
@@ -672,7 +681,7 @@ impl Group {
         root_idx: usize,
         msg: Option<M>,
         bytes: u64,
-        tag: u32,
+        tag: u64,
     ) -> M {
         let g = self.len();
         if g == 1 {
@@ -682,12 +691,12 @@ impl Group {
             let m = msg.expect("root must supply the payload");
             for idx in 0..g {
                 if idx != root_idx {
-                    comm.send(self.member(idx), tag, m.clone(), bytes);
+                    comm.send_stream(self.member(idx), tag, m.clone(), bytes);
                 }
             }
             m
         } else {
-            let (m, _) = comm.recv(self.member(root_idx), tag);
+            let (m, _) = comm.recv_stream(self.member(root_idx), tag);
             m
         }
     }
@@ -708,10 +717,10 @@ impl Group {
             let mut mask = 1usize;
             while mask < g {
                 if vr & mask != 0 {
-                    comm.send(self.member(vr - mask), tag, acc.clone(), bytes);
+                    comm.send_stream(self.member(vr - mask), tag, acc.clone(), bytes);
                     break;
                 } else if vr + mask < g {
-                    let (m, _) = comm.recv(self.member(vr + mask), tag);
+                    let (m, _) = comm.recv_stream(self.member(vr + mask), tag);
                     acc = combine(acc, m);
                 }
                 mask <<= 1;
@@ -719,7 +728,10 @@ impl Group {
         }
         let bcast_tag = self.next_tag();
         let payload = if vr == 0 { Some(acc) } else { None };
-        self.lib_bcast(comm, 0, payload, bytes, bcast_tag, 1.0)
+        let total = self.lib_bcast(comm, 0, payload, bytes, bcast_tag, 1.0);
+        comm.retire(tag);
+        comm.retire(bcast_tag);
+        total
     }
 
     /// Borrowed-buffer all-reduce: combines everyone's `buf` in place, so
@@ -744,20 +756,22 @@ impl Group {
     ) -> Option<Vec<M>> {
         let g = self.len();
         let tag = self.next_tag();
-        if self.my_idx() == root_idx {
+        let out = if self.my_idx() == root_idx {
             let mut out: Vec<Option<M>> = (0..g).map(|_| None).collect();
             out[root_idx] = Some(msg);
             for (idx, slot) in out.iter_mut().enumerate() {
                 if idx != root_idx {
-                    let (m, _) = comm.recv(self.member(idx), tag);
+                    let (m, _) = comm.recv_stream(self.member(idx), tag);
                     *slot = Some(m);
                 }
             }
             Some(out.into_iter().map(|m| m.unwrap()).collect())
         } else {
-            comm.send(self.member(root_idx), tag, msg, bytes);
+            comm.send_stream(self.member(root_idx), tag, msg, bytes);
             None
-        }
+        };
+        comm.retire(tag);
+        out
     }
 
     /// Scatters one message per member from `root_idx`; returns this
@@ -771,7 +785,7 @@ impl Group {
     ) -> M {
         let g = self.len();
         let tag = self.next_tag();
-        if self.my_idx() == root_idx {
+        let mine = if self.my_idx() == root_idx {
             let pieces = pieces.expect("root must supply the pieces");
             assert_eq!(pieces.len(), g, "one piece per member");
             let mut mine = None;
@@ -779,14 +793,15 @@ impl Group {
                 if idx == root_idx {
                     mine = Some(piece);
                 } else {
-                    comm.send(self.member(idx), tag, piece, bytes_each);
+                    comm.send_stream(self.member(idx), tag, piece, bytes_each);
                 }
             }
             mine.expect("root keeps its own piece")
         } else {
-            let (m, _) = comm.recv(self.member(root_idx), tag);
-            m
-        }
+            comm.recv_stream(self.member(root_idx), tag).0
+        };
+        comm.retire(tag);
+        mine
     }
 
     /// Reduction to `root_idx` (binomial fan-in); returns the combined
@@ -807,19 +822,21 @@ impl Group {
         let tag = self.next_tag();
         let vr = (self.my_idx() + g - root_idx) % g;
         let to_world = |v: usize| self.member((v + root_idx) % g);
-        let mut acc = msg;
+        let mut acc = Some(msg);
         let mut mask = 1usize;
         while mask < g {
             if vr & mask != 0 {
-                comm.send(to_world(vr - mask), tag, acc.clone(), bytes);
-                return None;
+                let partial = acc.take().expect("a sender leaves the fan-in");
+                comm.send_stream(to_world(vr - mask), tag, partial, bytes);
+                break;
             } else if vr + mask < g {
-                let (m, _) = comm.recv(to_world(vr + mask), tag);
-                acc = combine(acc, m);
+                let (m, _) = comm.recv_stream(to_world(vr + mask), tag);
+                acc = acc.map(|a| combine(a, m));
             }
             mask <<= 1;
         }
-        Some(acc)
+        comm.retire(tag);
+        acc
     }
 
     /// All-gather: every member contributes `msg` and receives everyone's
@@ -839,8 +856,8 @@ impl Group {
         for i in 0..g {
             let tag = self.next_tag();
             let payload = gathered.as_ref().map(|v| v[i].clone());
-            let m = self.lib_bcast(comm, 0, payload, bytes, tag, 1.0);
-            out.push(m);
+            out.push(self.lib_bcast(comm, 0, payload, bytes, tag, 1.0));
+            comm.retire(tag);
         }
         out
     }
@@ -854,10 +871,11 @@ impl Group {
         while k < g {
             let dst = self.member((r + k) % g);
             let src = self.member((r + g - k) % g);
-            comm.send(dst, tag, M::default(), 0);
-            let _ = comm.recv(src, tag);
+            comm.send_stream(dst, tag, M::default(), 0);
+            let _ = comm.recv_stream(src, tag);
             k <<= 1;
         }
+        comm.retire(tag);
     }
 
     /// The worst (slowest) p2p path from this rank to any other member —
@@ -1179,6 +1197,85 @@ mod tests {
             (0.8..1.25).contains(&ratio),
             "closed form {model} vs emergent {emergent} (ratio {ratio})"
         );
+    }
+
+    /// Runs `ops` collectives of every kind on a 4-rank group, joining
+    /// each split-phase broadcast three operations after posting it, and
+    /// returns every rank's live collective-stream counters at the end.
+    fn live_streams_after_mixed_collectives(
+        ops: u64,
+        tuning: CollectiveTuning,
+        event: bool,
+    ) -> Vec<usize> {
+        let p = 4;
+        let w = world(p, 1, tuning);
+        let job = move |mut c: Comm<u64>| {
+            let mut g = row_group(c.rank(), p);
+            let me = g.my_idx();
+            let mut posted = std::collections::VecDeque::new();
+            for i in 0..ops {
+                let root = (i % p as u64) as usize;
+                let mine = (me == root).then_some(i);
+                match i % 10 {
+                    0 => {
+                        let algo = BcastAlgo::ALL[(i / 10 % 5) as usize];
+                        assert_eq!(g.bcast(&mut c, root, mine, 1 << 12, algo), i);
+                    }
+                    1 => {
+                        let algo = BcastAlgo::ALL[(i / 10 % 5) as usize];
+                        posted.push_back((i, g.ibcast(&mut c, root, mine, 1 << 12, algo)));
+                    }
+                    2 => {
+                        let pending = g.ibcast_start(&mut c, root, mine, 1 << 12);
+                        assert_eq!(g.ibcast_wait(&mut c, pending), i);
+                    }
+                    3 => {
+                        let sum = g.allreduce(&mut c, 1, 8, |a, b| a + b);
+                        assert_eq!(sum, p as u64);
+                    }
+                    4 => {
+                        let all = g.gather(&mut c, root, me as u64, 8);
+                        assert_eq!(all.is_some(), me == root);
+                    }
+                    5 => {
+                        let pieces = (me == root).then(|| (0..p as u64).collect());
+                        assert_eq!(g.scatter(&mut c, root, pieces, 8), me as u64);
+                    }
+                    6 => {
+                        let sum = g.reduce(&mut c, root, 1, 8, |a, b| a + b);
+                        assert_eq!(sum, (me == root).then_some(p as u64));
+                    }
+                    7 => assert_eq!(g.allgather(&mut c, me as u64, 8), vec![0, 1, 2, 3]),
+                    _ => g.barrier(&mut c),
+                }
+                // Split-phase broadcasts stay in flight across the next
+                // few collectives before their late join.
+                if posted.len() > 3 || i + 1 == ops {
+                    while let Some((at, req)) = posted.pop_front() {
+                        assert_eq!(g.ibcast_join(&mut c, req).0, at);
+                        if i + 1 < ops {
+                            break;
+                        }
+                    }
+                }
+            }
+            c.live_collective_streams()
+        };
+        if event {
+            w.run_event(job)
+        } else {
+            w.run(job)
+        }
+    }
+
+    #[test]
+    fn finished_collectives_hold_no_stream_counters() {
+        for tuning in [CollectiveTuning::frontier(), CollectiveTuning::summit()] {
+            for event in [false, true] {
+                let live = live_streams_after_mixed_collectives(10_000, tuning, event);
+                assert_eq!(live, vec![0; 4], "event={event} {:?}", tuning.lib_quality);
+            }
+        }
     }
 
     #[test]

@@ -57,13 +57,14 @@ use crate::hash::FxHashMap;
 use crate::world::{Comm, Envelope, WorldSpec};
 
 /// What a blocked rank is waiting for: the `seq`-th message of the
-/// `(src, tag)` stream. Kept to 16 bytes (`u32` rank) so the whole
-/// per-rank scheduling record fits one cache line.
+/// `(src, tag)` stream. 24 bytes (`u32` rank, 64-bit stream tag), small
+/// enough that the whole per-rank scheduling record ([`RankState`]) still
+/// fits one cache line.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Want {
     pub(crate) seq: u64,
+    pub(crate) tag: u64,
     pub(crate) src: u32,
-    pub(crate) tag: u32,
 }
 
 /// Per-rank store of delivered-but-unclaimed envelopes.
@@ -88,7 +89,7 @@ enum PendingSet<M> {
 
 /// The spilled form of a deep mailbox (see [`PendingSet`]).
 struct IndexedSet<M> {
-    map: FxHashMap<(usize, u32), VecDeque<Envelope<M>>>,
+    map: FxHashMap<(usize, u64), VecDeque<Envelope<M>>>,
     free: Vec<VecDeque<Envelope<M>>>,
 }
 
@@ -134,7 +135,7 @@ impl<M> PendingSet<M> {
         }
     }
 
-    fn take(&mut self, src: usize, tag: u32, seq: u64) -> Option<Envelope<M>> {
+    fn take(&mut self, src: usize, tag: u64, seq: u64) -> Option<Envelope<M>> {
         match self {
             PendingSet::Flat(buf) => {
                 let idx = buf
@@ -162,7 +163,7 @@ impl<M> PendingSet<M> {
         }
     }
 
-    fn peek_arrive(&self, src: usize, tag: u32, seq: u64) -> Option<f64> {
+    fn peek_arrive(&self, src: usize, tag: u64, seq: u64) -> Option<f64> {
         match self {
             PendingSet::Flat(buf) => buf
                 .iter()
@@ -189,6 +190,10 @@ struct RankState<M> {
     /// Whether the rank's closure has returned.
     done: bool,
 }
+
+// A delivery to a cold rank must stay one cache miss: the mailbox is
+// pointer-sized whatever the payload type, so one instance checks them all.
+const _: () = assert!(std::mem::size_of::<RankState<Vec<f64>>>() <= 64);
 
 /// State owned by exactly one worker thread (single-writer; see the
 /// module-level safety argument).
@@ -432,7 +437,7 @@ impl<M: Send> EventWorld<M> {
     /// Removes and returns the `(src, tag, seq)` envelope for `rank`,
     /// suspending the rank's fiber until it has been delivered. Called
     /// from the rank's own fiber, i.e. on its shard's worker thread.
-    pub(crate) fn obtain(&self, rank: usize, src: usize, tag: u32, seq: u64) -> Envelope<M> {
+    pub(crate) fn obtain(&self, rank: usize, src: usize, tag: u64, seq: u64) -> Envelope<M> {
         let shard = self.shard_of(rank);
         let li = rank - shard * self.chunk;
         debug_assert_eq!(WORKER_SHARD.get(), shard, "obtain off-owner");
@@ -461,7 +466,7 @@ impl<M: Send> EventWorld<M> {
     /// Arrival timestamp of the `(src, tag, seq)` envelope if it has been
     /// delivered to `rank` and not yet claimed. Advisory (see
     /// `Comm::test_recv`): never blocks, never consumes.
-    pub(crate) fn peek_arrive(&self, rank: usize, src: usize, tag: u32, seq: u64) -> Option<f64> {
+    pub(crate) fn peek_arrive(&self, rank: usize, src: usize, tag: u64, seq: u64) -> Option<f64> {
         let shard = self.shard_of(rank);
         let li = rank - shard * self.chunk;
         debug_assert_eq!(WORKER_SHARD.get(), shard, "peek off-owner");

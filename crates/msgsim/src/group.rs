@@ -1,11 +1,21 @@
 //! Sub-communicators: the row and column groups of the 2D process grid.
 
+use std::sync::Arc;
+
+/// Bit 31 of every collective stream tag; point-to-point tags stay below
+/// it.
+pub(crate) const COLLECTIVE_TAG: u32 = 0x8000_0000;
+
 /// A subset of world ranks acting as a communicator (like an
 /// `MPI_Comm_split` result). All members must invoke each collective in the
 /// same order; a per-group sequence number keeps their tags matched.
+///
+/// The member list is shared: every rank's handle on the same group can
+/// point at one allocation ([`Group::shared`]), so per-rank state does not
+/// grow with the group's size.
 #[derive(Clone, Debug)]
 pub struct Group {
-    members: Vec<usize>,
+    members: Arc<[usize]>,
     my_idx: usize,
     color: u32,
     seq: u32,
@@ -22,15 +32,28 @@ impl Group {
     /// uses concurrently (e.g. row index vs column index with distinct
     /// namespaces).
     pub fn new(world_rank: usize, members: Vec<usize>, color: u32) -> Option<Self> {
-        assert!(color < 0x4000, "color {color} out of tag space");
         let my_idx = members.iter().position(|&m| m == world_rank)?;
-        Some(Group {
+        Some(Group::shared(members.into(), my_idx, color))
+    }
+
+    /// Builds the group for member `my_idx` over a member list shared with
+    /// the other members' handles. The caller knows its index (e.g. from
+    /// grid coordinates), so no O(len) search runs per rank. `color` has
+    /// the same contract as in [`Group::new`].
+    pub fn shared(members: Arc<[usize]>, my_idx: usize, color: u32) -> Self {
+        assert!(color < 0x4000, "color {color} out of tag space");
+        assert!(
+            my_idx < members.len(),
+            "member index {my_idx} outside a {}-member group",
+            members.len()
+        );
+        Group {
             members,
             my_idx,
             color,
             seq: 0,
             worst_cost: None,
-        })
+        }
     }
 
     /// Number of members.
@@ -38,7 +61,7 @@ impl Group {
         self.members.len()
     }
 
-    /// `true` if the group has no members (never constructible via `new`).
+    /// `true` if the group has no members (never constructible).
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
@@ -58,9 +81,16 @@ impl Group {
         &self.members
     }
 
-    /// Allocates the tag for the next collective on this group.
-    pub(crate) fn next_tag(&mut self) -> u32 {
-        let tag = 0x8000_0000 | (self.color << 16) | (self.seq & 0xFFFF);
+    /// Allocates the stream tag for the next collective on this group.
+    ///
+    /// The low 32 bits are `COLLECTIVE_TAG | color << 16 | seq & 0xFFFF`;
+    /// the high 32 bits are the wrap generation `seq >> 16`. A tag
+    /// therefore never recurs within a run, which is what lets a finished
+    /// collective retire its stream counters (`Comm::retire`): no later
+    /// message can arrive on a retired tag.
+    pub(crate) fn next_tag(&mut self) -> u64 {
+        let low = COLLECTIVE_TAG | (self.color << 16) | (self.seq & 0xFFFF);
+        let tag = (u64::from(self.seq >> 16) << 32) | u64::from(low);
         self.seq = self.seq.wrapping_add(1);
         tag
     }
@@ -80,6 +110,23 @@ mod tests {
     }
 
     #[test]
+    fn shared_groups_read_one_member_list() {
+        let members: Arc<[usize]> = vec![3, 7, 11].into();
+        let a = Group::shared(Arc::clone(&members), 0, 5);
+        let b = Group::shared(members, 2, 5);
+        assert!(std::ptr::eq(a.members(), b.members()));
+        assert_eq!((a.member(a.my_idx()), b.member(b.my_idx())), (3, 11));
+        let c = Group::new(3, vec![3, 7, 11], 5).unwrap();
+        assert!(!std::ptr::eq(a.members(), c.members()));
+    }
+
+    #[test]
+    #[should_panic(expected = "member index")]
+    fn shared_rejects_an_index_outside_the_group() {
+        Group::shared(vec![0, 1].into(), 2, 1);
+    }
+
+    #[test]
     fn tags_are_distinct_per_color_and_seq() {
         let mut a = Group::new(0, vec![0, 1], 1).unwrap();
         let mut b = Group::new(0, vec![0, 1], 2).unwrap();
@@ -90,6 +137,20 @@ mod tests {
         assert_ne!(t1, t3);
         // All collective tags carry the high bit.
         assert!(t1 & 0x8000_0000 != 0);
+    }
+
+    #[test]
+    fn tags_never_recur_across_a_sequence_wrap() {
+        let mut g = Group::new(0, vec![0, 1], 3).unwrap();
+        let first = g.next_tag();
+        for _ in 1..0x1_0000 {
+            g.next_tag();
+        }
+        let wrapped = g.next_tag();
+        // Same low word as the first tag (the historical 32-bit tag), a
+        // new generation in the high word.
+        assert_eq!(wrapped as u32, first as u32);
+        assert_eq!((first >> 32, wrapped >> 32), (0, 1));
     }
 
     #[test]

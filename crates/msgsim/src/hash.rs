@@ -5,7 +5,8 @@
 //! at full-machine rank counts. This is the classic Fx multiply-rotate mix
 //! (as used by rustc): good dispersion for small integer keys, a handful of
 //! instructions per word, and no per-map random state — determinism is a
-//! feature here, since nothing ever iterates these maps.
+//! feature here, since no result depends on iteration order (the only
+//! iteration, retiring a finished collective's counters, just deletes).
 
 use std::hash::{BuildHasherDefault, Hasher};
 

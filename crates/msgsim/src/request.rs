@@ -55,8 +55,8 @@ impl SendRequest {
 pub struct RecvRequest {
     /// Source rank to match.
     pub(crate) src: usize,
-    /// Tag to match.
-    pub(crate) tag: u32,
+    /// Stream tag to match (a point-to-point tag, widened).
+    pub(crate) tag: u64,
     /// Position in the `(src, tag)` stream this request pairs with.
     pub(crate) seq: u64,
     /// Simulated time the receive was posted.
@@ -69,8 +69,8 @@ impl RecvRequest {
         self.src
     }
 
-    /// Tag this request matches.
-    pub fn tag(&self) -> u32 {
+    /// Tag this request matches, widened to the 64-bit stream tag space.
+    pub fn tag(&self) -> u64 {
         self.tag
     }
 

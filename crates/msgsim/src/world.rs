@@ -7,6 +7,7 @@ use std::sync::{Arc, Mutex};
 use crate::collectives::CollectiveTuning;
 use crate::event::EventWorld;
 use crate::fault::{fault_effect, LinkFault};
+use crate::group::COLLECTIVE_TAG;
 use crate::hash::FxHashMap;
 use crate::request::{RecvRequest, SendRequest};
 
@@ -132,7 +133,9 @@ impl WorldSpec {
 
 pub(crate) struct Envelope<M> {
     pub(crate) src: usize,
-    pub(crate) tag: u32,
+    /// Stream tag: a point-to-point `u32` tag widened, or a collective's
+    /// generation-stamped tag from `Group::next_tag`.
+    pub(crate) tag: u64,
     /// Position in the per-(src, dst, tag) message stream, assigned by the
     /// sender. Receives match on it so that out-of-order waits still pair
     /// the `i`-th posted receive with the `i`-th sent message (MPI's
@@ -177,6 +180,37 @@ pub(crate) enum Endpoint<M> {
     Event(Arc<EventWorld<M>>),
 }
 
+/// Next sequence number of each `(peer, tag)` stream in one direction.
+///
+/// Collective streams (tags carrying [`COLLECTIVE_TAG`]) are kept apart
+/// from point-to-point ones: a collective tag is used by exactly one
+/// operation, so its counters are deleted when that operation finishes
+/// ([`Comm::retire`]) and the table holds only what is in flight.
+/// Point-to-point counters live for the run, as MPI's do.
+#[derive(Default)]
+struct StreamSeqs {
+    p2p: FxHashMap<(usize, u64), u64>,
+    collective: FxHashMap<(usize, u64), u64>,
+}
+
+impl StreamSeqs {
+    /// Returns the stream's next sequence number and advances it.
+    fn next(&mut self, peer: usize, tag: u64) -> u64 {
+        let map = if tag as u32 & COLLECTIVE_TAG != 0 {
+            &mut self.collective
+        } else {
+            &mut self.p2p
+        };
+        let seq = map.entry((peer, tag)).or_insert(0);
+        *seq += 1;
+        *seq - 1
+    }
+
+    fn retire(&mut self, tag: u64) {
+        self.collective.retain(|&(_, t), _| t != tag);
+    }
+}
+
 /// One rank's endpoint: point-to-point messaging plus the simulated clock.
 pub struct Comm<M> {
     rank: usize,
@@ -184,9 +218,9 @@ pub struct Comm<M> {
     endpoint: Endpoint<M>,
     pending: Vec<Envelope<M>>,
     /// Next sequence number per outgoing `(dst, tag)` stream.
-    send_seq: FxHashMap<(usize, u32), u64>,
+    send_seq: StreamSeqs,
     /// Next sequence number per posted-receive `(src, tag)` stream.
-    recv_seq: FxHashMap<(usize, u32), u64>,
+    recv_seq: StreamSeqs,
     clock: f64,
     /// Time the NIC finishes serializing the last posted (non-blocking)
     /// injection — back-to-back `isend`s queue here instead of magically
@@ -206,8 +240,8 @@ impl<M: Send + 'static> Comm<M> {
             spec,
             endpoint,
             pending: Vec::new(),
-            send_seq: FxHashMap::default(),
-            recv_seq: FxHashMap::default(),
+            send_seq: StreamSeqs::default(),
+            recv_seq: StreamSeqs::default(),
             clock: 0.0,
             nic_free: 0.0,
             wait_total: 0.0,
@@ -226,17 +260,15 @@ impl<M: Send + 'static> Comm<M> {
 
     /// Stamps the next stream sequence number and hands the envelope to
     /// the transport.
-    fn post(&mut self, dst: usize, tag: u32, arrive: f64, bytes: u64, msg: M) {
-        let seq = self.send_seq.entry((dst, tag)).or_insert(0);
+    fn post(&mut self, dst: usize, tag: u64, arrive: f64, bytes: u64, msg: M) {
         let env = Envelope {
             src: self.rank,
             tag,
-            seq: *seq,
+            seq: self.send_seq.next(dst, tag),
             arrive,
             bytes,
             msg,
         };
-        *seq += 1;
         match &self.endpoint {
             Endpoint::Thread { senders, .. } => {
                 senders[dst].send(env).expect("inboxes outlive every rank")
@@ -249,7 +281,7 @@ impl<M: Send + 'static> Comm<M> {
     /// the transport's terms) until it has been sent. The event world
     /// keeps its own per-rank (src, tag)-indexed mailbox, so only the
     /// thread transport goes through the flat pending buffer.
-    fn obtain(&mut self, src: usize, tag: u32, seq: u64) -> Envelope<M> {
+    fn obtain(&mut self, src: usize, tag: u64, seq: u64) -> Envelope<M> {
         let matches = |e: &Envelope<M>| e.src == src && e.tag == tag && e.seq == seq;
         let rank = self.rank;
         let Comm {
@@ -286,6 +318,23 @@ impl<M: Send + 'static> Comm<M> {
                 pending.push(env);
             }
         }
+    }
+
+    /// Deletes the sequence counters of a finished collective's stream
+    /// tag, in both directions. Sound because a collective tag is never
+    /// reused within a run (`Group::next_tag` stamps the wrap generation
+    /// into its high word) and this rank has posted every send and receive
+    /// it will ever make on `tag`.
+    pub(crate) fn retire(&mut self, tag: u64) {
+        self.send_seq.retire(tag);
+        self.recv_seq.retire(tag);
+    }
+
+    /// Collective-stream counters currently held (both directions): the
+    /// streams of collectives this rank has started but not finished.
+    #[cfg(test)]
+    pub(crate) fn live_collective_streams(&self) -> usize {
+        self.send_seq.collective.len() + self.recv_seq.collective.len()
     }
     /// This rank's index.
     #[inline]
@@ -373,6 +422,11 @@ impl<M: Send + 'static> Comm<M> {
     /// sender is busy for the software overhead plus injection
     /// serialization.
     pub fn send_with(&mut self, dst: usize, tag: u32, msg: M, bytes: u64, sharers: u32) {
+        self.send_stream_with(dst, tag.into(), msg, bytes, sharers);
+    }
+
+    /// [`send_with`](Self::send_with) on a 64-bit stream tag.
+    fn send_stream_with(&mut self, dst: usize, tag: u64, msg: M, bytes: u64, sharers: u32) {
         let cost = self
             .spec
             .net
@@ -388,6 +442,11 @@ impl<M: Send + 'static> Comm<M> {
     /// Sends with the communicator's default sharers hint.
     pub fn send(&mut self, dst: usize, tag: u32, msg: M, bytes: u64) {
         self.send_with(dst, tag, msg, bytes, self.default_sharers);
+    }
+
+    /// [`send`](Self::send) on a collective's 64-bit stream tag.
+    pub(crate) fn send_stream(&mut self, dst: usize, tag: u64, msg: M, bytes: u64) {
+        self.send_stream_with(dst, tag, msg, bytes, self.default_sharers);
     }
 
     /// Posts a non-blocking send with an explicit sharers hint. The CPU is
@@ -413,7 +472,7 @@ impl<M: Send + 'static> Comm<M> {
         self.nic_free = start + bytes as f64 * cost.sec_per_byte * bw_div;
         self.bytes_sent += bytes;
         let arrive = self.nic_free + cost.latency + extra_lat;
-        self.post(dst, tag, arrive, bytes, msg);
+        self.post(dst, tag.into(), arrive, bytes, msg);
         SendRequest {
             posted_at,
             complete_at: self.nic_free,
@@ -460,15 +519,17 @@ impl<M: Send + 'static> Comm<M> {
     /// so out-of-order waits cannot steal an earlier message or produce
     /// non-FIFO completion clocks.
     pub fn irecv(&mut self, src: usize, tag: u32) -> RecvRequest {
-        let seq = self.recv_seq.entry((src, tag)).or_insert(0);
-        let req = RecvRequest {
+        self.irecv_stream(src, tag.into())
+    }
+
+    /// [`irecv`](Self::irecv) on a 64-bit stream tag.
+    fn irecv_stream(&mut self, src: usize, tag: u64) -> RecvRequest {
+        RecvRequest {
             src,
             tag,
-            seq: *seq,
+            seq: self.recv_seq.next(src, tag),
             posted_at: self.clock,
-        };
-        *seq += 1;
-        req
+        }
     }
 
     /// `true` once the message matching the posted receive has arrived by
@@ -509,10 +570,10 @@ impl<M: Send + 'static> Comm<M> {
     /// after the path latency. Used by the collectives module to model
     /// vendor black-box algorithms (e.g. Spectrum MPI's pipelined
     /// broadcast) whose internal schedule we don't reproduce hop by hop.
-    pub fn send_modeled(
+    pub(crate) fn send_modeled(
         &mut self,
         dst: usize,
-        tag: u32,
+        tag: u64,
         msg: M,
         bytes: u64,
         busy: f64,
@@ -540,7 +601,12 @@ impl<M: Send + 'static> Comm<M> {
     /// [`irecv`](Self::irecv) (the post-and-wait collapse leaves no window
     /// for overlap, so `hidden` is always 0).
     pub fn recv(&mut self, src: usize, tag: u32) -> (M, RecvInfo) {
-        let req = self.irecv(src, tag);
+        self.recv_stream(src, tag.into())
+    }
+
+    /// [`recv`](Self::recv) on a collective's 64-bit stream tag.
+    pub(crate) fn recv_stream(&mut self, src: usize, tag: u64) -> (M, RecvInfo) {
+        let req = self.irecv_stream(src, tag);
         self.wait_recv(req)
     }
 
