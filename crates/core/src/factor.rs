@@ -26,6 +26,7 @@ use crate::msg::{PanelData, TrailingPrecision};
 use crate::runtime::{CommScope, PanelBcast, RankCtx};
 use crate::solve::Stepper;
 use crate::systems::SystemSpec;
+use crate::trace::PhaseTotals;
 use mxp_blas::{Diag, Side, Uplo};
 use mxp_gpusim::{BlasShim, GcdModel, GcdSpeed, Workspace};
 use mxp_lcg::{MatrixGen, MatrixKind};
@@ -87,8 +88,12 @@ pub struct IterRecord {
 pub struct FactorOutput {
     /// The local LU factors (functional mode only).
     pub local: Option<LocalMatrix>,
-    /// Per-iteration breakdown on this rank.
+    /// Per-iteration breakdown on this rank; empty when the stepper was
+    /// told not to keep it ([`FactorState::keep_series`]).
     pub records: Vec<IterRecord>,
+    /// Every iteration's record summed, kept or not: bitwise
+    /// [`PhaseTotals::from_records`] of the full series.
+    pub totals: PhaseTotals,
     /// Simulated seconds from the synchronized start to this rank's finish.
     pub elapsed: f64,
 }
@@ -236,6 +241,12 @@ pub fn factor_cached(
 /// timing records, advanced one panel iteration at a time by
 /// [`crate::solve::step_until_done`].
 ///
+/// Each iteration's [`IterRecord`] stays open until the next one is
+/// pushed (or [`Stepper::finish`] runs), because the look-ahead joins of
+/// a checkpoint drain and of `finish` still charge it; then it is folded
+/// into per-rank [`PhaseTotals`] and, unless [`FactorState::keep_series`]
+/// turned that off, appended to the series.
+///
 /// The monolithic [`factor`] loop is this state machine driven to
 /// completion; panel-boundary checkpointing drives it with a
 /// [`crate::checkpoint::RunCheckpointer`] instead, draining the look-ahead
@@ -255,7 +266,12 @@ pub struct FactorState<'a> {
     n_loc_r: usize,
     n_loc_c: usize,
     local: Option<LocalMatrix>,
-    records: Vec<IterRecord>,
+    /// The newest record, still amended by `drain` and `finish`.
+    last: Option<IterRecord>,
+    /// Closed records, when kept.
+    series: Vec<IterRecord>,
+    keep_series: bool,
+    totals: PhaseTotals,
     prev: Option<Panels>,
     t0: f64,
     k: usize,
@@ -299,7 +315,10 @@ impl<'a> FactorState<'a> {
             n_loc_r,
             n_loc_c,
             local,
-            records: Vec::with_capacity(n_b),
+            last: None,
+            series: Vec::new(),
+            keep_series: true,
+            totals: PhaseTotals::default(),
             prev: None,
             t0,
             k: 0,
@@ -385,11 +404,39 @@ impl<'a> FactorState<'a> {
             n_loc_r,
             n_loc_c,
             local,
-            records: Vec::new(),
+            last: None,
+            series: Vec::new(),
+            keep_series: true,
+            totals: PhaseTotals::default(),
             prev: None,
             t0,
             k: snap.header.k as usize,
         })
+    }
+
+    /// Whether to keep the per-iteration series (the default) or only its
+    /// [`PhaseTotals`]. The series costs 64 bytes per iteration, which a
+    /// full machine pays once per rank. Simulated results are the same
+    /// either way.
+    pub fn keep_series(mut self, keep: bool) -> Self {
+        self.keep_series = keep;
+        self
+    }
+
+    /// Closes the open record (if any) and opens `next` in its place.
+    fn close_last(&mut self, next: Option<IterRecord>) {
+        let Some(rec) = std::mem::replace(&mut self.last, next) else {
+            return;
+        };
+        self.totals.add(&rec);
+        if self.keep_series {
+            if self.series.capacity() == 0 {
+                // Exactly the records still to come, allocated lazily so a
+                // rank that keeps none never touches the allocator.
+                self.series.reserve_exact(self.n_b - rec.k);
+            }
+            self.series.push(rec);
+        }
     }
 }
 
@@ -417,7 +464,6 @@ impl Stepper for FactorState<'_> {
             shim,
             ws,
             local,
-            records,
             prev,
             ..
         } = self;
@@ -747,7 +793,7 @@ impl Stepper for FactorState<'_> {
         }
 
         rec.wait = ctx.wait_total() - wait_at_start;
-        records.push(rec);
+        self.close_last(Some(rec));
         self.k = k + 1;
     }
 
@@ -769,7 +815,7 @@ impl Stepper for FactorState<'_> {
             speed,
             grid,
             local,
-            records,
+            last,
             prev,
             ..
         } = self;
@@ -784,7 +830,7 @@ impl Stepper for FactorState<'_> {
             cfg.fidelity,
             p.n_loc,
             cfg.prec,
-            records.last_mut(),
+            last.as_mut(),
         );
         resolve_slot(
             ctx,
@@ -792,7 +838,7 @@ impl Stepper for FactorState<'_> {
             cfg.fidelity,
             p.m_loc,
             cfg.prec,
-            records.last_mut(),
+            last.as_mut(),
         );
         let lr_prev = trailing_row(&grid, my_r, p.k, b);
         let lc_prev = trailing_col(&grid, my_c, p.k, b);
@@ -815,7 +861,7 @@ impl Stepper for FactorState<'_> {
             b,
             n_loc_r,
         );
-        if let Some(r) = records.last_mut() {
+        if let Some(r) = last.as_mut() {
             r.gemm += dt;
         }
     }
@@ -853,7 +899,7 @@ impl Stepper for FactorState<'_> {
         // flush. Ranks still owing a join on the final (zero-extent)
         // broadcasts must complete it so every posted message is consumed.
         let FactorState {
-            cfg, records, prev, ..
+            cfg, last, prev, ..
         } = &mut self;
         if let Some(p) = prev.as_mut() {
             resolve_slot(
@@ -862,7 +908,7 @@ impl Stepper for FactorState<'_> {
                 cfg.fidelity,
                 p.n_loc,
                 cfg.prec,
-                records.last_mut(),
+                last.as_mut(),
             );
             resolve_slot(
                 ctx,
@@ -870,7 +916,7 @@ impl Stepper for FactorState<'_> {
                 cfg.fidelity,
                 p.m_loc,
                 cfg.prec,
-                records.last_mut(),
+                last.as_mut(),
             );
         }
 
@@ -882,10 +928,12 @@ impl Stepper for FactorState<'_> {
                 / self.speed.at(self.n_b),
         );
 
+        self.close_last(None);
         let elapsed = ctx.now() - self.t0;
         FactorOutput {
             local: self.local,
-            records: self.records,
+            records: self.series,
+            totals: self.totals,
             elapsed,
         }
     }

@@ -93,8 +93,9 @@ pub use service::{
     ServiceReport, ServiceSummary, SolveService,
 };
 pub use solve::{
-    adjust_n, run, run_sequence, run_with_backend, snapshot_header, step_until_done, try_adjust_n,
-    CkptMeter, ConfigError, RunConfig, RunConfigBuilder, RunOutcome, Stepper,
+    adjust_n, run, run_sequence, run_with_backend, run_with_series, snapshot_header,
+    step_until_done, try_adjust_n, CkptMeter, ConfigError, RunConfig, RunConfigBuilder, RunOutcome,
+    Series, Stepper,
 };
 pub use supervisor::{
     cost_recovery_ratio, recovery_ratio, RecoveryPolicy, RunEvent, SupervisedOutcome, Supervisor,

@@ -18,6 +18,7 @@ use crate::msg::TrailingPrecision;
 use crate::report::PerfReport;
 use crate::runtime::{Backend, BackendError, CommScope, CommTrace, GridMembers, RankCtx};
 use crate::systems::SystemSpec;
+use crate::trace::PhaseTotals;
 use mxp_gpusim::GcdFleet;
 use mxp_msgsim::{BcastAlgo, WorldSpec};
 use std::sync::Arc;
@@ -551,9 +552,14 @@ pub struct RunOutcome {
     /// it on every rank, so this is rank 0's copy). Deterministic: tests
     /// compare it bitwise across thread counts and backends.
     pub solution: Option<Vec<f64>>,
-    /// Per-iteration breakdown of every rank (rank-major) — the input of
-    /// progress monitoring and fault supervision.
+    /// Per-iteration breakdown, rank-major. [`run`] keeps only rank 0's
+    /// series and leaves every other rank's empty;
+    /// [`run_with_series`] with [`Series::AllRanks`] keeps them all — the
+    /// input of progress monitoring and fault supervision.
     pub records: Vec<Vec<IterRecord>>,
+    /// Every rank's per-phase totals (rank-major), whichever series were
+    /// kept: bitwise [`PhaseTotals::from_records`] of the full series.
+    pub totals: Vec<PhaseTotals>,
     /// Rank 0's communication trace, the source of the Chrome comm lanes.
     /// Only rank 0 records one: every other rank keeps just its aggregate
     /// counters, so full-machine runs do not hold an event list per rank.
@@ -576,16 +582,35 @@ struct RankResult {
     ir_iters: usize,
     x: Option<Vec<f64>>,
     records: Vec<IterRecord>,
+    totals: PhaseTotals,
     comm_bytes: u64,
     comm_wait: f64,
     ckpt: CkptMeter,
     trace: CommTrace,
 }
 
+/// Which ranks' per-iteration series a run keeps (see
+/// [`run_with_series`]). Every rank's [`PhaseTotals`] are kept either way.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Series {
+    /// Rank 0's series only (the Fig. 10 / trace input): what [`run`]
+    /// keeps, so per-rank state does not grow with run length.
+    Rank0,
+    /// Every rank's series (the supervisor's progress monitor).
+    AllRanks,
+}
+
 /// Executes a full benchmark run and aggregates the outcome — the one
 /// driver behind the CLI, the service, the supervisor and the timing
-/// bins. Only rank 0 records a [`CommTrace`] ([`RunOutcome::trace_rank0`]).
+/// bins. Only rank 0 records a [`CommTrace`] ([`RunOutcome::trace_rank0`])
+/// and keeps its per-iteration series ([`RunOutcome::records`]).
 pub fn run(cfg: &RunConfig) -> RunOutcome {
+    run_with_series(cfg, Series::Rank0)
+}
+
+/// [`run`], keeping the per-iteration series of the ranks `series` names.
+/// Simulated results are bitwise identical whichever ranks keep theirs.
+pub fn run_with_series(cfg: &RunConfig, series: Series) -> RunOutcome {
     let grid = cfg.grid;
     let fcfg = FactorConfig {
         n: cfg.n,
@@ -622,7 +647,8 @@ pub fn run(cfg: &RunConfig) -> RunOutcome {
             Some(snap) => FactorState::resume(ctx, &cfg.sys, &fcfg, speed, snap)
                 .unwrap_or_else(|e| panic!("resume from snapshot: {e}")),
             None => FactorState::new(ctx, &cfg.sys, &fcfg, speed, cfg.cache.as_deref()),
-        };
+        }
+        .keep_series(series == Series::AllRanks || ctx.rank() == 0);
         let (out, ckpt_meter) = step_until_done(ctx, state, ckpt.as_deref());
         let mut result = match cfg.fidelity {
             Fidelity::Functional => {
@@ -637,6 +663,7 @@ pub fn run(cfg: &RunConfig) -> RunOutcome {
                     ir_iters: ir.iters,
                     x: Some(ir.x),
                     records: out.records,
+                    totals: out.totals,
                     comm_bytes: 0,
                     comm_wait: 0.0,
                     ckpt: ckpt_meter,
@@ -657,6 +684,7 @@ pub fn run(cfg: &RunConfig) -> RunOutcome {
                     ir_iters: 3,
                     x: None,
                     records: out.records,
+                    totals: out.totals,
                     comm_bytes: 0,
                     comm_wait: 0.0,
                     ckpt: ckpt_meter,
@@ -680,11 +708,7 @@ pub fn run(cfg: &RunConfig) -> RunOutcome {
     let ir_time = results.iter().map(|r| r.ir).fold(0.0, f64::max);
     let converged = results.iter().all(|r| r.converged);
     // Mean per-rank overlap earned by the look-ahead pipeline.
-    let hidden = results
-        .iter()
-        .map(|r| r.records.iter().map(|rec| rec.hidden).sum::<f64>())
-        .sum::<f64>()
-        / results.len() as f64;
+    let hidden = results.iter().map(|r| r.totals.hidden).sum::<f64>() / results.len() as f64;
     let comm_bytes = results.iter().map(|r| r.comm_bytes).sum::<u64>();
     let comm_wait = results.iter().map(|r| r.comm_wait).fold(0.0, f64::max);
     let ckpt_bytes = results.iter().map(|r| r.ckpt.bytes).sum::<u64>();
@@ -711,6 +735,7 @@ pub fn run(cfg: &RunConfig) -> RunOutcome {
         ir_iters: results[0].ir_iters,
         solution: results[0].x.take(),
         trace_rank0: std::mem::take(&mut results[0].trace),
+        totals: results.iter().map(|r| r.totals).collect(),
         records: results.into_iter().map(|r| r.records).collect(),
     }
 }
@@ -833,8 +858,11 @@ mod tests {
         // both backends — fidelity functional (real payloads on fibers).
         let grid = ProcessGrid::col_major(2, 2, 4);
         let base = RunConfig::functional(testbed(1, 4), grid, 64, 8);
-        let threads = run(&base.clone().build().unwrap());
-        let fibers = run(&base.backend(Backend::EventTimed).build().unwrap());
+        let threads = run_with_series(&base.clone().build().unwrap(), Series::AllRanks);
+        let fibers = run_with_series(
+            &base.backend(Backend::EventTimed).build().unwrap(),
+            Series::AllRanks,
+        );
         assert_eq!(
             threads.perf.runtime.to_bits(),
             fibers.perf.runtime.to_bits()

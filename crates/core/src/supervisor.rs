@@ -25,7 +25,7 @@ use crate::grid::ProcessGrid;
 use crate::progress::ProgressMonitor;
 use crate::report::PerfReport;
 use crate::scan::scan_fleet;
-use crate::solve::{run, RunConfig, RunOutcome};
+use crate::solve::{run_with_series, RunConfig, RunOutcome, Series};
 use mxp_gpusim::GcdFleet;
 use serde::{write_json_string, Serialize};
 use std::fmt::Write as _;
@@ -428,7 +428,8 @@ impl Supervisor {
                 n: cfg.n,
                 ranks: cfg.grid.size(),
             });
-            let out = run(&cfg);
+            // The progress monitor and `truncated_cost` read every rank.
+            let out = run_with_series(&cfg, Series::AllRanks);
             let analysis = self.analyze(&cfg, &out, attempt);
             if detection_iter.is_none() {
                 if let Some(RunEvent::Alert { k, .. }) = analysis.alerts.first() {
@@ -761,7 +762,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::grid::ProcessGrid;
-    use crate::solve::RunConfig;
+    use crate::solve::{run, RunConfig};
     use crate::systems::testbed;
 
     fn faulted_cfg(spec: &str) -> RunConfig {

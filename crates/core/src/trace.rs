@@ -38,15 +38,21 @@ impl PhaseTotals {
     pub fn from_records(records: &[IterRecord]) -> Self {
         let mut t = PhaseTotals::default();
         for r in records {
-            t.getrf += r.getrf;
-            t.trsm += r.trsm;
-            t.cast += r.cast;
-            t.gemm += r.gemm;
-            t.bcast += r.bcast;
-            t.wait += r.wait;
-            t.hidden += r.hidden;
+            t.add(r);
         }
         t
+    }
+
+    /// Folds one record into the totals. Folding a series record by record
+    /// in order is bitwise [`Self::from_records`] of that series.
+    pub fn add(&mut self, r: &IterRecord) {
+        self.getrf += r.getrf;
+        self.trsm += r.trsm;
+        self.cast += r.cast;
+        self.gemm += r.gemm;
+        self.bcast += r.bcast;
+        self.wait += r.wait;
+        self.hidden += r.hidden;
     }
 
     /// Total accounted seconds (`hidden` is overlap attribution, already

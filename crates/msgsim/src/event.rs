@@ -74,32 +74,18 @@ pub(crate) struct Want {
 /// the streams live in the current iteration — and for that regime a flat
 /// `Vec` scanned linearly and popped with `swap_remove` is one warm
 /// allocation and zero hashing. A mailbox that grows past [`SPILL_DEPTH`]
-/// (many-to-one traffic at scale) migrates once to a `(src, tag)`-indexed
-/// map of per-stream queues, where each stream stays in ascending `seq`
-/// order (senders stamp sequences monotonically and delivery preserves
-/// per-stream order): the common in-order wait pops the front, an
-/// out-of-order wait binary searches. Emptied queues recycle through a
-/// small free list instead of being reallocated for the next one-shot
-/// collective tag.
+/// (many-to-one traffic at scale) migrates once to a map keyed by that
+/// exact triple: one slot per envelope, so the one-shot streams of
+/// collectives (a fresh tag per operation, usually one envelope each)
+/// cost no per-stream queue.
 enum PendingSet<M> {
     Flat(Vec<Envelope<M>>),
     /// Boxed so the common `Flat` case keeps the enum pointer-sized.
-    Indexed(Box<IndexedSet<M>>),
-}
-
-/// The spilled form of a deep mailbox (see [`PendingSet`]).
-struct IndexedSet<M> {
-    map: FxHashMap<(usize, u64), VecDeque<Envelope<M>>>,
-    free: Vec<VecDeque<Envelope<M>>>,
+    Indexed(Box<FxHashMap<(usize, u64, u64), Envelope<M>>>),
 }
 
 /// Flat-mailbox depth beyond which linear scanning loses to indexing.
 const SPILL_DEPTH: usize = 48;
-
-/// Queues kept for reuse per rank; collectives allocate a fresh tag per
-/// operation, so a small cap bounds memory while still covering the
-/// handful of streams live at once.
-const FREE_QUEUES: usize = 4;
 
 impl<M> PendingSet<M> {
     fn new() -> Self {
@@ -110,27 +96,14 @@ impl<M> PendingSet<M> {
         match self {
             PendingSet::Flat(buf) if buf.len() < SPILL_DEPTH => buf.push(env),
             PendingSet::Flat(buf) => {
-                // Deep mailbox: migrate once to the indexed form. Drain in
-                // order — per-stream delivery order is ascending `seq`.
-                let mut map = FxHashMap::default();
-                for e in buf.drain(..) {
-                    map.entry((e.src, e.tag))
-                        .or_insert_with(VecDeque::new)
-                        .push_back(e);
-                }
-                map.entry((env.src, env.tag))
-                    .or_insert_with(VecDeque::new)
-                    .push_back(env);
-                *self = PendingSet::Indexed(Box::new(IndexedSet {
-                    map,
-                    free: Vec::new(),
-                }));
+                // Deep mailbox: migrate once to the indexed form.
+                let mut map: FxHashMap<_, _> =
+                    buf.drain(..).map(|e| ((e.src, e.tag, e.seq), e)).collect();
+                map.insert((env.src, env.tag, env.seq), env);
+                *self = PendingSet::Indexed(Box::new(map));
             }
-            PendingSet::Indexed(set) => {
-                let IndexedSet { map, free } = &mut **set;
-                map.entry((env.src, env.tag))
-                    .or_insert_with(|| free.pop().unwrap_or_default())
-                    .push_back(env);
+            PendingSet::Indexed(map) => {
+                map.insert((env.src, env.tag, env.seq), env);
             }
         }
     }
@@ -143,23 +116,7 @@ impl<M> PendingSet<M> {
                     .position(|e| e.seq == seq && e.src == src && e.tag == tag)?;
                 Some(buf.swap_remove(idx))
             }
-            PendingSet::Indexed(set) => {
-                let IndexedSet { map, free } = &mut **set;
-                let q = map.get_mut(&(src, tag))?;
-                let env = if q.front().is_some_and(|e| e.seq == seq) {
-                    q.pop_front()
-                } else {
-                    let idx = q.binary_search_by(|e| e.seq.cmp(&seq)).ok()?;
-                    q.remove(idx)
-                }?;
-                if q.is_empty() {
-                    let q = map.remove(&(src, tag)).expect("emptied queue vanished");
-                    if free.len() < FREE_QUEUES {
-                        free.push(q);
-                    }
-                }
-                Some(env)
-            }
+            PendingSet::Indexed(map) => map.remove(&(src, tag, seq)),
         }
     }
 
@@ -169,11 +126,7 @@ impl<M> PendingSet<M> {
                 .iter()
                 .find(|e| e.seq == seq && e.src == src && e.tag == tag)
                 .map(|e| e.arrive),
-            PendingSet::Indexed(set) => {
-                let q = set.map.get(&(src, tag))?;
-                let idx = q.binary_search_by(|e| e.seq.cmp(&seq)).ok()?;
-                q.get(idx).map(|e| e.arrive)
-            }
+            PendingSet::Indexed(map) => map.get(&(src, tag, seq)).map(|e| e.arrive),
         }
     }
 }
@@ -790,4 +743,108 @@ where
         .into_iter()
         .map(|c| c.0.into_inner().expect("finished rank left no result"))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// SplitMix64: a seeded, dependency-free operation stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    type Key = (usize, u64, u64);
+
+    fn view(e: &Envelope<u64>) -> (Key, u64, u64, u64) {
+        ((e.src, e.tag, e.seq), e.arrive.to_bits(), e.bytes, e.msg)
+    }
+
+    /// `PendingSet` against a plain `Vec` searched by exact key: random
+    /// insert / take / peek sequences that fill past [`SPILL_DEPTH`] and
+    /// drain back, over long-lived multi-envelope streams (taken out of
+    /// `seq` order) and one-shot collective streams, plus probes for keys
+    /// that were never delivered or already taken.
+    #[test]
+    fn pending_set_matches_a_naive_model_across_the_spill() {
+        for seed in 0..40 {
+            let mut rng = Rng(seed);
+            let mut set = PendingSet::<u64>::new();
+            let mut model: Vec<Envelope<u64>> = Vec::new();
+            let mut next_seq: FxHashMap<(usize, u64), u64> = FxHashMap::default();
+            let mut one_shot = 1u64 << 40;
+            let mut spilled = false;
+            let mut id = 0u64;
+            // Alternate fill and drain phases so the depth crosses the
+            // spill threshold in both directions.
+            for phase in 0..8usize {
+                let filling = phase.is_multiple_of(2);
+                for _ in 0..300 {
+                    let roll = rng.below(10);
+                    if (filling && roll < 6) || (!filling && roll < 2) {
+                        let (src, tag) = if rng.below(3) == 0 {
+                            one_shot += 1;
+                            (rng.below(64), one_shot)
+                        } else {
+                            (rng.below(6), rng.below(3) as u64)
+                        };
+                        let seq = next_seq.entry((src, tag)).or_insert(0);
+                        id += 1;
+                        let env = Envelope {
+                            src,
+                            tag,
+                            seq: *seq,
+                            arrive: rng.next() as f64 * 1e-19,
+                            bytes: rng.next() % 4096,
+                            msg: id,
+                        };
+                        *seq += 1;
+                        model.push(Envelope { ..env });
+                        set.insert(env);
+                        spilled |= matches!(set, PendingSet::Indexed(_));
+                        continue;
+                    }
+                    // Half the probes name a live envelope (any stream
+                    // position, so seq order is not respected); the rest a
+                    // key that is absent.
+                    let key: Key = if !model.is_empty() && rng.below(2) == 0 {
+                        let e = &model[rng.below(model.len())];
+                        (e.src, e.tag, e.seq)
+                    } else {
+                        (rng.below(6), rng.below(3) as u64, rng.below(400) as u64)
+                    };
+                    let pos = model.iter().position(|e| (e.src, e.tag, e.seq) == key);
+                    let (src, tag, seq) = key;
+                    if roll.is_multiple_of(2) {
+                        let want = pos.map(|i| model.remove(i));
+                        let got = set.take(src, tag, seq);
+                        assert_eq!(got.as_ref().map(view), want.as_ref().map(view));
+                    } else {
+                        let want = pos.map(|i| model[i].arrive.to_bits());
+                        let got = set.peek_arrive(src, tag, seq).map(f64::to_bits);
+                        assert_eq!(got, want, "seed {seed}: peek {key:?}");
+                    }
+                }
+            }
+            assert!(spilled, "seed {seed}: never crossed SPILL_DEPTH");
+            // Everything still pending comes back out exactly once.
+            for e in std::mem::take(&mut model) {
+                let got = set.take(e.src, e.tag, e.seq);
+                assert_eq!(got.as_ref().map(view), Some(view(&e)));
+                assert!(set.take(e.src, e.tag, e.seq).is_none());
+            }
+        }
+    }
 }

@@ -185,8 +185,9 @@ pub(crate) enum Endpoint<M> {
 /// Collective streams (tags carrying [`COLLECTIVE_TAG`]) are kept apart
 /// from point-to-point ones: a collective tag is used by exactly one
 /// operation, so its counters are deleted when that operation finishes
-/// ([`Comm::retire`]) and the table holds only what is in flight.
-/// Point-to-point counters live for the run, as MPI's do.
+/// ([`Comm::retire`]) and the table holds only what is in flight; once it
+/// is empty its buckets are released too. Point-to-point counters live for
+/// the run, as MPI's do.
 #[derive(Default)]
 struct StreamSeqs {
     p2p: FxHashMap<(usize, u64), u64>,
@@ -208,6 +209,12 @@ impl StreamSeqs {
 
     fn retire(&mut self, tag: u64) {
         self.collective.retain(|&(_, t), _| t != tag);
+        if self.collective.is_empty() {
+            // A wide collective grows the table to hundreds of buckets;
+            // kept, they would cost every rank that memory for the rest of
+            // the run and every later `retain` a scan over all of them.
+            self.collective = FxHashMap::default();
+        }
     }
 }
 
@@ -279,8 +286,8 @@ impl<M: Send + 'static> Comm<M> {
 
     /// Removes and returns the `(src, tag, seq)` envelope, blocking (on
     /// the transport's terms) until it has been sent. The event world
-    /// keeps its own per-rank (src, tag)-indexed mailbox, so only the
-    /// thread transport goes through the flat pending buffer.
+    /// keeps its own per-rank mailbox, so only the thread transport goes
+    /// through the flat pending buffer.
     fn obtain(&mut self, src: usize, tag: u64, seq: u64) -> Envelope<M> {
         let matches = |e: &Envelope<M>| e.src == src && e.tag == tag && e.seq == seq;
         let rank = self.rank;
@@ -720,6 +727,42 @@ mod tests {
                 _ => unreachable!(),
             }
         });
+    }
+
+    #[test]
+    fn retired_collective_table_releases_its_buckets() {
+        // Wide collectives in flight at once grow the collective table to
+        // thousands of buckets; once the last one retires, the table must
+        // be back at its unallocated baseline, while point-to-point
+        // counters keep counting.
+        let mut s = StreamSeqs::default();
+        let p2p = 7u64;
+        for peer in 0..4 {
+            assert_eq!(s.next(peer, p2p), 0);
+        }
+        for round in 0..3u64 {
+            let tags: Vec<u64> = (0..40u64)
+                .map(|op| (round << 32) | (COLLECTIVE_TAG | op as u32) as u64)
+                .collect();
+            for &tag in &tags {
+                for peer in 0..64 {
+                    assert_eq!(s.next(peer, tag), 0);
+                    assert_eq!(s.next(peer, tag), 1);
+                }
+            }
+            assert!(s.collective.capacity() >= 40 * 64);
+            for &tag in &tags[..39] {
+                s.retire(tag);
+            }
+            assert_eq!(s.collective.len(), 64, "one collective still live");
+            s.retire(tags[39]);
+            assert_eq!(s.collective.len(), 0);
+            assert_eq!(s.collective.capacity(), 0, "round {round}: buckets kept");
+        }
+        for peer in 0..4 {
+            assert_eq!(s.next(peer, p2p), 1, "p2p counter of peer {peer} lost");
+        }
+        assert_eq!(s.p2p.len(), 4);
     }
 
     #[test]

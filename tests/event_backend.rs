@@ -13,11 +13,11 @@
 //! job runs it in release mode; locally:
 //! `cargo test --release -p hplai-core --test event_backend -- --ignored`.
 
-use hplai_core::factor::{factor, FactorConfig, Fidelity};
+use hplai_core::factor::{factor, FactorConfig, FactorState, Fidelity};
 use hplai_core::ir::ir_time_model;
 use hplai_core::{
-    run, run_with_backend, testbed, Backend, CommEvent, CommScope, PerfReport, ProcessGrid,
-    RunConfig,
+    run, run_with_backend, run_with_series, step_until_done, testbed, Backend, CommEvent,
+    CommScope, PerfReport, ProcessGrid, RunConfig, Series,
 };
 use mxp_msgsim::BcastAlgo;
 use proptest::prelude::*;
@@ -201,8 +201,11 @@ fn backends_agree_on_the_functional_solution() {
     // mixed-precision path, IR) must come out bit-identical.
     let grid = ProcessGrid::node_local(2, 2, 2, 2);
     let base = RunConfig::functional(testbed(1, 4), grid, 128, 16);
-    let threads = run(&base.clone().build().unwrap());
-    let fibers = run(&base.backend(Backend::EventTimed).build().unwrap());
+    let threads = run_with_series(&base.clone().build().unwrap(), Series::AllRanks);
+    let fibers = run_with_series(
+        &base.backend(Backend::EventTimed).build().unwrap(),
+        Series::AllRanks,
+    );
     assert_eq!(threads.converged, fibers.converged);
     assert_eq!(
         threads.scaled_residual.unwrap().to_bits(),
@@ -285,8 +288,10 @@ fn full_frontier_extent_matches_golden_report() {
         prec: cfg.prec,
     };
     let outs = run_with_backend(&cfg, |ctx| {
-        ctx.set_tracing(false); // 75k rank traces would dominate memory
-        let out = factor(ctx, &sys, &fcfg, 1.0);
+        // 75k rank traces, or record series, would dominate memory.
+        ctx.set_tracing(false);
+        let state = FactorState::new(ctx, &sys, &fcfg, 1.0.into(), None).keep_series(false);
+        let out = step_until_done(ctx, state, None).0;
         let ir = ir_time_model(&sys, n, ctx.grid().size(), 3);
         ctx.charge(ir);
         (

@@ -12,9 +12,11 @@
 
 use hplai_core::checkpoint::{latest_in, RunCheckpointer};
 use hplai_core::factor::{FactorConfig, FactorState, Fidelity};
+use hplai_core::trace::PhaseTotals;
 use hplai_core::{
-    adjust_n, run, snapshot_header, step_until_done, testbed, Backend, CheckpointSpec, CommScope,
-    ConfigError, ProcessGrid, RunConfig, Snapshot, SnapshotError,
+    adjust_n, run, run_with_series, snapshot_header, step_until_done, testbed, Backend,
+    CheckpointSpec, CommScope, ConfigError, ProcessGrid, RunConfig, RunOutcome, Series, Snapshot,
+    SnapshotError,
 };
 use mxp_msgsim::BcastAlgo;
 use proptest::prelude::*;
@@ -55,7 +57,7 @@ fn assert_restart_bitwise(grid: ProcessGrid, algo: BcastAlgo, backend: Backend, 
         .backend(backend)
         .event_shards(shards)
         .checkpoint(CheckpointSpec::new(&dir, 3));
-    let full = run(&base.clone().build().unwrap());
+    let full = run_with_series(&base.clone().build().unwrap(), Series::AllRanks);
 
     // Resume from a mid-run boundary, not the newest snapshot: the
     // restarted run must redo a real tail, not a final sliver.
@@ -63,7 +65,10 @@ fn assert_restart_bitwise(grid: ProcessGrid, algo: BcastAlgo, backend: Backend, 
     let snap = Snapshot::load(&path).expect("snapshot loads");
     let from_k = snap.header.k as usize;
     assert!(0 < from_k && from_k < n_b, "{label}: mid-run cursor");
-    let resumed = run(&base.restart_from(Arc::new(snap)).build().unwrap());
+    let resumed = run_with_series(
+        &base.restart_from(Arc::new(snap)).build().unwrap(),
+        Series::AllRanks,
+    );
 
     let (xa, xb) = (
         full.solution.as_ref().expect("functional solution"),
@@ -123,6 +128,85 @@ proptest! {
         let backend = if event { Backend::EventTimed } else { Backend::Functional };
         let shards = if four_shards { 4 } else { 1 };
         assert_restart_bitwise(grid, algo, backend, shards);
+    }
+}
+
+/// Every field's bit pattern, so `0.0` vs `-0.0` cannot hide behind `==`.
+fn totals_bits(t: &PhaseTotals) -> [u64; 7] {
+    [t.getrf, t.trsm, t.cast, t.gemm, t.bcast, t.wait, t.hidden].map(f64::to_bits)
+}
+
+/// Runs `cfg` keeping rank 0's series and keeping every rank's, and
+/// asserts the folded totals are bitwise the sums of the full series.
+fn assert_totals_fold_the_series(cfg: &RunConfig, label: &str) -> RunOutcome {
+    let folded = run(cfg);
+    let all = run_with_series(cfg, Series::AllRanks);
+    assert_eq!(folded.records[0], all.records[0], "{label}: rank 0 series");
+    assert!(
+        folded.records[1..].iter().all(Vec::is_empty),
+        "{label}: only rank 0 keeps its series"
+    );
+    for (rank, series) in all.records.iter().enumerate() {
+        assert!(!series.is_empty(), "{label} rank {rank}: empty series");
+        let want = totals_bits(&PhaseTotals::from_records(series));
+        assert_eq!(
+            totals_bits(&folded.totals[rank]),
+            want,
+            "{label} rank {rank}"
+        );
+        assert_eq!(totals_bits(&all.totals[rank]), want, "{label} rank {rank}");
+    }
+    // The overlap column as it was computed from the full series.
+    let hidden = all
+        .records
+        .iter()
+        .map(|s| s.iter().map(|r| r.hidden).sum::<f64>())
+        .sum::<f64>()
+        / all.records.len() as f64;
+    assert!(hidden > 0.0, "{label}: look-ahead hid nothing");
+    assert_eq!(
+        folded.perf.overlap_hidden.to_bits(),
+        hidden.to_bits(),
+        "{label}"
+    );
+    assert_eq!(
+        all.perf.overlap_hidden.to_bits(),
+        hidden.to_bits(),
+        "{label}"
+    );
+    all
+}
+
+/// `run()` folds every rank but 0 into per-phase totals. The fold must be
+/// bitwise the sum of the series it no longer keeps — including the last
+/// record, which a checkpoint drain and `finish` amend after it is pushed
+/// — on both hosts, at 1 and 4 shards, and on a resumed run.
+#[test]
+fn run_totals_fold_every_rank_series_bitwise() {
+    let grid = ProcessGrid::col_major(2, 3, 6);
+    let b = 16;
+    let n = adjust_n(256, &grid, b);
+    let sys = testbed(1, 6);
+    for (backend, shards) in [
+        (Backend::Functional, 1),
+        (Backend::EventTimed, 1),
+        (Backend::EventTimed, 4),
+    ] {
+        let label = format!("{backend:?} @ {shards} shards");
+        let dir = scratch_dir("fold");
+        let base = RunConfig::functional(sys.clone(), grid, n, b)
+            .backend(backend)
+            .event_shards(shards)
+            .checkpoint(CheckpointSpec::new(&dir, 3));
+        let cfg = base.clone().build().unwrap();
+        assert!(cfg.lookahead);
+        let full = assert_totals_fold_the_series(&cfg, &label);
+        assert!(full.perf.checkpoint_bytes > 0, "{label}: no drain ran");
+
+        let snap = Snapshot::load(&latest_in(&dir, n / b / 2).unwrap()).unwrap();
+        let resumed = base.restart_from(Arc::new(snap)).build().unwrap();
+        assert_totals_fold_the_series(&resumed, &format!("{label}, resumed"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
