@@ -163,8 +163,8 @@ fn incident(
         rerun_ratio: cost_recovery_ratio(&rerun, &baseline),
         benefit: rerun.total_cost / restart.total_cost,
         recovered: restart.recovered && rerun.recovered,
-        checkpoint_bytes: restart.outcome.perf.checkpoint_bytes,
-        checkpoint_time: restart.outcome.perf.checkpoint_time,
+        checkpoint_bytes: restart.outcome.provenance.checkpoint_bytes,
+        checkpoint_time: restart.outcome.provenance.checkpoint_time,
     };
     (point, restart.events)
 }

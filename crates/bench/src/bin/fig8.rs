@@ -93,9 +93,9 @@ fn main() {
 
     // Emergent cross-check of one Frontier point on the event-driven
     // backend: 1024 ranks hosted as fibers in this process, same driver
-    // as the functional runs. The report carries backend provenance
-    // (`backend`, `simulated_ranks`, `wall_vs_virtual_time`) so the
-    // persisted JSON distinguishes it from the critical-path rows.
+    // as the functional runs. The row carries `backend`, `simulated_ranks`
+    // and the run's host provenance, so the persisted JSON distinguishes
+    // it from the critical-path rows.
     let grid = ProcessGrid::node_local(32, 32, 2, 4);
     let cfg = RunConfig::timing(f.clone(), grid, 98304, 3072)
         .algo(BcastAlgo::Ring2M)
@@ -106,11 +106,11 @@ fn main() {
         "Emergent event-backend cross-check (Frontier 2x4, 1024 ranks): \
          {} GFLOPS/GCD at {:.2} wall-s per virtual-s",
         gflops(emergent.perf.gflops_per_gcd),
-        emergent.perf.wall_vs_virtual_time
+        emergent.provenance.wall_vs_virtual_time
     );
-    reports.push(NamedPerf::new(
+    reports.push(NamedPerf::hosted(
         "Frontier 2x4 ring-2M emergent event-timed",
-        emergent.perf,
+        &emergent,
     ));
     t.emit("fig8");
     emit_perf_reports("fig8", &reports);

@@ -40,11 +40,12 @@ fn main() {
                 .algo(algo)
                 .lookahead(lookahead)
                 .build_or_panic();
-            run(&cfg).perf
+            run(&cfg)
         };
         let off = time_of(false);
         let on = time_of(true);
-        for (la, perf) in [("off", &off), ("on", &on)] {
+        for (la, out) in [("off", &off), ("on", &on)] {
+            let perf = &out.perf;
             t.row(&[
                 &"emergent",
                 &"4x4 testbed",
@@ -54,12 +55,12 @@ fn main() {
                 &secs(perf.overlap_hidden),
                 &format!(
                     "{:+.1}%",
-                    (off.factor_time / perf.factor_time - 1.0) * 100.0
+                    (off.perf.factor_time / perf.factor_time - 1.0) * 100.0
                 ),
             ]);
-            reports.push(NamedPerf::new(
+            reports.push(NamedPerf::hosted(
                 format!("emergent 4x4 {} lookahead={la}", algo.label()),
-                *perf,
+                out,
             ));
         }
     }

@@ -81,7 +81,8 @@ fn main() {
                 .algo(algo)
                 .lookahead(lookahead)
                 .build_or_panic();
-            let sim = run(&cfg).perf;
+            let out = run(&cfg);
+            let sim = out.perf;
             let model = critical_time(
                 &d_sys,
                 &CriticalConfig {
@@ -100,9 +101,9 @@ fn main() {
                 &secs(sim.overlap_hidden),
             ]);
             let la = if lookahead { "on" } else { "off" };
-            reports.push(NamedPerf::new(
+            reports.push(NamedPerf::hosted(
                 format!("emergent {} lookahead={la}", algo.label()),
-                sim,
+                &out,
             ));
             reports.push(NamedPerf::new(
                 format!("critical {} lookahead={la}", algo.label()),

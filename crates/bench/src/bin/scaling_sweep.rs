@@ -180,7 +180,7 @@ fn run_point(
         peak_rss_mb,
     };
     let label = format!("{} {mode} {ranks}", sys.name);
-    (point, NamedPerf::new(label, out.perf))
+    (point, NamedPerf::hosted(label, &out))
 }
 
 /// Marker environment variable: set on re-executed children, which run
@@ -290,7 +290,10 @@ fn sweep_system(sys: &SystemSpec, q_r: usize, q_c: usize, out: &mut Vec<(SweepPo
             mode: "weak".into(),
             ..top
         },
-        NamedPerf::new(label, top_report.perf),
+        NamedPerf {
+            label,
+            ..top_report
+        },
     ));
 }
 
@@ -339,7 +342,9 @@ fn main() {
     if best_of > 1 {
         fold_best_of(&mut points, best_of, quick);
         for (np, p) in reports.iter_mut().zip(&points) {
-            np.perf.wall_vs_virtual_time = p.wall_secs / p.virtual_secs;
+            if let Some(prov) = &mut np.provenance {
+                prov.wall_vs_virtual_time = p.wall_secs / p.virtual_secs;
+            }
         }
     }
 

@@ -24,7 +24,7 @@
 //! Each binary prints a formatted table and writes `results/<name>.csv` and
 //! `results/<name>.json` so EXPERIMENTS.md entries are regenerable.
 
-use hplai_core::PerfReport;
+use hplai_core::{PerfReport, RunOutcome, RunProvenance};
 use serde::Serialize;
 use std::fmt::Display;
 use std::fs;
@@ -189,14 +189,28 @@ pub struct NamedPerf {
     pub label: String,
     /// The headline numbers.
     pub perf: PerfReport,
+    /// How a hosted run produced them; `None` for closed-form and
+    /// critical-path rows, which host nothing. Serialized as a sibling
+    /// `"provenance"` object only when present.
+    pub provenance: Option<RunProvenance>,
 }
 
 impl NamedPerf {
-    /// Labels a report.
+    /// Labels a report that no hosted run produced.
     pub fn new(label: impl Into<String>, perf: PerfReport) -> Self {
         NamedPerf {
             label: label.into(),
             perf,
+            provenance: None,
+        }
+    }
+
+    /// Labels a hosted run's report, keeping its provenance.
+    pub fn hosted(label: impl Into<String>, out: &RunOutcome) -> Self {
+        NamedPerf {
+            label: label.into(),
+            perf: out.perf,
+            provenance: Some(out.provenance),
         }
     }
 }
@@ -207,6 +221,10 @@ impl Serialize for NamedPerf {
         serde::write_json_string(&self.label, out);
         out.push_str(",\"perf\":");
         self.perf.serialize_json(out);
+        if let Some(p) = &self.provenance {
+            out.push_str(",\"provenance\":");
+            p.serialize_json(out);
+        }
         out.push('}');
     }
 }
@@ -306,16 +324,24 @@ mod tests {
         // (and on which backend, at what rank count, at what host cost)
         // from a pure model evaluation; older readers ignore the extra
         // keys, older files fall back to the defaults.
-        use hplai_core::Backend;
-        let perf =
-            PerfReport::new(1024, 4, 1.0, 0.8, 0.2).with_backend(Backend::EventTimed, 75_264, 0.25);
-        let np = NamedPerf::new("frontier full extent", perf);
+        use hplai_core::{run, testbed, Backend, ProcessGrid, RunConfig};
+        let cfg = RunConfig::timing(testbed(1, 4), ProcessGrid::col_major(2, 2, 4), 1024, 256)
+            .backend(Backend::EventTimed)
+            .build()
+            .unwrap();
+        let np = NamedPerf::hosted("testbed 2x2", &run(&cfg));
         let mut s = String::new();
         np.serialize_json(&mut s);
         let v: serde_json::Value = serde_json::from_str(&s).expect("valid JSON");
         assert_eq!(v["perf"]["backend"], "event-timed");
-        assert_eq!(v["perf"]["simulated_ranks"].as_f64().unwrap(), 75_264.0);
-        assert_eq!(v["perf"]["wall_vs_virtual_time"].as_f64().unwrap(), 0.25);
+        assert_eq!(v["perf"]["simulated_ranks"].as_f64().unwrap(), 4.0);
+        assert!(v["perf"].get("wall_vs_virtual_time").is_none());
+        assert!(v["provenance"]["wall_vs_virtual_time"].as_f64().unwrap() > 0.0);
+        assert!(v["provenance"]["event_shards"].as_f64().unwrap() >= 1.0);
+        // Rows no run hosted carry no provenance object at all.
+        let mut s = String::new();
+        NamedPerf::new("model", np.perf).serialize_json(&mut s);
+        assert!(!s.contains("provenance"), "{s}");
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub use grid::{ProcessGrid, RankOrder};
 pub use local::{LocalMat, LocalMatrix};
 pub use metrics::{gflops_per_gcd, hplai_flops, parallel_efficiency};
 pub use msg::{PanelData, PanelMsg, TrailingPrecision};
-pub use report::PerfReport;
+pub use report::{PerfReport, RunProvenance};
 pub use runtime::{
     Backend, BackendError, CommEvent, CommOp, CommScope, CommStats, CommTotals, CommTrace,
     PanelBcast, RankCtx, TagAllocator, TagError,

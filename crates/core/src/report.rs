@@ -2,7 +2,10 @@
 //!
 //! Every fidelity (functional, timing, critical) used to carry its own
 //! copy of the headline numbers; [`PerfReport`] unifies them so drivers,
-//! sweep binaries, and the supervisor all serialize the same shape.
+//! sweep binaries, and the supervisor all serialize the same shape. How a
+//! hosted run produced its numbers (host cost, SIMD level, scheduler
+//! shards, checkpoint drains) is [`RunProvenance`], kept beside the report
+//! so that simulated quantities and host details never mix.
 
 use crate::metrics::{eflops, gflops_per_gcd};
 use crate::runtime::Backend;
@@ -11,7 +14,7 @@ use serde::Serialize;
 /// Headline performance numbers of one benchmark run — the quantities the
 /// paper reports for every configuration (runtime split plus the two
 /// throughput units of Table III).
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct PerfReport {
     /// End-to-end simulated runtime (slowest rank), seconds.
     pub runtime: f64,
@@ -39,57 +42,42 @@ pub struct PerfReport {
     /// How many ranks the run hosted (0 in reports synthesized outside
     /// the runtime, e.g. pure model evaluations).
     pub simulated_ranks: usize,
+}
+
+/// Host and restart provenance of one hosted run: how the numbers in its
+/// [`PerfReport`] were produced rather than what was simulated. It sits
+/// beside the report as [`crate::RunOutcome::provenance`], never inside
+/// it, so event logs, job signatures and golden snapshots carry simulated
+/// quantities only. Deliberately not `PartialEq`: no determinism check can
+/// compare host details by accident.
+#[derive(Clone, Copy, Debug, Serialize)]
+pub struct RunProvenance {
     /// Host wall-clock seconds spent per simulated second — the event
     /// backend's headline economy metric ("simulate Frontier in one
-    /// process"). 0.0 when unmeasured.
+    /// process"). 0.0 when the run simulated no time.
     pub wall_vs_virtual_time: f64,
     /// SIMD ISA level the BLAS micro-kernels dispatched to on this host
-    /// (`"avx512"`, `"avx2"`, `"neon"`, `"portable"`) — provenance for
-    /// cross-host comparison of measured numbers. Empty when unrecorded or
-    /// stripped for deterministic snapshots (see [`Self::without_host_timing`]).
+    /// (`"avx512"`, `"avx2"`, `"neon"`, `"portable"`), for cross-host
+    /// comparison of measured numbers.
     pub simd_isa: &'static str,
     /// How many shards (worker threads) the event scheduler partitioned
-    /// the rank space into (0 for the thread backend or when unrecorded).
-    /// Host provenance: any shard count produces identical simulated
-    /// results, so like `simd_isa` it is excluded from equality and
-    /// stripped by [`Self::without_host_timing`].
+    /// the rank space into (0 for the thread backend). Any shard count
+    /// produces identical simulated results.
     pub event_shards: usize,
     /// Fraction of host worker time the event scheduler spent on
     /// scheduling itself (delivery, idling, fiber switches) rather than
-    /// rank execution. Host provenance; 0.0 when unmeasured.
+    /// rank execution (0.0 for the thread backend).
     pub sched_overhead: f64,
     /// Modeled bytes drained to panel-boundary checkpoints, summed over
-    /// all ranks (0 when checkpointing was off). Provenance like
-    /// `sched_overhead`: a restarted run re-drains only its tail, so the
-    /// field is excluded from simulated-quantity equality and stripped by
-    /// [`Self::without_host_timing`].
+    /// all ranks (0 when checkpointing was off). A restarted run re-drains
+    /// only its tail.
     pub checkpoint_bytes: u64,
     /// Simulated seconds the slowest rank spent draining checkpoints
-    /// (0.0 when checkpointing was off). Provenance like `sched_overhead`.
+    /// (0.0 when checkpointing was off).
     pub checkpoint_time: f64,
     /// How many times this outcome resumed from a snapshot (0 = ran from
-    /// panel 0). Provenance like `sched_overhead`.
+    /// panel 0).
     pub restart_count: usize,
-}
-
-/// Equality covers the *simulated* quantities only: `wall_vs_virtual_time`
-/// measures host wall-clock and `simd_isa` names the host's dispatch level,
-/// both of which vary by machine even when the simulation is bit-identical,
-/// so determinism checks comparing reports (the supervisor event log, the
-/// thread-determinism suite) must not see them.
-impl PartialEq for PerfReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.runtime == other.runtime
-            && self.factor_time == other.factor_time
-            && self.ir_time == other.ir_time
-            && self.gflops_per_gcd == other.gflops_per_gcd
-            && self.eflops == other.eflops
-            && self.overlap_hidden == other.overlap_hidden
-            && self.comm_bytes == other.comm_bytes
-            && self.comm_wait == other.comm_wait
-            && self.backend == other.backend
-            && self.simulated_ranks == other.simulated_ranks
-    }
 }
 
 impl PerfReport {
@@ -107,21 +95,7 @@ impl PerfReport {
             comm_wait: 0.0,
             backend: Backend::Functional,
             simulated_ranks: 0,
-            wall_vs_virtual_time: 0.0,
-            simd_isa: "",
-            event_shards: 0,
-            sched_overhead: 0.0,
-            checkpoint_bytes: 0,
-            checkpoint_time: 0.0,
-            restart_count: 0,
         }
-    }
-
-    /// Records the SIMD dispatch level (kernel-ISA provenance) of the host
-    /// that produced the measured numbers.
-    pub fn with_simd_isa(mut self, isa: &'static str) -> Self {
-        self.simd_isa = isa;
-        self
     }
 
     /// Attaches the measured communication/computation overlap.
@@ -138,47 +112,10 @@ impl PerfReport {
         self
     }
 
-    /// Records which backend hosted the run, at what rank count, and the
-    /// wall-seconds-per-virtual-second cost of simulating it.
-    pub fn with_backend(mut self, backend: Backend, ranks: usize, wall_vs_virtual: f64) -> Self {
+    /// Records which backend hosted the run and at what rank count.
+    pub fn with_backend(mut self, backend: Backend, ranks: usize) -> Self {
         self.backend = backend;
         self.simulated_ranks = ranks;
-        self.wall_vs_virtual_time = wall_vs_virtual;
-        self
-    }
-
-    /// Records the event scheduler's host provenance: the shard count the
-    /// run was partitioned into and the fraction of worker time spent on
-    /// scheduling rather than rank execution.
-    pub fn with_scheduler(mut self, shards: usize, sched_overhead: f64) -> Self {
-        self.event_shards = shards;
-        self.sched_overhead = sched_overhead;
-        self
-    }
-
-    /// Records checkpoint/restart provenance: modeled drain bytes (all
-    /// ranks), slowest-rank drain seconds, and how many snapshot resumes
-    /// produced this outcome.
-    pub fn with_checkpoint(mut self, bytes: u64, time: f64, restarts: usize) -> Self {
-        self.checkpoint_bytes = bytes;
-        self.checkpoint_time = time;
-        self.restart_count = restarts;
-        self
-    }
-
-    /// The same report with the host-dependent columns cleared.
-    /// Deterministic consumers — the supervision event log, golden
-    /// snapshots — carry only simulated quantities; `wall_vs_virtual_time`
-    /// is host wall-clock and `simd_isa` is host hardware, and either would
-    /// make their bytes unreproducible across machines.
-    pub fn without_host_timing(mut self) -> Self {
-        self.wall_vs_virtual_time = 0.0;
-        self.simd_isa = "";
-        self.event_shards = 0;
-        self.sched_overhead = 0.0;
-        self.checkpoint_bytes = 0;
-        self.checkpoint_time = 0.0;
-        self.restart_count = 0;
         self
     }
 
@@ -195,18 +132,7 @@ impl PerfReport {
         .with_overlap(self.overlap_hidden * mult)
         // Stretching the clock stretches stalls but moves no extra data.
         .with_comm(self.comm_bytes, self.comm_wait * mult)
-        // Same host effort spread over a stretched virtual clock.
-        .with_backend(
-            self.backend,
-            self.simulated_ranks,
-            if mult > 0.0 {
-                self.wall_vs_virtual_time / mult
-            } else {
-                0.0
-            },
-        )
-        // Same host, same kernels — provenance carries over.
-        .with_simd_isa(self.simd_isa)
+        .with_backend(self.backend, self.simulated_ranks)
     }
 
     /// Single-line human summary.
@@ -232,13 +158,16 @@ mod tests {
 
     #[test]
     fn scaling_preserves_work() {
-        let r = PerfReport::new(4096, 16, 2.0, 1.5, 0.5).with_comm(1_000, 0.25);
+        let r = PerfReport::new(4096, 16, 2.0, 1.5, 0.5)
+            .with_comm(1_000, 0.25)
+            .with_backend(Backend::EventTimed, 16);
         let s = r.scaled(4096, 16, 2.0);
         assert_eq!(s.runtime, 4.0);
         assert!((s.gflops_per_gcd - r.gflops_per_gcd / 2.0).abs() < 1e-9);
         // Stalls stretch with the clock; traffic does not.
         assert_eq!(s.comm_bytes, 1_000);
         assert!((s.comm_wait - 0.5).abs() < 1e-12);
+        assert_eq!((s.backend, s.simulated_ranks), (Backend::EventTimed, 16));
     }
 
     #[test]
@@ -250,66 +179,62 @@ mod tests {
         assert!(v["gflops_per_gcd"].as_f64().unwrap() > 0.0);
     }
 
+    fn sample_provenance() -> RunProvenance {
+        RunProvenance {
+            wall_vs_virtual_time: 0.5,
+            simd_isa: "avx512",
+            event_shards: 4,
+            sched_overhead: 0.05,
+            checkpoint_bytes: 4096,
+            checkpoint_time: 0.25,
+            restart_count: 1,
+        }
+    }
+
+    /// Each `key` is serialized with the provenance and is absent from the
+    /// report, whose bytes feed event logs, job signatures and goldens.
+    fn assert_provenance_only(keys: &[&str]) {
+        let prov = serde_json::to_string(&sample_provenance()).unwrap();
+        let perf = serde_json::to_string(
+            &PerfReport::new(1024, 4, 1.0, 0.8, 0.2).with_backend(Backend::EventTimed, 4),
+        )
+        .unwrap();
+        for key in keys {
+            let quoted = format!("\"{key}\":");
+            assert!(prov.contains(&quoted), "{key} missing from {prov}");
+            assert!(!perf.contains(&quoted), "{key} leaked into {perf}");
+        }
+    }
+
     #[test]
     fn simd_isa_is_provenance_only() {
-        let r = PerfReport::new(1024, 4, 1.0, 0.8, 0.2).with_simd_isa("avx512");
-        // Serialized for humans and tools...
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(json.contains("\"simd_isa\":\"avx512\""));
-        // ...carried through scaling...
-        assert_eq!(r.scaled(1024, 4, 2.0).simd_isa, "avx512");
-        // ...stripped from deterministic snapshots...
-        assert_eq!(r.without_host_timing().simd_isa, "");
-        // ...and invisible to simulated-quantity equality.
-        assert_eq!(r, r.without_host_timing());
+        assert_provenance_only(&["simd_isa"]);
     }
 
     #[test]
     fn scheduler_stats_are_provenance_only() {
-        let r = PerfReport::new(1024, 4, 1.0, 0.8, 0.2).with_scheduler(4, 0.05);
-        // Serialized for humans and tools...
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(json.contains("\"event_shards\":4"));
-        assert!(json.contains("\"sched_overhead\":0.05"));
-        // ...stripped from deterministic snapshots...
-        let bare = r.without_host_timing();
-        assert_eq!((bare.event_shards, bare.sched_overhead), (0, 0.0));
-        // ...and invisible to simulated-quantity equality: any shard count
-        // must compare equal, or determinism checks would depend on the
-        // host's worker count.
-        assert_eq!(r, r.without_host_timing());
-        assert_eq!(
-            r,
-            PerfReport::new(1024, 4, 1.0, 0.8, 0.2).with_scheduler(7, 0.5)
-        );
+        assert_provenance_only(&["wall_vs_virtual_time", "event_shards", "sched_overhead"]);
     }
 
     #[test]
     fn checkpoint_stats_are_provenance_only() {
-        let r = PerfReport::new(1024, 4, 1.0, 0.8, 0.2).with_checkpoint(4096, 0.25, 1);
-        // Serialized for humans and tools...
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(json.contains("\"checkpoint_bytes\":4096"));
-        assert!(json.contains("\"checkpoint_time\":0.25"));
-        assert!(json.contains("\"restart_count\":1"));
-        // ...stripped from deterministic snapshots...
-        let bare = r.without_host_timing();
-        assert_eq!(
-            (
-                bare.checkpoint_bytes,
-                bare.checkpoint_time,
-                bare.restart_count
-            ),
-            (0, 0.0, 0)
-        );
-        // ...and invisible to simulated-quantity equality: a restarted run
-        // re-drains only its tail, so the determinism suites comparing
-        // restarted against uninterrupted outcomes must not see these.
-        assert_eq!(r, r.without_host_timing());
-        assert_eq!(
-            r,
-            PerfReport::new(1024, 4, 1.0, 0.8, 0.2).with_checkpoint(9999, 7.5, 3)
-        );
+        assert_provenance_only(&["checkpoint_bytes", "checkpoint_time", "restart_count"]);
+    }
+
+    #[test]
+    fn provenance_serializes_all_seven_keys() {
+        let json = serde_json::to_string(&sample_provenance()).unwrap();
+        for key in [
+            "\"wall_vs_virtual_time\":0.5",
+            "\"simd_isa\":\"avx512\"",
+            "\"event_shards\":4",
+            "\"sched_overhead\":0.05",
+            "\"checkpoint_bytes\":4096",
+            "\"checkpoint_time\":0.25",
+            "\"restart_count\":1",
+        ] {
+            assert!(json.contains(key), "{key} missing from {json}");
+        }
     }
 
     #[test]

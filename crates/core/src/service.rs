@@ -32,8 +32,8 @@
 //! integration test compares [`JobRecord::signature`]s across pool widths
 //! and backends. Host-side quantities (latency percentiles, solves/s)
 //! are the only things that vary, and they are excluded from signatures
-//! exactly like `wall_vs_virtual_time` is excluded from
-//! [`PerfReport`]'s `PartialEq`.
+//! just as a run's [`crate::RunProvenance`] sits outside its
+//! [`PerfReport`].
 
 use crate::cache::{CacheStats, MatrixCache};
 use crate::report::PerfReport;
@@ -117,8 +117,9 @@ pub struct JobRecord {
 impl JobRecord {
     /// FNV-1a digest over every *simulated* quantity of this job: the
     /// job-tagged event log, the solution vector bits, the per-rank
-    /// iteration records, the performance report (host-timing column
-    /// zeroed), and the supervision provenance. Two runs of the same
+    /// iteration records, the performance report (simulated quantities
+    /// only; the run's host provenance is left out), and the supervision
+    /// provenance. Two runs of the same
     /// config must produce equal signatures regardless of worker count,
     /// rayon pool width, backend host or cache state — the
     /// concurrency-determinism test is built on this.
@@ -149,8 +150,7 @@ impl JobRecord {
                 }
             }
         }
-        let perf = serde_json::to_string(&out.perf.without_host_timing())
-            .expect("perf serializes infallibly");
+        let perf = serde_json::to_string(&out.perf).expect("perf serializes infallibly");
         fnv(&mut h, perf.as_bytes());
         if let Some(r) = out.scaled_residual {
             fnv(&mut h, &r.to_bits().to_le_bytes());

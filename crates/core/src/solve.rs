@@ -15,7 +15,7 @@ use crate::fault::FaultPlan;
 use crate::grid::ProcessGrid;
 use crate::ir::{ir_time_model, refine};
 use crate::msg::TrailingPrecision;
-use crate::report::PerfReport;
+use crate::report::{PerfReport, RunProvenance};
 use crate::runtime::{Backend, BackendError, CommScope, CommTrace, GridMembers, RankCtx};
 use crate::systems::SystemSpec;
 use crate::trace::PhaseTotals;
@@ -539,8 +539,12 @@ where
 /// Aggregated result of a run.
 #[derive(Clone, Debug)]
 pub struct RunOutcome {
-    /// Headline performance numbers (shared report shape).
+    /// Headline performance numbers (shared report shape): simulated
+    /// quantities only, bitwise reproducible on any host.
     pub perf: PerfReport,
+    /// How this host produced them: wall cost, SIMD level, scheduler
+    /// shards, checkpoint drains and restarts. Never compared.
+    pub provenance: RunProvenance,
     /// Whether IR converged (always `true` in timing mode, where IR is
     /// modeled rather than executed).
     pub converged: bool,
@@ -711,25 +715,20 @@ pub fn run_with_series(cfg: &RunConfig, series: Series) -> RunOutcome {
     let hidden = results.iter().map(|r| r.totals.hidden).sum::<f64>() / results.len() as f64;
     let comm_bytes = results.iter().map(|r| r.comm_bytes).sum::<u64>();
     let comm_wait = results.iter().map(|r| r.comm_wait).fold(0.0, f64::max);
-    let ckpt_bytes = results.iter().map(|r| r.ckpt.bytes).sum::<u64>();
-    let ckpt_time = results.iter().map(|r| r.ckpt.time).fold(0.0, f64::max);
     RunOutcome {
         perf: PerfReport::new(cfg.n, grid.size(), runtime, factor_time, ir_time)
             .with_overlap(hidden)
             .with_comm(comm_bytes, comm_wait)
-            .with_checkpoint(ckpt_bytes, ckpt_time, usize::from(cfg.restart.is_some()))
-            .with_backend(
-                cfg.backend,
-                grid.size(),
-                if runtime > 0.0 { wall / runtime } else { 0.0 },
-            )
-            // Kernel-ISA provenance: which SIMD level the f32 GEMM engine
-            // dispatched to on this host.
-            .with_simd_isa(mxp_blas::kernel_info_f32().isa.name())
-            .with_scheduler(
-                sched.map_or(0, |s| s.shards),
-                sched.map_or(0.0, |s| s.sched_overhead()),
-            ),
+            .with_backend(cfg.backend, grid.size()),
+        provenance: RunProvenance {
+            wall_vs_virtual_time: if runtime > 0.0 { wall / runtime } else { 0.0 },
+            simd_isa: mxp_blas::kernel_info_f32().isa.name(),
+            event_shards: sched.map_or(0, |s| s.shards),
+            sched_overhead: sched.map_or(0.0, |s| s.sched_overhead()),
+            checkpoint_bytes: results.iter().map(|r| r.ckpt.bytes).sum(),
+            checkpoint_time: results.iter().map(|r| r.ckpt.time).fold(0.0, f64::max),
+            restart_count: usize::from(cfg.restart.is_some()),
+        },
         converged,
         scaled_residual: results[0].scaled,
         ir_iters: results[0].ir_iters,
@@ -783,7 +782,8 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
 /// Executes `runs` consecutive benchmark runs within one "batch job",
 /// applying the machine's warm-up / thermal run-sequence behaviour
 /// (Fig. 12, Finding 10). `warmed_up` models running the warm-up
-/// mini-benchmark before the first full run.
+/// mini-benchmark before the first full run. Only the simulated report is
+/// rescaled: every outcome keeps the nominal run's provenance as it is.
 pub fn run_sequence(cfg: &RunConfig, runs: usize, warmed_up: bool) -> Vec<RunOutcome> {
     use mxp_gpusim::RunSequence;
     let seq = RunSequence::new(cfg.sys.warmup, warmed_up, cfg.seed);
@@ -877,7 +877,7 @@ mod tests {
         assert_eq!(threads.perf.backend, Backend::Functional);
         assert_eq!(fibers.perf.backend, Backend::EventTimed);
         assert_eq!(fibers.perf.simulated_ranks, 4);
-        assert!(fibers.perf.wall_vs_virtual_time > 0.0);
+        assert!(fibers.provenance.wall_vs_virtual_time > 0.0);
     }
 
     #[test]

@@ -442,7 +442,7 @@ impl Supervisor {
                 total_cost += out.perf.runtime - restart_offset;
                 events.push(RunEvent::RunCompleted {
                     attempt,
-                    perf: out.perf.without_host_timing(),
+                    perf: out.perf,
                     converged: out.converged,
                 });
                 return SupervisedOutcome {
@@ -471,7 +471,7 @@ impl Supervisor {
                     // No intervention: report the degraded run as final.
                     events.push(RunEvent::RunCompleted {
                         attempt,
-                        perf: out.perf.without_host_timing(),
+                        perf: out.perf,
                         converged: out.converged,
                     });
                     return SupervisedOutcome {
@@ -491,7 +491,7 @@ impl Supervisor {
                     });
                     events.push(RunEvent::RunCompleted {
                         attempt,
-                        perf: out.perf.without_host_timing(),
+                        perf: out.perf,
                         converged: out.converged,
                     });
                     return SupervisedOutcome {

@@ -145,16 +145,6 @@ impl CollectiveTuning {
     }
 }
 
-/// Split-phase broadcast handle returned by [`Group::ibcast_start`].
-pub struct PendingBcast<M> {
-    tag: u64,
-    root_idx: usize,
-    bytes: u64,
-    /// Root's own copy (and deferred payload when progress is lazy).
-    msg: Option<M>,
-    sends_done: bool,
-}
-
 /// Completion bookkeeping of a split-phase broadcast (the collective
 /// analogue of [`crate::RecvInfo`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -212,22 +202,6 @@ impl Group {
     ) -> M {
         let req = self.ibcast(comm, root_idx, msg, bytes, algo);
         self.ibcast_join(comm, req).0
-    }
-
-    /// Borrowed-buffer broadcast: the root's payload is taken out of `buf`
-    /// and everyone's `buf` holds the broadcast value on return. Saves the
-    /// caller the `Option` plumbing when the payload lives in a reusable
-    /// slot.
-    pub fn bcast_buf<M: Clone + Default + Send + 'static>(
-        &mut self,
-        comm: &mut Comm<M>,
-        root_idx: usize,
-        buf: &mut M,
-        bytes: u64,
-        algo: BcastAlgo,
-    ) {
-        let msg = (self.my_idx() == root_idx).then(|| std::mem::take(buf));
-        *buf = self.bcast(comm, root_idx, msg, bytes, algo);
     }
 
     /// Posts a split-phase broadcast. The root performs its part of the
@@ -349,63 +323,6 @@ impl Group {
         };
         comm.credit_hidden(hidden);
         (m, BcastInfo { waited, hidden })
-    }
-
-    /// Posts a non-blocking broadcast (`MPI_Ibcast`). With asynchronous
-    /// progress the root's injection happens now; without it (Spectrum
-    /// MPI), nothing moves until [`Group::ibcast_wait`].
-    pub fn ibcast_start<M: Clone + Default + Send + 'static>(
-        &mut self,
-        comm: &mut Comm<M>,
-        root_idx: usize,
-        msg: Option<M>,
-        bytes: u64,
-    ) -> PendingBcast<M> {
-        let tag = self.next_tag();
-        let penalty = comm.spec().tuning.ibcast_penalty;
-        let async_progress = comm.spec().tuning.ibcast_async_progress;
-        let mut pending = PendingBcast {
-            tag,
-            root_idx,
-            bytes,
-            msg,
-            sends_done: false,
-        };
-        if self.my_idx() == root_idx && async_progress {
-            let m = pending.msg.clone();
-            let kept = self.lib_bcast(comm, root_idx, m, bytes, tag, penalty);
-            pending.msg = Some(kept);
-            pending.sends_done = true;
-        }
-        pending
-    }
-
-    /// Completes a non-blocking broadcast, returning the payload.
-    pub fn ibcast_wait<M: Clone + Default + Send + 'static>(
-        &mut self,
-        comm: &mut Comm<M>,
-        mut pending: PendingBcast<M>,
-    ) -> M {
-        let penalty = comm.spec().tuning.ibcast_penalty;
-        let m = if self.my_idx() == pending.root_idx && pending.sends_done {
-            pending.msg.expect("root keeps its payload")
-        } else {
-            // Progress-at-wait for everyone else: the root injects now if
-            // it hasn't, and non-roots run their part of the library
-            // algorithm (receive, and forward when the binomial tree needs
-            // them to).
-            let m = pending.msg.take();
-            self.lib_bcast(
-                comm,
-                pending.root_idx,
-                m,
-                pending.bytes,
-                pending.tag,
-                penalty,
-            )
-        };
-        comm.retire(pending.tag);
-        m
     }
 
     /// Vendor `MPI_Bcast`: behaviour depends on [`LibQuality`].
@@ -1096,9 +1013,9 @@ mod tests {
             let clocks = w.run::<(), _, _>(move |mut c| {
                 let mut g = row_group(c.rank(), p);
                 let msg = if g.my_idx() == 0 { Some(()) } else { None };
-                let pending = g.ibcast_start(&mut c, 0, msg, bytes);
+                let req = g.ibcast(&mut c, 0, msg, bytes, BcastAlgo::IBcast);
                 let t_post = c.now();
-                g.ibcast_wait(&mut c, pending);
+                g.ibcast_join(&mut c, req);
                 t_post
             });
             clocks[0]
@@ -1226,8 +1143,8 @@ mod tests {
                         posted.push_back((i, g.ibcast(&mut c, root, mine, 1 << 12, algo)));
                     }
                     2 => {
-                        let pending = g.ibcast_start(&mut c, root, mine, 1 << 12);
-                        assert_eq!(g.ibcast_wait(&mut c, pending), i);
+                        let req = g.ibcast(&mut c, root, mine, 1 << 12, BcastAlgo::IBcast);
+                        assert_eq!(g.ibcast_join(&mut c, req).0, i);
                     }
                     3 => {
                         let sum = g.allreduce(&mut c, 1, 8, |a, b| a + b);

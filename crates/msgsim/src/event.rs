@@ -205,25 +205,9 @@ pub(crate) struct EventWorld<M> {
     agg: Mutex<AggStats>,
 }
 
-/// Compile-time probe switch: build with `HPLAI_EVENT_PROBE=1 cargo build`
-/// to print per-path cycle totals after each run. Zero cost when off.
-const PROBE: bool = option_env!("HPLAI_EVENT_PROBE").is_some();
-
-#[inline(always)]
-fn probe_cycles() -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    if PROBE {
-        return unsafe { core::arch::x86_64::_rdtsc() };
-    }
-    0
-}
-
 thread_local! {
     /// Which shard the current thread owns (`usize::MAX` off the workers).
     static WORKER_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    /// Probe accumulators (deliver cycles, obtain cycles).
-    static PROBE_DELIVER: Cell<u64> = const { Cell::new(0) };
-    static PROBE_OBTAIN: Cell<u64> = const { Cell::new(0) };
     /// Same-shard deliveries made from this worker (fibers included).
     static LOCAL_MSGS: Cell<u64> = const { Cell::new(0) };
     /// Cross-shard deliveries made from this worker.
@@ -365,7 +349,6 @@ impl<M: Send> EventWorld<M> {
     /// destination shares the sender's shard, through the destination
     /// shard's inbox (and condvar) otherwise.
     pub(crate) fn deliver(&self, dst: usize, env: Envelope<M>) {
-        let pc = probe_cycles();
         let shard = self.shard_of(dst);
         let li = dst - shard * self.chunk;
         if shard == WORKER_SHARD.get() {
@@ -382,9 +365,6 @@ impl<M: Send> EventWorld<M> {
             inbox.push((li, env));
             target.cv.notify_one();
         }
-        if PROBE {
-            PROBE_DELIVER.set(PROBE_DELIVER.get() + (probe_cycles() - pc));
-        }
     }
 
     /// Removes and returns the `(src, tag, seq)` envelope for `rank`,
@@ -396,12 +376,8 @@ impl<M: Send> EventWorld<M> {
         debug_assert_eq!(WORKER_SHARD.get(), shard, "obtain off-owner");
         loop {
             {
-                let pc = probe_cycles();
                 let rs = &mut unsafe { self.local_mut(shard) }.ranks[li];
                 if let Some(env) = rs.pending.take(src, tag, seq) {
-                    if PROBE {
-                        PROBE_OBTAIN.set(PROBE_OBTAIN.get() + (probe_cycles() - pc));
-                    }
                     return env;
                 }
                 rs.blocked = Some(Want {
@@ -619,15 +595,6 @@ fn shard_worker<M, T, F>(
         world.idle.fetch_sub(1, SeqCst);
         ws.idle_secs += t_idle.elapsed().as_secs_f64();
         drop(inbox);
-    }
-    if PROBE {
-        eprintln!(
-            "probe shard {shard}: deliver {:.2}e9 cyc, obtain {:.2}e9 cyc",
-            PROBE_DELIVER.get() as f64 / 1e9,
-            PROBE_OBTAIN.get() as f64 / 1e9,
-        );
-        PROBE_DELIVER.set(0);
-        PROBE_OBTAIN.set(0);
     }
     let mut agg = world.agg.lock().unwrap();
     agg.run_secs += ws.run_secs;

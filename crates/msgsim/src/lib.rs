@@ -59,7 +59,7 @@ mod hash;
 pub mod request;
 mod world;
 
-pub use collectives::{BcastAlgo, BcastInfo, BcastRequest, CollectiveTuning, PendingBcast};
+pub use collectives::{BcastAlgo, BcastInfo, BcastRequest, CollectiveTuning};
 pub use event::{last_event_stats, EventStats};
 pub use fault::{LinkFault, LinkScope};
 pub use group::Group;

@@ -230,9 +230,39 @@ fn run_reports_backend_provenance() {
     assert_eq!(out.perf.backend, Backend::EventTimed);
     assert_eq!(out.perf.simulated_ranks, 4);
     assert!(
-        out.perf.wall_vs_virtual_time > 0.0,
+        out.provenance.wall_vs_virtual_time > 0.0,
         "hosted runs must report their host cost"
     );
+}
+
+/// The report holds simulated quantities only: the event scheduler's
+/// shard count reaches the provenance, never the report's bytes.
+#[test]
+fn report_bytes_do_not_depend_on_the_shard_count() {
+    let grid = ProcessGrid::node_local(2, 2, 2, 2);
+    let base = RunConfig::timing(testbed(1, 4), grid, 2048, 256);
+    let hosted = |shards: usize| {
+        run(&base
+            .clone()
+            .backend(Backend::EventTimed)
+            .event_shards(shards)
+            .build()
+            .unwrap())
+    };
+    let (one, four) = (hosted(1), hosted(4));
+    assert_eq!(
+        serde_json::to_string(&one.perf).unwrap(),
+        serde_json::to_string(&four.perf).unwrap()
+    );
+    assert_eq!(
+        (one.provenance.event_shards, four.provenance.event_shards),
+        (1, 4)
+    );
+    for out in [&one, &four] {
+        assert!(out.provenance.wall_vs_virtual_time > 0.0);
+    }
+    let threads = run(&base.build().unwrap());
+    assert_eq!(threads.provenance.event_shards, 0);
 }
 
 /// Compares `actual` against the checked-in snapshot, or rewrites it when
@@ -258,8 +288,8 @@ fn assert_golden(actual: &str, name: &str) {
 /// The full Frontier extent — the fig8 9408-node × 8-GCD point — on the
 /// event backend, pinned against a golden performance report. One process,
 /// 75,264 rank fibers, 672 factorization iterations at the paper's
-/// B = 3072. The wall-clock column is zeroed before snapshotting (host
-/// timing is not deterministic); everything else is.
+/// B = 3072. The report holds simulated quantities only, so every byte
+/// of it is deterministic.
 ///
 /// The run is pinned to **4 shards**: the golden was produced by the
 /// serial scheduler, so passing here proves the parallel cross-shard
@@ -311,7 +341,7 @@ fn full_frontier_extent_matches_golden_report() {
     let wait = outs.iter().map(|r| r.4).fold(0.0, f64::max);
     let perf = PerfReport::new(n, grid.size(), runtime, factor_time, ir_time)
         .with_comm(bytes, wait)
-        .with_backend(Backend::EventTimed, grid.size(), 0.0);
+        .with_backend(Backend::EventTimed, grid.size());
     let json = serde_json::to_string_pretty(&perf).expect("serialize") + "\n";
     assert_golden(&json, "event_fig8_9408x8.json");
 }

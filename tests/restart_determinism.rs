@@ -14,9 +14,9 @@ use hplai_core::checkpoint::{latest_in, RunCheckpointer};
 use hplai_core::factor::{FactorConfig, FactorState, Fidelity};
 use hplai_core::trace::PhaseTotals;
 use hplai_core::{
-    adjust_n, run, run_with_series, snapshot_header, step_until_done, testbed, Backend,
-    CheckpointSpec, CommScope, ConfigError, ProcessGrid, RunConfig, RunOutcome, Series, Snapshot,
-    SnapshotError,
+    adjust_n, run, run_sequence, run_with_series, snapshot_header, step_until_done, testbed,
+    Backend, CheckpointSpec, CommScope, ConfigError, ProcessGrid, RunConfig, RunOutcome, Series,
+    Snapshot, SnapshotError,
 };
 use mxp_msgsim::BcastAlgo;
 use proptest::prelude::*;
@@ -101,7 +101,10 @@ fn assert_restart_bitwise(grid: ProcessGrid, algo: BcastAlgo, backend: Backend, 
         let tail: Vec<_> = fa.iter().filter(|r| r.k >= from_k).cloned().collect();
         assert_eq!(&tail, fb, "{label} rank {rank}: record tail");
     }
-    assert_eq!(resumed.perf.restart_count, 1, "{label}: restart provenance");
+    assert_eq!(
+        resumed.provenance.restart_count, 1,
+        "{label}: restart provenance"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -201,7 +204,10 @@ fn run_totals_fold_every_rank_series_bitwise() {
         let cfg = base.clone().build().unwrap();
         assert!(cfg.lookahead);
         let full = assert_totals_fold_the_series(&cfg, &label);
-        assert!(full.perf.checkpoint_bytes > 0, "{label}: no drain ran");
+        assert!(
+            full.provenance.checkpoint_bytes > 0,
+            "{label}: no drain ran"
+        );
 
         let snap = Snapshot::load(&latest_in(&dir, n / b / 2).unwrap()).unwrap();
         let resumed = base.restart_from(Arc::new(snap)).build().unwrap();
@@ -355,5 +361,61 @@ fn corrupt_and_truncated_snapshots_are_rejected() {
         matches!(other, Err(ConfigError::SnapshotMismatch { .. })),
         "a snapshot from another problem size must not build: {other:?}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `run_sequence` stretches each outcome's simulated clock, but every
+/// outcome keeps the nominal run's provenance unchanged: the same shards,
+/// checkpoint drains and host cost, not a report rebuilt from zeros.
+#[test]
+fn run_sequence_keeps_the_nominal_provenance() {
+    let grid = ProcessGrid::col_major(2, 2, 4);
+    let b = 16;
+    let n = adjust_n(128, &grid, b);
+    let mut sys = testbed(1, 4);
+    // A cold Summit sequence: the first run's clock is stretched.
+    sys.warmup = mxp_gpusim::thermal::WarmupProfile::Summit;
+    let dir = scratch_dir("sequence");
+    let cfg = RunConfig::functional(sys, grid, n, b)
+        .backend(Backend::EventTimed)
+        .event_shards(4)
+        .checkpoint(CheckpointSpec::new(&dir, 3))
+        .build()
+        .unwrap();
+    let single = run(&cfg).provenance;
+    assert!(single.checkpoint_bytes > 0, "no drain ran");
+    let seq = run_sequence(&cfg, 3, false);
+    assert_eq!(seq.len(), 3);
+    assert!(
+        seq[0].perf.runtime > seq[1].perf.runtime,
+        "no warm-up stretch"
+    );
+    let nominal = seq[0].provenance;
+    assert!(nominal.wall_vs_virtual_time > 0.0);
+    for (r, out) in seq.iter().enumerate() {
+        let p = out.provenance;
+        // Simulated drains and host layout match a single run's...
+        assert_eq!(p.simd_isa, single.simd_isa, "run {r}");
+        assert_eq!(p.event_shards, single.event_shards, "run {r}");
+        assert_eq!(p.checkpoint_bytes, single.checkpoint_bytes, "run {r}");
+        assert_eq!(
+            p.checkpoint_time.to_bits(),
+            single.checkpoint_time.to_bits(),
+            "run {r}"
+        );
+        assert_eq!(p.restart_count, single.restart_count, "run {r}");
+        // ...and the host timings are the nominal run's, copied unscaled.
+        assert_eq!(
+            p.wall_vs_virtual_time.to_bits(),
+            nominal.wall_vs_virtual_time.to_bits(),
+            "run {r}"
+        );
+        assert_eq!(
+            p.sched_overhead.to_bits(),
+            nominal.sched_overhead.to_bits(),
+            "run {r}"
+        );
+    }
+    assert_eq!(single.event_shards, 4);
     std::fs::remove_dir_all(&dir).ok();
 }

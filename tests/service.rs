@@ -8,8 +8,8 @@
 //! 2. **Concurrency determinism**: a mixed batch (seeds × algorithms ×
 //!    precisions × both backends) drained with `workers = 4` produces
 //!    bitwise the same per-job solutions, simulated clocks and event
-//!    signatures as `workers = 1`. Wall-clock provenance (latency,
-//!    `wall_vs_virtual_time`) is excluded by construction.
+//!    signatures as `workers = 1`. Wall-clock provenance (latency, the
+//!    run's `RunProvenance`) is outside every signature by construction.
 //! 3. **Event-log collision regression**: supervised jobs sharing one
 //!    output directory get uniquely-named per-job files whose every line
 //!    carries the right job id.
@@ -152,8 +152,8 @@ fn concurrent_drain_matches_sequential_bitwise() {
     for (c, s) in concurrent.jobs.iter().zip(&sequential.jobs) {
         assert_eq!(c.id, s.id);
         // The one-number check: the signature digests the tagged event
-        // log, solution bits, per-rank records and the host-timing-free
-        // performance report.
+        // log, solution bits, per-rank records and the performance
+        // report, which holds simulated quantities only.
         assert_eq!(
             c.signature(),
             s.signature(),
