@@ -4,7 +4,7 @@
 //! communication sensitivity exhibits.
 //!
 //! Small scales run the emergent thread-per-rank simulation (measured
-//! overlap from the non-blocking request layer); the full-machine rows use
+//! overlap from the split-phase broadcasts); the full-machine rows use
 //! the critical-path model (modeled overlap).
 
 use hplai_core::critical::{critical_time, CriticalConfig};

@@ -575,11 +575,11 @@ fn swap_rows_trailing(
     let cols: Vec<usize> = (0..local.n_loc_c)
         .filter(|&c| !(in_panel_col && c >= lc_panel && c < lc_panel + b))
         .collect();
-    let gather = |local: &LocalMat<f64>, g_row: usize| -> Vec<f64> {
+    let read_row = |local: &LocalMat<f64>, g_row: usize| -> Vec<f64> {
         let lr = local.row_of_block(g_row / b) + g_row % b;
         cols.iter().map(|&c| local.data[local.idx(lr, c)]).collect()
     };
-    let scatter = |local: &mut LocalMat<f64>, g_row: usize, v: &[f64]| {
+    let write_row = |local: &mut LocalMat<f64>, g_row: usize, v: &[f64]| {
         let lr = local.row_of_block(g_row / b) + g_row % b;
         for (&c, &val) in cols.iter().zip(v) {
             let off = local.idx(lr, c);
@@ -588,26 +588,26 @@ fn swap_rows_trailing(
     };
     if o1 == o2 {
         if my_r == o1 {
-            let a = gather(local, r1);
-            let bb = gather(local, r2);
-            scatter(local, r1, &bb);
-            scatter(local, r2, &a);
+            let a = read_row(local, r1);
+            let bb = read_row(local, r2);
+            write_row(local, r1, &bb);
+            write_row(local, r2, &a);
         }
         return;
     }
     let tag = tags.at(r1);
     if my_r == o1 {
-        let mine = gather(local, r1);
+        let mine = read_row(local, r1);
         let partner = grid.rank_of(o2, my_c);
         ctx.send_f64(partner, tag, mine);
         let got = ctx.recv_f64(partner, tag);
-        scatter(local, r1, &got);
+        write_row(local, r1, &got);
     } else {
-        let mine = gather(local, r2);
+        let mine = read_row(local, r2);
         let partner = grid.rank_of(o1, my_c);
         ctx.send_f64(partner, tag, mine);
         let got = ctx.recv_f64(partner, tag);
-        scatter(local, r2, &got);
+        write_row(local, r2, &got);
     }
 }
 

@@ -1013,7 +1013,7 @@ impl RankCtx {
                 ts,
                 busy: (self.comm.now() - ts) - info.waited,
                 waited: info.waited,
-                hidden: info.hidden,
+                hidden: 0.0,
                 bytes: info.bytes,
             });
         }

@@ -175,11 +175,6 @@ pub struct BcastRequest<M> {
 }
 
 impl<M> BcastRequest<M> {
-    /// Simulated time the broadcast was posted.
-    pub fn posted_at(&self) -> f64 {
-        self.posted_at
-    }
-
     /// `true` if this rank already holds the payload (no join work left
     /// beyond bookkeeping).
     pub fn is_resolved(&self) -> bool {
@@ -233,28 +228,10 @@ impl Group {
         if self.len() == 1 {
             req.resolved = Some(msg.expect("single-member broadcast needs the payload"));
         } else if self.my_idx() == root_idx {
-            match algo {
-                BcastAlgo::Lib => {
-                    req.resolved = Some(self.lib_bcast(comm, root_idx, msg, bytes, tag, 1.0));
-                }
-                BcastAlgo::IBcast => {
-                    let penalty = comm.spec().tuning.ibcast_penalty;
-                    if comm.spec().tuning.ibcast_async_progress {
-                        req.resolved =
-                            Some(self.lib_bcast(comm, root_idx, msg, bytes, tag, penalty));
-                    } else {
-                        req.deferred = msg;
-                    }
-                }
-                BcastAlgo::Ring1 => {
-                    req.resolved = Some(self.ring_bcast(comm, root_idx, msg, bytes, tag));
-                }
-                BcastAlgo::Ring1M => {
-                    req.resolved = Some(self.ring1m_bcast(comm, root_idx, msg, bytes, tag));
-                }
-                BcastAlgo::Ring2M => {
-                    req.resolved = Some(self.ring2m_bcast(comm, root_idx, msg, bytes, tag, tag2));
-                }
+            if algo == BcastAlgo::IBcast && !comm.spec().tuning.ibcast_async_progress {
+                req.deferred = msg;
+            } else {
+                req.resolved = Some(self.run_bcast(comm, &req, msg));
             }
         }
         if req.resolved.is_some() {
@@ -272,57 +249,77 @@ impl Group {
     pub fn ibcast_join<M: Clone + Default + Send + 'static>(
         &mut self,
         comm: &mut Comm<M>,
-        req: BcastRequest<M>,
+        mut req: BcastRequest<M>,
     ) -> (M, BcastInfo) {
-        if let Some(m) = req.resolved {
+        if let Some(m) = req.resolved.take() {
             return (m, BcastInfo::default());
         }
         let join_start = comm.now();
         let wait0 = comm.wait_total();
-        let is_root = self.my_idx() == req.root_idx;
-        let m = match req.algo {
-            BcastAlgo::Lib => {
-                self.lib_bcast(comm, req.root_idx, req.deferred, req.bytes, req.tag, 1.0)
-            }
-            BcastAlgo::IBcast => {
-                let penalty = comm.spec().tuning.ibcast_penalty;
-                self.lib_bcast(
-                    comm,
-                    req.root_idx,
-                    req.deferred,
-                    req.bytes,
-                    req.tag,
-                    penalty,
-                )
-            }
-            BcastAlgo::Ring1 => {
-                self.ring_bcast(comm, req.root_idx, req.deferred, req.bytes, req.tag)
-            }
-            BcastAlgo::Ring1M => {
-                self.ring1m_bcast(comm, req.root_idx, req.deferred, req.bytes, req.tag)
-            }
-            BcastAlgo::Ring2M => self.ring2m_bcast(
-                comm,
-                req.root_idx,
-                req.deferred,
-                req.bytes,
-                req.tag,
-                req.tag2,
-            ),
-        };
+        let deferred = req.deferred.take();
+        let m = self.run_bcast(comm, &req, deferred);
         comm.retire(req.tag);
         comm.retire(req.tag2);
         let waited = comm.wait_total() - wait0;
         // Overlap credit: the part of the flight time (post → last arrival)
         // this rank spent on its own work instead of idling. A deferred
         // root injects here without receiving, so it earns none.
-        let hidden = if is_root {
+        let hidden = if self.my_idx() == req.root_idx {
             0.0
         } else {
             (join_start.min(comm.last_arrive()) - req.posted_at).max(0.0)
         };
         comm.credit_hidden(hidden);
         (m, BcastInfo { waited, hidden })
+    }
+
+    /// Runs this rank's part of `req`'s algorithm on a group of two or
+    /// more members; `msg` is the root's payload (`None` elsewhere).
+    fn run_bcast<M: Clone + Default + Send + 'static>(
+        &mut self,
+        comm: &mut Comm<M>,
+        req: &BcastRequest<M>,
+        msg: Option<M>,
+    ) -> M {
+        let tuning = comm.spec().tuning;
+        let (g, bytes, tag) = (self.len(), req.bytes, req.tag);
+        let (chunks, chains) = match req.algo {
+            BcastAlgo::Lib => return self.lib_bcast(comm, req.root_idx, msg, bytes, tag, 1.0),
+            BcastAlgo::IBcast => {
+                let penalty = tuning.ibcast_penalty;
+                return self.lib_bcast(comm, req.root_idx, msg, bytes, tag, penalty);
+            }
+            BcastAlgo::Ring1 => (
+                tuning.chunks_for(bytes),
+                vec![Chain::new(1, g - 1, tag, bytes)],
+            ),
+            // Too small to split: one unchunked direct send.
+            BcastAlgo::Ring1M | BcastAlgo::Ring2M if g <= 2 => {
+                (1, vec![Chain::new(1, g - 1, tag, bytes)])
+            }
+            // Two half-chains, halving pipeline depth at the cost of
+            // doubling root injection.
+            BcastAlgo::Ring1M => {
+                let mid = g / 2 + 1;
+                let chains = vec![
+                    Chain::new(1, mid - 1, tag, bytes),
+                    Chain::new(mid, g - 1, tag, bytes),
+                ];
+                (tuning.chunks_for(bytes), chains)
+            }
+            // Half the message clockwise, half counter-clockwise, meeting
+            // in the middle: one message volume of root injection, depth
+            // ~g/2.
+            BcastAlgo::Ring2M => {
+                let half = bytes / 2;
+                let chains = vec![
+                    Chain::new(1, g / 2, tag, half),
+                    Chain::new(g - 1, g / 2 + 1, req.tag2, bytes - half),
+                ];
+                (tuning.chunks_for(half), chains)
+            }
+        };
+        self.chain_bcast(comm, req.root_idx, msg, chunks, &chains)
     }
 
     /// Vendor `MPI_Bcast`: behaviour depends on [`LibQuality`].
@@ -409,213 +406,60 @@ impl Group {
         }
     }
 
-    /// Single pipelined ring (Ring1): root → 1 → 2 → … → g-1.
-    fn ring_bcast<M: Clone + Default + Send + 'static>(
-        &mut self,
+    /// Runs pipelined chains of point-to-point sends from `root_idx`. For
+    /// each of `chunks` chunks the root sends to every chain's head, in
+    /// chain order; every other member receives each chunk from its
+    /// predecessor and forwards it to its successor. Chunk 0 carries the
+    /// payload, later chunks only their declared bytes.
+    ///
+    /// Kept out of line: inlined, its frame also sits under every library
+    /// broadcast's receive, where each fiber suspends, and the extra stack
+    /// pages touched cost `sim-summit` (6,912 fibers) ~3.6 MB of peak RSS.
+    #[inline(never)]
+    fn chain_bcast<M: Clone + Default + Send + 'static>(
+        &self,
         comm: &mut Comm<M>,
         root_idx: usize,
         msg: Option<M>,
-        bytes: u64,
-        tag: u64,
+        chunks: u32,
+        chains: &[Chain],
     ) -> M {
         let g = self.len();
-        if g == 1 {
-            return msg.expect("single-member broadcast needs the payload");
-        }
-        let chunks = comm.spec().tuning.chunks_for(bytes);
-        let chunk_bytes = split_bytes(bytes, chunks);
         let vr = (self.my_idx() + g - root_idx) % g;
         let to_world = |v: usize| self.member((v + root_idx) % g);
-        let mut held: Option<M> = if vr == 0 { msg } else { None };
-        for c in 0..chunks {
-            if vr > 0 {
-                let (m, _) = comm.recv_stream(to_world(vr - 1), tag);
-                if c == 0 {
-                    held = Some(m);
-                }
-            }
-            if vr + 1 < g {
-                let payload = if c == 0 {
-                    held.clone().expect("chunk 0 carries the payload")
-                } else {
-                    M::default()
-                };
-                comm.send_stream(to_world(vr + 1), tag, payload, chunk_bytes[c as usize]);
-            }
-        }
-        held.expect("ring must deliver the payload")
-    }
-
-    /// Modified ring (Ring1M): the root feeds two half-chains
-    /// (0→1→…→mid-1 and mid→mid+1→…→g-1), halving pipeline depth.
-    fn ring1m_bcast<M: Clone + Default + Send + 'static>(
-        &mut self,
-        comm: &mut Comm<M>,
-        root_idx: usize,
-        msg: Option<M>,
-        bytes: u64,
-        tag: u64,
-    ) -> M {
-        let g = self.len();
-        if g <= 2 {
-            return self.basic_chain(comm, root_idx, msg, bytes, tag);
-        }
-        let chunks = comm.spec().tuning.chunks_for(bytes);
-        let chunk_bytes = split_bytes(bytes, chunks);
-        let mid = g / 2 + 1; // first member of the second chain (relative)
-        let vr = (self.my_idx() + g - root_idx) % g;
-        let to_world = |v: usize| self.member((v + root_idx) % g);
-        let mut held: Option<M> = if vr == 0 { msg } else { None };
-        for c in 0..chunks {
-            let payload_of = |held: &Option<M>, c: u32| {
-                if c == 0 {
-                    held.clone().expect("chunk 0 carries the payload")
-                } else {
-                    M::default()
-                }
-            };
-            if vr == 0 {
-                // Root feeds both chains.
-                comm.send_stream(
-                    to_world(1),
-                    tag,
-                    payload_of(&held, c),
-                    chunk_bytes[c as usize],
-                );
-                comm.send_stream(
-                    to_world(mid),
-                    tag,
-                    payload_of(&held, c),
-                    chunk_bytes[c as usize],
-                );
+        let payload = |held: &Option<M>, c: u32| {
+            if c == 0 {
+                held.clone().expect("chunk 0 carries the payload")
             } else {
-                let src = if vr == mid { 0 } else { vr - 1 };
-                let (m, _) = comm.recv_stream(to_world(src), tag);
-                if c == 0 {
-                    held = Some(m);
-                }
-                let next = vr + 1;
-                let is_chain_end = next == mid || next == g;
-                if !is_chain_end {
-                    comm.send_stream(
-                        to_world(next),
-                        tag,
-                        payload_of(&held, c),
-                        chunk_bytes[c as usize],
-                    );
+                M::default()
+            }
+        };
+        if vr == 0 {
+            for c in 0..chunks {
+                for ch in chains {
+                    let bytes = ch.chunk_bytes(c, chunks);
+                    comm.send_stream(to_world(ch.first), ch.tag, payload(&msg, c), bytes);
                 }
             }
+            return msg.expect("root must supply the payload");
         }
-        held.expect("ring1m must deliver the payload")
-    }
-
-    /// Modified double ring (Ring2M): the message is halved; one half
-    /// pipelines clockwise (0→1→…), the other counter-clockwise
-    /// (0→g-1→…); the two halves meet in the middle. Root injection is one
-    /// message volume total, depth is ~g/2.
-    fn ring2m_bcast<M: Clone + Default + Send + 'static>(
-        &mut self,
-        comm: &mut Comm<M>,
-        root_idx: usize,
-        msg: Option<M>,
-        bytes: u64,
-        tag_cw: u64,
-        tag_ccw: u64,
-    ) -> M {
-        let g = self.len();
-        if g <= 2 {
-            return self.basic_chain(comm, root_idx, msg, bytes, tag_cw);
-        }
-        let half = bytes / 2;
-        let chunks = comm.spec().tuning.chunks_for(half);
-        let cw_bytes = split_bytes(half, chunks);
-        let ccw_bytes = split_bytes(bytes - half, chunks);
-        let vr = (self.my_idx() + g - root_idx) % g;
-        let to_world = |v: usize| self.member((v + root_idx) % g);
-        // Clockwise chain covers relative 1..=cw_last; counter-clockwise
-        // covers g-1 down to cw_last+1.
-        let cw_last = g / 2;
-        let mut held: Option<M> = if vr == 0 { msg } else { None };
+        let ch = chains
+            .iter()
+            .find(|ch| ch.contains(vr))
+            .expect("every member is on one chain");
+        let (prev, next) = ch.neighbours(vr);
+        let mut held = None;
         for c in 0..chunks {
-            let payload_of = |held: &Option<M>, c: u32| {
-                if c == 0 {
-                    held.clone().expect("chunk 0 carries the payload")
-                } else {
-                    M::default()
-                }
-            };
-            if vr == 0 {
-                comm.send_stream(
-                    to_world(1),
-                    tag_cw,
-                    payload_of(&held, c),
-                    cw_bytes[c as usize],
-                );
-                comm.send_stream(
-                    to_world(g - 1),
-                    tag_ccw,
-                    payload_of(&held, c),
-                    ccw_bytes[c as usize],
-                );
-            } else if vr <= cw_last {
-                // Clockwise participant.
-                let (m, _) = comm.recv_stream(to_world(vr - 1), tag_cw);
-                if c == 0 {
-                    held = Some(m);
-                }
-                if vr < cw_last {
-                    comm.send_stream(
-                        to_world(vr + 1),
-                        tag_cw,
-                        payload_of(&held, c),
-                        cw_bytes[c as usize],
-                    );
-                }
-            } else {
-                // Counter-clockwise participant (vr in cw_last+1 .. g-1).
-                let src = if vr == g - 1 { 0 } else { vr + 1 };
-                let (m, _) = comm.recv_stream(to_world(src), tag_ccw);
-                if c == 0 {
-                    held = Some(m);
-                }
-                if vr > cw_last + 1 {
-                    comm.send_stream(
-                        to_world(vr - 1),
-                        tag_ccw,
-                        payload_of(&held, c),
-                        ccw_bytes[c as usize],
-                    );
-                }
+            let (m, _) = comm.recv_stream(to_world(prev), ch.tag);
+            if c == 0 {
+                held = Some(m);
+            }
+            if let Some(next) = next {
+                let bytes = ch.chunk_bytes(c, chunks);
+                comm.send_stream(to_world(next), ch.tag, payload(&held, c), bytes);
             }
         }
-        held.expect("ring2m must deliver the payload")
-    }
-
-    /// Trivial chain for degenerate group sizes.
-    fn basic_chain<M: Clone + Default + Send + 'static>(
-        &mut self,
-        comm: &mut Comm<M>,
-        root_idx: usize,
-        msg: Option<M>,
-        bytes: u64,
-        tag: u64,
-    ) -> M {
-        let g = self.len();
-        if g == 1 {
-            return msg.expect("single-member broadcast needs the payload");
-        }
-        if self.my_idx() == root_idx {
-            let m = msg.expect("root must supply the payload");
-            for idx in 0..g {
-                if idx != root_idx {
-                    comm.send_stream(self.member(idx), tag, m.clone(), bytes);
-                }
-            }
-            m
-        } else {
-            let (m, _) = comm.recv_stream(self.member(root_idx), tag);
-            m
-        }
+        held.expect("chain must deliver the payload")
     }
 
     /// All-reduce over the group: combine everyone's `msg` with `combine`
@@ -626,28 +470,10 @@ impl Group {
         M: Clone + Default + Send + 'static,
         F: Fn(M, M) -> M,
     {
-        let g = self.len();
+        let reduced = self.reduce(comm, msg, bytes, combine);
         let tag = self.next_tag();
-        let vr = self.my_idx();
-        let mut acc = msg;
-        if g > 1 {
-            let mut mask = 1usize;
-            while mask < g {
-                if vr & mask != 0 {
-                    comm.send_stream(self.member(vr - mask), tag, acc.clone(), bytes);
-                    break;
-                } else if vr + mask < g {
-                    let (m, _) = comm.recv_stream(self.member(vr + mask), tag);
-                    acc = combine(acc, m);
-                }
-                mask <<= 1;
-            }
-        }
-        let bcast_tag = self.next_tag();
-        let payload = if vr == 0 { Some(acc) } else { None };
-        let total = self.lib_bcast(comm, 0, payload, bytes, bcast_tag, 1.0);
+        let total = self.lib_bcast(comm, 0, reduced, bytes, tag, 1.0);
         comm.retire(tag);
-        comm.retire(bcast_tag);
         total
     }
 
@@ -662,121 +488,31 @@ impl Group {
         *buf = self.allreduce(comm, msg, bytes, combine);
     }
 
-    /// Gathers one message from every member at `root_idx` (returned in
-    /// group order there; `None` elsewhere).
-    pub fn gather<M: Clone + Default + Send + 'static>(
-        &mut self,
-        comm: &mut Comm<M>,
-        root_idx: usize,
-        msg: M,
-        bytes: u64,
-    ) -> Option<Vec<M>> {
-        let g = self.len();
-        let tag = self.next_tag();
-        let out = if self.my_idx() == root_idx {
-            let mut out: Vec<Option<M>> = (0..g).map(|_| None).collect();
-            out[root_idx] = Some(msg);
-            for (idx, slot) in out.iter_mut().enumerate() {
-                if idx != root_idx {
-                    let (m, _) = comm.recv_stream(self.member(idx), tag);
-                    *slot = Some(m);
-                }
-            }
-            Some(out.into_iter().map(|m| m.unwrap()).collect())
-        } else {
-            comm.send_stream(self.member(root_idx), tag, msg, bytes);
-            None
-        };
-        comm.retire(tag);
-        out
-    }
-
-    /// Scatters one message per member from `root_idx`; returns this
-    /// member's piece.
-    pub fn scatter<M: Clone + Default + Send + 'static>(
-        &mut self,
-        comm: &mut Comm<M>,
-        root_idx: usize,
-        pieces: Option<Vec<M>>,
-        bytes_each: u64,
-    ) -> M {
-        let g = self.len();
-        let tag = self.next_tag();
-        let mine = if self.my_idx() == root_idx {
-            let pieces = pieces.expect("root must supply the pieces");
-            assert_eq!(pieces.len(), g, "one piece per member");
-            let mut mine = None;
-            for (idx, piece) in pieces.into_iter().enumerate() {
-                if idx == root_idx {
-                    mine = Some(piece);
-                } else {
-                    comm.send_stream(self.member(idx), tag, piece, bytes_each);
-                }
-            }
-            mine.expect("root keeps its own piece")
-        } else {
-            comm.recv_stream(self.member(root_idx), tag).0
-        };
-        comm.retire(tag);
-        mine
-    }
-
-    /// Reduction to `root_idx` (binomial fan-in); returns the combined
-    /// value at the root, `None` elsewhere.
-    pub fn reduce<M, F>(
-        &mut self,
-        comm: &mut Comm<M>,
-        root_idx: usize,
-        msg: M,
-        bytes: u64,
-        combine: F,
-    ) -> Option<M>
+    /// Reduction to member 0 (binomial fan-in); returns the combined value
+    /// there, `None` elsewhere.
+    fn reduce<M, F>(&mut self, comm: &mut Comm<M>, msg: M, bytes: u64, combine: F) -> Option<M>
     where
         M: Clone + Default + Send + 'static,
         F: Fn(M, M) -> M,
     {
         let g = self.len();
         let tag = self.next_tag();
-        let vr = (self.my_idx() + g - root_idx) % g;
-        let to_world = |v: usize| self.member((v + root_idx) % g);
+        let vr = self.my_idx();
         let mut acc = Some(msg);
         let mut mask = 1usize;
         while mask < g {
             if vr & mask != 0 {
                 let partial = acc.take().expect("a sender leaves the fan-in");
-                comm.send_stream(to_world(vr - mask), tag, partial, bytes);
+                comm.send_stream(self.member(vr - mask), tag, partial, bytes);
                 break;
             } else if vr + mask < g {
-                let (m, _) = comm.recv_stream(to_world(vr + mask), tag);
+                let (m, _) = comm.recv_stream(self.member(vr + mask), tag);
                 acc = acc.map(|a| combine(a, m));
             }
             mask <<= 1;
         }
         comm.retire(tag);
         acc
-    }
-
-    /// All-gather: every member contributes `msg` and receives everyone's
-    /// contributions in group order (gather to member 0 + library
-    /// broadcast of the assembled vector).
-    pub fn allgather<M: Clone + Default + Send + 'static>(
-        &mut self,
-        comm: &mut Comm<M>,
-        msg: M,
-        bytes: u64,
-    ) -> Vec<M> {
-        let g = self.len();
-        let gathered = self.gather(comm, 0, msg, bytes);
-        // Ship the assembled result back out one slot at a time (slot i is
-        // a separate library broadcast so M needs no container variant).
-        let mut out = Vec::with_capacity(g);
-        for i in 0..g {
-            let tag = self.next_tag();
-            let payload = gathered.as_ref().map(|v| v[i].clone());
-            out.push(self.lib_bcast(comm, 0, payload, bytes, tag, 1.0));
-            comm.retire(tag);
-        }
-        out
     }
 
     /// Dissemination barrier.
@@ -819,12 +555,48 @@ impl Group {
     }
 }
 
-fn split_bytes(total: u64, chunks: u32) -> Vec<u64> {
-    let base = total / chunks as u64;
-    let rem = total % chunks as u64;
-    (0..chunks as u64)
-        .map(|c| base + if c < rem { 1 } else { 0 })
-        .collect()
+/// One pipelined chain of a ring broadcast, over ranks relative to the
+/// root (which is 0 and on no chain): the root feeds `first`, and each
+/// member forwards one step towards `last`, on either side of `first`.
+struct Chain {
+    first: usize,
+    last: usize,
+    tag: u64,
+    /// Bytes the chain carries in total.
+    bytes: u64,
+}
+
+impl Chain {
+    fn new(first: usize, last: usize, tag: u64, bytes: u64) -> Self {
+        Chain {
+            first,
+            last,
+            tag,
+            bytes,
+        }
+    }
+
+    fn contains(&self, vr: usize) -> bool {
+        (self.first.min(self.last)..=self.first.max(self.last)).contains(&vr)
+    }
+
+    /// The relative ranks member `vr` receives from and forwards to.
+    fn neighbours(&self, vr: usize) -> (usize, Option<usize>) {
+        let (behind, ahead) = if self.first <= self.last {
+            (vr - 1, vr + 1)
+        } else {
+            (vr + 1, vr - 1)
+        };
+        let prev = if vr == self.first { 0 } else { behind };
+        (prev, (vr != self.last).then_some(ahead))
+    }
+
+    /// Size of chunk `c` of `chunks`: the bytes split evenly, the first
+    /// `bytes % chunks` chunks one byte larger.
+    fn chunk_bytes(&self, c: u32, chunks: u32) -> u64 {
+        let chunks = u64::from(chunks);
+        self.bytes / chunks + u64::from(u64::from(c) < self.bytes % chunks)
+    }
 }
 
 /// Closed-form broadcast completion estimate, used by the critical-path
@@ -1133,13 +905,13 @@ mod tests {
             for i in 0..ops {
                 let root = (i % p as u64) as usize;
                 let mine = (me == root).then_some(i);
-                match i % 10 {
+                match i % 6 {
                     0 => {
-                        let algo = BcastAlgo::ALL[(i / 10 % 5) as usize];
+                        let algo = BcastAlgo::ALL[(i / 6 % 5) as usize];
                         assert_eq!(g.bcast(&mut c, root, mine, 1 << 12, algo), i);
                     }
                     1 => {
-                        let algo = BcastAlgo::ALL[(i / 10 % 5) as usize];
+                        let algo = BcastAlgo::ALL[(i / 6 % 5) as usize];
                         posted.push_back((i, g.ibcast(&mut c, root, mine, 1 << 12, algo)));
                     }
                     2 => {
@@ -1151,18 +923,9 @@ mod tests {
                         assert_eq!(sum, p as u64);
                     }
                     4 => {
-                        let all = g.gather(&mut c, root, me as u64, 8);
-                        assert_eq!(all.is_some(), me == root);
+                        let sum = g.reduce(&mut c, 1, 8, |a, b| a + b);
+                        assert_eq!(sum, (me == 0).then_some(p as u64));
                     }
-                    5 => {
-                        let pieces = (me == root).then(|| (0..p as u64).collect());
-                        assert_eq!(g.scatter(&mut c, root, pieces, 8), me as u64);
-                    }
-                    6 => {
-                        let sum = g.reduce(&mut c, root, 1, 8, |a, b| a + b);
-                        assert_eq!(sum, (me == root).then_some(p as u64));
-                    }
-                    7 => assert_eq!(g.allgather(&mut c, me as u64, 8), vec![0, 1, 2, 3]),
                     _ => g.barrier(&mut c),
                 }
                 // Split-phase broadcasts stay in flight across the next

@@ -119,16 +119,6 @@ impl<M> PendingSet<M> {
             PendingSet::Indexed(map) => map.remove(&(src, tag, seq)),
         }
     }
-
-    fn peek_arrive(&self, src: usize, tag: u64, seq: u64) -> Option<f64> {
-        match self {
-            PendingSet::Flat(buf) => buf
-                .iter()
-                .find(|e| e.seq == seq && e.src == src && e.tag == tag)
-                .map(|e| e.arrive),
-            PendingSet::Indexed(map) => map.get(&(src, tag, seq)).map(|e| e.arrive),
-        }
-    }
 }
 
 /// Scheduling record of one rank. Every delivery touches both the mailbox
@@ -390,18 +380,6 @@ impl<M: Send> EventWorld<M> {
             // (same thread, below this frame) is free to mutate it.
             fiber_yield();
         }
-    }
-
-    /// Arrival timestamp of the `(src, tag, seq)` envelope if it has been
-    /// delivered to `rank` and not yet claimed. Advisory (see
-    /// `Comm::test_recv`): never blocks, never consumes.
-    pub(crate) fn peek_arrive(&self, rank: usize, src: usize, tag: u64, seq: u64) -> Option<f64> {
-        let shard = self.shard_of(rank);
-        let li = rank - shard * self.chunk;
-        debug_assert_eq!(WORKER_SHARD.get(), shard, "peek off-owner");
-        unsafe { self.local_mut(shard) }.ranks[li]
-            .pending
-            .peek_arrive(src, tag, seq)
     }
 }
 
@@ -740,7 +718,7 @@ mod tests {
     }
 
     /// `PendingSet` against a plain `Vec` searched by exact key: random
-    /// insert / take / peek sequences that fill past [`SPILL_DEPTH`] and
+    /// insert / take sequences that fill past [`SPILL_DEPTH`] and
     /// drain back, over long-lived multi-envelope streams (taken out of
     /// `seq` order) and one-shot collective streams, plus probes for keys
     /// that were never delivered or already taken.
@@ -793,16 +771,13 @@ mod tests {
                         (rng.below(6), rng.below(3) as u64, rng.below(400) as u64)
                     };
                     let pos = model.iter().position(|e| (e.src, e.tag, e.seq) == key);
-                    let (src, tag, seq) = key;
-                    if roll.is_multiple_of(2) {
-                        let want = pos.map(|i| model.remove(i));
-                        let got = set.take(src, tag, seq);
-                        assert_eq!(got.as_ref().map(view), want.as_ref().map(view));
-                    } else {
-                        let want = pos.map(|i| model[i].arrive.to_bits());
-                        let got = set.peek_arrive(src, tag, seq).map(f64::to_bits);
-                        assert_eq!(got, want, "seed {seed}: peek {key:?}");
-                    }
+                    let want = pos.map(|i| model.remove(i));
+                    let got = set.take(key.0, key.1, key.2);
+                    assert_eq!(
+                        got.as_ref().map(view),
+                        want.as_ref().map(view),
+                        "seed {seed}: take {key:?}"
+                    );
                 }
             }
             assert!(spilled, "seed {seed}: never crossed SPILL_DEPTH");

@@ -42,11 +42,13 @@
 //! assert!(results.iter().all(|(v, t)| v == &vec![7u8; 16] && *t > 0.0));
 //! ```
 //!
-//! [`collectives`] implements the paper's §IV-B communicator choices —
-//! library broadcast (binomial and pipelined), non-blocking broadcast with
-//! per-vendor progress semantics, and the Ring1 / Ring1M / Ring2M
-//! point-to-point rings — plus reductions and barriers built from the same
-//! primitives.
+//! Point-to-point traffic is blocking. [`collectives`] implements the
+//! paper's §IV-B communicator choices — library broadcast (binomial and
+//! pipelined), non-blocking broadcast with per-vendor progress semantics
+//! (split-phase [`Group::ibcast`] / [`Group::ibcast_join`], the one
+//! non-blocking operation), and the Ring1 / Ring1M / Ring2M rings, which
+//! one loop runs as pipelined chains of point-to-point sends — plus an
+//! all-reduce and a barrier built from the same primitives.
 
 #![deny(missing_docs)]
 
@@ -56,12 +58,10 @@ pub mod fault;
 pub mod fiber;
 mod group;
 mod hash;
-pub mod request;
 mod world;
 
 pub use collectives::{BcastAlgo, BcastInfo, BcastRequest, CollectiveTuning};
 pub use event::{last_event_stats, EventStats};
 pub use fault::{LinkFault, LinkScope};
 pub use group::Group;
-pub use request::{RecvRequest, SendRequest};
 pub use world::{Comm, RecvInfo, WorldSpec};

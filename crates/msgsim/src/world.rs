@@ -9,7 +9,6 @@ use crate::event::EventWorld;
 use crate::fault::{fault_effect, LinkFault};
 use crate::group::COLLECTIVE_TAG;
 use crate::hash::FxHashMap;
-use crate::request::{RecvRequest, SendRequest};
 
 /// Description of a job: how many ranks, where each lives, and how the
 /// network behaves. Analogous to `mpirun` plus the machine file.
@@ -137,9 +136,9 @@ pub(crate) struct Envelope<M> {
     /// generation-stamped tag from `Group::next_tag`.
     pub(crate) tag: u64,
     /// Position in the per-(src, dst, tag) message stream, assigned by the
-    /// sender. Receives match on it so that out-of-order waits still pair
-    /// the `i`-th posted receive with the `i`-th sent message (MPI's
-    /// non-overtaking rule).
+    /// sender. Receives match on it, so the `i`-th receive of a stream
+    /// gets its `i`-th message whatever order the transport delivers
+    /// envelopes in (MPI's non-overtaking rule).
     pub(crate) seq: u64,
     pub(crate) arrive: f64,
     pub(crate) bytes: u64,
@@ -156,10 +155,6 @@ pub struct RecvInfo {
     pub bytes: u64,
     /// Simulated arrival timestamp of the message.
     pub arrived_at: f64,
-    /// Simulated seconds of the transfer's flight time covered by local
-    /// work between post and wait (0 for blocking receives) — the honest
-    /// measure of communication/computation overlap.
-    pub hidden: f64,
 }
 
 /// The transport behind a [`Comm`]: crossbeam channels between rank
@@ -226,13 +221,9 @@ pub struct Comm<M> {
     pending: Vec<Envelope<M>>,
     /// Next sequence number per outgoing `(dst, tag)` stream.
     send_seq: StreamSeqs,
-    /// Next sequence number per posted-receive `(src, tag)` stream.
+    /// Next sequence number per incoming `(src, tag)` stream.
     recv_seq: StreamSeqs,
     clock: f64,
-    /// Time the NIC finishes serializing the last posted (non-blocking)
-    /// injection — back-to-back `isend`s queue here instead of magically
-    /// parallelizing.
-    nic_free: f64,
     wait_total: f64,
     hidden_total: f64,
     last_arrive: f64,
@@ -250,7 +241,6 @@ impl<M: Send + 'static> Comm<M> {
             send_seq: StreamSeqs::default(),
             recv_seq: StreamSeqs::default(),
             clock: 0.0,
-            nic_free: 0.0,
             wait_total: 0.0,
             hidden_total: 0.0,
             last_arrive: 0.0,
@@ -312,21 +302,6 @@ impl<M: Send + 'static> Comm<M> {
         }
     }
 
-    /// Moves every envelope the thread transport has already produced into
-    /// the local pending buffer, without blocking. A no-op on the event
-    /// transport, whose mailboxes are queried in place.
-    fn drain_available(&mut self) {
-        let Comm {
-            endpoint, pending, ..
-        } = self;
-        if let Endpoint::Thread { inbox, .. } = endpoint {
-            let inbox = inbox.lock().expect("only this rank locks its inbox");
-            while let Ok(env) = inbox.try_recv() {
-                pending.push(env);
-            }
-        }
-    }
-
     /// Deletes the sequence counters of a finished collective's stream
     /// tag, in both directions. Sound because a collective tag is never
     /// reused within a run (`Group::next_tag` stamps the wrap generation
@@ -357,13 +332,13 @@ impl<M: Send + 'static> Comm<M> {
 
     /// Physical location of a rank.
     #[inline]
-    pub fn loc_of(&self, rank: usize) -> GcdLoc {
+    pub(crate) fn loc_of(&self, rank: usize) -> GcdLoc {
         self.spec.locs[rank]
     }
 
     /// The job description this rank runs under.
     #[inline]
-    pub fn spec(&self) -> &WorldSpec {
+    pub(crate) fn spec(&self) -> &WorldSpec {
         &self.spec
     }
 
@@ -390,8 +365,8 @@ impl<M: Send + 'static> Comm<M> {
     }
 
     /// Accumulated overlap-hidden time: transfer flight time covered by
-    /// local work between a request's post and its wait (§IV-B look-ahead
-    /// earns its keep here).
+    /// local work between a split-phase broadcast's post and its join
+    /// (§IV-B look-ahead earns its keep here).
     #[inline]
     pub fn hidden_total(&self) -> f64 {
         self.hidden_total
@@ -401,7 +376,7 @@ impl<M: Send + 'static> Comm<M> {
     /// any receive). Split-phase collectives use this to bound how much of
     /// a deferred transfer was really in flight.
     #[inline]
-    pub fn last_arrive(&self) -> f64 {
+    pub(crate) fn last_arrive(&self) -> f64 {
         self.last_arrive
     }
 
@@ -424,152 +399,26 @@ impl<M: Send + 'static> Comm<M> {
         self.clock += dt;
     }
 
-    /// Sends `msg` (declared size `bytes`) to `dst` with an explicit
-    /// sharers hint. Non-blocking in real time; in simulated time the
-    /// sender is busy for the software overhead plus injection
+    /// Sends `msg` (declared size `bytes`) to `dst` with the
+    /// communicator's sharers hint. Non-blocking in real time; in simulated
+    /// time the sender is busy for the software overhead plus injection
     /// serialization.
-    pub fn send_with(&mut self, dst: usize, tag: u32, msg: M, bytes: u64, sharers: u32) {
-        self.send_stream_with(dst, tag.into(), msg, bytes, sharers);
-    }
-
-    /// [`send_with`](Self::send_with) on a 64-bit stream tag.
-    fn send_stream_with(&mut self, dst: usize, tag: u64, msg: M, bytes: u64, sharers: u32) {
-        let cost = self
-            .spec
-            .net
-            .p2p(self.spec.locs[self.rank], self.spec.locs[dst], sharers);
-        let (extra_lat, bw_div) = fault_effect(&self.spec.faults, self.rank, dst, self.clock);
-        self.clock += self.spec.send_overhead + bytes as f64 * cost.sec_per_byte * bw_div;
-        self.nic_free = self.nic_free.max(self.clock);
-        self.bytes_sent += bytes;
-        let arrive = self.clock + cost.latency + extra_lat;
-        self.post(dst, tag, arrive, bytes, msg);
-    }
-
-    /// Sends with the communicator's default sharers hint.
     pub fn send(&mut self, dst: usize, tag: u32, msg: M, bytes: u64) {
-        self.send_with(dst, tag, msg, bytes, self.default_sharers);
+        self.send_stream(dst, tag.into(), msg, bytes);
     }
 
     /// [`send`](Self::send) on a collective's 64-bit stream tag.
     pub(crate) fn send_stream(&mut self, dst: usize, tag: u64, msg: M, bytes: u64) {
-        self.send_stream_with(dst, tag, msg, bytes, self.default_sharers);
-    }
-
-    /// Posts a non-blocking send with an explicit sharers hint. The CPU is
-    /// busy only for the software overhead; the NIC serializes the payload
-    /// asynchronously starting when it is free (injections queue), and the
-    /// request completes locally when serialization finishes.
-    pub fn isend_with(
-        &mut self,
-        dst: usize,
-        tag: u32,
-        msg: M,
-        bytes: u64,
-        sharers: u32,
-    ) -> SendRequest {
-        let cost = self
-            .spec
-            .net
-            .p2p(self.spec.locs[self.rank], self.spec.locs[dst], sharers);
+        let cost = self.spec.net.p2p(
+            self.spec.locs[self.rank],
+            self.spec.locs[dst],
+            self.default_sharers,
+        );
         let (extra_lat, bw_div) = fault_effect(&self.spec.faults, self.rank, dst, self.clock);
-        let posted_at = self.clock;
-        self.clock += self.spec.send_overhead;
-        let start = self.clock.max(self.nic_free);
-        self.nic_free = start + bytes as f64 * cost.sec_per_byte * bw_div;
+        self.clock += self.spec.send_overhead + bytes as f64 * cost.sec_per_byte * bw_div;
         self.bytes_sent += bytes;
-        let arrive = self.nic_free + cost.latency + extra_lat;
-        self.post(dst, tag.into(), arrive, bytes, msg);
-        SendRequest {
-            posted_at,
-            complete_at: self.nic_free,
-        }
-    }
-
-    /// Posts a non-blocking send with the default sharers hint.
-    pub fn isend(&mut self, dst: usize, tag: u32, msg: M, bytes: u64) -> SendRequest {
-        self.isend_with(dst, tag, msg, bytes, self.default_sharers)
-    }
-
-    /// `true` once a posted send has completed locally (NIC done) by the
-    /// current simulated time. Never advances the clock.
-    pub fn test_send(&self, req: &SendRequest) -> bool {
-        req.complete_at <= self.clock
-    }
-
-    /// Completes a posted send: idles until the NIC has finished
-    /// serializing (no-op if local work already covered it, in which case
-    /// the injection time counts as hidden).
-    pub fn wait_send(&mut self, req: SendRequest) {
-        let injection = (req.complete_at - req.posted_at).max(0.0);
-        let hidden = (self.clock - req.posted_at).clamp(0.0, injection);
-        self.hidden_total += hidden;
-        let waited = (req.complete_at - self.clock).max(0.0);
-        self.wait_total += waited;
-        self.clock = self.clock.max(req.complete_at);
-    }
-
-    /// Completes every posted send in order.
-    pub fn waitall_send(&mut self, reqs: Vec<SendRequest>) {
-        for req in reqs {
-            self.wait_send(req);
-        }
-    }
-
-    /// Posts a non-blocking receive for `(src, tag)`. Free at post time;
-    /// completion is charged by [`wait_recv`](Self::wait_recv) at
-    /// `max(post_time, arrival_time)`.
-    ///
-    /// Requests posted for the same `(src, tag)` match the sender's
-    /// message stream *in post order*, regardless of the order their waits
-    /// later run in — the `i`-th post always pairs with the `i`-th send,
-    /// so out-of-order waits cannot steal an earlier message or produce
-    /// non-FIFO completion clocks.
-    pub fn irecv(&mut self, src: usize, tag: u32) -> RecvRequest {
-        self.irecv_stream(src, tag.into())
-    }
-
-    /// [`irecv`](Self::irecv) on a 64-bit stream tag.
-    fn irecv_stream(&mut self, src: usize, tag: u64) -> RecvRequest {
-        RecvRequest {
-            src,
-            tag,
-            seq: self.recv_seq.next(src, tag),
-            posted_at: self.clock,
-        }
-    }
-
-    /// `true` once the message matching the posted receive has arrived by
-    /// the current simulated time. Never advances the clock or consumes
-    /// the message. Advisory: a `false` can race a sender thread that has
-    /// not executed yet in real time — deterministic control flow must
-    /// come from `wait_recv`, not from polling.
-    pub fn test_recv(&mut self, req: &RecvRequest) -> bool {
-        if let Endpoint::Event(world) = &self.endpoint {
-            return world
-                .peek_arrive(self.rank, req.src, req.tag, req.seq)
-                .is_some_and(|arrive| arrive <= self.clock);
-        }
-        self.drain_available();
-        self.pending.iter().any(|e| {
-            e.src == req.src && e.tag == req.tag && e.seq == req.seq && e.arrive <= self.clock
-        })
-    }
-
-    /// Completes a posted receive: blocks (in simulated time, only until
-    /// the arrival timestamp) for its stream-matched message. The flight
-    /// time covered by local work since the post is reported as
-    /// [`RecvInfo::hidden`].
-    pub fn wait_recv(&mut self, req: RecvRequest) -> (M, RecvInfo) {
-        let env = self.obtain(req.src, req.tag, req.seq);
-        let info = self.accept_posted(env.arrive, env.bytes, req.posted_at);
-        (env.msg, info)
-    }
-
-    /// Completes every posted receive, in post order, returning the
-    /// payloads and infos in the same order.
-    pub fn waitall_recv(&mut self, reqs: Vec<RecvRequest>) -> Vec<(M, RecvInfo)> {
-        reqs.into_iter().map(|r| self.wait_recv(r)).collect()
+        let arrive = self.clock + cost.latency + extra_lat;
+        self.post(dst, tag, arrive, bytes, msg);
     }
 
     /// Low-level send with explicitly modeled costs: the sender is busy for
@@ -596,7 +445,6 @@ impl<M: Send + 'static> Comm<M> {
         // its busy time scales with the bandwidth derating and its
         // delivery with the latency spike.
         self.clock += busy * bw_div;
-        self.nic_free = self.nic_free.max(self.clock);
         self.bytes_sent += bytes;
         let arrive = self.clock + cost.latency + extra_delay + extra_lat;
         self.post(dst, tag, arrive, bytes, msg);
@@ -604,17 +452,17 @@ impl<M: Send + 'static> Comm<M> {
 
     /// Receives the next message from `src` with tag `tag`, blocking until
     /// it is available. Messages from the same source with the same tag are
-    /// delivered in send order. Equivalent to an immediately-waited
-    /// [`irecv`](Self::irecv) (the post-and-wait collapse leaves no window
-    /// for overlap, so `hidden` is always 0).
+    /// delivered in send order.
     pub fn recv(&mut self, src: usize, tag: u32) -> (M, RecvInfo) {
         self.recv_stream(src, tag.into())
     }
 
     /// [`recv`](Self::recv) on a collective's 64-bit stream tag.
     pub(crate) fn recv_stream(&mut self, src: usize, tag: u64) -> (M, RecvInfo) {
-        let req = self.irecv_stream(src, tag);
-        self.wait_recv(req)
+        let seq = self.recv_seq.next(src, tag);
+        let env = self.obtain(src, tag, seq);
+        let info = self.accept(env.arrive, env.bytes);
+        (env.msg, info)
     }
 
     fn accept(&mut self, arrive: f64, bytes: u64) -> RecvInfo {
@@ -626,7 +474,6 @@ impl<M: Send + 'static> Comm<M> {
             waited,
             bytes,
             arrived_at: arrive,
-            hidden: 0.0,
         }
     }
 
@@ -637,22 +484,7 @@ impl<M: Send + 'static> Comm<M> {
         debug_assert!(hidden >= 0.0, "negative hidden credit {hidden}");
         self.hidden_total += hidden;
     }
-
-    /// [`accept`](Self::accept) for a posted receive: additionally credits
-    /// the flight time covered by local work since `posted_at` — the
-    /// overlap a blocking receive at the post site would have spent idle.
-    fn accept_posted(&mut self, arrive: f64, bytes: u64, posted_at: f64) -> RecvInfo {
-        let hidden = (self.clock.min(arrive) - posted_at).max(0.0);
-        let mut info = self.accept(arrive, bytes);
-        info.hidden = hidden;
-        self.hidden_total += hidden;
-        info
-    }
 }
-
-// `recv` above returns `(M, RecvInfo)` from the pending path but
-// `(RecvInfo, M)` would be inconsistent; keep one order. (See unit test
-// `recv_return_order`.)
 
 #[cfg(test)]
 mod tests {
@@ -839,7 +671,8 @@ mod tests {
         let w = spec(2, 8);
         let t1 = w.run::<(), _, _>(|mut c| {
             if c.rank() == 0 {
-                c.send_with(8, 1, (), 100 << 20, 4);
+                c.set_default_sharers(4);
+                c.send(8, 1, (), 100 << 20);
             } else if c.rank() == 8 {
                 c.recv(0, 1);
             }
@@ -847,7 +680,8 @@ mod tests {
         });
         let t8 = w.run::<(), _, _>(|mut c| {
             if c.rank() == 0 {
-                c.send_with(8, 1, (), 100 << 20, 8);
+                c.set_default_sharers(8);
+                c.send(8, 1, (), 100 << 20);
             } else if c.rank() == 8 {
                 c.recv(0, 1);
             }
@@ -990,46 +824,13 @@ mod tests {
             let next = (c.rank() + 1) % c.size();
             let prev = (c.rank() + c.size() - 1) % c.size();
             c.charge(1e-3 * c.rank() as f64);
-            let req = c.isend(next, 1, vec![c.rank() as f64], 1 << 20);
+            c.send(next, 1, vec![c.rank() as f64], 1 << 20);
             let (v, info) = c.recv(prev, 1);
-            c.wait_send(req);
             (v, info.waited, c.now().to_bits(), c.wait_total().to_bits())
         };
         let threads = w.run(job);
         let events = w.run_event(job);
         assert_eq!(threads, events);
-    }
-
-    #[test]
-    fn event_backend_runs_out_of_order_waits() {
-        let w = spec(2, 1);
-        let logs = w.run_event::<u32, _, _>(|mut c| {
-            if c.rank() == 0 {
-                for i in 0..4 {
-                    c.charge(0.01);
-                    c.send(1, 9, i, 1 << 16);
-                }
-                Vec::new()
-            } else {
-                let reqs: Vec<_> = (0..4).map(|_| c.irecv(0, 9)).collect();
-                // Wait in reverse post order: stream matching must still
-                // pair request i with message i.
-                let mut got = vec![(0u32, 0.0f64); 4];
-                for (i, req) in reqs.into_iter().enumerate().rev() {
-                    let (v, info) = c.wait_recv(req);
-                    got[i] = (v, info.arrived_at);
-                }
-                got
-            }
-        });
-        let arrivals: Vec<f64> = logs[1].iter().map(|&(_, a)| a).collect();
-        for (i, &(v, _)) in logs[1].iter().enumerate() {
-            assert_eq!(v, i as u32, "request {i} stole message {v}");
-        }
-        // FIFO clocks: per-(src, tag) arrivals are monotone in post order.
-        for w in arrivals.windows(2) {
-            assert!(w[0] <= w[1], "arrivals regressed: {arrivals:?}");
-        }
     }
 
     #[test]

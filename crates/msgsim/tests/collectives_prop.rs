@@ -78,68 +78,6 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// gather ∘ scatter is the identity on the pieces.
-    #[test]
-    fn scatter_gather_roundtrip(p in 2usize..10, root_seed in 0usize..100) {
-        let root = root_seed % p;
-        let w = world(p, 1, false);
-        let gathered = w.run::<u64, _, _>(move |mut c| {
-            let mut g = Group::new(c.rank(), (0..p).collect(), 1).unwrap();
-            let pieces = if g.my_idx() == root {
-                Some((0..p as u64).map(|i| i * i + 7).collect())
-            } else {
-                None
-            };
-            let mine = g.scatter(&mut c, root, pieces, 8);
-            g.gather(&mut c, root, mine, 8)
-        });
-        let expect: Vec<u64> = (0..p as u64).map(|i| i * i + 7).collect();
-        prop_assert_eq!(gathered[root].clone().unwrap(), expect);
-        for (i, r) in gathered.iter().enumerate() {
-            if i != root {
-                prop_assert!(r.is_none());
-            }
-        }
-    }
-
-    /// reduce produces the same total as allreduce, at any root.
-    #[test]
-    fn reduce_matches_allreduce(p in 2usize..10, root_seed in 0usize..100) {
-        let root = root_seed % p;
-        let w = world(p, 1, false);
-        let results = w.run::<u64, _, _>(move |mut c| {
-            let mut g = Group::new(c.rank(), (0..p).collect(), 1).unwrap();
-            let mine = (c.rank() as u64 + 3) * 11;
-            let red = g.reduce(&mut c, root, mine, 8, |a, b| a + b);
-            let all = g.allreduce(&mut c, mine, 8, |a, b| a + b);
-            (red, all)
-        });
-        let expect: u64 = (0..p as u64).map(|r| (r + 3) * 11).sum();
-        for (i, (red, all)) in results.iter().enumerate() {
-            prop_assert_eq!(*all, expect);
-            if i == root {
-                prop_assert_eq!(red.unwrap(), expect);
-            } else {
-                prop_assert!(red.is_none());
-            }
-        }
-    }
-
-    /// allgather gives every member the same full vector, in group order.
-    #[test]
-    fn allgather_complete(p in 2usize..9) {
-        let w = world(p, 1, false);
-        let results = w.run::<u64, _, _>(move |mut c| {
-            let mut g = Group::new(c.rank(), (0..p).collect(), 1).unwrap();
-            let mine = c.rank() as u64 * 3 + 1;
-            g.allgather(&mut c, mine, 8)
-        });
-        let expect: Vec<u64> = (0..p as u64).map(|r| r * 3 + 1).collect();
-        for r in results {
-            prop_assert_eq!(&r, &expect);
-        }
-    }
-
     /// Larger payloads never arrive earlier (monotonicity of the cost
     /// model through the whole collective stack).
     #[test]
