@@ -35,6 +35,7 @@
 //! A failed load is a typed [`SnapshotError`], and the supervisor's
 //! restart path falls back to a full rerun on any of them.
 
+use crate::runtime::RankCtx;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
@@ -234,6 +235,32 @@ impl<'a> ByteReader<'a> {
     pub(crate) fn is_done(&self) -> bool {
         self.pos == self.buf.len()
     }
+}
+
+/// The resume preamble every stepper shares: this rank's section of
+/// `snap`, with the rank's simulated clock and accumulated receive-wait
+/// restored on the fresh context `ctx`. A snapshot without a section, clock
+/// or wait for this rank is a [`SnapshotError::ConfigMismatch`] on the rank
+/// count.
+pub(crate) fn resume_rank<'s>(
+    ctx: &mut RankCtx,
+    snap: &'s Snapshot,
+) -> Result<&'s [u8], SnapshotError> {
+    let rank = ctx.rank();
+    let (Some(section), Some(&clock), Some(&wait)) = (
+        snap.sections.get(rank),
+        snap.clocks.get(rank),
+        snap.waits.get(rank),
+    ) else {
+        return Err(SnapshotError::ConfigMismatch("rank count"));
+    };
+    // A fresh context sits at t = 0, so one charge lands the clock on the
+    // snapshot value bit-exactly; restoring the wait total too makes later
+    // `wait_total()` deltas subtract the uninterrupted run's bit pattern.
+    debug_assert_eq!(ctx.now(), 0.0, "resume requires a fresh rank context");
+    ctx.charge(clock - ctx.now());
+    ctx.restore_wait_total(wait);
+    Ok(section)
 }
 
 impl Snapshot {

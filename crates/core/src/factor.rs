@@ -21,7 +21,7 @@
 use crate::cache::{MatrixCache, MatrixKey};
 use crate::checkpoint::{self, ByteReader, Snapshot, SnapshotError};
 use crate::grid::ProcessGrid;
-use crate::local::LocalMatrix;
+use crate::local::{trailing_col, trailing_row, LocalMatrix};
 use crate::msg::{PanelData, TrailingPrecision};
 use crate::runtime::{CommScope, PanelBcast, RankCtx};
 use crate::solve::Stepper;
@@ -125,13 +125,12 @@ impl PanelSlot {
 /// charging join time to `rec.bcast`/`rec.hidden` when a record is given.
 fn resolve_slot(
     ctx: &mut RankCtx,
+    cfg: &FactorConfig,
     slot: &mut PanelSlot,
-    fidelity: Fidelity,
     extent: usize,
-    prec: TrailingPrecision,
     rec: Option<&mut IterRecord>,
 ) {
-    let cur = std::mem::replace(slot, PanelSlot::Ready(PanelData::empty(prec)));
+    let cur = std::mem::replace(slot, PanelSlot::Ready(PanelData::empty(cfg.prec)));
     *slot = match cur {
         PanelSlot::Ready(d) => PanelSlot::Ready(d),
         PanelSlot::RootInFlight(d, pb) => {
@@ -148,9 +147,54 @@ fn resolve_slot(
                 r.bcast += st.busy;
                 r.hidden += st.hidden;
             }
-            PanelSlot::Ready(unpack_panel(got, fidelity, extent, prec))
+            PanelSlot::Ready(unpack_panel(got, cfg, extent))
         }
     };
+}
+
+/// Posts this iteration's broadcast of one panel from grid member `root`
+/// of `scope` (`is_root` on that member, which passes its panel as
+/// `mine`) and returns the slot the panel lands in.
+///
+/// With look-ahead the broadcast is split-phase: the root injects now and
+/// keeps its own data — joining at once if its request already resolved —
+/// while receivers keep the in-flight request and join next iteration,
+/// after the remainder GEMM has covered the flight time. Without
+/// look-ahead everyone completes the collective immediately and receivers
+/// unpack it.
+#[allow(clippy::too_many_arguments)]
+fn post_panel(
+    ctx: &mut RankCtx,
+    cfg: &FactorConfig,
+    scope: CommScope,
+    root: usize,
+    is_root: bool,
+    mine: Option<PanelData>,
+    bytes: u64,
+    extent: usize,
+    rec: &mut IterRecord,
+) -> PanelSlot {
+    let own = |mine: Option<PanelData>| mine.unwrap_or_else(|| PanelData::empty(cfg.prec));
+    if cfg.lookahead {
+        let (pb, st) = ctx.ibcast_panel(scope, root, mine.as_ref(), bytes, cfg.algo);
+        rec.bcast += st.busy + st.waited;
+        if !is_root {
+            PanelSlot::InFlight(pb)
+        } else if pb.is_resolved() {
+            let _ = ctx.join_panel(pb);
+            PanelSlot::Ready(own(mine))
+        } else {
+            PanelSlot::RootInFlight(own(mine), pb)
+        }
+    } else {
+        let (got, st) = ctx.bcast_panel(scope, root, mine.as_ref(), bytes, cfg.algo);
+        rec.bcast += st.busy;
+        PanelSlot::Ready(if is_root {
+            own(mine)
+        } else {
+            unpack_panel(got, cfg, extent)
+        })
+    }
 }
 
 /// Panels carried across iterations by the look-ahead pipeline.
@@ -170,6 +214,15 @@ struct Panels {
     /// Trailing extent the panels cover.
     m_loc: usize,
     n_loc: usize,
+}
+
+impl Panels {
+    /// Joins the `U` broadcast, then the `L` one (a no-op for resident
+    /// slots), charging the join time to `rec` when one is given.
+    fn resolve(&mut self, ctx: &mut RankCtx, cfg: &FactorConfig, mut rec: Option<&mut IterRecord>) {
+        resolve_slot(ctx, cfg, &mut self.u, self.n_loc, rec.as_deref_mut());
+        resolve_slot(ctx, cfg, &mut self.l, self.m_loc, rec);
+    }
 }
 
 /// Materializes this rank's local share for a functional run: served from
@@ -288,41 +341,18 @@ impl<'a> FactorState<'a> {
         speed: GcdSpeed,
         cache: Option<&MatrixCache>,
     ) -> Self {
-        let grid = *ctx.grid();
-        let (my_r, my_c) = ctx.coords();
-        let dev = &sys.gcd;
-        let gen = MatrixGen::new(cfg.seed, cfg.n, MatrixKind::DiagDominant);
         let local = match cfg.fidelity {
-            Fidelity::Functional => Some(materialize(&grid, (my_r, my_c), cfg, &gen, cache)),
+            Fidelity::Functional => {
+                let gen = MatrixGen::new(cfg.seed, cfg.n, MatrixKind::DiagDominant);
+                Some(materialize(ctx.grid(), ctx.coords(), cfg, &gen, cache))
+            }
             Fidelity::Timing => None,
         };
-        let n_loc_r = cfg.n / grid.p_r;
-        let n_loc_c = cfg.n / grid.p_c;
-        ctx.charge(dev.h2d_time(4 * n_loc_r as u64 * n_loc_c as u64) / speed.at(0));
+        let mut st = Self::assemble(ctx, sys, cfg, speed, local);
+        ctx.charge(sys.gcd.h2d_time(4 * st.n_loc_r as u64 * st.n_loc_c as u64) / st.speed.at(0));
         ctx.barrier(CommScope::World);
-        let t0 = ctx.now();
-        let n_b = cfg.n / cfg.b;
-        FactorState {
-            sys,
-            cfg: cfg.clone(),
-            speed,
-            grid,
-            my_r,
-            my_c,
-            shim: BlasShim::new(dev.vendor),
-            ws: Workspace::default(),
-            n_b,
-            n_loc_r,
-            n_loc_c,
-            local,
-            last: None,
-            series: Vec::new(),
-            keep_series: true,
-            totals: PhaseTotals::default(),
-            prev: None,
-            t0,
-            k: 0,
-        }
+        st.t0 = ctx.now();
+        st
     }
 
     /// Rebuilds the stepper from this rank's section of a panel-boundary
@@ -340,58 +370,50 @@ impl<'a> FactorState<'a> {
         speed: GcdSpeed,
         snap: &Snapshot,
     ) -> Result<Self, SnapshotError> {
-        let grid = *ctx.grid();
-        let (my_r, my_c) = ctx.coords();
-        let rank = ctx.rank();
-        let n_loc_r = cfg.n / grid.p_r;
-        let n_loc_c = cfg.n / grid.p_c;
-        let section = snap
-            .sections
-            .get(rank)
-            .ok_or(SnapshotError::ConfigMismatch("rank count"))?;
-        let mut r = ByteReader::new(section);
-        let t0 = r.f64()?;
-        let has_local = r.u8()? != 0;
-        let mut local = None;
-        if has_local {
+        let mut r = ByteReader::new(checkpoint::resume_rank(ctx, snap)?);
+        let mut st = Self::assemble(ctx, sys, cfg, speed, None);
+        st.t0 = r.f64()?;
+        st.k = snap.header.k as usize;
+        if r.u8()? != 0 {
             let len = r.u64()? as usize;
-            if len != n_loc_r * n_loc_c {
+            if len != st.n_loc_r * st.n_loc_c {
                 return Err(SnapshotError::ConfigMismatch("local matrix extent"));
             }
             let mut data = Vec::with_capacity(len);
             for _ in 0..len {
                 data.push(f32::from_bits(r.u32()?));
             }
-            local = Some(LocalMatrix::from_data(
-                &grid,
-                (my_r, my_c),
-                cfg.n,
-                cfg.b,
-                data,
-            ));
+            let coord = (st.my_r, st.my_c);
+            st.local = Some(LocalMatrix::from_data(&st.grid, coord, cfg.n, cfg.b, data));
         }
         if !r.is_done() {
             return Err(SnapshotError::Truncated);
         }
         match cfg.fidelity {
-            Fidelity::Functional if local.is_none() => {
+            Fidelity::Functional if st.local.is_none() => {
                 return Err(SnapshotError::ConfigMismatch("fidelity"))
             }
             // A functional snapshot can seed a timing resume; the tiles
             // are simply not carried.
-            Fidelity::Timing => local = None,
+            Fidelity::Timing => st.local = None,
             Fidelity::Functional => {}
         }
-        let clock = snap.clocks[rank];
-        debug_assert_eq!(ctx.now(), 0.0, "resume requires a fresh rank context");
-        ctx.charge(clock - ctx.now());
-        ctx.restore_wait_total(
-            *snap
-                .waits
-                .get(rank)
-                .ok_or(SnapshotError::ConfigMismatch("rank count"))?,
-        );
-        Ok(FactorState {
+        Ok(st)
+    }
+
+    /// The stepper at panel cursor 0 around `local`, with empty records
+    /// and no panels in flight: what [`Self::new`] and [`Self::resume`]
+    /// both start from before they set the start time and cursor.
+    fn assemble(
+        ctx: &RankCtx,
+        sys: &'a SystemSpec,
+        cfg: &FactorConfig,
+        speed: GcdSpeed,
+        local: Option<LocalMatrix>,
+    ) -> Self {
+        let grid = *ctx.grid();
+        let (my_r, my_c) = ctx.coords();
+        FactorState {
             sys,
             cfg: cfg.clone(),
             speed,
@@ -401,17 +423,17 @@ impl<'a> FactorState<'a> {
             shim: BlasShim::new(sys.gcd.vendor),
             ws: Workspace::default(),
             n_b: cfg.n / cfg.b,
-            n_loc_r,
-            n_loc_c,
+            n_loc_r: cfg.n / grid.p_r,
+            n_loc_c: cfg.n / grid.p_c,
             local,
             last: None,
             series: Vec::new(),
             keep_series: true,
             totals: PhaseTotals::default(),
             prev: None,
-            t0,
-            k: snap.header.k as usize,
-        })
+            t0: 0.0,
+            k: 0,
+        }
     }
 
     /// Whether to keep the per-iteration series (the default) or only its
@@ -496,22 +518,7 @@ impl Stepper for FactorState<'_> {
         // reports how much of the transfer that compute actually hid.
         if let Some(p) = prev.as_mut() {
             debug_assert!(cfg.lookahead && p.k + 1 == k);
-            resolve_slot(
-                ctx,
-                &mut p.u,
-                cfg.fidelity,
-                p.n_loc,
-                cfg.prec,
-                Some(&mut rec),
-            );
-            resolve_slot(
-                ctx,
-                &mut p.l,
-                cfg.fidelity,
-                p.m_loc,
-                cfg.prec,
-                Some(&mut rec),
-            );
+            p.resolve(ctx, cfg, Some(&mut rec));
         }
         if let Some(p) = prev.as_ref() {
             let lr_prev = trailing_row(&grid, my_r, p.k, b);
@@ -658,79 +665,31 @@ impl Stepper for FactorState<'_> {
         }
 
         // ---- 4. Panel broadcasts ----------------------------------------
-        // With look-ahead every rank posts a split-phase broadcast: roots
-        // inject now (the panel leaves while they compute on), receivers
-        // keep an in-flight request and join next iteration, after the
-        // remainder GEMM below has covered the flight time. Without
-        // look-ahead everyone completes the collective immediately.
+        // U along the column (root: the in-row member), then L along the
+        // row (root: the in-column member).
         let elem = cfg.prec.bytes_per_elem();
-        let u_bytes = elem * (n_loc * b) as u64;
-        let l_bytes = elem * (m_loc * b) as u64;
-        // U panel along the column (root: the in-row member). The root
-        // keeps its own data — only receivers unpack the collective.
-        let u_slot = if cfg.lookahead {
-            let (pb, st) =
-                ctx.ibcast_panel(CommScope::Col, kr, u16t_mine.as_ref(), u_bytes, cfg.algo);
-            rec.bcast += st.busy + st.waited;
-            if in_row {
-                let mine = u16t_mine
-                    .take()
-                    .unwrap_or_else(|| PanelData::empty(cfg.prec));
-                if pb.is_resolved() {
-                    let _ = ctx.join_panel(pb);
-                    PanelSlot::Ready(mine)
-                } else {
-                    PanelSlot::RootInFlight(mine, pb)
-                }
-            } else {
-                PanelSlot::InFlight(pb)
-            }
-        } else {
-            let (got, st) =
-                ctx.bcast_panel(CommScope::Col, kr, u16t_mine.as_ref(), u_bytes, cfg.algo);
-            rec.bcast += st.busy;
-            if in_row {
-                PanelSlot::Ready(
-                    u16t_mine
-                        .take()
-                        .unwrap_or_else(|| PanelData::empty(cfg.prec)),
-                )
-            } else {
-                PanelSlot::Ready(unpack_panel(got, cfg.fidelity, n_loc, cfg.prec))
-            }
-        };
-        // L panel along the row (root: the in-column member).
-        let l_slot = if cfg.lookahead {
-            let (pb, st) =
-                ctx.ibcast_panel(CommScope::Row, kc, l16_mine.as_ref(), l_bytes, cfg.algo);
-            rec.bcast += st.busy + st.waited;
-            if in_col {
-                let mine = l16_mine
-                    .take()
-                    .unwrap_or_else(|| PanelData::empty(cfg.prec));
-                if pb.is_resolved() {
-                    let _ = ctx.join_panel(pb);
-                    PanelSlot::Ready(mine)
-                } else {
-                    PanelSlot::RootInFlight(mine, pb)
-                }
-            } else {
-                PanelSlot::InFlight(pb)
-            }
-        } else {
-            let (got, st) =
-                ctx.bcast_panel(CommScope::Row, kc, l16_mine.as_ref(), l_bytes, cfg.algo);
-            rec.bcast += st.busy;
-            if in_col {
-                PanelSlot::Ready(
-                    l16_mine
-                        .take()
-                        .unwrap_or_else(|| PanelData::empty(cfg.prec)),
-                )
-            } else {
-                PanelSlot::Ready(unpack_panel(got, cfg.fidelity, m_loc, cfg.prec))
-            }
-        };
+        let u_slot = post_panel(
+            ctx,
+            cfg,
+            CommScope::Col,
+            kr,
+            in_row,
+            u16t_mine,
+            elem * (n_loc * b) as u64,
+            n_loc,
+            &mut rec,
+        );
+        let l_slot = post_panel(
+            ctx,
+            cfg,
+            CommScope::Row,
+            kc,
+            in_col,
+            l16_mine,
+            elem * (m_loc * b) as u64,
+            m_loc,
+            &mut rec,
+        );
 
         // ---- 5. Trailing update -----------------------------------------
         if cfg.lookahead {
@@ -824,22 +783,7 @@ impl Stepper for FactorState<'_> {
         let b = cfg.b;
         let mut p = prev.take().expect("checked above");
         debug_assert!(p.k + 1 == k);
-        resolve_slot(
-            ctx,
-            &mut p.u,
-            cfg.fidelity,
-            p.n_loc,
-            cfg.prec,
-            last.as_mut(),
-        );
-        resolve_slot(
-            ctx,
-            &mut p.l,
-            cfg.fidelity,
-            p.m_loc,
-            cfg.prec,
-            last.as_mut(),
-        );
+        p.resolve(ctx, cfg, last.as_mut());
         let lr_prev = trailing_row(&grid, my_r, p.k, b);
         let lc_prev = trailing_col(&grid, my_c, p.k, b);
         let dt = gemm_update(
@@ -902,22 +846,7 @@ impl Stepper for FactorState<'_> {
             cfg, last, prev, ..
         } = &mut self;
         if let Some(p) = prev.as_mut() {
-            resolve_slot(
-                ctx,
-                &mut p.u,
-                cfg.fidelity,
-                p.n_loc,
-                cfg.prec,
-                last.as_mut(),
-            );
-            resolve_slot(
-                ctx,
-                &mut p.l,
-                cfg.fidelity,
-                p.m_loc,
-                cfg.prec,
-                last.as_mut(),
-            );
+            p.resolve(ctx, cfg, last.as_mut());
         }
 
         // Copy factors back to the host for iterative refinement (§III-C).
@@ -1044,15 +973,10 @@ pub fn regrid_snapshot(
 
 /// Extracts a reduced-precision panel from a broadcast result (empty in
 /// timing mode or for zero-extent panels).
-fn unpack_panel(
-    got: Option<PanelData>,
-    fidelity: Fidelity,
-    extent: usize,
-    prec: TrailingPrecision,
-) -> PanelData {
-    match (fidelity, extent) {
+fn unpack_panel(got: Option<PanelData>, cfg: &FactorConfig, extent: usize) -> PanelData {
+    match (cfg.fidelity, extent) {
         (Fidelity::Functional, e) if e > 0 => got.expect("functional broadcast must carry a panel"),
-        _ => PanelData::empty(prec),
+        _ => PanelData::empty(cfg.prec),
     }
 }
 
@@ -1064,16 +988,6 @@ fn prec_time_factor(dev: &GcdModel, prec: TrailingPrecision) -> f64 {
         TrailingPrecision::Fp16 | TrailingPrecision::Bf16 => 1.0,
         TrailingPrecision::Fp32 => dev.fp16_peak / dev.fp32_peak,
     }
-}
-
-/// Local row offset of the region strictly after global block `k`.
-fn trailing_row(grid: &ProcessGrid, my_r: usize, k: usize, b: usize) -> usize {
-    crate::local::count_owned(k + 1, my_r, grid.p_r) * b
-}
-
-/// Local column offset of the region strictly after global block `k`.
-fn trailing_col(grid: &ProcessGrid, my_c: usize, k: usize, b: usize) -> usize {
-    crate::local::count_owned(k + 1, my_c, grid.p_c) * b
 }
 
 /// Applies `C -= L16 · U16ᵀ` to the local window at `(lr, lc)` of extent

@@ -11,6 +11,13 @@
 //! run it on uniform random matrices where the unpivoted factorization
 //! suffers catastrophic growth.
 //!
+//! The closing solve is iterative refinement's: [`crate::ir`]'s distributed
+//! fan-in forward and backward substitution, run once on the FP64 factors
+//! after the pivots are applied to the right-hand side. Unlike IR it
+//! charges no simulated compute, and neither does the residual check, so
+//! [`HplDistOutcome::elapsed`] holds their communication but not their
+//! arithmetic.
+//!
 //! All communication goes through [`RankCtx`]: pivot selection is
 //! [`RankCtx::allreduce_max_by`], row exchanges draw their tags from named
 //! [`TagRange`]s, and every operation lands in the context's
@@ -18,11 +25,12 @@
 
 use crate::checkpoint::{self, ByteReader, Snapshot, SnapshotError, SnapshotHeader, DRIVER_HPL};
 use crate::grid::ProcessGrid;
-use crate::local::{count_owned, LocalMat};
+use crate::ir::{fan_in_solve, owned_diag_blocks};
+use crate::local::{trailing_col, trailing_row, LocalMat};
 use crate::runtime::{CommScope, RankCtx, TagRange};
 use crate::solve::Stepper;
 use crate::systems::SystemSpec;
-use mxp_blas::{gemm, trsm, trsv, vec_inf_norm, Diag, Side, Trans, Uplo};
+use mxp_blas::{gemm, trsm, vec_inf_norm, Diag, Side, Trans, Uplo};
 use mxp_lcg::{MatrixGen, MatrixKind};
 
 /// Result of a distributed HPL solve on one rank.
@@ -85,7 +93,7 @@ pub fn hpl_snapshot_header(
 /// The resumable-stepper form of [`hpl_dist_solve`]: one [`Stepper::step`]
 /// eliminates one block column (pivoted panel, swap application, TRSM,
 /// panel broadcasts, FP64 trailing update), and [`Stepper::finish`] runs
-/// the fan-in solve plus the residual check.
+/// IR's fan-in solve plus the residual check.
 ///
 /// HPL has no look-ahead: nothing is in flight at a panel boundary, so
 /// [`Stepper::drain`] keeps its no-op default and a snapshot section is
@@ -123,41 +131,11 @@ impl<'a> HplDistState<'a> {
         kind: MatrixKind,
         speed: f64,
     ) -> Self {
-        let grid = *ctx.grid();
-        let (my_r, my_c) = ctx.coords();
-        let n_b = n / b;
-        let gen = MatrixGen::new(seed, n, kind);
-
-        // Point-to-point tag namespaces, one tag per global row / block.
-        let panel_swap = ctx.alloc_tags("hpl-panel-swap", n as u32);
-        let trail_swap = ctx.alloc_tags("hpl-trail-swap", n as u32);
-        let fwd_tags = ctx.alloc_tags("hpl-fanin-fwd", n_b as u32);
-        let bwd_tags = ctx.alloc_tags("hpl-fanin-bwd", n_b as u32);
-
-        let mut local: LocalMat<f64> = LocalMat::new(&grid, (my_r, my_c), n, b);
-        local.fill_from_f64(&gen);
+        let mut st = Self::blank(ctx, sys, n, b, seed, kind, speed);
+        st.local.fill_from_f64(&st.gen);
         ctx.barrier(CommScope::World);
-        let t0 = ctx.now();
-
-        HplDistState {
-            sys,
-            n,
-            b,
-            n_b,
-            speed,
-            grid,
-            my_r,
-            my_c,
-            gen,
-            panel_swap,
-            trail_swap,
-            fwd_tags,
-            bwd_tags,
-            local,
-            ipiv: vec![0usize; n],
-            t0,
-            k: 0,
-        }
+        st.t0 = ctx.now();
+        st
     }
 
     /// Rebuilds a rank's state from a checkpoint section, restoring its
@@ -173,9 +151,7 @@ impl<'a> HplDistState<'a> {
         speed: f64,
         snap: &Snapshot,
     ) -> Result<Self, SnapshotError> {
-        let grid = *ctx.grid();
-        let (my_r, my_c) = ctx.coords();
-        let expect = hpl_snapshot_header(&grid, n, b, seed, kind);
+        let expect = hpl_snapshot_header(ctx.grid(), n, b, seed, kind);
         let h = snap.header;
         if h.driver != expect.driver {
             return Err(SnapshotError::ConfigMismatch("driver"));
@@ -192,63 +168,66 @@ impl<'a> HplDistState<'a> {
         if (h.seed, h.config_tag) != (expect.seed, expect.config_tag) {
             return Err(SnapshotError::ConfigMismatch("matrix class"));
         }
-        let n_b = n / b;
-        if h.k as usize >= n_b {
+        if h.k as usize >= n / b {
             return Err(SnapshotError::ConfigMismatch("panel cursor"));
         }
-        let rank = ctx.rank();
-        let clock = snap.clocks[rank];
-        let mut r = ByteReader::new(&snap.sections[rank]);
-        let t0 = r.f64()?;
-        let mut ipiv = vec![0usize; n];
-        for p in ipiv.iter_mut() {
+        let mut r = ByteReader::new(checkpoint::resume_rank(ctx, snap)?);
+        let mut st = Self::blank(ctx, sys, n, b, seed, kind, speed);
+        st.t0 = r.f64()?;
+        for p in st.ipiv.iter_mut() {
             *p = r.u64()? as usize;
         }
-        let gen = MatrixGen::new(seed, n, kind);
-        let panel_swap = ctx.alloc_tags("hpl-panel-swap", n as u32);
-        let trail_swap = ctx.alloc_tags("hpl-trail-swap", n as u32);
-        let fwd_tags = ctx.alloc_tags("hpl-fanin-fwd", n_b as u32);
-        let bwd_tags = ctx.alloc_tags("hpl-fanin-bwd", n_b as u32);
-        let mut local: LocalMat<f64> = LocalMat::new(&grid, (my_r, my_c), n, b);
-        let len = r.u64()? as usize;
-        if len != local.data.len() {
+        if r.u64()? as usize != st.local.data.len() {
             return Err(SnapshotError::ConfigMismatch("local matrix extent"));
         }
-        for v in local.data.iter_mut() {
+        for v in st.local.data.iter_mut() {
             *v = r.f64()?;
         }
         if !r.is_done() {
             return Err(SnapshotError::Truncated);
         }
-        // A fresh context sits at t = 0, so one charge lands the clock on
-        // the snapshot value bit-exactly.
-        debug_assert_eq!(ctx.now(), 0.0);
-        ctx.charge(clock - ctx.now());
-        ctx.restore_wait_total(
-            *snap
-                .waits
-                .get(rank)
-                .ok_or(SnapshotError::ConfigMismatch("rank count"))?,
-        );
-        Ok(HplDistState {
+        st.k = h.k as usize;
+        Ok(st)
+    }
+
+    /// The state at panel cursor 0 with zeroed tiles and pivot record:
+    /// the tag claims (same names, same order on every path) and the
+    /// layout both [`Self::new`] and [`Self::resume`] fill in.
+    fn blank(
+        ctx: &mut RankCtx,
+        sys: &'a SystemSpec,
+        n: usize,
+        b: usize,
+        seed: u64,
+        kind: MatrixKind,
+        speed: f64,
+    ) -> Self {
+        let grid = *ctx.grid();
+        let (my_r, my_c) = ctx.coords();
+        // Point-to-point tag namespaces, one tag per global row / block.
+        let panel_swap = ctx.alloc_tags("hpl-panel-swap", n as u32);
+        let trail_swap = ctx.alloc_tags("hpl-trail-swap", n as u32);
+        let fwd_tags = ctx.alloc_tags("hpl-fanin-fwd", (n / b) as u32);
+        let bwd_tags = ctx.alloc_tags("hpl-fanin-bwd", (n / b) as u32);
+        HplDistState {
             sys,
             n,
             b,
-            n_b,
+            n_b: n / b,
             speed,
             grid,
             my_r,
             my_c,
-            gen,
+            gen: MatrixGen::new(seed, n, kind),
             panel_swap,
             trail_swap,
             fwd_tags,
             bwd_tags,
-            local,
-            ipiv,
-            t0,
-            k: h.k as usize,
-        })
+            local: LocalMat::new(&grid, (my_r, my_c), n, b),
+            ipiv: vec![0usize; n],
+            t0: 0.0,
+            k: 0,
+        }
     }
 }
 
@@ -384,14 +363,15 @@ impl Stepper for HplDistState<'_> {
         }
 
         // ---- TRSM for U12 and broadcasts ---------------------------------
-        let lr_k1 = count_owned(k + 1, my_r, grid.p_r) * b;
-        let lc_k1 = count_owned(k + 1, my_c, grid.p_c) * b;
+        let lr_k1 = trailing_row(&grid, my_r, k, b);
+        let lc_k1 = trailing_col(&grid, my_c, k, b);
         let m_loc = local.n_loc_r - lr_k1;
         let n_loc = local.n_loc_c - lc_k1;
 
         // L11 (unit-lower part of the factored diagonal block) to the row.
         let l11 = if in_row {
-            let mine = in_col.then(|| pack_f64_block(local, k));
+            let mine =
+                in_col.then(|| local.pack_block(local.row_of_block(k), local.col_of_block(k)));
             Some(ctx.bcast_f64(CommScope::Row, kc, mine, 8 * (b * b) as u64))
         } else {
             None
@@ -462,7 +442,7 @@ impl Stepper for HplDistState<'_> {
     fn finish(self, ctx: &mut RankCtx) -> HplDistOutcome {
         let (n, b) = (self.n, self.b);
 
-        // ---- solve with the factors (fan-in, as in iterative refinement) -
+        // ---- solve with the factors ---------------------------------------
         let mut b_vec = vec![0.0f64; n];
         self.gen.fill_rhs(0..n, &mut b_vec);
         let b_norm = vec_inf_norm(&b_vec);
@@ -473,7 +453,12 @@ impl Stepper for HplDistState<'_> {
                 rhs.swap(j, p);
             }
         }
-        let x = fan_in_solve(ctx, &self.local, &rhs, n, b, self.fwd_tags, self.bwd_tags);
+        // The final solve is IR's fan-in substitution on the FP64 factors;
+        // like the residual check below, it charges no simulated compute.
+        let diag = owned_diag_blocks(&self.local, self.n_b);
+        let (mut y, mut x) = (vec![0.0f64; n], vec![0.0f64; n]);
+        let tags = (self.fwd_tags, self.bwd_tags);
+        fan_in_solve(ctx, &self.local, &diag, tags, &rhs, &mut y, &mut x, None);
 
         // ---- verification -------------------------------------------------
         let (r_inf, a_norm, x_norm) = residual_check(ctx, &self.gen, &x, &b_vec, n, b);
@@ -611,11 +596,6 @@ fn swap_rows_trailing(
     }
 }
 
-/// Packs the diagonal block `(k,k)` of an f64 local matrix.
-fn pack_f64_block(local: &LocalMat<f64>, k: usize) -> Vec<f64> {
-    local.pack_block(local.row_of_block(k), local.col_of_block(k))
-}
-
 /// Packs rows `[lr, lr+m)` × columns `[lc, lc+nc)` tightly (column-major).
 fn pack_rows_f64(local: &LocalMat<f64>, lr: usize, m: usize, lc: usize, nc: usize) -> Vec<f64> {
     let mut out = vec![0.0f64; m * nc];
@@ -625,123 +605,6 @@ fn pack_rows_f64(local: &LocalMat<f64>, lr: usize, m: usize, lc: usize, nc: usiz
         }
     }
     out
-}
-
-/// Distributed fan-in triangular solves on the FP64 factors (structure as
-/// in `crate::ir`, but reading `LocalMat<f64>` directly).
-fn fan_in_solve(
-    ctx: &mut RankCtx,
-    local: &LocalMat<f64>,
-    rhs: &[f64],
-    n: usize,
-    b: usize,
-    fwd_tags: TagRange,
-    bwd_tags: TagRange,
-) -> Vec<f64> {
-    let n_b = n / b;
-    let grid = *ctx.grid();
-    let (my_r, my_c) = ctx.coords();
-
-    let diag_of =
-        |k: usize| -> Vec<f64> { local.pack_block(local.row_of_block(k), local.col_of_block(k)) };
-
-    let mut y_seg = vec![0.0f64; n];
-    for k in 0..n_b {
-        let (kr, kc) = grid.owner_of_block(k, k);
-        if my_c != kc {
-            continue;
-        }
-        let i_own = (my_r, my_c) == (kr, kc);
-        let solved = if i_own {
-            let mut y: Vec<f64> = rhs[k * b..(k + 1) * b].to_vec();
-            for j in 0..k {
-                let src = grid.rank_of(kr, j % grid.p_c);
-                let got = ctx.recv_f64(src, fwd_tags.at(k));
-                for (yi, ui) in y.iter_mut().zip(got) {
-                    *yi -= ui;
-                }
-            }
-            trsv(Uplo::Lower, Diag::Unit, b, &diag_of(k), b, &mut y);
-            y_seg[k * b..(k + 1) * b].copy_from_slice(&y);
-            Some(y)
-        } else {
-            None
-        };
-        let yk = ctx.bcast_f64(CommScope::Col, kr, solved, 8 * b as u64);
-        push_contribs_f64(
-            ctx,
-            local,
-            fwd_tags,
-            b,
-            &yk,
-            (k + 1..n_b).filter(|kp| kp % grid.p_r == my_r),
-            k,
-        );
-    }
-
-    let mut x_seg = vec![0.0f64; n];
-    for k in (0..n_b).rev() {
-        let (kr, kc) = grid.owner_of_block(k, k);
-        if my_c != kc {
-            continue;
-        }
-        let i_own = (my_r, my_c) == (kr, kc);
-        let solved = if i_own {
-            let mut y: Vec<f64> = y_seg[k * b..(k + 1) * b].to_vec();
-            for j in k + 1..n_b {
-                let src = grid.rank_of(kr, j % grid.p_c);
-                let got = ctx.recv_f64(src, bwd_tags.at(k));
-                for (yi, ui) in y.iter_mut().zip(got) {
-                    *yi -= ui;
-                }
-            }
-            trsv(Uplo::Upper, Diag::NonUnit, b, &diag_of(k), b, &mut y);
-            x_seg[k * b..(k + 1) * b].copy_from_slice(&y);
-            Some(y)
-        } else {
-            None
-        };
-        let xk = ctx.bcast_f64(CommScope::Col, kr, solved, 8 * b as u64);
-        push_contribs_f64(
-            ctx,
-            local,
-            bwd_tags,
-            b,
-            &xk,
-            (0..k).filter(|kp| kp % grid.p_r == my_r),
-            k,
-        );
-    }
-
-    // Partial x segments sum to the replicated solution.
-    ctx.allreduce_f64(CommScope::World, &mut x_seg);
-    x_seg
-}
-
-fn push_contribs_f64(
-    ctx: &mut RankCtx,
-    local: &LocalMat<f64>,
-    tags: TagRange,
-    b: usize,
-    v: &[f64],
-    targets: impl Iterator<Item = usize>,
-    k: usize,
-) {
-    let grid = *ctx.grid();
-    for kp in targets {
-        let lr = local.row_of_block(kp);
-        let lc = local.col_of_block(k);
-        let mut u = vec![0.0f64; b];
-        for (j, &vj) in v.iter().enumerate().take(b) {
-            if vj != 0.0 {
-                for (i, ui) in u.iter_mut().enumerate() {
-                    *ui += local.data[local.idx(lr + i, lc + j)] * vj;
-                }
-            }
-        }
-        let dst = grid.rank_of(kp % grid.p_r, kp % grid.p_c);
-        ctx.send_f64(dst, tags.at(kp), u);
-    }
 }
 
 /// Residual of `x` against the regenerated system (distributed as in IR).
@@ -792,6 +655,7 @@ mod tests {
     use crate::grid::ProcessGrid;
     use crate::solve::{run_with_backend, RunConfig};
     use crate::systems::testbed;
+    use mxp_blas::trsv;
 
     fn run_hpl(grid: ProcessGrid, n: usize, b: usize, kind: MatrixKind) -> Vec<HplDistOutcome> {
         let q = grid.gcds_per_node();
@@ -933,6 +797,22 @@ mod tests {
             err[0],
             crate::checkpoint::SnapshotError::ConfigMismatch("matrix class")
         ));
+        // So is a snapshot that lacks a rank's clock, wait or section: the
+        // last rank is refused, the others resume.
+        for cut in 0..3 {
+            let mut short = snap.clone();
+            match cut {
+                0 => short.clocks.truncate(3),
+                1 => short.waits.truncate(3),
+                _ => short.sections.truncate(3),
+            }
+            let got = run_with_backend(&rcfg, |ctx| {
+                HplDistState::resume(ctx, &sys, n, b, 4242, MatrixKind::Uniform, 1.0, &short).err()
+            })
+            .unwrap();
+            let rank_count = crate::checkpoint::SnapshotError::ConfigMismatch("rank count");
+            assert_eq!(got, [None, None, None, Some(rank_count)], "cut {cut}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

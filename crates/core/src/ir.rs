@@ -18,7 +18,7 @@
 
 use crate::factor::FactorConfig;
 use crate::grid::ProcessGrid;
-use crate::local::LocalMatrix;
+use crate::local::{LocalMat, LocalMatrix};
 use crate::runtime::{CommScope, RankCtx, TagRange};
 use crate::solve::Stepper;
 use crate::systems::SystemSpec;
@@ -137,21 +137,6 @@ impl<'a> IrState<'a> {
         let x: Vec<f64> = b_vec.iter().map(|&v| v / gen.diag_value()).collect();
         let b_norm = vec_inf_norm(&b_vec);
 
-        let my_diag_blocks: Vec<(usize, Vec<f64>)> = (0..n_b)
-            .filter(|&k| grid.owner_of_block(k, k) == (my_r, my_c))
-            .map(|k| {
-                let lr = local.row_of_block(k);
-                let lc = local.col_of_block(k);
-                let mut d = vec![0.0f64; b * b];
-                for j in 0..b {
-                    for i in 0..b {
-                        d[j * b + i] = local.data[local.idx(lr + i, lc + j)] as f64;
-                    }
-                }
-                (k, d)
-            })
-            .collect();
-
         IrState {
             sys,
             local,
@@ -169,7 +154,7 @@ impl<'a> IrState<'a> {
             diag_norm,
             b_norm,
             x,
-            my_diag_blocks,
+            my_diag_blocks: owned_diag_blocks(local, n_b),
             iters: 0,
             converged: false,
             residual_inf: f64::INFINITY,
@@ -240,95 +225,19 @@ impl Stepper for IrState<'_> {
             return;
         }
 
-        // ---- forward fan-in solve: L̃·y = r ------------------------------
-        // Contribution tags carry the *target* block index: a rank owning
-        // several diagonal blocks may receive contributions for different
-        // targets from the same sender, and FIFO order between them is not
-        // guaranteed (forward walks columns ascending, backward
-        // descending). Sweeps can share tags because the Allreduce between
-        // them is a data-flow barrier and every message is consumed within
-        // its sweep.
-        self.y_seg.fill(0.0);
-        for k in 0..n_b {
-            let (kr, kc) = grid.owner_of_block(k, k);
-            let i_own = (my_r, my_c) == (kr, kc);
-            if my_c != kc {
-                continue; // only column-k owners participate in step k
-            }
-            let solved: Option<Vec<f64>> = if i_own {
-                let mut y: Vec<f64> = self.r[k * b..(k + 1) * b].to_vec();
-                for j in 0..k {
-                    let src = grid.rank_of(kr, j % grid.p_c);
-                    let got = ctx.recv_f64(src, self.fwd_tags.at(k));
-                    for (yi, ui) in y.iter_mut().zip(got) {
-                        *yi -= ui;
-                    }
-                }
-                let dk = diag_block(&self.my_diag_blocks, k);
-                trsv(Uplo::Lower, Diag::Unit, b, dk, b, &mut y);
-                ctx.charge((b * b) as f64 / sys.cpu.flop_rate / speed);
-                self.y_seg[k * b..(k + 1) * b].copy_from_slice(&y);
-                Some(y)
-            } else {
-                None
-            };
-            let dk = ctx.bcast_f64(CommScope::Col, kr, solved, 8 * b as u64);
-            // Push L(k', k)·y_k to every later diagonal owner.
-            push_contribs(
-                ctx,
-                self.local,
-                sys,
-                speed,
-                self.fwd_tags,
-                b,
-                &dk,
-                ((k + 1)..n_b).filter(|kp| kp % grid.p_r == my_r),
-                k,
-            );
-        }
+        // ---- fan-in solves L̃·y = r, Ũ·d = y; d summed on every rank ------
+        fan_in_solve(
+            ctx,
+            self.local,
+            &self.my_diag_blocks,
+            (self.fwd_tags, self.bwd_tags),
+            &self.r,
+            &mut self.y_seg,
+            &mut self.d_seg,
+            Some((sys.cpu.flop_rate, speed)),
+        );
 
-        // ---- backward fan-in solve: Ũ·d = y ------------------------------
-        self.d_seg.fill(0.0);
-        for k in (0..n_b).rev() {
-            let (kr, kc) = grid.owner_of_block(k, k);
-            let i_own = (my_r, my_c) == (kr, kc);
-            if my_c != kc {
-                continue;
-            }
-            let solved: Option<Vec<f64>> = if i_own {
-                let mut y: Vec<f64> = self.y_seg[k * b..(k + 1) * b].to_vec();
-                for j in k + 1..n_b {
-                    let src = grid.rank_of(kr, j % grid.p_c);
-                    let got = ctx.recv_f64(src, self.bwd_tags.at(k));
-                    for (yi, ui) in y.iter_mut().zip(got) {
-                        *yi -= ui;
-                    }
-                }
-                let dk = diag_block(&self.my_diag_blocks, k);
-                trsv(Uplo::Upper, Diag::NonUnit, b, dk, b, &mut y);
-                ctx.charge((b * b) as f64 / sys.cpu.flop_rate / speed);
-                self.d_seg[k * b..(k + 1) * b].copy_from_slice(&y);
-                Some(y)
-            } else {
-                None
-            };
-            let xk = ctx.bcast_f64(CommScope::Col, kr, solved, 8 * b as u64);
-            // Push U(k', k)·x_k to every earlier diagonal owner.
-            push_contribs(
-                ctx,
-                self.local,
-                sys,
-                speed,
-                self.bwd_tags,
-                b,
-                &xk,
-                (0..k).filter(|kp| kp % grid.p_r == my_r),
-                k,
-            );
-        }
-
-        // ---- x ← x + d (assemble the correction everywhere) -------------
-        ctx.allreduce_f64(CommScope::World, &mut self.d_seg);
+        // ---- x ← x + d ----------------------------------------------------
         for (xi, di) in self.x.iter_mut().zip(&self.d_seg) {
             *xi += di;
         }
@@ -352,41 +261,131 @@ impl Stepper for IrState<'_> {
     }
 }
 
-/// Computes `u = M(kp, k) · v` for each listed owned block of column `k`
-/// and sends it to the owner of diagonal block `kp`.
+/// The diagonal blocks this rank owns, widened to FP64 and keyed by global
+/// block index in ascending order: the TRSV operands of [`fan_in_solve`].
+pub(crate) fn owned_diag_blocks<T: Copy + Default + Into<f64>>(
+    local: &LocalMat<T>,
+    n_b: usize,
+) -> Vec<(usize, Vec<f64>)> {
+    (0..n_b)
+        .filter(|&k| local.owns_block_row(k) && local.owns_block_col(k))
+        .map(|k| {
+            let d = local.pack_block(local.row_of_block(k), local.col_of_block(k));
+            (k, d.into_iter().map(Into::into).collect())
+        })
+        .collect()
+}
+
+/// Distributed fan-in triangular solves `L·y = rhs`, `U·x = y` over the
+/// local LU factors `local` (FP32 for IR's correction, FP64 for HPL's
+/// final solve).
+///
+/// The owner of each diagonal block collects partial sums from its row
+/// peers, solves its segment, and broadcasts it down the column so the
+/// column owners can push contributions to later (forward) or earlier
+/// (backward) blocks. Contribution tags carry the *target* block index: a
+/// rank owning several diagonal blocks may receive contributions for
+/// different targets from the same sender, and FIFO order between them is
+/// not guaranteed. Repeated solves can share tags because the world
+/// Allreduce that ends each solve is a data-flow barrier and every message
+/// is consumed within its solve.
+///
+/// `y` receives the solved forward segments this rank owns; `x` ends as the
+/// replicated solution, summed over the world. `cpu` is the host
+/// `(flop_rate, speed)` to charge the TRSVs and contributions at, or
+/// `None` to charge no compute.
 #[allow(clippy::too_many_arguments)]
-fn push_contribs(
+pub(crate) fn fan_in_solve<T: Copy + Default + Into<f64>>(
     ctx: &mut RankCtx,
-    local: &LocalMatrix,
-    sys: &SystemSpec,
-    speed: f64,
-    tags: TagRange,
-    b: usize,
-    v: &[f64],
-    targets: impl Iterator<Item = usize>,
-    k: usize,
+    local: &LocalMat<T>,
+    diag_blocks: &[(usize, Vec<f64>)],
+    (fwd_tags, bwd_tags): (TagRange, TagRange),
+    rhs: &[f64],
+    y: &mut [f64],
+    x: &mut Vec<f64>,
+    cpu: Option<(f64, f64)>,
 ) {
+    sweep(ctx, local, diag_blocks, fwd_tags, cpu, true, rhs, y);
+    sweep(ctx, local, diag_blocks, bwd_tags, cpu, false, y, x);
+    ctx.allreduce_f64(CommScope::World, x);
+}
+
+/// One fan-in substitution: forward (unit lower, blocks ascending) or
+/// backward (upper, blocks descending), writing this rank's solved
+/// segments into `out` and zeros elsewhere.
+#[allow(clippy::too_many_arguments)]
+fn sweep<T: Copy + Default + Into<f64>>(
+    ctx: &mut RankCtx,
+    local: &LocalMat<T>,
+    diag_blocks: &[(usize, Vec<f64>)],
+    tags: TagRange,
+    cpu: Option<(f64, f64)>,
+    forward: bool,
+    rhs: &[f64],
+    out: &mut [f64],
+) {
+    let b = local.b;
+    let n_b = rhs.len() / b;
     let grid = *ctx.grid();
-    for kp in targets {
-        let lr = local.row_of_block(kp);
-        let lc = local.col_of_block(k);
-        // One column-sweep GEMV per target (`u` is the message payload, so
-        // it is allocated as the owned Vec the comm layer takes): block
-        // columns of the local matrix are contiguous, so each j contributes
-        // a single widened axpy over a contiguous f32 slice instead of the
-        // old per-element `idx()` address computation.
-        let mut u = vec![0.0f64; b];
-        for (j, &vj) in v.iter().enumerate().take(b) {
-            if vj != 0.0 {
-                let col = &local.data[local.idx(lr, lc + j)..][..b];
-                for (ui, &aij) in u.iter_mut().zip(col) {
-                    *ui += aij as f64 * vj;
+    let (my_r, my_c) = ctx.coords();
+    let (uplo, diag) = if forward {
+        (Uplo::Lower, Diag::Unit)
+    } else {
+        (Uplo::Upper, Diag::NonUnit)
+    };
+    out.fill(0.0);
+    for step in 0..n_b {
+        let k = if forward { step } else { n_b - 1 - step };
+        let (kr, kc) = grid.owner_of_block(k, k);
+        if my_c != kc {
+            continue; // only column-k owners participate in step k
+        }
+        // Blocks solved before k sent their contributions to k's TRSV;
+        // k's own go out to the blocks solved after it.
+        let (before, after) = if forward {
+            (0..k, k + 1..n_b)
+        } else {
+            (k + 1..n_b, 0..k)
+        };
+        let solved = (my_r == kr).then(|| {
+            let mut v: Vec<f64> = rhs[k * b..(k + 1) * b].to_vec();
+            for j in before {
+                let src = grid.rank_of(kr, j % grid.p_c);
+                let got = ctx.recv_f64(src, tags.at(k));
+                for (vi, ui) in v.iter_mut().zip(got) {
+                    *vi -= ui;
                 }
             }
+            trsv(uplo, diag, b, diag_block(diag_blocks, k), b, &mut v);
+            if let Some((rate, speed)) = cpu {
+                ctx.charge((b * b) as f64 / rate / speed);
+            }
+            out[k * b..(k + 1) * b].copy_from_slice(&v);
+            v
+        });
+        let v = ctx.bcast_f64(CommScope::Col, kr, solved, 8 * b as u64);
+        // Push M(k', k)·v_k to the owner of each later-solved diagonal
+        // block k' in this grid row.
+        // Block columns of the local matrix are contiguous, so each j
+        // contributes one widened axpy over a contiguous slice.
+        let lc = local.col_of_block(k);
+        for kp in after.filter(|kp| kp % grid.p_r == my_r) {
+            let lr = local.row_of_block(kp);
+            let mut u = vec![0.0f64; b];
+            for (j, &vj) in v.iter().enumerate().take(b) {
+                if vj != 0.0 {
+                    let col = &local.data[local.idx(lr, lc + j)..][..b];
+                    for (ui, &aij) in u.iter_mut().zip(col) {
+                        *ui += aij.into() * vj;
+                    }
+                }
+            }
+            if let Some((rate, speed)) = cpu {
+                ctx.charge(2.0 * (b * b) as f64 / rate / speed);
+            }
+            let dst = grid.rank_of(kp % grid.p_r, kp % grid.p_c);
+            ctx.send_f64(dst, tags.at(kp), u);
         }
-        ctx.charge(2.0 * (b * b) as f64 / sys.cpu.flop_rate / speed);
-        let dst = grid.rank_of(kp % grid.p_r, kp % grid.p_c);
-        ctx.send_f64(dst, tags.at(kp), u);
     }
 }
 

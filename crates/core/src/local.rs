@@ -135,18 +135,6 @@ impl<T: Copy + Default> LocalMat<T> {
         (j_blk / self.p_c) * self.b
     }
 
-    /// Local row offset of the trailing region strictly *after* global
-    /// block-row `k` (i.e. rows of owned blocks `I > k`).
-    pub fn trailing_row(&self, k: usize) -> usize {
-        count_owned(k + 1, self.my_r, self.p_r) * self.b
-    }
-
-    /// Local column offset of the trailing region strictly after global
-    /// block-column `k`.
-    pub fn trailing_col(&self, k: usize) -> usize {
-        count_owned(k + 1, self.my_c, self.p_c) * self.b
-    }
-
     /// Linear offset of local entry `(i, j)`.
     #[inline]
     pub fn idx(&self, i: usize, j: usize) -> usize {
@@ -163,14 +151,6 @@ impl<T: Copy + Default> LocalMat<T> {
             out[j * self.b..(j + 1) * self.b].copy_from_slice(&self.data[src..src + self.b]);
         }
         out
-    }
-
-    /// Iterates this rank's owned blocks as `(i_blk, j_blk)` pairs.
-    pub fn owned_blocks(&self, n_b: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let (my_r, my_c, p_r, p_c) = (self.my_r, self.my_c, self.p_r, self.p_c);
-        (my_c..n_b)
-            .step_by(p_c)
-            .flat_map(move |j| (my_r..n_b).step_by(p_r).map(move |i| (i, j)))
     }
 }
 
@@ -215,6 +195,19 @@ impl LocalMat<f64> {
             }
         }
     }
+}
+
+/// Local row offset of the trailing region strictly *after* global
+/// block-row `k` on grid row `my_r` (the rows of owned blocks `I > k`).
+/// A free function because timing-mode ranks hold no [`LocalMat`].
+pub fn trailing_row(grid: &ProcessGrid, my_r: usize, k: usize, b: usize) -> usize {
+    count_owned(k + 1, my_r, grid.p_r) * b
+}
+
+/// Local column offset of the trailing region strictly after global
+/// block-column `k` on grid column `my_c`.
+pub fn trailing_col(grid: &ProcessGrid, my_c: usize, k: usize, b: usize) -> usize {
+    count_owned(k + 1, my_c, grid.p_c) * b
 }
 
 /// Number of global block indices `< upto` owned by coordinate `pi` on a
@@ -262,13 +255,16 @@ mod tests {
 
     #[test]
     fn trailing_offsets() {
-        let m = LocalMatrix::new(&grid22(), (0, 0), 16, 2);
+        let g = grid22();
         // Rank (0,0) owns block rows 0,2,4,6. After k=0: blocks >0 → 2,4,6
         // start at local row 2 (block 0 occupies rows 0..2).
-        assert_eq!(m.trailing_row(0), 2);
-        assert_eq!(m.trailing_row(1), 2);
-        assert_eq!(m.trailing_row(2), 4);
-        assert_eq!(m.trailing_row(7), 8); // nothing left
+        assert_eq!(trailing_row(&g, 0, 0, 2), 2);
+        assert_eq!(trailing_row(&g, 0, 1, 2), 2);
+        assert_eq!(trailing_row(&g, 0, 2, 2), 4);
+        assert_eq!(trailing_row(&g, 0, 7, 2), 8); // nothing left
+                                                  // Grid column 1 owns block columns 1,3,5,7.
+        assert_eq!(trailing_col(&g, 1, 0, 2), 0);
+        assert_eq!(trailing_col(&g, 1, 1, 2), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests of the process-grid mapping and block-cyclic
 //! layout arithmetic — the index math every other layer trusts.
 
-use hplai_core::local::{count_owned, LocalMatrix};
+use hplai_core::local::{count_owned, trailing_row, LocalMatrix};
 use hplai_core::{ProcessGrid, RankOrder};
 use proptest::prelude::*;
 
@@ -122,13 +122,13 @@ proptest! {
         let m = LocalMatrix::new(&grid, (0, 0), n, b);
         let mut prev_r = 0;
         for k in 0..n_b {
-            let tr = m.trailing_row(k);
+            let tr = trailing_row(&grid, 0, k, b);
             prop_assert!(tr >= prev_r);
             prop_assert!(tr.is_multiple_of(b));
             prop_assert!(tr <= m.n_loc_r);
             prev_r = tr;
         }
-        prop_assert_eq!(m.trailing_row(n_b - 1), m.n_loc_r);
+        prop_assert_eq!(trailing_row(&grid, 0, n_b - 1, b), m.n_loc_r);
     }
 
     /// Column-major placement is the degenerate Qx1 node-local grid when

@@ -26,8 +26,10 @@ fn world(p: usize, q: usize, summit: bool) -> WorldSpec {
     w
 }
 
+/// Runs a blocking broadcast over all `p` ranks, two per node (one when
+/// `p = 1`), so ring hops mix intra- and inter-node links.
 fn bcast_all(p: usize, root: usize, bytes: u64, algo: BcastAlgo, summit: bool) -> Vec<u64> {
-    let w = world(p, 1.min(p), summit);
+    let w = world(p, p.min(2), summit);
     w.run::<u64, _, _>(move |mut c| {
         let mut g = Group::new(c.rank(), (0..p).collect(), 1).unwrap();
         let msg = if g.my_idx() == root { Some(42) } else { None };
@@ -35,8 +37,9 @@ fn bcast_all(p: usize, root: usize, bytes: u64, algo: BcastAlgo, summit: bool) -
     })
 }
 
+/// [`bcast_all`] through the split-phase `ibcast` / `ibcast_join` pair.
 fn ibcast_all(p: usize, root: usize, bytes: u64, algo: BcastAlgo, summit: bool) -> Vec<u64> {
-    let w = world(p, 1.min(p), summit);
+    let w = world(p, p.min(2), summit);
     w.run::<u64, _, _>(move |mut c| {
         let mut g = Group::new(c.rank(), (0..p).collect(), 1).unwrap();
         let msg = if g.my_idx() == root { Some(42) } else { None };
