@@ -3,7 +3,8 @@
 //! Unlike the paper-exhibit bins (which report *simulated* time), this
 //! harness measures the **host kernels themselves**: `gemm` (f32/f64),
 //! `gemm_mixed` (fp16/bf16), `trsm`, `getrf`, the pack/cast kernels, the
-//! LCG matrix generation (`gen`, Gelem/s) and one iterative-refinement
+//! LCG matrix generation (`gen`, Gelem/s, including IR's streamed
+//! residual product `gen_residual_f64`) and one iterative-refinement
 //! sweep (`ir`), across sizes and thread counts, plus one end-to-end
 //! functional `hplai` solve. Results go to `BENCH_kernels.json` at the
 //! repository root — the perf trajectory every optimization PR is measured
@@ -21,7 +22,7 @@
 //! the single-thread tight-`ldb` panel-solve rows (`trsm_l_low_f32`,
 //! `trsm_r_up_f32`; guards the vectorised TRSM base cases), and
 //! `--gen-floor G` for single-thread `gen_fill_f64` in Gelem/s (guards
-//! the jump-ahead fill path).
+//! the vectorized lane fill).
 
 use mxp_blas::{
     cast_f32_to_low, gemm, gemm_mixed, getrf_nopiv, kernel_info_f32, kernel_info_f64,
@@ -353,7 +354,7 @@ fn bench_casts(entries: &mut Vec<Entry>, threads: usize, m: usize, n: usize, rep
 }
 
 /// LCG matrix generation: `fill_tile`/`fill_tile_f32` entry rates in
-/// Gelem/s (the `gen` kernel IR re-runs every sweep to rebuild `A`).
+/// Gelem/s (the lane fills every rank runs at setup to build its tiles).
 fn bench_gen(entries: &mut Vec<Entry>, threads: usize, n: usize, cols: usize, reps: usize) {
     use mxp_lcg::{MatrixGen, MatrixKind};
     let g = MatrixGen::new(42, n, MatrixKind::DiagDominant);
@@ -380,6 +381,25 @@ fn bench_gen(entries: &mut Vec<Entry>, threads: usize, n: usize, cols: usize, re
         threads,
         secs,
         gflops: elems / secs / 1e9,
+        dispatch: "-".into(),
+    });
+}
+
+/// IR's residual product at its `n × b` block-column shape:
+/// `MatrixGen::gemv_cols` regenerates `A(:, cols)` segment by segment and
+/// folds it into `y ← y + A·x` without storing it (Gelem/s of `A`).
+fn bench_gen_residual(entries: &mut Vec<Entry>, threads: usize, n: usize, b: usize, reps: usize) {
+    use mxp_lcg::{MatrixGen, MatrixKind};
+    let g = MatrixGen::new(42, n, MatrixKind::DiagDominant);
+    let x: Vec<f64> = (0..b).map(|j| 1.0 + j as f64 / b as f64).collect();
+    let mut y = vec![0.0f64; n];
+    let secs = best_of(reps, || g.gemv_cols(0..b, &x, black_box(&mut y)));
+    entries.push(Entry {
+        kernel: "gen_residual_f64".into(),
+        shape: format!("{n}x{b}"),
+        threads,
+        secs,
+        gflops: (n * b) as f64 / secs / 1e9, // Gelem/s
         dispatch: "-".into(),
     });
 }
@@ -563,6 +583,7 @@ fn main() {
         bench_casts(&mut entries, t, 1024, if quick { 256 } else { 1024 }, reps);
         let (gn, gc) = if quick { (1024, 256) } else { (2048, 512) };
         bench_gen(&mut entries, t, gn, gc, reps);
+        bench_gen_residual(&mut entries, t, 6144, 256, reps);
         bench_ir(&mut entries, t, if quick { 384 } else { 512 }, 64, reps);
     }
     std::env::remove_var("RAYON_NUM_THREADS");

@@ -1,8 +1,11 @@
 //! General matrix-vector product (GEMV).
 //!
-//! The residual step of iterative refinement computes `r = b − A·x̃` in FP64
-//! with a parallel GEMV over regenerated matrix columns (Algorithm 1 line
-//! 38); this kernel is its single-rank core.
+//! The accumulation rule of the `Trans::No` sweep (per `y[i]`, `j`
+//! ascending, `fma(a_ij, α·x_j, y_i)`, columns with `α·x_j == 0` skipped)
+//! is also the rule of iterative refinement's residual product, which
+//! `mxp_lcg::MatrixGen::gemv_cols` runs on matrix columns it regenerates
+//! on the fly instead of reading them from a buffer; the two are pinned
+//! bitwise equal by `tests/prop.rs`.
 
 use crate::gemm::Trans;
 use mxp_precision::Real;

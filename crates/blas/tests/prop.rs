@@ -189,6 +189,61 @@ proptest! {
         }
     }
 
+    /// The generator's streamed residual product (`MatrixGen::gemv_cols`,
+    /// which iterative refinement's residual runs) is bitwise the GEMV
+    /// over a filled block column it replaced: columns with `x_j == 0`
+    /// (either sign) are skipped, so a `-0.0` in `y` survives an all-zero
+    /// block exactly as GEMV keeps it, and two block columns accumulate in
+    /// call order. `n` up to 1400 spans several 512-row segments.
+    #[test]
+    fn streamed_residual_bitwise_equals_fill_and_gemv(
+        seed: u64,
+        n in 1usize..1400,
+        b_rand in 1usize..40,
+        s0: u64,
+        s1: u64,
+        zeros: u64,
+        zero_first: bool,
+        uniform: bool,
+    ) {
+        use mxp_lcg::{MatrixGen, MatrixKind};
+        let kind = if uniform { MatrixKind::Uniform } else { MatrixKind::DiagDominant };
+        let g = MatrixGen::new(seed, n, kind);
+        let b = b_rand.min(n);
+        let blocks = [s0 as usize % (n - b + 1), s1 as usize % (n - b + 1)];
+        // x: random, with +0.0 / -0.0 where the mask says so; the first
+        // block all ±0 when `zero_first`.
+        let xr = rand_mat(2 * b, 1, seed ^ 3);
+        let x: Vec<f64> = (0..2 * b)
+            .map(|j| match (zeros >> (j % 64)) & 3 {
+                0 => 0.0,
+                1 => -0.0,
+                m if zero_first && j < b => if m == 2 { 0.0 } else { -0.0 },
+                _ => xr[(j, 0)],
+            })
+            .collect();
+        // y: random, with -0.0 and +0.0 sprinkled in.
+        let yr = rand_mat(n, 1, seed ^ 4);
+        let y0: Vec<f64> = (0..n)
+            .map(|i| match i % 5 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => yr[(i, 0)],
+            })
+            .collect();
+        let mut want = y0.clone();
+        let mut got = y0;
+        let mut col = vec![0.0f64; n * b];
+        for (t, &c0) in blocks.iter().enumerate() {
+            let xt = &x[t * b..(t + 1) * b];
+            g.fill_tile(0..n, c0..c0 + b, n, &mut col);
+            gemv(Trans::No, n, b, 1.0, &col, n, xt, 1.0, &mut want);
+            g.gemv_cols(c0..c0 + b, xt, &mut got);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert!(bits(&got) == bits(&want), "block {t}: streamed residual diverged from fill + gemv");
+        }
+    }
+
     /// GEMM is linear in alpha.
     #[test]
     fn gemm_alpha_linearity(m in 1usize..24, n in 1usize..24, k in 1usize..24, seed: u64) {

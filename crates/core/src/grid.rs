@@ -165,20 +165,6 @@ impl ProcessGrid {
     pub fn owner_of_block(&self, i_blk: usize, j_blk: usize) -> (usize, usize) {
         (i_blk % self.p_r, j_blk % self.p_c)
     }
-
-    /// Number of global block-rows `< upto` owned by grid row `pi_r` —
-    /// i.e. the local block-row index where global block `upto` would go.
-    pub fn local_blocks_below(&self, upto: usize, pi: usize, p: usize) -> usize {
-        if upto == 0 {
-            return 0;
-        }
-        // Count I in [0, upto) with I % p == pi.
-        if pi < upto % p {
-            upto / p + 1
-        } else {
-            upto / p
-        }
-    }
 }
 
 #[cfg(test)]
@@ -265,20 +251,6 @@ mod tests {
         assert_eq!(g.owner_of_block(0, 0), (0, 0));
         assert_eq!(g.owner_of_block(4, 5), (1, 1));
         assert_eq!(g.owner_of_block(3, 2), (0, 0));
-    }
-
-    #[test]
-    fn local_blocks_below_counts() {
-        let g = ProcessGrid::col_major(4, 4, 4);
-        // Blocks 0..7, grid row 1 owns blocks 1 and 5.
-        assert_eq!(g.local_blocks_below(0, 1, 4), 0);
-        assert_eq!(g.local_blocks_below(1, 1, 4), 0);
-        assert_eq!(g.local_blocks_below(2, 1, 4), 1);
-        assert_eq!(g.local_blocks_below(6, 1, 4), 2);
-        assert_eq!(g.local_blocks_below(8, 1, 4), 2);
-        // Grid row 0 owns 0 and 4.
-        assert_eq!(g.local_blocks_below(1, 0, 4), 1);
-        assert_eq!(g.local_blocks_below(5, 0, 4), 2);
     }
 
     #[test]

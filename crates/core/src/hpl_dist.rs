@@ -619,24 +619,28 @@ fn residual_check(
     let n_b = n / b;
     let grid = *ctx.grid();
     let (my_r, my_c) = ctx.coords();
-    let mut ax = vec![0.0f64; n];
-    let mut col_buf = vec![0.0f64; n * b];
-    let mut a_rowsum_part = vec![0.0f64; n];
+    // Per row: the partial `A·x` and `|A|` row sum over the owned block
+    // columns, streamed from the generator without materializing `A`.
+    // Mul then add, not fma: the driver pin fixes this rounding.
+    let mut part = vec![[0.0f64; 2]; n];
     for k in 0..n_b {
         if grid.owner_of_block(k, k) != (my_r, my_c) {
             continue;
         }
-        gen.fill_tile(0..n, k * b..(k + 1) * b, n, &mut col_buf);
-        for j in 0..b {
-            let xj = x[k * b + j];
-            let col = &col_buf[j * n..(j + 1) * n];
-            for (i, &c) in col.iter().enumerate() {
-                ax[i] += c * xj;
-                a_rowsum_part[i] += c.abs();
+        let xk = &x[k * b..(k + 1) * b];
+        gen.stream_cols(k * b..(k + 1) * b, &mut part, |c, col, part| {
+            let xj = xk[c];
+            for (p, &a) in part.iter_mut().zip(col) {
+                p[0] += a * xj;
+                p[1] += a.abs();
             }
-        }
+        });
     }
-    let mut combined: Vec<f64> = ax.into_iter().chain(a_rowsum_part).collect();
+    let mut combined: Vec<f64> = part
+        .iter()
+        .map(|p| p[0])
+        .chain(part.iter().map(|p| p[1]))
+        .collect();
     ctx.allreduce_f64(CommScope::World, &mut combined);
     let (ax, rowsums) = combined.split_at(n);
     let r_inf = ax

@@ -5,7 +5,9 @@
 //!
 //! * the residual `r = b − A·x̃` is computed by **regenerating** `A` in FP64
 //!   on the fly (the LCG jump-ahead property) — each diagonal-block owner
-//!   regenerates its block-column `A(:,k)`, multiplies by `x(k)`, and a
+//!   streams its block-column `A(:,k)` through
+//!   [`MatrixGen::gemv_cols`], which multiplies each L1-sized segment by
+//!   `x(k)` as it is drawn, so no rank ever holds an FP64 copy of `A`; a
 //!   single `Allreduce` sums the partial products (lines 38/43);
 //! * the correction solves `L̃·Ũ·d = r` with distributed **fan-in**
 //!   forward/backward substitution over the FP32 factors widened to FP64
@@ -22,7 +24,7 @@ use crate::local::{LocalMat, LocalMatrix};
 use crate::runtime::{CommScope, RankCtx, TagRange};
 use crate::solve::Stepper;
 use crate::systems::SystemSpec;
-use mxp_blas::{gemv, trsv, vec_inf_norm, Diag, Trans, Uplo};
+use mxp_blas::{trsv, vec_inf_norm, Diag, Uplo};
 use mxp_lcg::{MatrixGen, MatrixKind};
 
 /// Result of the refinement phase on one rank.
@@ -96,8 +98,8 @@ pub struct IrState<'a> {
     // across sweeps; the only `Vec`s created inside a sweep are message
     // payloads, whose ownership moves into the comm layer. The vectors
     // consumed by Allreduce come back as the reduced result, so their
-    // capacity is reclaimed for the next sweep.
-    col_buf: Vec<f64>,
+    // capacity is reclaimed for the next sweep. `A` itself has no buffer:
+    // the residual streams it from the generator.
     ax: Vec<f64>,
     r: Vec<f64>,
     y_seg: Vec<f64>, // solved L-segments (owners only)
@@ -158,7 +160,6 @@ impl<'a> IrState<'a> {
             iters: 0,
             converged: false,
             residual_inf: f64::INFINITY,
-            col_buf: vec![0.0f64; n * b],
             ax: vec![0.0f64; n],
             r: vec![0.0f64; n],
             y_seg: vec![0.0f64; n],
@@ -191,22 +192,13 @@ impl Stepper for IrState<'_> {
             if grid.owner_of_block(k, k) != (my_r, my_c) {
                 continue;
             }
-            self.gen
-                .fill_tile(0..n, k * b..(k + 1) * b, n, &mut self.col_buf);
+            // ax += A(:, k-block) · x(k-block), with the block column
+            // regenerated segment by segment and never stored; charged as
+            // the regeneration plus the GEMV it fuses.
             ctx.charge((n * b) as f64 / sys.cpu.gen_rate / speed);
-            // ax += A(:, k-block) · x(k-block): the (parallel) GEMV kernel
-            // replaces the old handwritten scalar column sweep.
-            gemv(
-                Trans::No,
-                n,
-                b,
-                1.0,
-                &self.col_buf,
-                n,
-                &self.x[k * b..(k + 1) * b],
-                1.0,
-                &mut self.ax,
-            );
+            let cols = k * b..(k + 1) * b;
+            self.gen
+                .gemv_cols(cols.clone(), &self.x[cols], &mut self.ax);
             ctx.charge(2.0 * (n * b) as f64 / sys.cpu.flop_rate / speed);
         }
         ctx.allreduce_f64(CommScope::World, &mut self.ax);

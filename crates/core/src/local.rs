@@ -274,6 +274,15 @@ mod tests {
         assert_eq!(count_owned(1, 1, 2), 0);
         assert_eq!(count_owned(5, 0, 2), 3); // 0,2,4
         assert_eq!(count_owned(5, 1, 2), 2); // 1,3
+
+        // A 4-cycle: coordinate 1 owns blocks 1 and 5, coordinate 0 owns
+        // 0 and 4; `upto` on a multiple of the cycle included.
+        assert_eq!(count_owned(1, 1, 4), 0);
+        assert_eq!(count_owned(2, 1, 4), 1);
+        assert_eq!(count_owned(6, 1, 4), 2);
+        assert_eq!(count_owned(8, 1, 4), 2);
+        assert_eq!(count_owned(1, 0, 4), 1);
+        assert_eq!(count_owned(5, 0, 4), 2);
     }
 
     #[test]

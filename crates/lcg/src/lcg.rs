@@ -70,10 +70,14 @@ impl Lcg {
 }
 
 /// Maps a u64 to a uniform f64 in `[-0.5, 0.5)` using the top 53 bits.
+///
+/// Every step is exact: `x >> 11 < 2⁵³` converts to f64 without rounding
+/// (through `i64`, so the conversion vectorizes as a signed one), the
+/// scale by 2⁻⁵³ is a power of two, and subtracting 0.5 from a multiple of
+/// 2⁻⁵³ in `[0, 1)` stays representable.
 #[inline]
 pub(crate) fn u64_to_unit(x: u64) -> f64 {
-    // (x >> 11) is uniform in [0, 2^53); scale to [0,1) then shift.
-    (x >> 11) as f64 * (1.0 / 9007199254740992.0) - 0.5
+    (x >> 11) as i64 as f64 * (1.0 / 9007199254740992.0) - 0.5
 }
 
 /// Computes the affine map of `n` composed LCG steps.
@@ -82,7 +86,10 @@ pub(crate) fn u64_to_unit(x: u64) -> f64 {
 /// with `aₙ = aⁿ` and `cₙ = c·(aⁿ⁻¹ + … + a + 1)`, all modulo 2⁶⁴. The
 /// result is obtained by binary exponentiation over affine-map composition:
 /// `(a₁,c₁) ∘ (a₂,c₂) = (a₁·a₂, a₂·c₁ + c₂)` (apply map 1 first).
-pub fn affine_pow(mut n: u128) -> (u64, u64) {
+///
+/// A `const fn`, so the lane tables of the matrix fills are built at
+/// compile time.
+pub const fn affine_pow(mut n: u128) -> (u64, u64) {
     // Identity map.
     let mut acc_a: u64 = 1;
     let mut acc_c: u64 = 0;
@@ -139,12 +146,16 @@ mod tests {
 
     #[test]
     fn huge_jumps_dont_overflow() {
-        // N² for N = 20,606,976 (the Frontier headline run) exceeds u64.
+        // N² + N for N = 20,606,976 (the Frontier headline run), ~4.2·10¹⁴:
+        // the right-hand side's stream offset at full Frontier extent.
         let n = 20_606_976u128;
         let mut g = Lcg::new(1);
         g.skip(n * n + n);
         // Just exercising it: must terminate and produce some state.
         assert_ne!(g.state(), 1);
+        // Offsets past 2⁶⁴ (N > 2³²) wrap: the generator has full period
+        // 2⁶⁴, so that many steps are the identity map.
+        assert_eq!(affine_pow(1 << 64), (1, 0));
     }
 
     #[test]

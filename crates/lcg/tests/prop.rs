@@ -2,6 +2,34 @@
 
 use mxp_lcg::{affine_pow, Lcg, MatrixGen, MatrixKind};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// Sets `RAYON_NUM_THREADS` for one case, serialised with every other
+/// test here that sets it, and restores the prior value on drop.
+struct Width {
+    prior: Option<String>,
+    _serial: MutexGuard<'static, ()>,
+}
+
+fn width(n: usize) -> Width {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    let serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let prior = std::env::var("RAYON_NUM_THREADS").ok();
+    std::env::set_var("RAYON_NUM_THREADS", n.to_string());
+    Width {
+        prior,
+        _serial: serial,
+    }
+}
+
+impl Drop for Width {
+    fn drop(&mut self) {
+        match &self.prior {
+            Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
+            None => std::env::remove_var("RAYON_NUM_THREADS"),
+        }
+    }
+}
 
 proptest! {
     /// Jumping m+n steps equals jumping m then n, from any seed.
@@ -53,19 +81,18 @@ proptest! {
 
     /// Parallel tile fill is bitwise identical to the serial path for any
     /// seed and any shape above the parallel-dispatch floor: each column
-    /// jumps to its own stream position and draws the same values the
+    /// group jumps to its own stream position and draws the same values the
     /// serial sweep would have.
     #[test]
     fn parallel_fill_matches_serial(seed: u64, n in 130usize..200) {
         let g = MatrixGen::new(seed, n, MatrixKind::DiagDominant);
-        std::env::set_var("RAYON_NUM_THREADS", "1");
-        let mut serial = vec![0.0; n * n];
-        g.fill_tile(0..n, 0..n, n, &mut serial);
-        std::env::set_var("RAYON_NUM_THREADS", "4");
-        let mut par = vec![0.0; n * n];
-        g.fill_tile(0..n, 0..n, n, &mut par);
-        std::env::remove_var("RAYON_NUM_THREADS");
-        prop_assert_eq!(serial, par);
+        let fill = |threads: usize| {
+            let _w = width(threads);
+            let mut tile = vec![0.0; n * n];
+            g.fill_tile(0..n, 0..n, n, &mut tile);
+            tile
+        };
+        prop_assert_eq!(fill(1), fill(4));
     }
 
     /// Unit mapping stays in [-0.5, 0.5).
