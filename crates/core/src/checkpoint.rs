@@ -1,13 +1,15 @@
 //! Panel-boundary checkpoint/restart: versioned snapshots of distributed
 //! factorization state.
 //!
-//! The resumable steppers ([`crate::factor::FactorState`],
-//! [`crate::hpl_dist::HplDistState`]) drain their in-flight look-ahead
-//! posture at a panel boundary and encode one opaque byte section per
-//! rank; the [`RunCheckpointer`] collects the sections (plus each rank's
-//! simulated clock) and writes one [`Snapshot`] file per boundary with an
-//! atomic tmp+rename, the same discipline the autotuner uses for its
-//! persisted tuning file.
+//! The one factorization stepper ([`crate::factor::Factorization`], under
+//! either policy: [`crate::factor::FactorState`] for HPL-MxP,
+//! [`crate::hpl_dist::HplDistState`] for HPL) drains its in-flight
+//! look-ahead posture at a panel boundary and encodes one byte section per
+//! rank, in a layout both policies share; the [`RunCheckpointer`] collects
+//! the sections (plus each rank's simulated clock) and writes one
+//! [`Snapshot`] file per boundary with an atomic tmp+rename, the same
+//! discipline the autotuner uses for its persisted tuning file. A restart
+//! checks the header with [`header_mismatch`].
 //!
 //! # On-disk format (`hplai-ckpt-v1`)
 //!
@@ -29,6 +31,10 @@
 //! sections ranks × (8-byte length + bytes)   driver-encoded local state
 //! checksum 8  FNV-1a over every preceding byte
 //! ```
+//!
+//! A section is the rank's start clock (8), the pivot record (HPL: `n` ×
+//! 8; none for HPL-MxP), a tiles flag (1), and when set the tile count
+//! (8) and the tiles' bits (4 each for HPL-MxP's FP32, 8 for HPL's FP64).
 //!
 //! Everything a reader must validate before trusting a byte is validated:
 //! magic, version, structural completeness, and the trailing checksum.
@@ -142,6 +148,29 @@ pub struct SnapshotHeader {
     /// FNV-1a tag over the restart-relevant run knobs (broadcast
     /// algorithm, look-ahead, trailing precision); must match on resume.
     pub config_tag: u64,
+}
+
+/// The first field on which a snapshot's header `got` disagrees with the
+/// header `expect` of the run about to resume from it, or `None` when the
+/// run may resume. Every field must be equal except the cursor, which
+/// must name a panel the run has not yet factored.
+pub fn header_mismatch(got: &SnapshotHeader, expect: &SnapshotHeader) -> Option<&'static str> {
+    let n_b = expect.n.checked_div(expect.b).unwrap_or(0);
+    [
+        ("driver", got.driver == expect.driver),
+        ("fidelity", got.fidelity == expect.fidelity),
+        ("problem size", (got.n, got.b) == (expect.n, expect.b)),
+        (
+            "process grid",
+            (got.p_r, got.p_c) == (expect.p_r, expect.p_c),
+        ),
+        ("rank count", got.ranks == expect.ranks),
+        ("seed", got.seed == expect.seed),
+        ("run knobs", got.config_tag == expect.config_tag),
+        ("panel cursor", got.k < n_b),
+    ]
+    .into_iter()
+    .find_map(|(field, ok)| (!ok).then_some(field))
 }
 
 /// One panel-boundary snapshot: header, per-rank clocks, per-rank opaque
@@ -334,19 +363,11 @@ impl Snapshot {
             return Err(SnapshotError::Truncated);
         }
         let ranks = header.ranks as usize;
-        let mut clocks = Vec::with_capacity(ranks);
-        for _ in 0..ranks {
-            clocks.push(r.f64()?);
-        }
-        let mut waits = Vec::with_capacity(ranks);
-        for _ in 0..ranks {
-            waits.push(r.f64()?);
-        }
-        let mut sections = Vec::with_capacity(ranks);
-        for _ in 0..ranks {
-            let len = r.u64()? as usize;
-            sections.push(r.bytes(len)?.to_vec());
-        }
+        let clocks = (0..ranks).map(|_| r.f64()).collect::<Result<_, _>>()?;
+        let waits = (0..ranks).map(|_| r.f64()).collect::<Result<_, _>>()?;
+        let sections = (0..ranks)
+            .map(|_| r.u64().and_then(|len| Ok(r.bytes(len as usize)?.to_vec())))
+            .collect::<Result<_, _>>()?;
         if !r.is_done() {
             return Err(SnapshotError::Truncated);
         }

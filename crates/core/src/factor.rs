@@ -1,27 +1,37 @@
-//! The distributed GPU HPL-AI block LU factorization (Algorithm 1, §III-C)
-//! with the §IV-B look-ahead optimization.
+//! The distributed block LU factorization: one stepper for both
+//! benchmarks, generic over a [`Policy`] with exactly two values.
 //!
-//! Every rank executes the same iteration structure:
+//! HPL-MxP ([`Mxp`], Algorithm 1, §III-C, with the §IV-B look-ahead) and
+//! HPL ([`crate::hpl_dist::Hpl`]) run the same iteration on every rank:
 //!
 //! 1. *(look-ahead)* apply the **previous** iteration's panels to the row-
 //!    and column-strips that iteration `k` is about to factor;
-//! 2. **Diagonal Update** — the owner GETRFs `A(k,k)` in FP32 and
-//!    broadcasts it along its process row and column;
-//! 3. **Panel Update** — row-`k` owners TRSM the `U` strip and TRANS_CAST
-//!    it to FP16; column-`k` owners TRSM the `L` strip and CAST it;
-//! 4. panel broadcasts (the tunable `Bcast`/`IBcast`/`Ring*` choice);
-//! 5. **Update Trailing Matrix** — the mixed-precision GEMM; with
-//!    look-ahead this applies the *previous* panels to the remainder, so
-//!    the freshly broadcast panels overlap the bulk compute.
+//! 2. **panel** — the policy factors panel `k` and hands the diagonal
+//!    block to the ranks that solve against it: HPL-MxP GETRFs `A(k,k)` in
+//!    FP32 and broadcasts it along its process row and column; HPL runs a
+//!    pivoted FP64 panel (distributed IAMAX, row exchanges) and broadcasts
+//!    `L11` along the row;
+//! 3. **strip solves** — row-`k` owners TRSM the `U` strip, column-`k`
+//!    owners produce the `L` strip; HPL-MxP casts both to FP16/BF16;
+//! 4. the `U`-then-`L` panel broadcasts (the tunable `Bcast`/`IBcast`/
+//!    `Ring*` choice; split-phase under look-ahead);
+//! 5. **trailing update** — the policy's GEMM; with look-ahead this
+//!    applies the *previous* panels to the remainder, so the freshly
+//!    broadcast panels overlap the bulk compute.
 //!
-//! The same function runs functionally (real panels) and in timing mode
+//! The stepper owns the cursor, the trailing extents, the broadcasts and
+//! the look-ahead posture, the per-iteration records, the snapshot section
+//! and resume. The policy owns what differs: the panel, the strip solves,
+//! the storage element, the GEMM kernel, their clock charges, and what
+//! [`Stepper::finish`] returns (HPL-MxP's factors for refinement, HPL's
+//! solution). HPL-MxP runs functionally (real panels) and in timing mode
 //! (virtual payloads); kernel times always come from the device model, so
 //! functional runs produce the same simulated clocks the timing runs do.
 
 use crate::cache::{MatrixCache, MatrixKey};
-use crate::checkpoint::{self, ByteReader, Snapshot, SnapshotError};
+use crate::checkpoint::{self, ByteReader, Snapshot, SnapshotError, DRIVER_FACTOR};
 use crate::grid::ProcessGrid;
-use crate::local::{trailing_col, trailing_row, LocalMatrix};
+use crate::local::{trailing_col, trailing_row, Element, LocalMat, LocalMatrix};
 use crate::msg::{PanelData, TrailingPrecision};
 use crate::runtime::{CommScope, PanelBcast, RankCtx};
 use crate::solve::Stepper;
@@ -89,7 +99,7 @@ pub struct FactorOutput {
     /// The local LU factors (functional mode only).
     pub local: Option<LocalMatrix>,
     /// Per-iteration breakdown on this rank; empty when the stepper was
-    /// told not to keep it ([`FactorState::keep_series`]).
+    /// told not to keep it ([`Factorization::keep_series`]).
     pub records: Vec<IterRecord>,
     /// Every iteration's record summed, kept or not: bitwise
     /// [`PhaseTotals::from_records`] of the full series.
@@ -98,118 +108,134 @@ pub struct FactorOutput {
     pub elapsed: f64,
 }
 
-/// One buffer of the double-buffered panel storage: either the panel data
-/// is resident, or its split-phase broadcast is still in flight.
-enum PanelSlot {
-    /// Panel resident on this rank.
-    Ready(PanelData),
-    /// Root that already holds its data but still owes the collective a
-    /// join (deferred-injection vendor `MPI_Ibcast`).
-    RootInFlight(PanelData, PanelBcast),
-    /// Receiver whose posted broadcast has not been joined yet — the
-    /// transfer is riding under whatever compute happens meanwhile.
-    InFlight(PanelBcast),
+pub(crate) mod sealed {
+    /// Keeps [`super::Policy`] to its two implementations.
+    pub trait Sealed {}
+}
+
+/// What HPL and HPL-MxP do differently inside one [`Factorization`] step.
+/// Sealed: its two values are [`Mxp`] and [`crate::hpl_dist::Hpl`].
+pub trait Policy: sealed::Sealed + Sized {
+    /// Storage element of the local tiles.
+    type Elem: Element;
+    /// What the driven-to-completion factorization returns on this rank.
+    type Output;
+
+    /// Bytes of one broadcast panel element.
+    fn panel_bytes(&self) -> u64;
+
+    /// Factors panel `at.k` and solves the strips against it. Returns the
+    /// `U` panel a row-`k` owner broadcasts down its column and the `L`
+    /// panel a column-`k` owner broadcasts along its row (`None` on other
+    /// ranks, for empty strips, and without tiles).
+    fn factor(
+        &mut self,
+        ctx: &mut RankCtx,
+        core: &mut Core<'_, Self::Elem>,
+        at: &At,
+        rec: &mut IterRecord,
+    ) -> [Option<PanelData>; 2];
+
+    /// Applies `C -= L·U` over the non-empty window `w`, charges the
+    /// device time, and returns it.
+    fn gemm(&self, ctx: &mut RankCtx, core: &mut Core<'_, Self::Elem>, sp: f64, w: &Window) -> f64;
+
+    /// Completes the run once the last panel is joined and its record
+    /// closed: HPL-MxP copies its factors back for refinement, HPL solves.
+    fn finish(self, ctx: &mut RankCtx, core: Core<'_, Self::Elem>) -> Self::Output;
+}
+
+/// Where one step stands on this rank: the panel owners, the device speed
+/// this iteration, and the trailing region after block `k` (local offsets
+/// `lr`, `lc` and extents `m_loc × n_loc`).
+#[derive(Clone, Copy, Debug)]
+pub struct At {
+    pub(crate) k: usize,
+    pub(crate) sp: f64,
+    pub(crate) kr: usize,
+    pub(crate) kc: usize,
+    pub(crate) in_row: bool,
+    pub(crate) in_col: bool,
+    pub(crate) lr: usize,
+    pub(crate) lc: usize,
+    pub(crate) m_loc: usize,
+    pub(crate) n_loc: usize,
+}
+
+/// One trailing-update window: the `m × n` local block at `(lr, lc)`,
+/// updated with the panel `l` from row `l_off` of its `l_ext` rows and the
+/// panel `u` from position `u_off` of its `u_ext`.
+#[derive(Clone, Copy, Debug)]
+pub struct Window<'p> {
+    pub(crate) l: &'p PanelData,
+    pub(crate) u: &'p PanelData,
+    pub(crate) lr: usize,
+    pub(crate) lc: usize,
+    pub(crate) m: usize,
+    pub(crate) n: usize,
+    pub(crate) l_off: usize,
+    pub(crate) l_ext: usize,
+    pub(crate) u_off: usize,
+    pub(crate) u_ext: usize,
+}
+
+/// A placeholder for panels that carry no data (timing ranks, zero
+/// extents). Never read: a GEMM over an empty window returns before it
+/// touches its inputs, and timing ranks hold no tiles to update.
+const NO_PANEL: PanelData = PanelData::F32(Vec::new());
+
+/// One buffer of the double-buffered panel storage: the panel this rank
+/// holds and, under look-ahead, the posted broadcast it still owes a join.
+/// A receiver's transfer rides under whatever compute happens until then;
+/// a root holding its data may owe one too (deferred-injection vendor
+/// `MPI_Ibcast`).
+struct PanelSlot {
+    panel: PanelData,
+    pending: Option<PanelBcast>,
 }
 
 impl PanelSlot {
     /// The resident panel; panics if the broadcast was never joined.
     fn data(&self) -> &PanelData {
-        match self {
-            PanelSlot::Ready(d) => d,
-            _ => panic!("panel still in flight: join the broadcast first"),
+        assert!(
+            self.pending.is_none(),
+            "panel still in flight: join the broadcast first"
+        );
+        &self.panel
+    }
+
+    /// Joins the pending broadcast, if any, charging join time to
+    /// `rec.bcast`/`rec.hidden` when a record is given. A receiver keeps
+    /// the panel that arrived.
+    fn resolve(&mut self, ctx: &mut RankCtx, rec: Option<&mut IterRecord>) {
+        let Some(pb) = self.pending.take() else {
+            return;
+        };
+        let (got, st) = ctx.join_panel(pb);
+        if let Some(r) = rec {
+            r.bcast += st.busy;
+            r.hidden += st.hidden;
+        }
+        if let Some(p) = got {
+            self.panel = p;
         }
     }
 }
 
-/// Completes a slot's pending broadcast (no-op when already resident),
-/// charging join time to `rec.bcast`/`rec.hidden` when a record is given.
-fn resolve_slot(
-    ctx: &mut RankCtx,
-    cfg: &FactorConfig,
-    slot: &mut PanelSlot,
-    extent: usize,
-    rec: Option<&mut IterRecord>,
-) {
-    let cur = std::mem::replace(slot, PanelSlot::Ready(PanelData::empty(cfg.prec)));
-    *slot = match cur {
-        PanelSlot::Ready(d) => PanelSlot::Ready(d),
-        PanelSlot::RootInFlight(d, pb) => {
-            let (_, st) = ctx.join_panel(pb);
-            if let Some(r) = rec {
-                r.bcast += st.busy;
-                r.hidden += st.hidden;
-            }
-            PanelSlot::Ready(d)
-        }
-        PanelSlot::InFlight(pb) => {
-            let (got, st) = ctx.join_panel(pb);
-            if let Some(r) = rec {
-                r.bcast += st.busy;
-                r.hidden += st.hidden;
-            }
-            PanelSlot::Ready(unpack_panel(got, cfg, extent))
-        }
-    };
-}
-
-/// Posts this iteration's broadcast of one panel from grid member `root`
-/// of `scope` (`is_root` on that member, which passes its panel as
-/// `mine`) and returns the slot the panel lands in.
+/// One iteration's `L` and `U` panels, as the trailing updates use them.
 ///
-/// With look-ahead the broadcast is split-phase: the root injects now and
-/// keeps its own data — joining at once if its request already resolved —
-/// while receivers keep the in-flight request and join next iteration,
-/// after the remainder GEMM has covered the flight time. Without
-/// look-ahead everyone completes the collective immediately and receivers
-/// unpack it.
-#[allow(clippy::too_many_arguments)]
-fn post_panel(
-    ctx: &mut RankCtx,
-    cfg: &FactorConfig,
-    scope: CommScope,
-    root: usize,
-    is_root: bool,
-    mine: Option<PanelData>,
-    bytes: u64,
-    extent: usize,
-    rec: &mut IterRecord,
-) -> PanelSlot {
-    let own = |mine: Option<PanelData>| mine.unwrap_or_else(|| PanelData::empty(cfg.prec));
-    if cfg.lookahead {
-        let (pb, st) = ctx.ibcast_panel(scope, root, mine.as_ref(), bytes, cfg.algo);
-        rec.bcast += st.busy + st.waited;
-        if !is_root {
-            PanelSlot::InFlight(pb)
-        } else if pb.is_resolved() {
-            let _ = ctx.join_panel(pb);
-            PanelSlot::Ready(own(mine))
-        } else {
-            PanelSlot::RootInFlight(own(mine), pb)
-        }
-    } else {
-        let (got, st) = ctx.bcast_panel(scope, root, mine.as_ref(), bytes, cfg.algo);
-        rec.bcast += st.busy;
-        PanelSlot::Ready(if is_root {
-            own(mine)
-        } else {
-            unpack_panel(got, cfg, extent)
-        })
-    }
-}
-
-/// Panels carried across iterations by the look-ahead pipeline.
-///
-/// On broadcast roots the data is held immediately; on receivers the slot
-/// stays [`PanelSlot::InFlight`] until the next iteration joins the
-/// (already posted) collective — that deferral is what lets the panel
-/// transfer overlap the remainder GEMM in the LogP clocks, exactly the
-/// §IV-B schedule.
+/// Under look-ahead they are carried to the next iteration: on broadcast
+/// roots the data is held immediately; on receivers the slot stays
+/// in flight until the next iteration joins the (already posted)
+/// collective — that deferral is what lets the panel transfer
+/// overlap the remainder GEMM in the LogP clocks, exactly the §IV-B
+/// schedule.
 struct Panels {
     /// Iteration that produced them.
     k: usize,
     /// `L` panel: trailing-rows × B, tight.
     l: PanelSlot,
-    /// Transposed `U` panel: trailing-cols × B, tight.
+    /// `U` panel over the trailing columns, tight.
     u: PanelSlot,
     /// Trailing extent the panels cover.
     m_loc: usize,
@@ -219,10 +245,662 @@ struct Panels {
 impl Panels {
     /// Joins the `U` broadcast, then the `L` one (a no-op for resident
     /// slots), charging the join time to `rec` when one is given.
-    fn resolve(&mut self, ctx: &mut RankCtx, cfg: &FactorConfig, mut rec: Option<&mut IterRecord>) {
-        resolve_slot(ctx, cfg, &mut self.u, self.n_loc, rec.as_deref_mut());
-        resolve_slot(ctx, cfg, &mut self.l, self.m_loc, rec);
+    fn resolve(&mut self, ctx: &mut RankCtx, mut rec: Option<&mut IterRecord>) {
+        self.u.resolve(ctx, rec.as_deref_mut());
+        self.l.resolve(ctx, rec);
     }
+
+    /// Applies the panels to the `m × n` window at local `(lr, lc)` inside
+    /// the trailing region they cover, and returns the charged GEMM time
+    /// (nothing for an empty window).
+    fn apply<P: Policy>(
+        &self,
+        ctx: &mut RankCtx,
+        policy: &P,
+        core: &mut Core<'_, P::Elem>,
+        sp: f64,
+        (lr, lc): (usize, usize),
+        (m, n): (usize, usize),
+    ) -> f64 {
+        if m == 0 || n == 0 {
+            return 0.0;
+        }
+        let (lr0, lc0) = core.trailing(self.k);
+        let w = Window {
+            l: self.l.data(),
+            u: self.u.data(),
+            lr,
+            lc,
+            m,
+            n,
+            l_off: lr - lr0,
+            l_ext: self.m_loc,
+            u_off: lc - lc0,
+            u_ext: self.n_loc,
+        };
+        policy.gemm(ctx, core, sp, &w)
+    }
+}
+
+/// The policy-independent state of a [`Factorization`] on one rank.
+pub struct Core<'a, T> {
+    pub(crate) sys: &'a SystemSpec,
+    pub(crate) speed: GcdSpeed,
+    pub(crate) grid: ProcessGrid,
+    pub(crate) my_r: usize,
+    pub(crate) my_c: usize,
+    pub(crate) n: usize,
+    pub(crate) b: usize,
+    pub(crate) n_b: usize,
+    pub(crate) n_loc_r: usize,
+    pub(crate) n_loc_c: usize,
+    lookahead: bool,
+    algo: BcastAlgo,
+    /// This rank's tiles; `None` on timing ranks.
+    pub(crate) local: Option<LocalMat<T>>,
+    /// The global pivot record (HPL; empty without pivoting). Every rank
+    /// learns every panel's pivots.
+    pub(crate) pivots: Vec<usize>,
+    /// The newest record, still amended by `drain` and `finish`.
+    last: Option<IterRecord>,
+    /// Closed records, when kept.
+    series: Vec<IterRecord>,
+    keep_series: bool,
+    totals: PhaseTotals,
+    pub(crate) t0: f64,
+    k: usize,
+}
+
+impl<T: Element> Core<'_, T> {
+    /// Local offsets of the trailing region after block `k`.
+    fn trailing(&self, k: usize) -> (usize, usize) {
+        let (grid, b) = (&self.grid, self.b);
+        (
+            trailing_row(grid, self.my_r, k, b),
+            trailing_col(grid, self.my_c, k, b),
+        )
+    }
+
+    /// Simulated seconds to move this rank's tiles between host and
+    /// device at iteration `k`'s speed — whichever fidelity hosts them.
+    pub(crate) fn copy_time(&self, k: usize) -> f64 {
+        let bytes = T::BYTES as u64 * self.n_loc_r as u64 * self.n_loc_c as u64;
+        self.sys.gcd.h2d_time(bytes) / self.speed.at(k)
+    }
+
+    /// Posts this iteration's broadcast of one panel of `extent` rows of
+    /// `elem`-byte elements from grid member `root` of `scope` (which
+    /// passes its panel as `mine`) and returns the slot the panel lands in.
+    ///
+    /// With look-ahead the broadcast is split-phase: the root injects now and
+    /// keeps its own data — joining at once if its request already resolved —
+    /// while receivers keep the in-flight request and join next iteration,
+    /// after the remainder GEMM has covered the flight time. Without
+    /// look-ahead everyone completes the collective immediately and receivers
+    /// unpack it.
+    fn post(
+        &self,
+        ctx: &mut RankCtx,
+        (scope, root): (CommScope, usize),
+        mine: Option<PanelData>,
+        extent: usize,
+        elem: u64,
+        rec: &mut IterRecord,
+    ) -> PanelSlot {
+        let bytes = elem * (extent * self.b) as u64;
+        let (got, pending) = if self.lookahead {
+            let (pb, st) = ctx.ibcast_panel(scope, root, mine.as_ref(), bytes, self.algo);
+            rec.bcast += st.busy + st.waited;
+            if ctx.group_idx(scope) == root && pb.is_resolved() {
+                let _ = ctx.join_panel(pb);
+                (None, None)
+            } else {
+                (None, Some(pb))
+            }
+        } else {
+            let (got, st) = ctx.bcast_panel(scope, root, mine.as_ref(), bytes, self.algo);
+            rec.bcast += st.busy;
+            (got, None)
+        };
+        let panel = mine.or(got).unwrap_or(NO_PANEL);
+        PanelSlot { panel, pending }
+    }
+
+    /// Closes the open record (if any) and opens `next` in its place.
+    fn close_last(&mut self, next: Option<IterRecord>) {
+        let Some(rec) = std::mem::replace(&mut self.last, next) else {
+            return;
+        };
+        self.totals.add(&rec);
+        if self.keep_series {
+            if self.series.capacity() == 0 {
+                // Exactly the records still to come, allocated lazily so a
+                // rank that keeps none never touches the allocator.
+                self.series.reserve_exact(self.n_b - rec.k);
+            }
+            self.series.push(rec);
+        }
+    }
+}
+
+/// One rank's snapshot section, the layout both policies write: the
+/// synchronized start time, the pivot record (HPL), and the raw bits of
+/// the local tiles when the rank holds them. Look-ahead state is never
+/// encoded — [`Stepper::drain`] ran first, so there is none.
+struct Section<T> {
+    t0: f64,
+    pivots: Vec<usize>,
+    local: Option<Vec<T>>,
+}
+
+impl<T: Element> Section<T> {
+    fn encode(out: &mut Vec<u8>, t0: f64, pivots: &[usize], local: Option<&[T]>) {
+        checkpoint::put_f64(out, t0);
+        for &p in pivots {
+            checkpoint::put_u64(out, p as u64);
+        }
+        match local {
+            Some(data) => {
+                out.push(1);
+                checkpoint::put_u64(out, data.len() as u64);
+                out.reserve(T::BYTES * data.len());
+                for &v in data {
+                    v.put(out);
+                }
+            }
+            None => out.push(0),
+        }
+    }
+
+    /// Decodes a section whose pivot record holds `n_pivots` entries.
+    fn decode(bytes: &[u8], n_pivots: usize) -> Result<Self, SnapshotError> {
+        let mut r = ByteReader::new(bytes);
+        let t0 = r.f64()?;
+        let pivots = (0..n_pivots)
+            .map(|_| r.u64().map(|p| p as usize))
+            .collect::<Result<_, _>>()?;
+        let local = if r.u8()? != 0 {
+            let len = r.u64()? as usize;
+            let raw = r.bytes(len.checked_mul(T::BYTES).ok_or(SnapshotError::Truncated)?)?;
+            Some(raw.chunks_exact(T::BYTES).map(T::get).collect())
+        } else {
+            None
+        };
+        if !r.is_done() {
+            return Err(SnapshotError::Truncated);
+        }
+        Ok(Section { t0, pivots, local })
+    }
+}
+
+/// The factorization as an explicit resumable stepper: the distributed
+/// panel cursor, local tiles, in-flight look-ahead posture, and per-rank
+/// timing records, advanced one panel iteration at a time by
+/// [`crate::solve::step_until_done`].
+///
+/// Each iteration's [`IterRecord`] stays open until the next one is
+/// pushed (or [`Stepper::finish`] runs), because the look-ahead joins of
+/// a checkpoint drain and of `finish` still charge it; then it is folded
+/// into per-rank [`PhaseTotals`] and, unless [`Factorization::keep_series`]
+/// turned that off, appended to the series.
+///
+/// Panel-boundary checkpointing drives it with a
+/// [`crate::checkpoint::RunCheckpointer`], draining the look-ahead posture
+/// ([`Stepper::drain`]) and encoding a snapshot section
+/// ([`Stepper::encode`]) at every boundary; a restarted run rebuilds the
+/// state with `resume` and steps on bit-identically.
+pub struct Factorization<'a, P: Policy> {
+    pub(crate) core: Core<'a, P::Elem>,
+    pub(crate) policy: P,
+    /// Look-ahead panels still to be applied.
+    prev: Option<Panels>,
+}
+
+/// The HPL-MxP factorization stepper.
+pub type FactorState<'a> = Factorization<'a, Mxp>;
+
+impl<'a, P: Policy> Factorization<'a, P> {
+    /// The stepper at panel cursor 0 with no tiles, empty records and no
+    /// panels in flight; blocking library broadcasts, no look-ahead.
+    pub(crate) fn assemble(
+        ctx: &RankCtx,
+        sys: &'a SystemSpec,
+        policy: P,
+        n: usize,
+        b: usize,
+        speed: GcdSpeed,
+    ) -> Self {
+        let grid = *ctx.grid();
+        let (my_r, my_c) = ctx.coords();
+        let core = Core {
+            sys,
+            speed,
+            grid,
+            my_r,
+            my_c,
+            n,
+            b,
+            n_b: n / b,
+            n_loc_r: n / grid.p_r,
+            n_loc_c: n / grid.p_c,
+            lookahead: false,
+            algo: BcastAlgo::Lib,
+            local: None,
+            pivots: Vec::new(),
+            last: None,
+            series: Vec::new(),
+            keep_series: true,
+            totals: PhaseTotals::default(),
+            t0: 0.0,
+            k: 0,
+        };
+        let prev = None;
+        Factorization { core, policy, prev }
+    }
+
+    /// Synchronizes the start: benchmark time starts after this barrier.
+    pub(crate) fn start(mut self, ctx: &mut RankCtx) -> Self {
+        ctx.barrier(CommScope::World);
+        self.core.t0 = ctx.now();
+        self
+    }
+
+    /// Rebuilds the stepper from this rank's section of a panel-boundary
+    /// snapshot and jumps the rank's clock to the drained boundary; a
+    /// `functional` stepper takes the snapshot's tiles.
+    ///
+    /// A fresh context sits at simulated time 0, so the clock charge is an
+    /// exact `f64` and the restarted run's clocks — and therefore its
+    /// message schedule and event signatures — are bit-identical from the
+    /// boundary on to the run that drained the snapshot. Timing records
+    /// restart empty: a resumed run reports the tail it actually executed.
+    pub(crate) fn restore(
+        mut self,
+        ctx: &mut RankCtx,
+        snap: &Snapshot,
+        functional: bool,
+    ) -> Result<Self, SnapshotError> {
+        let core = &mut self.core;
+        let section = checkpoint::resume_rank(ctx, snap)?;
+        let sec = Section::<P::Elem>::decode(section, core.pivots.len())?;
+        (core.t0, core.pivots, core.k) = (sec.t0, sec.pivots, snap.header.k as usize);
+        match sec.local {
+            Some(data) if data.len() != core.n_loc_r * core.n_loc_c => {
+                return Err(SnapshotError::ConfigMismatch("local matrix extent"))
+            }
+            Some(data) if functional => {
+                let coord = (core.my_r, core.my_c);
+                core.local = Some(LocalMat::from_data(&core.grid, coord, core.n, core.b, data));
+            }
+            None if functional => return Err(SnapshotError::ConfigMismatch("fidelity")),
+            // A functional snapshot can seed a timing resume; the tiles
+            // are simply not carried.
+            _ => {}
+        }
+        Ok(self)
+    }
+
+    /// Whether to keep the per-iteration series (the default) or only its
+    /// [`PhaseTotals`]. The series costs 64 bytes per iteration, which a
+    /// full machine pays once per rank. Simulated results are the same
+    /// either way.
+    pub fn keep_series(mut self, keep: bool) -> Self {
+        self.core.keep_series = keep;
+        self
+    }
+}
+
+impl<P: Policy> Stepper for Factorization<'_, P> {
+    type Output = P::Output;
+
+    fn cursor(&self) -> usize {
+        self.core.k
+    }
+
+    fn done(&self) -> bool {
+        self.core.k >= self.core.n_b
+    }
+
+    fn step(&mut self, ctx: &mut RankCtx) {
+        debug_assert!(!self.done());
+        let Factorization { core, policy, prev } = self;
+        let (k, b) = (core.k, core.b);
+        let (kr, kc) = core.grid.owner_of_block(k, k);
+        let (lr, lc) = core.trailing(k);
+        let at = At {
+            k,
+            sp: core.speed.at(k),
+            kr,
+            kc,
+            in_row: core.my_r == kr,
+            in_col: core.my_c == kc,
+            lr,
+            lc,
+            m_loc: core.n_loc_r - lr,
+            n_loc: core.n_loc_c - lc,
+        };
+        let mut rec = IterRecord {
+            k,
+            ..Default::default()
+        };
+        let wait_at_start = ctx.wait_total();
+
+        // ---- 1. Resolve the previous panels, then strip updates ---------
+        // Receivers join the broadcasts the roots posted last iteration;
+        // roots already hold their panels. The panels have therefore been
+        // in flight during the previous remainder GEMM, and the join
+        // reports how much of the transfer that compute actually hid.
+        if let Some(p) = prev.as_mut() {
+            debug_assert!(core.lookahead && p.k + 1 == k);
+            p.resolve(ctx, Some(&mut rec));
+            let at_prev = core.trailing(p.k);
+            if at.in_row && p.n_loc > 0 {
+                // Row strip: the B rows of block k × all trailing columns.
+                let rows = (b.min(p.m_loc), p.n_loc);
+                rec.gemm += p.apply(ctx, policy, core, at.sp, at_prev, rows);
+            }
+            if at.in_col && at.m_loc > 0 {
+                // Column strip: trailing rows below block k × its B cols.
+                let cols = (at.m_loc, b.min(p.n_loc));
+                rec.gemm += p.apply(ctx, policy, core, at.sp, (lr, at_prev.1), cols);
+            }
+        }
+
+        // ---- 2. Panel and strip solves, 3. panel broadcasts -------------
+        // U along the column (root: the in-row member), then L along the
+        // row (root: the in-column member).
+        let [u_mine, l_mine] = policy.factor(ctx, core, &at, &mut rec);
+        let (elem, m_loc, n_loc) = (policy.panel_bytes(), at.m_loc, at.n_loc);
+        let (col, row) = ((CommScope::Col, kr), (CommScope::Row, kc));
+        let u = core.post(ctx, col, u_mine, n_loc, elem, &mut rec);
+        let l = core.post(ctx, row, l_mine, m_loc, elem, &mut rec);
+
+        // ---- 4. Trailing update -----------------------------------------
+        let next = Panels {
+            k,
+            l,
+            u,
+            m_loc,
+            n_loc,
+        };
+        let whole = ((lr, lc), (m_loc, n_loc));
+        if core.lookahead {
+            // Apply the *previous* panels to the remainder (everything
+            // after block k in both dimensions), then stash this
+            // iteration's panels for the next strips.
+            if let Some(p) = prev.take() {
+                rec.gemm += p.apply(ctx, policy, core, at.sp, whole.0, whole.1);
+            }
+            *prev = Some(next);
+        } else {
+            // Immediate full trailing update with this iteration's panels.
+            rec.gemm += next.apply(ctx, policy, core, at.sp, whole.0, whole.1);
+        }
+
+        rec.wait = ctx.wait_total() - wait_at_start;
+        core.close_last(Some(rec));
+        core.k = k + 1;
+    }
+
+    /// Quiesces the look-ahead posture at a panel boundary: joins any
+    /// in-flight panel broadcasts and applies the pending panels to this
+    /// rank's whole trailing region — the union of the strip and remainder
+    /// updates the next iterations would have applied — so the local tiles
+    /// are a pure function of the cursor and can be snapshotted.
+    fn drain(&mut self, ctx: &mut RankCtx) {
+        let Factorization { core, policy, prev } = self;
+        let Some(mut p) = prev.take() else {
+            return;
+        };
+        debug_assert!(p.k + 1 == core.k);
+        p.resolve(ctx, core.last.as_mut());
+        let (sp, region) = (core.speed.at(core.k), core.trailing(p.k));
+        let dt = p.apply(ctx, policy, core, sp, region, (p.m_loc, p.n_loc));
+        if let Some(r) = core.last.as_mut() {
+            r.gemm += dt;
+        }
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        let core = &self.core;
+        debug_assert!(self.prev.is_none(), "encode requires a drained stepper");
+        let local = core.local.as_ref().map(|l| &l.data[..]);
+        Section::encode(out, core.t0, &core.pivots, local);
+    }
+
+    fn checkpoint_bytes(&self) -> u64 {
+        // The modeled drain: the local tiles (and the pivot record) leave
+        // the device, whichever fidelity hosts them — functional and
+        // timing clocks must agree under identical checkpoint configs.
+        let core = &self.core;
+        let tiles = core.n_loc_r as u64 * core.n_loc_c as u64;
+        P::Elem::BYTES as u64 * tiles + 8 * core.pivots.len() as u64
+    }
+
+    fn finish(self, ctx: &mut RankCtx) -> P::Output {
+        // Look-ahead leaves the last panels pending; their trailing region
+        // is empty (k = n_b - 1 has no blocks after it), so nothing to
+        // flush. Ranks still owing a join on the final (zero-extent)
+        // broadcasts must complete it so every posted message is consumed.
+        let Factorization {
+            mut core,
+            policy,
+            mut prev,
+        } = self;
+        if let Some(p) = prev.as_mut() {
+            p.resolve(ctx, core.last.as_mut());
+        }
+        core.close_last(None);
+        policy.finish(ctx, core)
+    }
+}
+
+/// HPL-MxP: FP32 storage, an unpivoted GETRF panel with diagonal-block
+/// broadcasts, panels cast to the [`TrailingPrecision`] for the
+/// mixed-precision trailing GEMM, and factors handed to iterative
+/// refinement.
+pub struct Mxp {
+    prec: TrailingPrecision,
+    shim: BlasShim,
+    ws: Workspace,
+}
+
+impl sealed::Sealed for Mxp {}
+
+impl<'a> Factorization<'a, Mxp> {
+    /// Builds the stepper at panel cursor 0: materializes the local share
+    /// (functional runs), charges the host-to-device copy, and
+    /// synchronizes — benchmark time starts after this barrier.
+    pub fn new(
+        ctx: &mut RankCtx,
+        sys: &'a SystemSpec,
+        cfg: &FactorConfig,
+        speed: GcdSpeed,
+        cache: Option<&MatrixCache>,
+    ) -> Self {
+        let mut st = Self::configured(ctx, sys, cfg, speed);
+        if cfg.fidelity == Fidelity::Functional {
+            st.core.local = Some(materialize(ctx.grid(), ctx.coords(), cfg, cache));
+        }
+        ctx.charge(st.core.copy_time(0));
+        st.start(ctx)
+    }
+
+    /// Rebuilds the stepper from this rank's section of a panel-boundary
+    /// snapshot and jumps the rank's clock to the drained boundary. The
+    /// caller validates the header; a functional snapshot may seed a
+    /// timing resume.
+    pub fn resume(
+        ctx: &mut RankCtx,
+        sys: &'a SystemSpec,
+        cfg: &FactorConfig,
+        speed: GcdSpeed,
+        snap: &Snapshot,
+    ) -> Result<Self, SnapshotError> {
+        let functional = cfg.fidelity == Fidelity::Functional;
+        Self::configured(ctx, sys, cfg, speed).restore(ctx, snap, functional)
+    }
+
+    fn configured(ctx: &RankCtx, sys: &'a SystemSpec, cfg: &FactorConfig, speed: GcdSpeed) -> Self {
+        let shim = BlasShim::new(sys.gcd.vendor);
+        let policy = Mxp {
+            prec: cfg.prec,
+            shim,
+            ws: Workspace::default(),
+        };
+        let mut st = Self::assemble(ctx, sys, policy, cfg.n, cfg.b, speed);
+        st.core.lookahead = cfg.lookahead;
+        st.core.algo = cfg.algo;
+        st
+    }
+}
+
+impl Policy for Mxp {
+    type Elem = f32;
+    type Output = FactorOutput;
+
+    fn panel_bytes(&self) -> u64 {
+        self.prec.bytes_per_elem()
+    }
+
+    /// The owner GETRFs `A(k,k)` in FP32 and the block travels along its
+    /// row, then its column (functional receivers end up holding it,
+    /// timing ranks stay empty-handed). Row-`k` owners then solve
+    /// `L11·U12 = A12` and TRANS_CAST the strip; column-`k` owners solve
+    /// `L21·U11 = A21` and CAST it.
+    fn factor(
+        &mut self,
+        ctx: &mut RankCtx,
+        core: &mut Core<'_, f32>,
+        at: &At,
+        rec: &mut IterRecord,
+    ) -> [Option<PanelData>; 2] {
+        let (b, k, sp) = (core.b, at.k, at.sp);
+        let dev = &core.sys.gcd;
+        let mut diag = None;
+        if at.in_row && at.in_col {
+            if let Some(loc) = core.local.as_mut() {
+                let (lr, lc) = (loc.row_of_block(k), loc.col_of_block(k));
+                let off = loc.idx(lr, lc);
+                let lda = loc.lda();
+                self.shim.sgetrf_buffer_size(b, &mut self.ws);
+                self.shim
+                    .sgetrf(b, &mut loc.data[off..], lda, &mut self.ws)
+                    .expect("diagonally dominant block must factor");
+                diag = Some(PanelData::F32(loc.pack(lr, b, lc, b)));
+            }
+            let dt = dev.getrf_time(b) / sp;
+            ctx.charge(dt);
+            rec.getrf += dt;
+        }
+        let diag_bytes = 4 * (b * b) as u64;
+        for (on, scope, root) in [
+            (at.in_row, CommScope::Row, at.kc),
+            (at.in_col, CommScope::Col, at.kr),
+        ] {
+            if on {
+                let (got, _) =
+                    ctx.bcast_panel(scope, root, diag.as_ref(), diag_bytes, BcastAlgo::Lib);
+                diag = diag.or(got);
+            }
+        }
+        let diag = match &diag {
+            Some(PanelData::F32(d)) => Some(&d[..]),
+            _ => None,
+        };
+        let mut strips = [None, None];
+        if at.in_row && at.n_loc > 0 {
+            strips[0] = core.local.as_mut().map(|loc| {
+                let d = diag.expect("row owner has the diagonal");
+                let off = loc.idx(loc.row_of_block(k), at.lc);
+                let (lda, a) = (loc.lda(), &mut loc.data[off..]);
+                self.shim.strsm(
+                    Side::Left,
+                    Uplo::Lower,
+                    Diag::Unit,
+                    b,
+                    at.n_loc,
+                    1.0,
+                    d,
+                    b,
+                    a,
+                    lda,
+                );
+                PanelData::trans_cast(self.prec, b, at.n_loc, a, lda)
+            });
+            charge_solve(ctx, dev, b, at.n_loc, sp, rec);
+        }
+        if at.in_col && at.m_loc > 0 {
+            strips[1] = core.local.as_mut().map(|loc| {
+                let d = diag.expect("column owner has the diagonal");
+                let off = loc.idx(at.lr, loc.col_of_block(k));
+                let (lda, a) = (loc.lda(), &mut loc.data[off..]);
+                self.shim.strsm(
+                    Side::Right,
+                    Uplo::Upper,
+                    Diag::NonUnit,
+                    at.m_loc,
+                    b,
+                    1.0,
+                    d,
+                    b,
+                    a,
+                    lda,
+                );
+                PanelData::cast(self.prec, at.m_loc, b, a, lda)
+            });
+            charge_solve(ctx, dev, b, at.m_loc, sp, rec);
+        }
+        strips
+    }
+
+    /// `C -= L16 · U16ᵀ` with the cast panels (`U` travels transposed, so
+    /// its offset and extent count rows of `Uᵀ`).
+    fn gemm(&self, ctx: &mut RankCtx, core: &mut Core<'_, f32>, sp: f64, w: &Window) -> f64 {
+        let b = core.b;
+        if let Some(loc) = core.local.as_mut() {
+            let (off, ldc) = (loc.idx(w.lr, w.lc), loc.lda());
+            let c = &mut loc.data[off..];
+            PanelData::apply_gemm(
+                w.l, w.u, w.m, w.n, b, w.l_off, w.l_ext, w.u_off, w.u_ext, c, ldc,
+            );
+        }
+        // The device-model LDA is the stored leading dimension of the local
+        // matrix (fixed at N_Lr for the whole run — the Fig. 7 effect).
+        let dev = &core.sys.gcd;
+        let dt =
+            dev.gemm_mixed_time(w.m, w.n, b, core.n_loc_r) * prec_time_factor(dev, self.prec) / sp;
+        ctx.charge(dt);
+        dt
+    }
+
+    fn finish(self, ctx: &mut RankCtx, core: Core<'_, f32>) -> FactorOutput {
+        // Copy factors back to the host for iterative refinement (§III-C).
+        ctx.charge(core.copy_time(core.n_b));
+        FactorOutput {
+            elapsed: ctx.now() - core.t0,
+            local: core.local,
+            records: core.series,
+            totals: core.totals,
+        }
+    }
+}
+
+/// Charges one strip's TRSM, then its CAST, at device speed `sp`.
+fn charge_solve(
+    ctx: &mut RankCtx,
+    dev: &GcdModel,
+    b: usize,
+    ext: usize,
+    sp: f64,
+    rec: &mut IterRecord,
+) {
+    let dt = dev.trsm_time(b, ext) / sp;
+    ctx.charge(dt);
+    rec.trsm += dt;
+    let dt = dev.cast_time(b * ext) / sp;
+    ctx.charge(dt);
+    rec.cast += dt;
 }
 
 /// Materializes this rank's local share for a functional run: served from
@@ -233,30 +911,27 @@ fn materialize(
     grid: &ProcessGrid,
     coord: (usize, usize),
     cfg: &FactorConfig,
-    gen: &MatrixGen,
     cache: Option<&MatrixCache>,
 ) -> LocalMatrix {
     let fresh = || {
         let mut m = LocalMatrix::new(grid, coord, cfg.n, cfg.b);
-        m.fill_from(gen);
+        m.fill_from(&MatrixGen::new(cfg.seed, cfg.n, MatrixKind::DiagDominant));
         m
     };
-    match cache {
-        Some(cache) => {
-            let key = MatrixKey {
-                seed: cfg.seed,
-                n: cfg.n,
-                b: cfg.b,
-                p_r: grid.p_r,
-                p_c: grid.p_c,
-                coord,
-                kind: MatrixKind::DiagDominant,
-            };
-            let data = cache.get_or_fill(key, || fresh().data);
-            LocalMatrix::from_data(grid, coord, cfg.n, cfg.b, data.as_ref().clone())
-        }
-        None => fresh(),
-    }
+    let Some(cache) = cache else {
+        return fresh();
+    };
+    let key = MatrixKey {
+        seed: cfg.seed,
+        n: cfg.n,
+        b: cfg.b,
+        p_r: grid.p_r,
+        p_c: grid.p_c,
+        coord,
+        kind: MatrixKind::DiagDominant,
+    };
+    let data = cache.get_or_fill(key, || fresh().data);
+    LocalMatrix::from_data(grid, coord, cfg.n, cfg.b, data.as_ref().clone())
 }
 
 /// Runs the distributed factorization on this rank. `speed` is the GCD's
@@ -289,585 +964,6 @@ pub fn factor_cached(
     crate::solve::step_until_done(ctx, state, None).0
 }
 
-/// The factorization as an explicit resumable stepper: the distributed
-/// panel cursor, local tiles, in-flight look-ahead posture, and per-rank
-/// timing records, advanced one panel iteration at a time by
-/// [`crate::solve::step_until_done`].
-///
-/// Each iteration's [`IterRecord`] stays open until the next one is
-/// pushed (or [`Stepper::finish`] runs), because the look-ahead joins of
-/// a checkpoint drain and of `finish` still charge it; then it is folded
-/// into per-rank [`PhaseTotals`] and, unless [`FactorState::keep_series`]
-/// turned that off, appended to the series.
-///
-/// The monolithic [`factor`] loop is this state machine driven to
-/// completion; panel-boundary checkpointing drives it with a
-/// [`crate::checkpoint::RunCheckpointer`] instead, draining the look-ahead
-/// posture ([`Stepper::drain`]) and encoding a snapshot section
-/// ([`Stepper::encode`]) at every boundary, and a restarted run rebuilds
-/// the state with [`FactorState::resume`] and steps on bit-identically.
-pub struct FactorState<'a> {
-    sys: &'a SystemSpec,
-    cfg: FactorConfig,
-    speed: GcdSpeed,
-    grid: ProcessGrid,
-    my_r: usize,
-    my_c: usize,
-    shim: BlasShim,
-    ws: Workspace,
-    n_b: usize,
-    n_loc_r: usize,
-    n_loc_c: usize,
-    local: Option<LocalMatrix>,
-    /// The newest record, still amended by `drain` and `finish`.
-    last: Option<IterRecord>,
-    /// Closed records, when kept.
-    series: Vec<IterRecord>,
-    keep_series: bool,
-    totals: PhaseTotals,
-    prev: Option<Panels>,
-    t0: f64,
-    k: usize,
-}
-
-impl<'a> FactorState<'a> {
-    /// Builds the stepper at panel cursor 0: materializes the local share
-    /// (functional runs), charges the host-to-device copy, and
-    /// synchronizes — benchmark time starts after this barrier.
-    pub fn new(
-        ctx: &mut RankCtx,
-        sys: &'a SystemSpec,
-        cfg: &FactorConfig,
-        speed: GcdSpeed,
-        cache: Option<&MatrixCache>,
-    ) -> Self {
-        let local = match cfg.fidelity {
-            Fidelity::Functional => {
-                let gen = MatrixGen::new(cfg.seed, cfg.n, MatrixKind::DiagDominant);
-                Some(materialize(ctx.grid(), ctx.coords(), cfg, &gen, cache))
-            }
-            Fidelity::Timing => None,
-        };
-        let mut st = Self::assemble(ctx, sys, cfg, speed, local);
-        ctx.charge(sys.gcd.h2d_time(4 * st.n_loc_r as u64 * st.n_loc_c as u64) / st.speed.at(0));
-        ctx.barrier(CommScope::World);
-        st.t0 = ctx.now();
-        st
-    }
-
-    /// Rebuilds the stepper from this rank's section of a panel-boundary
-    /// snapshot and jumps the rank's clock to the drained boundary.
-    ///
-    /// A fresh context sits at simulated time 0, so the clock charge is an
-    /// exact `f64` and the restarted run's clocks — and therefore its
-    /// message schedule and event signatures — are bit-identical from the
-    /// boundary on to the run that drained the snapshot. Timing records
-    /// restart empty: a resumed run reports the tail it actually executed.
-    pub fn resume(
-        ctx: &mut RankCtx,
-        sys: &'a SystemSpec,
-        cfg: &FactorConfig,
-        speed: GcdSpeed,
-        snap: &Snapshot,
-    ) -> Result<Self, SnapshotError> {
-        let mut r = ByteReader::new(checkpoint::resume_rank(ctx, snap)?);
-        let mut st = Self::assemble(ctx, sys, cfg, speed, None);
-        st.t0 = r.f64()?;
-        st.k = snap.header.k as usize;
-        if r.u8()? != 0 {
-            let len = r.u64()? as usize;
-            if len != st.n_loc_r * st.n_loc_c {
-                return Err(SnapshotError::ConfigMismatch("local matrix extent"));
-            }
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                data.push(f32::from_bits(r.u32()?));
-            }
-            let coord = (st.my_r, st.my_c);
-            st.local = Some(LocalMatrix::from_data(&st.grid, coord, cfg.n, cfg.b, data));
-        }
-        if !r.is_done() {
-            return Err(SnapshotError::Truncated);
-        }
-        match cfg.fidelity {
-            Fidelity::Functional if st.local.is_none() => {
-                return Err(SnapshotError::ConfigMismatch("fidelity"))
-            }
-            // A functional snapshot can seed a timing resume; the tiles
-            // are simply not carried.
-            Fidelity::Timing => st.local = None,
-            Fidelity::Functional => {}
-        }
-        Ok(st)
-    }
-
-    /// The stepper at panel cursor 0 around `local`, with empty records
-    /// and no panels in flight: what [`Self::new`] and [`Self::resume`]
-    /// both start from before they set the start time and cursor.
-    fn assemble(
-        ctx: &RankCtx,
-        sys: &'a SystemSpec,
-        cfg: &FactorConfig,
-        speed: GcdSpeed,
-        local: Option<LocalMatrix>,
-    ) -> Self {
-        let grid = *ctx.grid();
-        let (my_r, my_c) = ctx.coords();
-        FactorState {
-            sys,
-            cfg: cfg.clone(),
-            speed,
-            grid,
-            my_r,
-            my_c,
-            shim: BlasShim::new(sys.gcd.vendor),
-            ws: Workspace::default(),
-            n_b: cfg.n / cfg.b,
-            n_loc_r: cfg.n / grid.p_r,
-            n_loc_c: cfg.n / grid.p_c,
-            local,
-            last: None,
-            series: Vec::new(),
-            keep_series: true,
-            totals: PhaseTotals::default(),
-            prev: None,
-            t0: 0.0,
-            k: 0,
-        }
-    }
-
-    /// Whether to keep the per-iteration series (the default) or only its
-    /// [`PhaseTotals`]. The series costs 64 bytes per iteration, which a
-    /// full machine pays once per rank. Simulated results are the same
-    /// either way.
-    pub fn keep_series(mut self, keep: bool) -> Self {
-        self.keep_series = keep;
-        self
-    }
-
-    /// Closes the open record (if any) and opens `next` in its place.
-    fn close_last(&mut self, next: Option<IterRecord>) {
-        let Some(rec) = std::mem::replace(&mut self.last, next) else {
-            return;
-        };
-        self.totals.add(&rec);
-        if self.keep_series {
-            if self.series.capacity() == 0 {
-                // Exactly the records still to come, allocated lazily so a
-                // rank that keeps none never touches the allocator.
-                self.series.reserve_exact(self.n_b - rec.k);
-            }
-            self.series.push(rec);
-        }
-    }
-}
-
-impl Stepper for FactorState<'_> {
-    type Output = FactorOutput;
-
-    fn cursor(&self) -> usize {
-        self.k
-    }
-
-    fn done(&self) -> bool {
-        self.k >= self.n_b
-    }
-
-    fn step(&mut self, ctx: &mut RankCtx) {
-        debug_assert!(!self.done());
-        let k = self.k;
-        let (my_r, my_c) = (self.my_r, self.my_c);
-        let (n_loc_r, n_loc_c) = (self.n_loc_r, self.n_loc_c);
-        let FactorState {
-            sys,
-            cfg,
-            speed,
-            grid,
-            shim,
-            ws,
-            local,
-            prev,
-            ..
-        } = self;
-        let grid = *grid;
-        let dev = &sys.gcd;
-        let b = cfg.b;
-        let (kr, kc) = grid.owner_of_block(k, k);
-        let in_row = my_r == kr;
-        let in_col = my_c == kc;
-        let i_am_owner = in_row && in_col;
-        let mut rec = IterRecord {
-            k,
-            ..Default::default()
-        };
-        // Device speed this iteration — injected faults (degradation,
-        // thermal runaway, failure) change it as the run progresses.
-        let sp = speed.at(k);
-        let wait_at_start = ctx.wait_total();
-
-        // Trailing extents *after* block k (the region panels k cover).
-        let lr_k = trailing_row(&grid, my_r, k, b);
-        let lc_k = trailing_col(&grid, my_c, k, b);
-        let m_loc = n_loc_r - lr_k;
-        let n_loc = n_loc_c - lc_k;
-
-        // ---- 1. Resolve the previous panels, then strip updates ---------
-        // Receivers join the broadcasts the roots posted last iteration;
-        // roots already hold their panels. The panels have therefore been
-        // in flight during the previous remainder GEMM, and the join
-        // reports how much of the transfer that compute actually hid.
-        if let Some(p) = prev.as_mut() {
-            debug_assert!(cfg.lookahead && p.k + 1 == k);
-            p.resolve(ctx, cfg, Some(&mut rec));
-        }
-        if let Some(p) = prev.as_ref() {
-            let lr_prev = trailing_row(&grid, my_r, p.k, b);
-            let lc_prev = trailing_col(&grid, my_c, p.k, b);
-            let l_prev = p.l.data();
-            let u_prev = p.u.data();
-            if in_row && p.n_loc > 0 {
-                // Row strip: the B rows of block k × all trailing columns.
-                rec.gemm += gemm_update(
-                    ctx,
-                    dev,
-                    cfg.prec,
-                    local.as_mut(),
-                    sp,
-                    lr_prev,
-                    lc_prev,
-                    b.min(p.m_loc),
-                    p.n_loc,
-                    l_prev,
-                    0,
-                    p.m_loc,
-                    u_prev,
-                    0,
-                    p.n_loc,
-                    b,
-                    n_loc_r,
-                );
-            }
-            if in_col && m_loc > 0 {
-                // Column strip: trailing rows below block k × its B cols.
-                rec.gemm += gemm_update(
-                    ctx,
-                    dev,
-                    cfg.prec,
-                    local.as_mut(),
-                    sp,
-                    lr_k,
-                    lc_prev,
-                    m_loc,
-                    b.min(p.n_loc),
-                    l_prev,
-                    lr_k - lr_prev,
-                    p.m_loc,
-                    u_prev,
-                    0,
-                    p.n_loc,
-                    b,
-                    n_loc_r,
-                );
-            }
-        }
-
-        // ---- 2. Diagonal update -----------------------------------------
-        let mut diag: Option<Vec<f32>> = None;
-        if i_am_owner {
-            if let Some(loc) = local.as_mut() {
-                let (lr, lc) = (loc.row_of_block(k), loc.col_of_block(k));
-                let off = loc.idx(lr, lc);
-                let lda = loc.lda();
-                shim.sgetrf_buffer_size(b, ws);
-                shim.sgetrf(b, &mut loc.data[off..], lda, ws)
-                    .expect("diagonally dominant block must factor");
-                diag = Some(loc.pack_block(lr, lc));
-            }
-            let dt = dev.getrf_time(b) / sp;
-            ctx.charge(dt);
-            rec.getrf += dt;
-        }
-        // Broadcast the diagonal block along the owner's row and column
-        // (in place: the owner's block travels, functional receivers end
-        // up holding it, timing-mode ranks stay empty-handed).
-        let diag_bytes = 4 * (b * b) as u64;
-        if in_row {
-            ctx.bcast_diag(CommScope::Row, kc, &mut diag, diag_bytes);
-        }
-        if in_col {
-            ctx.bcast_diag(CommScope::Col, kr, &mut diag, diag_bytes);
-        }
-
-        // ---- 3. Panel updates -------------------------------------------
-        // U strip: row-k owners solve L11·U12 = A12 then transpose-cast.
-        let mut u16t_mine: Option<PanelData> = None;
-        if in_row && n_loc > 0 {
-            if let Some(loc) = local.as_mut() {
-                let d = diag.as_ref().expect("row owner has the diagonal");
-                let lr = loc.row_of_block(k);
-                let off = loc.idx(lr, lc_k);
-                let lda = loc.lda();
-                shim.strsm(
-                    Side::Left,
-                    Uplo::Lower,
-                    Diag::Unit,
-                    b,
-                    n_loc,
-                    1.0,
-                    d,
-                    b,
-                    &mut loc.data[off..],
-                    lda,
-                );
-                u16t_mine = Some(PanelData::trans_cast(
-                    cfg.prec,
-                    b,
-                    n_loc,
-                    &loc.data[off..],
-                    lda,
-                ));
-            }
-            let dt = dev.trsm_time(b, n_loc) / sp;
-            ctx.charge(dt);
-            rec.trsm += dt;
-            let dt = dev.cast_time(b * n_loc) / sp;
-            ctx.charge(dt);
-            rec.cast += dt;
-        }
-        // L strip: column-k owners solve L21·U11 = A21 then cast.
-        let mut l16_mine: Option<PanelData> = None;
-        if in_col && m_loc > 0 {
-            if let Some(loc) = local.as_mut() {
-                let d = diag.as_ref().expect("column owner has the diagonal");
-                let lc = loc.col_of_block(k);
-                let off = loc.idx(lr_k, lc);
-                let lda = loc.lda();
-                shim.strsm(
-                    Side::Right,
-                    Uplo::Upper,
-                    Diag::NonUnit,
-                    m_loc,
-                    b,
-                    1.0,
-                    d,
-                    b,
-                    &mut loc.data[off..],
-                    lda,
-                );
-                l16_mine = Some(PanelData::cast(cfg.prec, m_loc, b, &loc.data[off..], lda));
-            }
-            let dt = dev.trsm_time(b, m_loc) / sp;
-            ctx.charge(dt);
-            rec.trsm += dt;
-            let dt = dev.cast_time(m_loc * b) / sp;
-            ctx.charge(dt);
-            rec.cast += dt;
-        }
-
-        // ---- 4. Panel broadcasts ----------------------------------------
-        // U along the column (root: the in-row member), then L along the
-        // row (root: the in-column member).
-        let elem = cfg.prec.bytes_per_elem();
-        let u_slot = post_panel(
-            ctx,
-            cfg,
-            CommScope::Col,
-            kr,
-            in_row,
-            u16t_mine,
-            elem * (n_loc * b) as u64,
-            n_loc,
-            &mut rec,
-        );
-        let l_slot = post_panel(
-            ctx,
-            cfg,
-            CommScope::Row,
-            kc,
-            in_col,
-            l16_mine,
-            elem * (m_loc * b) as u64,
-            m_loc,
-            &mut rec,
-        );
-
-        // ---- 5. Trailing update -----------------------------------------
-        if cfg.lookahead {
-            // Apply the *previous* panels to the remainder (everything
-            // after block k in both dimensions), then stash this
-            // iteration's panels for the next strips.
-            if let Some(p) = prev.take() {
-                let lr_prev = trailing_row(&grid, my_r, p.k, b);
-                let lc_prev = trailing_col(&grid, my_c, p.k, b);
-                if m_loc > 0 && n_loc > 0 {
-                    rec.gemm += gemm_update(
-                        ctx,
-                        dev,
-                        cfg.prec,
-                        local.as_mut(),
-                        sp,
-                        lr_k,
-                        lc_k,
-                        m_loc,
-                        n_loc,
-                        p.l.data(),
-                        lr_k - lr_prev,
-                        p.m_loc,
-                        p.u.data(),
-                        lc_k - lc_prev,
-                        p.n_loc,
-                        b,
-                        n_loc_r,
-                    );
-                }
-            }
-            *prev = Some(Panels {
-                k,
-                l: l_slot,
-                u: u_slot,
-                m_loc,
-                n_loc,
-            });
-        } else if m_loc > 0 && n_loc > 0 {
-            // Immediate full trailing update with this iteration's panels.
-            rec.gemm += gemm_update(
-                ctx,
-                dev,
-                cfg.prec,
-                local.as_mut(),
-                sp,
-                lr_k,
-                lc_k,
-                m_loc,
-                n_loc,
-                l_slot.data(),
-                0,
-                m_loc,
-                u_slot.data(),
-                0,
-                n_loc,
-                b,
-                n_loc_r,
-            );
-        }
-
-        rec.wait = ctx.wait_total() - wait_at_start;
-        self.close_last(Some(rec));
-        self.k = k + 1;
-    }
-
-    /// Quiesces the look-ahead posture at a panel boundary: joins any
-    /// in-flight panel broadcasts and applies the pending panels to this
-    /// rank's whole trailing region — the union of the strip and remainder
-    /// updates the next iterations would have applied — so the local tiles
-    /// are a pure function of the cursor and can be snapshotted.
-    fn drain(&mut self, ctx: &mut RankCtx) {
-        if self.prev.is_none() {
-            return;
-        }
-        let k = self.k;
-        let (my_r, my_c) = (self.my_r, self.my_c);
-        let n_loc_r = self.n_loc_r;
-        let FactorState {
-            sys,
-            cfg,
-            speed,
-            grid,
-            local,
-            last,
-            prev,
-            ..
-        } = self;
-        let grid = *grid;
-        let dev = &sys.gcd;
-        let b = cfg.b;
-        let mut p = prev.take().expect("checked above");
-        debug_assert!(p.k + 1 == k);
-        p.resolve(ctx, cfg, last.as_mut());
-        let lr_prev = trailing_row(&grid, my_r, p.k, b);
-        let lc_prev = trailing_col(&grid, my_c, p.k, b);
-        let dt = gemm_update(
-            ctx,
-            dev,
-            cfg.prec,
-            local.as_mut(),
-            speed.at(k),
-            lr_prev,
-            lc_prev,
-            p.m_loc,
-            p.n_loc,
-            p.l.data(),
-            0,
-            p.m_loc,
-            p.u.data(),
-            0,
-            p.n_loc,
-            b,
-            n_loc_r,
-        );
-        if let Some(r) = last.as_mut() {
-            r.gemm += dt;
-        }
-    }
-
-    /// Encodes this rank's section of a panel-boundary snapshot: the
-    /// synchronized start time and (functional runs) the raw bits of the
-    /// local tiles. Look-ahead state is never encoded — [`Self::drain`]
-    /// ran first, so there is none.
-    fn encode(&self, out: &mut Vec<u8>) {
-        debug_assert!(self.prev.is_none(), "encode requires a drained stepper");
-        checkpoint::put_f64(out, self.t0);
-        match &self.local {
-            Some(loc) => {
-                out.push(1);
-                checkpoint::put_u64(out, loc.data.len() as u64);
-                out.reserve(4 * loc.data.len());
-                for &v in &loc.data {
-                    out.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-            }
-            None => out.push(0),
-        }
-    }
-
-    fn checkpoint_bytes(&self) -> u64 {
-        // The modeled drain: the FP32 local tiles leave the device,
-        // whichever fidelity hosts them — functional and timing clocks
-        // must agree under identical checkpoint configs.
-        4 * self.n_loc_r as u64 * self.n_loc_c as u64
-    }
-
-    fn finish(mut self, ctx: &mut RankCtx) -> FactorOutput {
-        // Look-ahead leaves the last panels pending; their trailing region
-        // is empty (k = n_b - 1 has no blocks after it), so nothing to
-        // flush. Ranks still owing a join on the final (zero-extent)
-        // broadcasts must complete it so every posted message is consumed.
-        let FactorState {
-            cfg, last, prev, ..
-        } = &mut self;
-        if let Some(p) = prev.as_mut() {
-            p.resolve(ctx, cfg, last.as_mut());
-        }
-
-        // Copy factors back to the host for iterative refinement (§III-C).
-        ctx.charge(
-            self.sys
-                .gcd
-                .h2d_time(4 * self.n_loc_r as u64 * self.n_loc_c as u64)
-                / self.speed.at(self.n_b),
-        );
-
-        self.close_last(None);
-        let elapsed = ctx.now() - self.t0;
-        FactorOutput {
-            local: self.local,
-            records: self.series,
-            totals: self.totals,
-            elapsed,
-        }
-    }
-}
-
 /// Re-grids a factorization snapshot onto a new (smaller) process grid —
 /// the elastic recovery path. Every block column/row of the checkpointed
 /// matrix is re-dealt block-cyclically to its owner under `new_grid`, and
@@ -886,7 +982,7 @@ pub fn regrid_snapshot(
 ) -> Result<Snapshot, SnapshotError> {
     let n = snap.header.n as usize;
     let b = snap.header.b as usize;
-    if snap.header.driver != checkpoint::DRIVER_FACTOR {
+    if snap.header.driver != DRIVER_FACTOR {
         return Err(SnapshotError::ConfigMismatch("driver"));
     }
     if old_grid.p_r != snap.header.p_r as usize || old_grid.p_c != snap.header.p_c as usize {
@@ -897,26 +993,18 @@ pub fn regrid_snapshot(
     }
     // Decode every old rank's section.
     let mut t0 = 0.0_f64;
-    let mut olds: Vec<(Option<LocalMatrix>, (usize, usize))> = Vec::new();
+    let mut olds = Vec::with_capacity(snap.sections.len());
     for (rank, section) in snap.sections.iter().enumerate() {
+        let sec = Section::<f32>::decode(section, 0)?;
+        t0 = t0.max(sec.t0);
         let coord = old_grid.coord_of(rank);
-        let mut r = ByteReader::new(section);
-        t0 = t0.max(r.f64()?);
-        let has_local = r.u8()? != 0;
-        let local = if has_local {
-            let len = r.u64()? as usize;
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                data.push(f32::from_bits(r.u32()?));
-            }
-            Some(LocalMatrix::from_data(old_grid, coord, n, b, data))
-        } else {
-            None
-        };
-        olds.push((local, coord));
+        olds.push(
+            sec.local
+                .map(|data| LocalMatrix::from_data(old_grid, coord, n, b, data)),
+        );
     }
-    let functional = olds.iter().any(|(l, _)| l.is_some());
-    if functional && olds.iter().any(|(l, _)| l.is_none()) {
+    let functional = olds.iter().any(Option::is_some);
+    if functional && olds.iter().any(Option::is_none) {
         return Err(SnapshotError::ConfigMismatch("mixed section fidelity"));
     }
     // Re-deal the tiles to their new owners.
@@ -925,35 +1013,26 @@ pub fn regrid_snapshot(
     let mut sections = Vec::with_capacity(new_grid.size());
     for rank in 0..new_grid.size() {
         let (r, c) = new_grid.coord_of(rank);
-        let mut out = Vec::new();
-        checkpoint::put_f64(&mut out, t0);
-        if functional {
+        let mine = functional.then(|| {
             let mut mine = LocalMatrix::new(new_grid, (r, c), n, b);
             for jb in (c..n_b).step_by(new_grid.p_c) {
                 for ib in (r..n_b).step_by(new_grid.p_r) {
                     let (or, oc) = old_grid.owner_of_block(ib, jb);
-                    let src_rank = old_grid.rank_of(or, oc);
-                    let src = olds[src_rank].0.as_ref().expect("checked functional");
-                    let (slr, slc) = (src.row_of_block(ib), src.col_of_block(jb));
+                    let src = olds[old_grid.rank_of(or, oc)]
+                        .as_ref()
+                        .expect("checked functional");
+                    let blk = src.pack(src.row_of_block(ib), b, src.col_of_block(jb), b);
                     let (dlr, dlc) = (mine.row_of_block(ib), mine.col_of_block(jb));
-                    for j in 0..b {
-                        for i in 0..b {
-                            let v = src.data[src.idx(slr + i, slc + j)];
-                            let di = mine.idx(dlr + i, dlc + j);
-                            mine.data[di] = v;
-                        }
+                    for (j, col) in blk.chunks_exact(b).enumerate() {
+                        let di = mine.idx(dlr, dlc + j);
+                        mine.data[di..di + b].copy_from_slice(col);
                     }
                 }
             }
-            out.push(1);
-            checkpoint::put_u64(&mut out, mine.data.len() as u64);
-            out.reserve(4 * mine.data.len());
-            for &v in &mine.data {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-        } else {
-            out.push(0);
-        }
+            mine
+        });
+        let mut out = Vec::new();
+        Section::encode(&mut out, t0, &[], mine.as_ref().map(|m| &m.data[..]));
         sections.push(out);
     }
     let mut header = snap.header;
@@ -971,15 +1050,6 @@ pub fn regrid_snapshot(
     })
 }
 
-/// Extracts a reduced-precision panel from a broadcast result (empty in
-/// timing mode or for zero-extent panels).
-fn unpack_panel(got: Option<PanelData>, cfg: &FactorConfig, extent: usize) -> PanelData {
-    match (cfg.fidelity, extent) {
-        (Fidelity::Functional, e) if e > 0 => got.expect("functional broadcast must carry a panel"),
-        _ => PanelData::empty(cfg.prec),
-    }
-}
-
 /// Trailing-GEMM slowdown of the chosen panel format relative to the
 /// FP16 tensor path: 16-bit formats ride the matrix cores; FP32 inputs
 /// fall back to the vector FP32 pipeline.
@@ -988,47 +1058,6 @@ fn prec_time_factor(dev: &GcdModel, prec: TrailingPrecision) -> f64 {
         TrailingPrecision::Fp16 | TrailingPrecision::Bf16 => 1.0,
         TrailingPrecision::Fp32 => dev.fp16_peak / dev.fp32_peak,
     }
-}
-
-/// Applies `C -= L16 · U16ᵀ` to the local window at `(lr, lc)` of extent
-/// `m × n`, reading the FP16 panels at the given row offsets, and charges
-/// the device time. Returns the charged GEMM time.
-#[allow(clippy::too_many_arguments)]
-fn gemm_update(
-    ctx: &mut RankCtx,
-    dev: &GcdModel,
-    prec: TrailingPrecision,
-    local: Option<&mut LocalMatrix>,
-    speed: f64,
-    lr: usize,
-    lc: usize,
-    m: usize,
-    n: usize,
-    l16: &PanelData,
-    l_row_off: usize,
-    l_lda: usize,
-    u16t: &PanelData,
-    u_row_off: usize,
-    u_lda: usize,
-    b: usize,
-    lda_model: usize,
-) -> f64 {
-    if m == 0 || n == 0 {
-        return 0.0;
-    }
-    if let Some(loc) = local {
-        let off = loc.idx(lr, lc);
-        let lda = loc.lda();
-        let (slice, ldc) = (&mut loc.data[off..], lda);
-        PanelData::apply_gemm(
-            l16, u16t, m, n, b, l_row_off, l_lda, u_row_off, u_lda, slice, ldc,
-        );
-    }
-    // The device-model LDA is the stored leading dimension of the local
-    // matrix (fixed at N_Lr for the whole run — the Fig. 7 effect).
-    let dt = dev.gemm_mixed_time(m, n, b, lda_model) * prec_time_factor(dev, prec) / speed;
-    ctx.charge(dt);
-    dt
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
-//! Distributed functional HPL: FP64 right-looking LU **with partial
-//! pivoting** over the same grid/runtime substrate as HPL-AI.
+//! Distributed functional HPL: the [`Hpl`] policy of the one factorization
+//! stepper ([`crate::factor::Factorization`]) — FP64 right-looking LU
+//! **with partial pivoting** over the same grid/runtime substrate as
+//! HPL-MxP.
 //!
 //! This is the baseline the paper compares against (§I "9.5× HPL"),
 //! implemented for real rather than only as a cost model: per column the
@@ -7,9 +9,10 @@
 //! owner ranks exchange the pivot rows, the pivot row is broadcast down the
 //! column for the rank-1 panel update, swaps are applied to the remainder
 //! of the matrix row-pair by row-pair, and the trailing update runs in
-//! FP64. Unlike HPL-AI, no conditioning assumption is needed — the tests
+//! FP64. Unlike HPL-MxP, no conditioning assumption is needed — the tests
 //! run it on uniform random matrices where the unpivoted factorization
-//! suffers catastrophic growth.
+//! suffers catastrophic growth. The stepper runs it with blocking library
+//! broadcasts and no look-ahead.
 //!
 //! The closing solve is iterative refinement's: [`crate::ir`]'s distributed
 //! fan-in forward and backward substitution, run once on the FP64 factors
@@ -23,12 +26,13 @@
 //! [`TagRange`]s, and every operation lands in the context's
 //! [`crate::runtime::CommTrace`].
 
-use crate::checkpoint::{self, ByteReader, Snapshot, SnapshotError, SnapshotHeader, DRIVER_HPL};
+use crate::checkpoint::{self, Snapshot, SnapshotError, SnapshotHeader, DRIVER_HPL};
+use crate::factor::{sealed, At, Core, Factorization, IterRecord, Policy, Window};
 use crate::grid::ProcessGrid;
 use crate::ir::{fan_in_solve, owned_diag_blocks};
-use crate::local::{trailing_col, trailing_row, LocalMat};
+use crate::local::LocalMat;
+use crate::msg::PanelData;
 use crate::runtime::{CommScope, RankCtx, TagRange};
-use crate::solve::Stepper;
 use crate::systems::SystemSpec;
 use mxp_blas::{gemm, trsm, vec_inf_norm, Diag, Side, Trans, Uplo};
 use mxp_lcg::{MatrixGen, MatrixKind};
@@ -90,37 +94,26 @@ pub fn hpl_snapshot_header(
     }
 }
 
-/// The resumable-stepper form of [`hpl_dist_solve`]: one [`Stepper::step`]
-/// eliminates one block column (pivoted panel, swap application, TRSM,
-/// panel broadcasts, FP64 trailing update), and [`Stepper::finish`] runs
-/// IR's fan-in solve plus the residual check.
-///
-/// HPL has no look-ahead: nothing is in flight at a panel boundary, so
-/// [`Stepper::drain`] keeps its no-op default and a snapshot section is
-/// just the start-of-run clock, the pivot record so far, and this rank's
-/// FP64 tiles.
-pub struct HplDistState<'a> {
-    sys: &'a SystemSpec,
-    n: usize,
-    b: usize,
-    n_b: usize,
-    speed: f64,
-    grid: ProcessGrid,
-    my_r: usize,
-    my_c: usize,
+/// The resumable-stepper form of [`hpl_dist_solve`]: one step eliminates
+/// one block column (pivoted panel, swap application, TRSM, panel
+/// broadcasts, FP64 trailing update), and finishing runs IR's fan-in solve
+/// plus the residual check. Nothing is in flight at a panel boundary, so a
+/// snapshot section is the start-of-run clock, the pivot record so far,
+/// and this rank's FP64 tiles.
+pub type HplDistState<'a> = Factorization<'a, Hpl>;
+
+/// HPL: FP64 storage and GEMM, a pivoted panel, and a closing fan-in
+/// solve with the residual check.
+pub struct Hpl {
     gen: MatrixGen,
     panel_swap: TagRange,
     trail_swap: TagRange,
-    fwd_tags: TagRange,
-    bwd_tags: TagRange,
-    local: LocalMat<f64>,
-    /// Global pivot record (every rank learns every panel's pivots).
-    ipiv: Vec<usize>,
-    t0: f64,
-    k: usize,
+    fan_in: (TagRange, TagRange),
 }
 
-impl<'a> HplDistState<'a> {
+impl sealed::Sealed for Hpl {}
+
+impl<'a> Factorization<'a, Hpl> {
     /// Materializes the local FP64 tiles and synchronizes the start clock.
     pub fn new(
         ctx: &mut RankCtx,
@@ -131,11 +124,11 @@ impl<'a> HplDistState<'a> {
         kind: MatrixKind,
         speed: f64,
     ) -> Self {
-        let mut st = Self::blank(ctx, sys, n, b, seed, kind, speed);
-        st.local.fill_from_f64(&st.gen);
-        ctx.barrier(CommScope::World);
-        st.t0 = ctx.now();
-        st
+        let mut st = Self::blank(ctx, sys, MatrixGen::new(seed, n, kind), b, speed);
+        let mut local = LocalMat::new(ctx.grid(), ctx.coords(), n, b);
+        local.fill_from(&st.policy.gen);
+        st.core.local = Some(local);
+        st.start(ctx)
     }
 
     /// Rebuilds a rank's state from a checkpoint section, restoring its
@@ -152,152 +145,79 @@ impl<'a> HplDistState<'a> {
         snap: &Snapshot,
     ) -> Result<Self, SnapshotError> {
         let expect = hpl_snapshot_header(ctx.grid(), n, b, seed, kind);
-        let h = snap.header;
-        if h.driver != expect.driver {
-            return Err(SnapshotError::ConfigMismatch("driver"));
+        if let Some(field) = checkpoint::header_mismatch(&snap.header, &expect) {
+            return Err(SnapshotError::ConfigMismatch(field));
         }
-        if h.fidelity != expect.fidelity {
-            return Err(SnapshotError::ConfigMismatch("fidelity"));
-        }
-        if (h.n, h.b) != (expect.n, expect.b) {
-            return Err(SnapshotError::ConfigMismatch("problem size"));
-        }
-        if (h.p_r, h.p_c, h.ranks) != (expect.p_r, expect.p_c, expect.ranks) {
-            return Err(SnapshotError::ConfigMismatch("process grid"));
-        }
-        if (h.seed, h.config_tag) != (expect.seed, expect.config_tag) {
-            return Err(SnapshotError::ConfigMismatch("matrix class"));
-        }
-        if h.k as usize >= n / b {
-            return Err(SnapshotError::ConfigMismatch("panel cursor"));
-        }
-        let mut r = ByteReader::new(checkpoint::resume_rank(ctx, snap)?);
-        let mut st = Self::blank(ctx, sys, n, b, seed, kind, speed);
-        st.t0 = r.f64()?;
-        for p in st.ipiv.iter_mut() {
-            *p = r.u64()? as usize;
-        }
-        if r.u64()? as usize != st.local.data.len() {
-            return Err(SnapshotError::ConfigMismatch("local matrix extent"));
-        }
-        for v in st.local.data.iter_mut() {
-            *v = r.f64()?;
-        }
-        if !r.is_done() {
-            return Err(SnapshotError::Truncated);
-        }
-        st.k = h.k as usize;
-        Ok(st)
+        Self::blank(ctx, sys, MatrixGen::new(seed, n, kind), b, speed).restore(ctx, snap, true)
     }
 
-    /// The state at panel cursor 0 with zeroed tiles and pivot record:
-    /// the tag claims (same names, same order on every path) and the
-    /// layout both [`Self::new`] and [`Self::resume`] fill in.
-    fn blank(
-        ctx: &mut RankCtx,
-        sys: &'a SystemSpec,
-        n: usize,
-        b: usize,
-        seed: u64,
-        kind: MatrixKind,
-        speed: f64,
-    ) -> Self {
-        let grid = *ctx.grid();
-        let (my_r, my_c) = ctx.coords();
+    /// The stepper at panel cursor 0 with a zeroed pivot record and no
+    /// tiles, after the tag claims (same names, same order on every path).
+    fn blank(ctx: &mut RankCtx, sys: &'a SystemSpec, gen: MatrixGen, b: usize, speed: f64) -> Self {
+        let n = gen.n();
         // Point-to-point tag namespaces, one tag per global row / block.
-        let panel_swap = ctx.alloc_tags("hpl-panel-swap", n as u32);
-        let trail_swap = ctx.alloc_tags("hpl-trail-swap", n as u32);
-        let fwd_tags = ctx.alloc_tags("hpl-fanin-fwd", (n / b) as u32);
-        let bwd_tags = ctx.alloc_tags("hpl-fanin-bwd", (n / b) as u32);
-        HplDistState {
-            sys,
-            n,
-            b,
-            n_b: n / b,
-            speed,
-            grid,
-            my_r,
-            my_c,
-            gen: MatrixGen::new(seed, n, kind),
-            panel_swap,
-            trail_swap,
-            fwd_tags,
-            bwd_tags,
-            local: LocalMat::new(&grid, (my_r, my_c), n, b),
-            ipiv: vec![0usize; n],
-            t0: 0.0,
-            k: 0,
-        }
+        let policy = Hpl {
+            gen,
+            panel_swap: ctx.alloc_tags("hpl-panel-swap", n as u32),
+            trail_swap: ctx.alloc_tags("hpl-trail-swap", n as u32),
+            fan_in: (
+                ctx.alloc_tags("hpl-fanin-fwd", (n / b) as u32),
+                ctx.alloc_tags("hpl-fanin-bwd", (n / b) as u32),
+            ),
+        };
+        let mut st = Self::assemble(ctx, sys, policy, n, b, speed.into());
+        st.core.pivots = vec![0; n];
+        st
     }
 }
 
-impl Stepper for HplDistState<'_> {
+impl Policy for Hpl {
+    type Elem = f64;
     type Output = HplDistOutcome;
 
-    fn cursor(&self) -> usize {
-        self.k
+    fn panel_bytes(&self) -> u64 {
+        8
     }
 
-    fn done(&self) -> bool {
-        self.k >= self.n_b
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        checkpoint::put_f64(out, self.t0);
-        for &p in &self.ipiv {
-            checkpoint::put_u64(out, p as u64);
-        }
-        checkpoint::put_u64(out, self.local.data.len() as u64);
-        for &v in &self.local.data {
-            checkpoint::put_f64(out, v);
-        }
-    }
-
-    fn checkpoint_bytes(&self) -> u64 {
-        // Modeled drain: this rank's FP64 tiles plus the pivot record.
-        8 * (self.local.data.len() as u64 + self.n as u64)
-    }
-
-    fn step(&mut self, ctx: &mut RankCtx) {
-        let k = self.k;
-        let (n, b, n_b) = (self.n, self.b, self.n_b);
-        let grid = self.grid;
-        let (my_r, my_c) = (self.my_r, self.my_c);
-        let speed = self.speed;
-        let (panel_swap, trail_swap) = (self.panel_swap, self.trail_swap);
-        let HplDistState {
-            sys, local, ipiv, ..
-        } = self;
-        let dev = &sys.gcd;
-        let lda = local.lda();
-
-        let kr = k % grid.p_r;
-        let kc = k % grid.p_c;
-        let in_col = my_c == kc;
-        let in_row = my_r == kr;
-        let lc_panel = if in_col { local.col_of_block(k) } else { 0 };
-
-        // ---- distributed pivoted panel factorization --------------------
-        if in_col {
+    /// The pivoted panel: per column a distributed IAMAX, the pivot-row
+    /// exchange and segment broadcast, and the rank-1 update; then the
+    /// pivots along the row, the swaps across the rest of the matrix, and
+    /// `L11` to the row-`k` ranks, which solve `L11·U12 = A12` in FP64.
+    /// `U12` travels untransposed; `L21` is finished by the panel.
+    fn factor(
+        &mut self,
+        ctx: &mut RankCtx,
+        core: &mut Core<'_, f64>,
+        at: &At,
+        rec: &mut IterRecord,
+    ) -> [Option<PanelData>; 2] {
+        let (k, b, sp) = (at.k, core.b, at.sp);
+        let (grid, my_r) = (core.grid, core.my_r);
+        let dev = &core.sys.gcd;
+        let rows_per_rank = (core.n / grid.p_r) as f64;
+        let local = core.local.as_mut().expect("HPL runs functionally");
+        let ipiv = &mut core.pivots;
+        let lc_panel = if at.in_col { local.col_of_block(k) } else { 0 };
+        // Global row of local row `lr` (owned blocks are stored in order).
+        let global = |lr: usize| (my_r + lr / b * grid.p_r) * b + lr % b;
+        if at.in_col {
+            let panel_cols: Vec<usize> = (lc_panel..lc_panel + b).collect();
             for j in 0..b {
                 let g_diag = k * b + j;
-                // Local IAMAX over global rows >= g_diag in column k*b+j.
+                // Local IAMAX over global rows >= g_diag in column k*b+j,
+                // visited in ascending global order.
+                let col = local.idx(0, lc_panel + j);
                 let (mut best_val, mut best_row) = (0.0f64, usize::MAX);
-                for i_blk in (my_r..n_b).step_by(grid.p_r) {
-                    let lr0 = local.row_of_block(i_blk);
-                    for i in 0..b {
-                        let g_row = i_blk * b + i;
-                        if g_row < g_diag {
-                            continue;
-                        }
-                        let v = local.data[local.idx(lr0 + i, lc_panel + j)].abs();
-                        if v > best_val || (v == best_val && g_row < best_row) {
-                            best_val = v;
-                            best_row = g_row;
-                        }
+                for lr in 0..local.n_loc_r {
+                    let (g_row, v) = (global(lr), local.data[col + lr].abs());
+                    if g_row >= g_diag && (v > best_val || (v == best_val && g_row < best_row)) {
+                        best_val = v;
+                        best_row = g_row;
                     }
                 }
-                ctx.charge(8.0 * (n / grid.p_r) as f64 / dev.mem_bw / speed);
+                let dt = 8.0 * rows_per_rank / dev.mem_bw / sp;
+                ctx.charge(dt);
+                rec.getrf += dt;
                 // Distributed IAMAX: the allreduce keeps the largest
                 // magnitude (smallest global row on ties, matching serial
                 // IAMAX).
@@ -305,9 +225,8 @@ impl Stepper for HplDistState<'_> {
                 assert!(win_val > 0.0, "HPL hit an exactly singular column");
                 ipiv[g_diag] = piv_row;
                 if piv_row != g_diag {
-                    swap_rows_panel(
-                        ctx, local, lc_panel, b, g_diag, piv_row, panel_swap, my_r, my_c,
-                    );
+                    let tag = self.panel_swap.at(g_diag);
+                    exchange_rows(ctx, local, &panel_cols, g_diag, piv_row, tag);
                 }
                 // Broadcast the pivot row's panel segment [j..b) from its
                 // (post-swap) owner down the column.
@@ -321,144 +240,125 @@ impl Stepper for HplDistState<'_> {
                 let seg = ctx.bcast_f64(CommScope::Col, owner_r, seg, 8 * (b - j) as u64);
                 let piv = seg[0];
                 // Rank-1 update of the local panel below the pivot row.
-                for i_blk in (my_r..n_b).step_by(grid.p_r) {
-                    let lr0 = local.row_of_block(i_blk);
-                    for i in 0..b {
-                        let g_row = i_blk * b + i;
-                        if g_row <= g_diag {
-                            continue;
-                        }
-                        let off_l = local.idx(lr0 + i, lc_panel + j);
-                        let l = local.data[off_l] / piv;
-                        local.data[off_l] = l;
-                        for c in j + 1..b {
-                            let u = seg[c - j];
-                            let off = local.idx(lr0 + i, lc_panel + c);
-                            local.data[off] -= l * u;
-                        }
+                for lr in (0..local.n_loc_r).filter(|&lr| global(lr) > g_diag) {
+                    let l = local.data[col + lr] / piv;
+                    local.data[col + lr] = l;
+                    for c in j + 1..b {
+                        let off = local.idx(lr, lc_panel + c);
+                        local.data[off] -= l * seg[c - j];
                     }
                 }
-                ctx.charge(
-                    2.0 * (b - j) as f64 * (n / grid.p_r) as f64 / (dev.fp64_peak * 0.15) / speed,
-                );
+                let dt = 2.0 * (b - j) as f64 * rows_per_rank / (dev.fp64_peak * 0.15) / sp;
+                ctx.charge(dt);
+                rec.getrf += dt;
             }
         }
         // Everyone learns this panel's pivots (row-scope broadcast from the
         // panel column's member).
-        let piv_msg = in_col.then(|| (0..b).map(|j| ipiv[k * b + j] as f64).collect());
-        let got = ctx.bcast_f64(CommScope::Row, kc, piv_msg, 8 * b as u64);
+        let piv_msg = at
+            .in_col
+            .then(|| (0..b).map(|j| ipiv[k * b + j] as f64).collect());
+        let got = ctx.bcast_f64(CommScope::Row, at.kc, piv_msg, 8 * b as u64);
         for (j, &p) in got.iter().enumerate() {
             ipiv[k * b + j] = p as usize;
         }
 
-        // ---- apply the swaps to the rest of the matrix -------------------
+        // Apply the swaps to the rest of the matrix: every column except
+        // the already-swapped panel block (on the panel's process column).
+        let rest: Vec<usize> = (0..local.n_loc_c)
+            .filter(|&c| !(at.in_col && c >= lc_panel && c < lc_panel + b))
+            .collect();
         for j in 0..b {
             let r1 = k * b + j;
             let r2 = ipiv[r1];
             if r1 != r2 {
-                swap_rows_trailing(
-                    ctx, local, in_col, lc_panel, b, r1, r2, trail_swap, my_r, my_c,
-                );
+                exchange_rows(ctx, local, &rest, r1, r2, self.trail_swap.at(r1));
             }
         }
 
-        // ---- TRSM for U12 and broadcasts ---------------------------------
-        let lr_k1 = trailing_row(&grid, my_r, k, b);
-        let lc_k1 = trailing_col(&grid, my_c, k, b);
-        let m_loc = local.n_loc_r - lr_k1;
-        let n_loc = local.n_loc_c - lc_k1;
-
         // L11 (unit-lower part of the factored diagonal block) to the row.
-        let l11 = if in_row {
-            let mine =
-                in_col.then(|| local.pack_block(local.row_of_block(k), local.col_of_block(k)));
-            Some(ctx.bcast_f64(CommScope::Row, kc, mine, 8 * (b * b) as u64))
-        } else {
-            None
-        };
-        if in_row && n_loc > 0 {
-            let l11 = l11.as_ref().expect("row ranks joined the bcast");
+        let l11 = at.in_row.then(|| {
+            let mine = at
+                .in_col
+                .then(|| local.pack(local.row_of_block(k), b, local.col_of_block(k), b));
+            ctx.bcast_f64(CommScope::Row, at.kc, mine, 8 * (b * b) as u64)
+        });
+        let mut strips = [None, None];
+        if at.in_row && at.n_loc > 0 {
+            let l11 = l11.expect("row ranks joined the bcast");
             let lr = local.row_of_block(k);
-            let off = local.idx(lr, lc_k1);
+            let (off, lda) = (local.idx(lr, at.lc), local.lda());
+            let a = &mut local.data[off..];
             trsm(
                 Side::Left,
                 Uplo::Lower,
                 Diag::Unit,
                 b,
-                n_loc,
+                at.n_loc,
                 1.0,
-                l11,
+                &l11,
                 b,
-                &mut local.data[off..],
+                a,
                 lda,
             );
-            ctx.charge((b * b * n_loc) as f64 / (dev.fp64_peak * 0.8) / speed);
+            let dt = (b * b * at.n_loc) as f64 / (dev.fp64_peak * 0.8) / sp;
+            ctx.charge(dt);
+            rec.trsm += dt;
+            strips[0] = Some(PanelData::F64(local.pack(lr, b, at.lc, at.n_loc)));
         }
-
-        // Panel broadcasts (FP64: twice the HPL-AI volume even vs FP32).
-        let u12 = in_row.then(|| {
-            if n_loc > 0 {
-                let lr = local.row_of_block(k);
-                pack_rows_f64(local, lr, b, lc_k1, n_loc)
-            } else {
-                Vec::new()
-            }
-        });
-        let u12 = ctx.bcast_f64(CommScope::Col, kr, u12, 8 * (b * n_loc) as u64);
-        let l21 = in_col.then(|| {
-            if m_loc > 0 {
-                pack_rows_f64(local, lr_k1, m_loc, lc_panel, b)
-            } else {
-                Vec::new()
-            }
-        });
-        let l21 = ctx.bcast_f64(CommScope::Row, kc, l21, 8 * (m_loc * b) as u64);
-
-        // ---- FP64 trailing update ----------------------------------------
-        if m_loc > 0 && n_loc > 0 {
-            let off = local.idx(lr_k1, lc_k1);
-            gemm(
-                Trans::No,
-                Trans::No,
-                m_loc,
-                n_loc,
-                b,
-                -1.0,
-                &l21,
-                m_loc,
-                &u12,
-                b,
-                1.0,
-                &mut local.data[off..],
-                lda,
-            );
-            let flops = 2.0 * (m_loc * n_loc * b) as f64;
-            ctx.charge(flops / crate::hpl::dgemm_rate(dev, b) / speed);
+        if at.in_col && at.m_loc > 0 {
+            strips[1] = Some(PanelData::F64(local.pack(at.lr, at.m_loc, lc_panel, b)));
         }
-
-        self.k = k + 1;
+        strips
     }
 
-    fn finish(self, ctx: &mut RankCtx) -> HplDistOutcome {
-        let (n, b) = (self.n, self.b);
+    /// The FP64 trailing GEMM: `U12` is `B × extent`, so its offset counts
+    /// columns.
+    fn gemm(&self, ctx: &mut RankCtx, core: &mut Core<'_, f64>, sp: f64, w: &Window) -> f64 {
+        let (PanelData::F64(l), PanelData::F64(u)) = (w.l, w.u) else {
+            panic!("HPL panels are FP64");
+        };
+        let b = core.b;
+        let local = core.local.as_mut().expect("HPL runs functionally");
+        let off = local.idx(w.lr, w.lc);
+        let lda = local.lda();
+        let (l, u) = (&l[w.l_off..], &u[w.u_off * b..]);
+        gemm(
+            Trans::No,
+            Trans::No,
+            w.m,
+            w.n,
+            b,
+            -1.0,
+            l,
+            w.l_ext,
+            u,
+            b,
+            1.0,
+            &mut local.data[off..],
+            lda,
+        );
+        let flops = 2.0 * (w.m * w.n * b) as f64;
+        let dt = flops / crate::hpl::dgemm_rate(&core.sys.gcd, b) / sp;
+        ctx.charge(dt);
+        dt
+    }
+
+    fn finish(self, ctx: &mut RankCtx, core: Core<'_, f64>) -> HplDistOutcome {
+        let (n, b) = (core.n, core.b);
+        let local = core.local.as_ref().expect("HPL runs functionally");
 
         // ---- solve with the factors ---------------------------------------
         let mut b_vec = vec![0.0f64; n];
         self.gen.fill_rhs(0..n, &mut b_vec);
         let b_norm = vec_inf_norm(&b_vec);
         let mut rhs = b_vec.clone();
-        // Apply the pivots in elimination order.
-        for (j, &p) in self.ipiv.iter().enumerate() {
-            if p != j {
-                rhs.swap(j, p);
-            }
-        }
+        mxp_blas::apply_pivots(&core.pivots, &mut rhs);
         // The final solve is IR's fan-in substitution on the FP64 factors;
         // like the residual check below, it charges no simulated compute.
-        let diag = owned_diag_blocks(&self.local, self.n_b);
+        let diag = owned_diag_blocks(local, core.n_b);
         let (mut y, mut x) = (vec![0.0f64; n], vec![0.0f64; n]);
-        let tags = (self.fwd_tags, self.bwd_tags);
-        fan_in_solve(ctx, &self.local, &diag, tags, &rhs, &mut y, &mut x, None);
+        fan_in_solve(ctx, local, &diag, self.fan_in, &rhs, &mut y, &mut x, None);
 
         // ---- verification -------------------------------------------------
         let (r_inf, a_norm, x_norm) = residual_check(ctx, &self.gen, &x, &b_vec, n, b);
@@ -467,144 +367,61 @@ impl Stepper for HplDistState<'_> {
         HplDistOutcome {
             x,
             scaled_residual: scaled,
-            swaps: self
-                .ipiv
+            swaps: core
+                .pivots
                 .iter()
                 .enumerate()
                 .filter(|(j, &p)| p != *j)
                 .count(),
-            ipiv: self.ipiv,
-            elapsed: ctx.now() - self.t0,
+            ipiv: core.pivots,
+            elapsed: ctx.now() - core.t0,
         }
     }
 }
 
-/// Exchanges panel-column segments of global rows `r1` and `r2` between
-/// their owner grid rows (within process column `kc` only).
-#[allow(clippy::too_many_arguments)]
-fn swap_rows_panel(
+/// Exchanges the `cols` segments of global rows `r1` and `r2` between
+/// their owner grid rows, within this rank's process column: a local swap
+/// when one grid row owns both, else each owner sends its segment, then
+/// receives the partner's, on `tag`.
+fn exchange_rows(
     ctx: &mut RankCtx,
     local: &mut LocalMat<f64>,
-    lc_panel: usize,
-    b: usize,
+    cols: &[usize],
     r1: usize,
     r2: usize,
-    tags: TagRange,
-    my_r: usize,
-    my_c: usize,
+    tag: u32,
 ) {
     let grid = *ctx.grid();
-    let o1 = (r1 / b) % grid.p_r;
-    let o2 = (r2 / b) % grid.p_r;
-    let row_slice = |local: &LocalMat<f64>, g_row: usize| -> Vec<f64> {
-        let lr = local.row_of_block(g_row / b) + g_row % b;
-        (0..b)
-            .map(|c| local.data[local.idx(lr, lc_panel + c)])
-            .collect()
-    };
-    let write_row = |local: &mut LocalMat<f64>, g_row: usize, v: &[f64]| {
-        let lr = local.row_of_block(g_row / b) + g_row % b;
-        for (c, &val) in v.iter().enumerate() {
-            let off = local.idx(lr, lc_panel + c);
-            local.data[off] = val;
-        }
-    };
+    let (my_r, my_c) = ctx.coords();
+    let b = local.b;
+    let (o1, o2) = ((r1 / b) % grid.p_r, (r2 / b) % grid.p_r);
+    let row = |local: &LocalMat<f64>, g_row: usize| local.row_of_block(g_row / b) + g_row % b;
     if o1 == o2 {
         if my_r == o1 {
-            let a = row_slice(local, r1);
-            let bb = row_slice(local, r2);
-            write_row(local, r1, &bb);
-            write_row(local, r2, &a);
+            let (a, z) = (row(local, r1), row(local, r2));
+            for &c in cols {
+                let (i, j) = (local.idx(a, c), local.idx(z, c));
+                local.data.swap(i, j);
+            }
         }
         return;
     }
-    let tag = tags.at(r1);
-    if my_r == o1 {
-        let mine = row_slice(local, r1);
-        let partner = grid.rank_of(o2, my_c);
-        ctx.send_f64(partner, tag, mine);
-        let got = ctx.recv_f64(partner, tag);
-        write_row(local, r1, &got);
+    let (mine, partner) = if my_r == o1 {
+        (row(local, r1), grid.rank_of(o2, my_c))
     } else if my_r == o2 {
-        let mine = row_slice(local, r2);
-        let partner = grid.rank_of(o1, my_c);
-        ctx.send_f64(partner, tag, mine);
-        let got = ctx.recv_f64(partner, tag);
-        write_row(local, r2, &got);
-    }
-}
-
-/// Exchanges the *non-panel* column segments of global rows `r1`/`r2`
-/// across every process column.
-#[allow(clippy::too_many_arguments)]
-fn swap_rows_trailing(
-    ctx: &mut RankCtx,
-    local: &mut LocalMat<f64>,
-    in_panel_col: bool,
-    lc_panel: usize,
-    b: usize,
-    r1: usize,
-    r2: usize,
-    tags: TagRange,
-    my_r: usize,
-    my_c: usize,
-) {
-    let grid = *ctx.grid();
-    let o1 = (r1 / b) % grid.p_r;
-    let o2 = (r2 / b) % grid.p_r;
-    if my_r != o1 && my_r != o2 {
-        return;
-    }
-    // Column indices to exchange: everything except the already-swapped
-    // panel block (on the panel's process column).
-    let cols: Vec<usize> = (0..local.n_loc_c)
-        .filter(|&c| !(in_panel_col && c >= lc_panel && c < lc_panel + b))
-        .collect();
-    let read_row = |local: &LocalMat<f64>, g_row: usize| -> Vec<f64> {
-        let lr = local.row_of_block(g_row / b) + g_row % b;
-        cols.iter().map(|&c| local.data[local.idx(lr, c)]).collect()
-    };
-    let write_row = |local: &mut LocalMat<f64>, g_row: usize, v: &[f64]| {
-        let lr = local.row_of_block(g_row / b) + g_row % b;
-        for (&c, &val) in cols.iter().zip(v) {
-            let off = local.idx(lr, c);
-            local.data[off] = val;
-        }
-    };
-    if o1 == o2 {
-        if my_r == o1 {
-            let a = read_row(local, r1);
-            let bb = read_row(local, r2);
-            write_row(local, r1, &bb);
-            write_row(local, r2, &a);
-        }
-        return;
-    }
-    let tag = tags.at(r1);
-    if my_r == o1 {
-        let mine = read_row(local, r1);
-        let partner = grid.rank_of(o2, my_c);
-        ctx.send_f64(partner, tag, mine);
-        let got = ctx.recv_f64(partner, tag);
-        write_row(local, r1, &got);
+        (row(local, r2), grid.rank_of(o1, my_c))
     } else {
-        let mine = read_row(local, r2);
-        let partner = grid.rank_of(o1, my_c);
-        ctx.send_f64(partner, tag, mine);
-        let got = ctx.recv_f64(partner, tag);
-        write_row(local, r2, &got);
+        return;
+    };
+    let out = cols
+        .iter()
+        .map(|&c| local.data[local.idx(mine, c)])
+        .collect();
+    ctx.send_f64(partner, tag, out);
+    for (&c, v) in cols.iter().zip(ctx.recv_f64(partner, tag)) {
+        let i = local.idx(mine, c);
+        local.data[i] = v;
     }
-}
-
-/// Packs rows `[lr, lr+m)` × columns `[lc, lc+nc)` tightly (column-major).
-fn pack_rows_f64(local: &LocalMat<f64>, lr: usize, m: usize, lc: usize, nc: usize) -> Vec<f64> {
-    let mut out = vec![0.0f64; m * nc];
-    for c in 0..nc {
-        for i in 0..m {
-            out[c * m + i] = local.data[local.idx(lr + i, lc + c)];
-        }
-    }
-    out
 }
 
 /// Residual of `x` against the regenerated system (distributed as in IR).
@@ -790,7 +607,8 @@ mod tests {
             assert_eq!(a.swaps, r.swaps);
             assert_eq!(a.elapsed.to_bits(), r.elapsed.to_bits());
         }
-        // A mismatched matrix class is a typed config error, not a crash.
+        // A mismatched matrix class is a typed config error, not a crash:
+        // the class is what HPL's run-knobs tag hashes.
         let err = run_with_backend(&rcfg, |ctx| {
             HplDistState::resume(ctx, &sys, n, b, 4242, MatrixKind::DiagDominant, 1.0, &snap)
                 .err()
@@ -799,7 +617,7 @@ mod tests {
         .unwrap();
         assert!(matches!(
             err[0],
-            crate::checkpoint::SnapshotError::ConfigMismatch("matrix class")
+            crate::checkpoint::SnapshotError::ConfigMismatch("run knobs")
         ));
         // So is a snapshot that lacks a rank's clock, wait or section: the
         // last rank is refused, the others resume.
@@ -817,6 +635,54 @@ mod tests {
             let rank_count = crate::checkpoint::SnapshotError::ConfigMismatch("rank count");
             assert_eq!(got, [None, None, None, Some(rank_count)], "cut {cut}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshots_do_not_cross_drivers() {
+        use crate::checkpoint::{latest_in, CheckpointSpec, RunCheckpointer, SnapshotError};
+        use crate::factor::regrid_snapshot;
+        use crate::solve::{run, step_until_done, ConfigError};
+        let grid = ProcessGrid::col_major(2, 2, 4);
+        let sys = testbed(1, 4);
+        let (n, b, seed, kind) = (48usize, 8usize, 4242, MatrixKind::Uniform);
+        let dir = std::env::temp_dir().join(format!("hplai-cross-driver-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (hpl_dir, mxp_dir) = (dir.join("hpl"), dir.join("mxp"));
+        // An HPL run and an HPL-MxP run of the same size, grid and seed,
+        // each checkpointed every two panels.
+        let rcfg = RunConfig::functional(sys.clone(), grid, n, b).seed(seed);
+        let header = hpl_snapshot_header(&grid, n, b, seed, kind);
+        let ck = RunCheckpointer::new(CheckpointSpec::new(&hpl_dir, 2), header).unwrap();
+        run_with_backend(&rcfg.clone().build_or_panic(), |ctx| {
+            let st = HplDistState::new(ctx, &sys, n, b, seed, kind, 1.0);
+            step_until_done(ctx, st, Some(&ck)).0
+        })
+        .unwrap();
+        run(&rcfg
+            .clone()
+            .checkpoint(CheckpointSpec::new(&mxp_dir, 2))
+            .build_or_panic());
+        let load = |d: &std::path::Path| {
+            Snapshot::load(&latest_in(d, usize::MAX).expect("a snapshot")).unwrap()
+        };
+        let (hpl, mxp) = (load(&hpl_dir), load(&mxp_dir));
+
+        // HPL-MxP refuses the HPL snapshot when configuring a restart and
+        // when re-gridding it.
+        let restart = rcfg.clone().restart_from(std::sync::Arc::new(hpl.clone()));
+        let err = restart.build().unwrap_err();
+        assert_eq!(err, ConfigError::SnapshotMismatch { field: "driver" });
+        let survivors = ProcessGrid::col_major(2, 1, 2);
+        let err = regrid_snapshot(&hpl, &grid, &survivors).unwrap_err();
+        assert_eq!(err, SnapshotError::ConfigMismatch("driver"));
+        // HPL refuses the HPL-MxP snapshot on every rank.
+        let errs = run_with_backend(&rcfg.build_or_panic(), |ctx| {
+            HplDistState::resume(ctx, &sys, n, b, seed, kind, 1.0, &mxp).err()
+        })
+        .unwrap();
+        let driver = Some(SnapshotError::ConfigMismatch("driver"));
+        assert!(errs.iter().all(|e| *e == driver), "{errs:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -262,7 +262,8 @@ pub(crate) fn owned_diag_blocks<T: Copy + Default + Into<f64>>(
     (0..n_b)
         .filter(|&k| local.owns_block_row(k) && local.owns_block_col(k))
         .map(|k| {
-            let d = local.pack_block(local.row_of_block(k), local.col_of_block(k));
+            let b = local.b;
+            let d = local.pack(local.row_of_block(k), b, local.col_of_block(k), b);
             (k, d.into_iter().map(Into::into).collect())
         })
         .collect()

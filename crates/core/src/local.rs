@@ -9,6 +9,7 @@
 
 use crate::grid::ProcessGrid;
 use mxp_lcg::MatrixGen;
+use std::ops::Range;
 
 /// One rank's share of the global matrix in the benchmark's working
 /// precision (FP32 for HPL-AI).
@@ -142,21 +143,21 @@ impl<T: Copy + Default> LocalMat<T> {
         j * self.n_loc_r + i
     }
 
-    /// Copies the `B × B` block at local offsets `(lr, lc)` into a tight
-    /// buffer (used to ship the factored diagonal block).
-    pub fn pack_block(&self, lr: usize, lc: usize) -> Vec<T> {
-        let mut out = vec![T::default(); self.b * self.b];
-        for j in 0..self.b {
-            let src = self.idx(lr, lc + j);
-            out[j * self.b..(j + 1) * self.b].copy_from_slice(&self.data[src..src + self.b]);
+    /// Copies rows `[lr, lr+m)` × columns `[lc, lc+nc)` into a tight
+    /// column-major buffer (a factored diagonal block, a broadcast panel).
+    pub fn pack(&self, lr: usize, m: usize, lc: usize, nc: usize) -> Vec<T> {
+        let mut out = Vec::with_capacity(m * nc);
+        for c in lc..lc + nc {
+            let src = c * self.n_loc_r + lr;
+            out.extend_from_slice(&self.data[src..src + m]);
         }
         out
     }
 }
 
-impl LocalMat<f32> {
-    /// Fills the local matrix from the global generator (the FP64→FP32
-    /// initial cast of §III-C) by iterating owned blocks.
+impl<T: Element> LocalMat<T> {
+    /// Fills the local matrix from the global generator by iterating owned
+    /// blocks (for FP32 storage, the FP64→FP32 initial cast of §III-C).
     pub fn fill_from(&mut self, gen: &MatrixGen) {
         let n_b = gen.n() / self.b;
         let lda = self.n_loc_r;
@@ -165,7 +166,8 @@ impl LocalMat<f32> {
             for i_blk in (self.my_r..n_b).step_by(self.p_r) {
                 let lr = self.row_of_block(i_blk);
                 let off = self.idx(lr, lc);
-                gen.fill_tile_f32(
+                T::fill_tile(
+                    gen,
                     i_blk * self.b..(i_blk + 1) * self.b,
                     j_blk * self.b..(j_blk + 1) * self.b,
                     lda,
@@ -176,26 +178,48 @@ impl LocalMat<f32> {
     }
 }
 
-impl LocalMat<f64> {
-    /// Fills the local matrix in full FP64 (the HPL baseline's storage).
-    pub fn fill_from_f64(&mut self, gen: &MatrixGen) {
-        let n_b = gen.n() / self.b;
-        let lda = self.n_loc_r;
-        for j_blk in (self.my_c..n_b).step_by(self.p_c) {
-            let lc = self.col_of_block(j_blk);
-            for i_blk in (self.my_r..n_b).step_by(self.p_r) {
-                let lr = self.row_of_block(i_blk);
-                let off = self.idx(lr, lc);
-                gen.fill_tile(
-                    i_blk * self.b..(i_blk + 1) * self.b,
-                    j_blk * self.b..(j_blk + 1) * self.b,
-                    lda,
-                    &mut self.data[off..],
-                );
+/// A storage element of the local tiles: FP32 for HPL-MxP, FP64 for HPL.
+pub trait Element: Copy + Default + Into<f64> {
+    /// Bytes one element takes in a snapshot section.
+    const BYTES: usize;
+    /// Fills a column-major tile (stride `lda`) from the generator.
+    fn fill_tile(
+        gen: &MatrixGen,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        lda: usize,
+        out: &mut [Self],
+    );
+    /// Appends the element's little-endian bytes.
+    fn put(self, out: &mut Vec<u8>);
+    /// Reads an element back from its `BYTES` little-endian bytes.
+    fn get(bytes: &[u8]) -> Self;
+}
+
+macro_rules! element {
+    ($t:ty, $fill:ident) => {
+        impl Element for $t {
+            const BYTES: usize = std::mem::size_of::<$t>();
+            fn fill_tile(
+                gen: &MatrixGen,
+                rows: Range<usize>,
+                cols: Range<usize>,
+                lda: usize,
+                out: &mut [$t],
+            ) {
+                gen.$fill(rows, cols, lda, out);
+            }
+            fn put(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(bytes: &[u8]) -> $t {
+                <$t>::from_le_bytes(bytes.try_into().expect("one element's bytes"))
             }
         }
-    }
+    };
 }
+element!(f32, fill_tile_f32);
+element!(f64, fill_tile);
 
 /// Local row offset of the trailing region strictly *after* global
 /// block-row `k` on grid row `my_r` (the rows of owned blocks `I > k`).
@@ -317,7 +341,7 @@ mod tests {
         let grid = ProcessGrid::col_major(1, 1, 1);
         let mut m = LocalMatrix::new(&grid, (0, 0), 8, 4);
         m.fill_from(&gen);
-        let blk = m.pack_block(4, 4);
+        let blk = m.pack(4, 4, 4, 4);
         for j in 0..4 {
             for i in 0..4 {
                 assert_eq!(blk[j * 4 + i], gen.entry(4 + i, 4 + j) as f32);

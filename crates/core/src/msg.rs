@@ -7,7 +7,7 @@
 //! selects the storage format of the `L`/`U` panels (and therefore of the
 //! trailing GEMM inputs); everything else in the pipeline is unchanged.
 
-use mxp_blas::{cast_f32_to_low, gemm_mixed, trans_cast_f32_to_low, Trans};
+use mxp_blas::{cast_f32_to_low, gemm_mixed, trans_cast_f32_to_low, LowPrec, Trans};
 use mxp_precision::{B16, F16};
 
 /// Storage format of the broadcast panels / trailing GEMM inputs.
@@ -50,8 +50,8 @@ impl TrailingPrecision {
     }
 }
 
-/// A tightly packed reduced-precision panel (the CAST / TRANS_CAST
-/// output). All three variants hold column-major data with an implicit
+/// A tightly packed broadcast panel: HPL-MxP's reduced-precision CAST /
+/// TRANS_CAST output, or HPL's FP64 panel. All variants hold column-major data with an implicit
 /// tight leading dimension supplied at the GEMM call.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PanelData {
@@ -61,37 +61,14 @@ pub enum PanelData {
     B16(Vec<B16>),
     /// FP32 payload.
     F32(Vec<f32>),
+    /// FP64 payload: HPL's `L21` and `U12` panels (`U12` untransposed).
+    F64(Vec<f64>),
 }
 
 impl PanelData {
-    /// Empty panel in the given precision.
-    pub fn empty(prec: TrailingPrecision) -> Self {
-        match prec {
-            TrailingPrecision::Fp16 => PanelData::F16(Vec::new()),
-            TrailingPrecision::Bf16 => PanelData::B16(Vec::new()),
-            TrailingPrecision::Fp32 => PanelData::F32(Vec::new()),
-        }
-    }
-
     /// CAST: packs an `m × n` f32 tile (stride `lda`) into this format.
     pub fn cast(prec: TrailingPrecision, m: usize, n: usize, src: &[f32], lda: usize) -> Self {
-        match prec {
-            TrailingPrecision::Fp16 => {
-                let mut d = vec![F16::ZERO; m * n];
-                cast_f32_to_low(m, n, src, lda, &mut d);
-                PanelData::F16(d)
-            }
-            TrailingPrecision::Bf16 => {
-                let mut d = vec![B16::ZERO; m * n];
-                cast_f32_to_low(m, n, src, lda, &mut d);
-                PanelData::B16(d)
-            }
-            TrailingPrecision::Fp32 => {
-                let mut d = vec![0.0f32; m * n];
-                cast_f32_to_low(m, n, src, lda, &mut d);
-                PanelData::F32(d)
-            }
-        }
+        Self::pack(prec, false, m, n, src, lda)
     }
 
     /// TRANS_CAST: packs the transpose of an `m × n` f32 tile into this
@@ -103,22 +80,38 @@ impl PanelData {
         src: &[f32],
         lda: usize,
     ) -> Self {
+        Self::pack(prec, true, m, n, src, lda)
+    }
+
+    /// CAST (or TRANS_CAST when `trans`) into a fresh panel in `prec`.
+    fn pack(
+        prec: TrailingPrecision,
+        trans: bool,
+        m: usize,
+        n: usize,
+        src: &[f32],
+        lda: usize,
+    ) -> Self {
+        fn packed<L: LowPrec>(
+            zero: L,
+            trans: bool,
+            m: usize,
+            n: usize,
+            src: &[f32],
+            lda: usize,
+        ) -> Vec<L> {
+            let mut d = vec![zero; m * n];
+            if trans {
+                trans_cast_f32_to_low(m, n, src, lda, &mut d);
+            } else {
+                cast_f32_to_low(m, n, src, lda, &mut d);
+            }
+            d
+        }
         match prec {
-            TrailingPrecision::Fp16 => {
-                let mut d = vec![F16::ZERO; m * n];
-                trans_cast_f32_to_low(m, n, src, lda, &mut d);
-                PanelData::F16(d)
-            }
-            TrailingPrecision::Bf16 => {
-                let mut d = vec![B16::ZERO; m * n];
-                trans_cast_f32_to_low(m, n, src, lda, &mut d);
-                PanelData::B16(d)
-            }
-            TrailingPrecision::Fp32 => {
-                let mut d = vec![0.0f32; m * n];
-                trans_cast_f32_to_low(m, n, src, lda, &mut d);
-                PanelData::F32(d)
-            }
+            TrailingPrecision::Fp16 => PanelData::F16(packed(F16::ZERO, trans, m, n, src, lda)),
+            TrailingPrecision::Bf16 => PanelData::B16(packed(B16::ZERO, trans, m, n, src, lda)),
+            TrailingPrecision::Fp32 => PanelData::F32(packed(0.0, trans, m, n, src, lda)),
         }
     }
 
@@ -128,6 +121,7 @@ impl PanelData {
             PanelData::F16(v) => v.len(),
             PanelData::B16(v) => v.len(),
             PanelData::F32(v) => v.len(),
+            PanelData::F64(v) => v.len(),
         }
     }
 
@@ -154,52 +148,29 @@ impl PanelData {
         c: &mut [f32],
         ldc: usize,
     ) {
+        macro_rules! mixed {
+            ($lv:expr, $uv:expr) => {
+                gemm_mixed(
+                    Trans::No,
+                    Trans::Yes,
+                    m,
+                    n,
+                    k,
+                    -1.0,
+                    &$lv[l_off..],
+                    l_lda,
+                    &$uv[u_off..],
+                    u_lda,
+                    1.0,
+                    c,
+                    ldc,
+                )
+            };
+        }
         match (l, ut) {
-            (PanelData::F16(lv), PanelData::F16(uv)) => gemm_mixed(
-                Trans::No,
-                Trans::Yes,
-                m,
-                n,
-                k,
-                -1.0,
-                &lv[l_off..],
-                l_lda,
-                &uv[u_off..],
-                u_lda,
-                1.0,
-                c,
-                ldc,
-            ),
-            (PanelData::B16(lv), PanelData::B16(uv)) => gemm_mixed(
-                Trans::No,
-                Trans::Yes,
-                m,
-                n,
-                k,
-                -1.0,
-                &lv[l_off..],
-                l_lda,
-                &uv[u_off..],
-                u_lda,
-                1.0,
-                c,
-                ldc,
-            ),
-            (PanelData::F32(lv), PanelData::F32(uv)) => gemm_mixed(
-                Trans::No,
-                Trans::Yes,
-                m,
-                n,
-                k,
-                -1.0,
-                &lv[l_off..],
-                l_lda,
-                &uv[u_off..],
-                u_lda,
-                1.0,
-                c,
-                ldc,
-            ),
+            (PanelData::F16(lv), PanelData::F16(uv)) => mixed!(lv, uv),
+            (PanelData::B16(lv), PanelData::B16(uv)) => mixed!(lv, uv),
+            (PanelData::F32(lv), PanelData::F32(uv)) => mixed!(lv, uv),
             _ => panic!("panel precision mismatch"),
         }
     }
@@ -216,8 +187,6 @@ pub enum PanelMsg {
     /// No payload (timing mode, barrier/filler chunks).
     #[default]
     Empty,
-    /// An FP32 diagonal block (`B × B`, tightly packed) after GETRF.
-    DiagF32(Vec<f32>),
     /// A reduced-precision `L` or transposed `U` panel.
     Panel(PanelData),
     /// An FP64 vector segment (iterative refinement traffic).
@@ -230,19 +199,11 @@ impl PanelMsg {
     pub fn payload_bytes(&self) -> u64 {
         match self {
             PanelMsg::Empty => 0,
-            PanelMsg::DiagF32(v) => 4 * v.len() as u64,
             PanelMsg::Panel(PanelData::F16(v)) => 2 * v.len() as u64,
             PanelMsg::Panel(PanelData::B16(v)) => 2 * v.len() as u64,
             PanelMsg::Panel(PanelData::F32(v)) => 4 * v.len() as u64,
+            PanelMsg::Panel(PanelData::F64(v)) => 8 * v.len() as u64,
             PanelMsg::VecF64(v) => 8 * v.len() as u64,
-        }
-    }
-
-    /// Unwraps a diagonal block.
-    pub fn into_diag(self) -> Vec<f32> {
-        match self {
-            PanelMsg::DiagF32(v) => v,
-            other => panic!("expected DiagF32, got {other:?}"),
         }
     }
 
@@ -270,7 +231,6 @@ mod tests {
     #[test]
     fn payload_bytes() {
         assert_eq!(PanelMsg::Empty.payload_bytes(), 0);
-        assert_eq!(PanelMsg::DiagF32(vec![0.0; 10]).payload_bytes(), 40);
         assert_eq!(
             PanelMsg::Panel(PanelData::F16(vec![F16::ZERO; 10])).payload_bytes(),
             20
@@ -284,16 +244,15 @@ mod tests {
 
     #[test]
     fn unwrap_helpers() {
-        assert_eq!(PanelMsg::DiagF32(vec![1.0]).into_diag(), vec![1.0]);
         assert_eq!(PanelMsg::VecF64(vec![2.0]).into_vec64(), vec![2.0]);
         let p = PanelData::F16(vec![F16::ONE]);
         assert_eq!(PanelMsg::Panel(p.clone()).into_panel(), p);
     }
 
     #[test]
-    #[should_panic(expected = "expected DiagF32")]
+    #[should_panic(expected = "expected Panel")]
     fn wrong_unwrap_panics() {
-        PanelMsg::Empty.into_diag();
+        PanelMsg::Empty.into_panel();
     }
 
     #[test]

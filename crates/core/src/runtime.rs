@@ -871,33 +871,7 @@ impl RankCtx {
         out
     }
 
-    /// Broadcast of an optional FP32 diagonal block from `root_idx`,
-    /// in place: the root's `Some(block)` travels (its `None`, in timing
-    /// mode, travels as an empty payload); on return every functional-mode
-    /// member holds `Some(block)` and timing-mode members still hold
-    /// `None`. The root's block round-trips through the collective
-    /// unchanged.
-    pub fn bcast_diag(
-        &mut self,
-        scope: CommScope,
-        root_idx: usize,
-        diag: &mut Option<Vec<f32>>,
-        bytes: u64,
-    ) {
-        let payload = diag.take();
-        let (got, _) = self.scoped(CommOp::Bcast, scope, bytes, |comm, g| {
-            let msg = (g.my_idx() == root_idx).then_some(match payload {
-                Some(v) => PanelMsg::DiagF32(v),
-                None => PanelMsg::Empty,
-            });
-            (g.bcast(comm, root_idx, msg, bytes, BcastAlgo::Lib), 0.0)
-        });
-        if let PanelMsg::DiagF32(v) = got {
-            *diag = Some(v);
-        }
-    }
-
-    /// Blocking broadcast of a reduced-precision panel from `root_idx`.
+    /// Blocking broadcast of a panel from `root_idx`.
     /// The root passes `Some(&panel)` when it has data (functional mode
     /// with a nonzero extent) and `None` otherwise — an empty payload then
     /// travels. Returns the received panel for non-root functional members
@@ -1176,10 +1150,12 @@ mod tests {
             let payload = (ctx.group_idx(CommScope::Col) == 1).then(|| vec![7.0, 8.0]);
             let got = ctx.bcast_f64(CommScope::Col, 1, payload, 16);
             assert_eq!(got, vec![7.0, 8.0]);
-            // Diag bcast in place.
-            let mut diag = (ctx.rank() == 0).then(|| vec![1.0f32, 2.0]);
-            ctx.bcast_diag(CommScope::Col, 0, &mut diag, 8);
-            assert_eq!(diag, Some(vec![1.0f32, 2.0]));
+            // FP32 block bcast: the root keeps its own, the receiver
+            // gets a copy.
+            let blk = PanelData::F32(vec![1.0, 2.0]);
+            let mine = (ctx.rank() == 0).then_some(&blk);
+            let (got, _) = ctx.bcast_panel(CommScope::Col, 0, mine, 8, BcastAlgo::Lib);
+            assert_eq!(got, (ctx.rank() == 1).then(|| blk.clone()));
             // p2p send/recv through an allocated tag range.
             let tags = ctx.alloc_tags("test", 4);
             if ctx.rank() == 0 {

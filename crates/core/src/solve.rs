@@ -8,7 +8,8 @@
 
 use crate::cache::MatrixCache;
 use crate::checkpoint::{
-    fnv1a, CheckpointSpec, RunCheckpointer, Snapshot, SnapshotHeader, DRIVER_FACTOR,
+    fnv1a, header_mismatch, CheckpointSpec, RunCheckpointer, Snapshot, SnapshotHeader,
+    DRIVER_FACTOR,
 };
 use crate::factor::{FactorConfig, FactorState, Fidelity, IterRecord};
 use crate::fault::FaultPlan;
@@ -278,32 +279,12 @@ impl RunConfigBuilder {
             }
         }
         if let Some(snap) = cfg.restart.as_deref() {
-            let h = &snap.header;
-            let mismatch = |field| Err(ConfigError::SnapshotMismatch { field });
-            if h.driver != DRIVER_FACTOR {
-                return mismatch("driver");
-            }
-            if h.fidelity != fidelity_tag(cfg.fidelity) {
-                return mismatch("fidelity");
-            }
-            if h.n != cfg.n as u64 || h.b != cfg.b as u64 {
-                return mismatch("problem size");
-            }
-            if h.p_r != grid.p_r as u64 || h.p_c != grid.p_c as u64 {
-                return mismatch("process grid");
-            }
-            if h.ranks != ranks as u64 || snap.clocks.len() != ranks || snap.sections.len() != ranks
-            {
-                return mismatch("rank count");
-            }
-            if h.seed != cfg.seed {
-                return mismatch("seed");
-            }
-            if h.config_tag != config_tag(&cfg) {
-                return mismatch("algorithm knobs");
-            }
-            if h.k as usize >= cfg.n / cfg.b {
-                return mismatch("panel cursor");
+            let field =
+                header_mismatch(&snap.header, &snapshot_header(&cfg))
+                    .or((snap.clocks.len() != ranks || snap.sections.len() != ranks)
+                        .then_some("rank count"));
+            if let Some(field) = field {
+                return Err(ConfigError::SnapshotMismatch { field });
             }
         }
         Ok(cfg)
@@ -374,31 +355,20 @@ impl RunConfig {
     }
 }
 
-/// Fidelity tag stored in snapshot headers (0 functional, 1 timing).
-pub(crate) fn fidelity_tag(f: Fidelity) -> u8 {
-    match f {
-        Fidelity::Functional => 0,
-        Fidelity::Timing => 1,
-    }
-}
-
-/// FNV-1a tag over the run knobs a restart must agree on beyond the
-/// dimensioned header fields: broadcast algorithm, look-ahead, and panel
-/// precision all change the schedule (and the panel bits), so resuming
-/// under different ones would silently break the bitwise contract.
-pub(crate) fn config_tag(cfg: &RunConfig) -> u64 {
-    let desc = format!("{:?}|{}|{:?}", cfg.algo, cfg.lookahead, cfg.prec);
-    fnv1a(desc.as_bytes())
-}
-
 /// The snapshot-header template (cursor 0) describing `cfg`'s
 /// factorization run — what [`run`] hands the checkpointer, and what a
 /// harness driving [`step_until_done`] directly needs to build its own
 /// [`crate::checkpoint::RunCheckpointer`].
+///
+/// The fidelity tag is 0 functional, 1 timing. The run-knobs tag hashes
+/// the broadcast algorithm, look-ahead, and panel precision: they all
+/// change the schedule (and the panel bits), so resuming under different
+/// ones would silently break the bitwise contract.
 pub fn snapshot_header(cfg: &RunConfig) -> SnapshotHeader {
+    let knobs = format!("{:?}|{}|{:?}", cfg.algo, cfg.lookahead, cfg.prec);
     SnapshotHeader {
         driver: DRIVER_FACTOR,
-        fidelity: fidelity_tag(cfg.fidelity),
+        fidelity: u8::from(cfg.fidelity == Fidelity::Timing),
         k: 0,
         n: cfg.n as u64,
         b: cfg.b as u64,
@@ -406,7 +376,7 @@ pub fn snapshot_header(cfg: &RunConfig) -> SnapshotHeader {
         p_c: cfg.grid.p_c as u64,
         ranks: cfg.grid.size() as u64,
         seed: cfg.seed,
-        config_tag: config_tag(cfg),
+        config_tag: fnv1a(knobs.as_bytes()),
     }
 }
 
@@ -464,8 +434,9 @@ pub struct CkptMeter {
     pub count: usize,
 }
 
-/// Drives a [`Stepper`] to completion — the shared loop all three
-/// distributed drivers now run under.
+/// Drives a [`Stepper`] to completion — the shared loop both distributed
+/// steppers run under: the factorization (either policy) and iterative
+/// refinement.
 ///
 /// With a checkpointer attached, every boundary the spec's interval
 /// selects (and that is not the final cursor) runs the drain protocol:
@@ -578,7 +549,6 @@ impl RunOutcome {
 }
 
 struct RankResult {
-    total: f64,
     factor: f64,
     ir: f64,
     converged: bool,
@@ -654,52 +624,35 @@ pub fn run_with_series(cfg: &RunConfig, series: Series) -> RunOutcome {
         }
         .keep_series(series == Series::AllRanks || ctx.rank() == 0);
         let (out, ckpt_meter) = step_until_done(ctx, state, ckpt.as_deref());
-        let mut result = match cfg.fidelity {
+        let (ir, converged, scaled, ir_iters, x) = match cfg.fidelity {
             Fidelity::Functional => {
                 let local = out.local.as_ref().expect("functional run keeps factors");
                 let ir = refine(ctx, &cfg.sys, &fcfg, local, ir_speed);
-                RankResult {
-                    total: out.elapsed + ir.elapsed,
-                    factor: out.elapsed,
-                    ir: ir.elapsed,
-                    converged: ir.converged,
-                    scaled: Some(ir.scaled_residual),
-                    ir_iters: ir.iters,
-                    x: Some(ir.x),
-                    records: out.records,
-                    totals: out.totals,
-                    comm_bytes: 0,
-                    comm_wait: 0.0,
-                    ckpt: ckpt_meter,
-                    trace: CommTrace::default(),
-                }
+                let scaled = Some(ir.scaled_residual);
+                (ir.elapsed, ir.converged, scaled, ir.iters, Some(ir.x))
             }
             Fidelity::Timing => {
                 // IR is charged from the closed-form model (the phase is
                 // a small fraction of the run at scale, §II).
                 let ir = ir_time_model(&cfg.sys, cfg.n, grid.size(), 3);
                 ctx.charge(ir / ir_speed);
-                RankResult {
-                    total: out.elapsed + ir,
-                    factor: out.elapsed,
-                    ir,
-                    converged: true,
-                    scaled: None,
-                    ir_iters: 3,
-                    x: None,
-                    records: out.records,
-                    totals: out.totals,
-                    comm_bytes: 0,
-                    comm_wait: 0.0,
-                    ckpt: ckpt_meter,
-                    trace: CommTrace::default(),
-                }
+                (ir, true, None, 3, None)
             }
         };
-        result.comm_bytes = ctx.bytes_sent();
-        result.comm_wait = ctx.wait_total();
-        result.trace = ctx.take_trace();
-        result
+        RankResult {
+            factor: out.elapsed,
+            ir,
+            converged,
+            scaled,
+            ir_iters,
+            x,
+            records: out.records,
+            totals: out.totals,
+            comm_bytes: ctx.bytes_sent(),
+            comm_wait: ctx.wait_total(),
+            ckpt: ckpt_meter,
+            trace: ctx.take_trace(),
+        }
     })
     .unwrap_or_else(|e| panic!("run: {e}"));
     let wall = started.elapsed().as_secs_f64();
@@ -707,7 +660,7 @@ pub fn run_with_series(cfg: &RunConfig, series: Series) -> RunOutcome {
     // run just completed on the event backend from this thread.
     let sched = mxp_msgsim::last_event_stats().filter(|_| cfg.backend == Backend::EventTimed);
 
-    let runtime = results.iter().map(|r| r.total).fold(0.0, f64::max);
+    let runtime = results.iter().map(|r| r.factor + r.ir).fold(0.0, f64::max);
     let factor_time = results.iter().map(|r| r.factor).fold(0.0, f64::max);
     let ir_time = results.iter().map(|r| r.ir).fold(0.0, f64::max);
     let converged = results.iter().all(|r| r.converged);

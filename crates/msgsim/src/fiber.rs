@@ -288,8 +288,14 @@ mod imp {
     extern "C" fn fiber_entry() -> ! {
         let raw = START.with(|s| s.replace(std::ptr::null_mut()));
         debug_assert!(!raw.is_null(), "fiber entered without a start closure");
-        let f: Box<Box<dyn FnOnce()>> = unsafe { Box::from_raw(raw as *mut Box<dyn FnOnce()>) };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(*f)) {
+        // Unbox in a statement of its own: the outer box is freed at its
+        // end. Moving out of it inside the call below would free it only
+        // when this frame returns, and this frame never does.
+        // SAFETY: `raw` is the `Box::into_raw` of this fiber's start
+        // closure, stored by `resume` just before switching here and
+        // taken out of `START` exactly once (the slot is nulled above).
+        let f: Box<dyn FnOnce()> = *unsafe { Box::from_raw(raw as *mut Box<dyn FnOnce()>) };
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
             PANIC.with(|p| p.set(Some(payload)));
         }
         DONE.with(|d| d.set(true));
