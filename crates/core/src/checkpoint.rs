@@ -80,12 +80,6 @@ impl CheckpointSpec {
             io_bw: 2.0e9,
         }
     }
-
-    /// Overrides the modeled drain bandwidth.
-    pub fn with_io_bw(mut self, bw: f64) -> Self {
-        self.io_bw = bw;
-        self
-    }
 }
 
 /// Typed reasons a snapshot file is rejected.

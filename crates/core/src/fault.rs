@@ -34,18 +34,6 @@ impl FaultPlan {
         self.gcd.is_empty() && self.link.is_empty()
     }
 
-    /// Adds a device fault.
-    pub fn with_gcd(mut self, fault: GcdFault) -> Self {
-        self.gcd.push(fault);
-        self
-    }
-
-    /// Adds a link fault.
-    pub fn with_link(mut self, fault: LinkFault) -> Self {
-        self.link.push(fault);
-        self
-    }
-
     /// Fleet indices with at least one injected device fault.
     pub fn faulty_gcds(&self) -> Vec<usize> {
         let mut out: Vec<usize> = self.gcd.iter().map(|f| f.gcd).collect();

@@ -194,19 +194,6 @@ pub enum PanelMsg {
 }
 
 impl PanelMsg {
-    /// Wire size of the *payload data* this variant represents, used for
-    /// declared byte counts in functional mode.
-    pub fn payload_bytes(&self) -> u64 {
-        match self {
-            PanelMsg::Empty => 0,
-            PanelMsg::Panel(PanelData::F16(v)) => 2 * v.len() as u64,
-            PanelMsg::Panel(PanelData::B16(v)) => 2 * v.len() as u64,
-            PanelMsg::Panel(PanelData::F32(v)) => 4 * v.len() as u64,
-            PanelMsg::Panel(PanelData::F64(v)) => 8 * v.len() as u64,
-            PanelMsg::VecF64(v) => 8 * v.len() as u64,
-        }
-    }
-
     /// Unwraps a reduced-precision panel.
     pub fn into_panel(self) -> PanelData {
         match self {
@@ -227,20 +214,6 @@ impl PanelMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn payload_bytes() {
-        assert_eq!(PanelMsg::Empty.payload_bytes(), 0);
-        assert_eq!(
-            PanelMsg::Panel(PanelData::F16(vec![F16::ZERO; 10])).payload_bytes(),
-            20
-        );
-        assert_eq!(
-            PanelMsg::Panel(PanelData::F32(vec![0.0; 10])).payload_bytes(),
-            40
-        );
-        assert_eq!(PanelMsg::VecF64(vec![0.0; 10]).payload_bytes(), 80);
-    }
 
     #[test]
     fn unwrap_helpers() {

@@ -346,16 +346,8 @@ impl TagAllocator {
         }
     }
 
-    /// Named claims currently held in the color namespace, as
+    /// Named claims currently held in the p2p-tag namespace, as
     /// `(name, base, len)` — the tag-namespace map, for diagnostics.
-    pub fn color_map(&self) -> Vec<(&'static str, u32, u32)> {
-        self.colors
-            .iter()
-            .map(|c| (c.name, c.base, c.len))
-            .collect()
-    }
-
-    /// Named claims currently held in the p2p-tag namespace.
     pub fn tag_map(&self) -> Vec<(&'static str, u32, u32)> {
         self.tags.iter().map(|c| (c.name, c.base, c.len)).collect()
     }

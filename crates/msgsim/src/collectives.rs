@@ -234,11 +234,6 @@ impl Group {
                 req.resolved = Some(self.run_bcast(comm, &req, msg));
             }
         }
-        if req.resolved.is_some() {
-            // This rank's part is over: the join has nothing left to do.
-            comm.retire(tag);
-            comm.retire(tag2);
-        }
         req
     }
 
@@ -258,8 +253,6 @@ impl Group {
         let wait0 = comm.wait_total();
         let deferred = req.deferred.take();
         let m = self.run_bcast(comm, &req, deferred);
-        comm.retire(req.tag);
-        comm.retire(req.tag2);
         let waited = comm.wait_total() - wait0;
         // Overlap credit: the part of the flight time (post → last arrival)
         // this rank spent on its own work instead of idling. A deferred
@@ -354,6 +347,7 @@ impl Group {
                             comm.send_modeled(
                                 self.member(idx),
                                 tag,
+                                0,
                                 m.clone(),
                                 bytes,
                                 busy_each,
@@ -363,7 +357,7 @@ impl Group {
                     }
                     m
                 } else {
-                    let (m, _) = comm.recv_stream(self.member(root_idx), tag);
+                    let (m, _) = comm.recv_stream(self.member(root_idx), tag, 0);
                     m
                 }
             }
@@ -384,7 +378,7 @@ impl Group {
                 let mut mask = 1usize;
                 while mask < g {
                     if vr & mask != 0 {
-                        let (m, _) = comm.recv_stream(to_world(vr - mask), tag);
+                        let (m, _) = comm.recv_stream(to_world(vr - mask), tag, 0);
                         held = Some(m);
                         break;
                     }
@@ -397,7 +391,7 @@ impl Group {
                         if hop_tax > 0.0 {
                             comm.charge(hop_tax);
                         }
-                        comm.send_stream(to_world(vr + mask), tag, m.clone(), bytes);
+                        comm.send_stream(to_world(vr + mask), tag, 0, m.clone(), bytes);
                     }
                     mask >>= 1;
                 }
@@ -410,7 +404,8 @@ impl Group {
     /// each of `chunks` chunks the root sends to every chain's head, in
     /// chain order; every other member receives each chunk from its
     /// predecessor and forwards it to its successor. Chunk 0 carries the
-    /// payload, later chunks only their declared bytes.
+    /// payload, later chunks only their declared bytes; chunk `c` is message
+    /// `c` of its chain's stream on every hop.
     ///
     /// Kept out of line: inlined, its frame also sits under every library
     /// broadcast's receive, where each fiber suspends, and the extra stack
@@ -438,7 +433,8 @@ impl Group {
             for c in 0..chunks {
                 for ch in chains {
                     let bytes = ch.chunk_bytes(c, chunks);
-                    comm.send_stream(to_world(ch.first), ch.tag, payload(&msg, c), bytes);
+                    let m = payload(&msg, c);
+                    comm.send_stream(to_world(ch.first), ch.tag, c.into(), m, bytes);
                 }
             }
             return msg.expect("root must supply the payload");
@@ -450,13 +446,14 @@ impl Group {
         let (prev, next) = ch.neighbours(vr);
         let mut held = None;
         for c in 0..chunks {
-            let (m, _) = comm.recv_stream(to_world(prev), ch.tag);
+            let (m, _) = comm.recv_stream(to_world(prev), ch.tag, c.into());
             if c == 0 {
                 held = Some(m);
             }
             if let Some(next) = next {
                 let bytes = ch.chunk_bytes(c, chunks);
-                comm.send_stream(to_world(next), ch.tag, payload(&held, c), bytes);
+                let m = payload(&held, c);
+                comm.send_stream(to_world(next), ch.tag, c.into(), m, bytes);
             }
         }
         held.expect("chain must deliver the payload")
@@ -472,9 +469,7 @@ impl Group {
     {
         let reduced = self.reduce(comm, msg, bytes, combine);
         let tag = self.next_tag();
-        let total = self.lib_bcast(comm, 0, reduced, bytes, tag, 1.0);
-        comm.retire(tag);
-        total
+        self.lib_bcast(comm, 0, reduced, bytes, tag, 1.0)
     }
 
     /// Borrowed-buffer all-reduce: combines everyone's `buf` in place, so
@@ -503,15 +498,14 @@ impl Group {
         while mask < g {
             if vr & mask != 0 {
                 let partial = acc.take().expect("a sender leaves the fan-in");
-                comm.send_stream(self.member(vr - mask), tag, partial, bytes);
+                comm.send_stream(self.member(vr - mask), tag, 0, partial, bytes);
                 break;
             } else if vr + mask < g {
-                let (m, _) = comm.recv_stream(self.member(vr + mask), tag);
+                let (m, _) = comm.recv_stream(self.member(vr + mask), tag, 0);
                 acc = acc.map(|a| combine(a, m));
             }
             mask <<= 1;
         }
-        comm.retire(tag);
         acc
     }
 
@@ -524,11 +518,10 @@ impl Group {
         while k < g {
             let dst = self.member((r + k) % g);
             let src = self.member((r + g - k) % g);
-            comm.send_stream(dst, tag, M::default(), 0);
-            let _ = comm.recv_stream(src, tag);
+            comm.send_stream(dst, tag, 0, M::default(), 0);
+            let _ = comm.recv_stream(src, tag, 0);
             k <<= 1;
         }
-        comm.retire(tag);
     }
 
     /// The worst (slowest) p2p path from this rank to any other member —
@@ -890,7 +883,7 @@ mod tests {
 
     /// Runs `ops` collectives of every kind on a 4-rank group, joining
     /// each split-phase broadcast three operations after posting it, and
-    /// returns every rank's live collective-stream counters at the end.
+    /// returns every rank's stream counters at the end.
     fn live_streams_after_mixed_collectives(
         ops: u64,
         tuning: CollectiveTuning,
@@ -939,7 +932,7 @@ mod tests {
                     }
                 }
             }
-            c.live_collective_streams()
+            c.stream_counters()
         };
         if event {
             w.run_event(job)

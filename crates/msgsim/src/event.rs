@@ -2,13 +2,13 @@
 //! parallel discrete-event scheduler.
 //!
 //! The thread backend gives each rank an OS thread and a channel; this
-//! backend gives each rank a [`Fiber`] and an indexed mailbox slot in one
-//! shared [`EventWorld`]. A rank runs until it needs a message that has not
+//! backend gives each rank a [`Fiber`] and a flat mailbox in one shared
+//! [`EventWorld`]. A rank runs until it needs a message that has not
 //! been delivered yet, records what it is waiting for, and yields; the
 //! sender that later delivers the matching envelope puts the receiver back
 //! on the run queue. Because simulated clocks are pure functions of the
 //! send/receive matching — and matching is made schedule-independent by
-//! the per-(src, tag) sequence numbers on every envelope — *any* schedule
+//! the exact `(src, tag, seq)` key on every envelope — *any* schedule
 //! of the fibers produces bit-identical clocks to the thread backend, which
 //! is what licenses running the scheduler itself in parallel.
 //!
@@ -42,6 +42,11 @@
 //! diagnosis naming each stuck rank's shard and the `(src, tag, seq)` it
 //! waits on (and the shard that owed it).
 //!
+//! Ranks a run abandons — suspended at a deadlock, or when another rank
+//! panicked — are unwound before their worker exits: resumed once with the
+//! shard's `cancel` flag set, each unwinds out of its receive, so its
+//! frames and captures are dropped and its stack returns to the pool.
+//!
 //! On targets without a fiber implementation the entry point transparently
 //! falls back to the thread backend (identical results, thread-bound
 //! scale).
@@ -53,7 +58,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::fiber::{fiber_yield, Fiber, Resume};
-use crate::hash::FxHashMap;
 use crate::world::{Comm, Envelope, WorldSpec};
 
 /// What a blocked rank is waiting for: the `seq`-th message of the
@@ -67,75 +71,49 @@ pub(crate) struct Want {
     pub(crate) src: u32,
 }
 
-/// Per-rank store of delivered-but-unclaimed envelopes.
+/// Per-rank store of delivered-but-unclaimed envelopes: one flat `Vec`,
+/// scanned linearly and emptied with `swap_remove`.
 ///
 /// Matching is exact on `(src, tag, seq)`, so storage order is free to be
-/// anything. The typical mailbox is shallow — a handful of envelopes from
-/// the streams live in the current iteration — and for that regime a flat
-/// `Vec` scanned linearly and popped with `swap_remove` is one warm
-/// allocation and zero hashing. A mailbox that grows past [`SPILL_DEPTH`]
-/// (many-to-one traffic at scale) migrates once to a map keyed by that
-/// exact triple: one slot per envelope, so the one-shot streams of
-/// collectives (a fresh tag per operation, usually one envelope each)
-/// cost no per-stream queue.
-enum PendingSet<M> {
-    Flat(Vec<Envelope<M>>),
-    /// Boxed so the common `Flat` case keeps the enum pointer-sized.
-    Indexed(Box<FxHashMap<(usize, u64, u64), Envelope<M>>>),
-}
+/// anything. A mailbox holds only what has arrived and not yet been taken
+/// (145 envelopes at most in a 6,912-rank Summit timing run), and its
+/// allocation is reused for the whole run, so a scan of warm memory beats
+/// hashing every delivery.
+struct Mailbox<M>(Vec<Envelope<M>>);
 
-/// Flat-mailbox depth beyond which linear scanning loses to indexing.
-const SPILL_DEPTH: usize = 48;
-
-impl<M> PendingSet<M> {
-    fn new() -> Self {
-        PendingSet::Flat(Vec::new())
-    }
-
+impl<M> Mailbox<M> {
     fn insert(&mut self, env: Envelope<M>) {
-        match self {
-            PendingSet::Flat(buf) if buf.len() < SPILL_DEPTH => buf.push(env),
-            PendingSet::Flat(buf) => {
-                // Deep mailbox: migrate once to the indexed form.
-                let mut map: FxHashMap<_, _> =
-                    buf.drain(..).map(|e| ((e.src, e.tag, e.seq), e)).collect();
-                map.insert((env.src, env.tag, env.seq), env);
-                *self = PendingSet::Indexed(Box::new(map));
-            }
-            PendingSet::Indexed(map) => {
-                map.insert((env.src, env.tag, env.seq), env);
-            }
-        }
+        let key = (env.src, env.tag, env.seq);
+        debug_assert!(
+            self.0.iter().all(|e| (e.src, e.tag, e.seq) != key),
+            "duplicate envelope (src, tag, seq) {key:?} in one mailbox"
+        );
+        self.0.push(env);
     }
 
     fn take(&mut self, src: usize, tag: u64, seq: u64) -> Option<Envelope<M>> {
-        match self {
-            PendingSet::Flat(buf) => {
-                let idx = buf
-                    .iter()
-                    .position(|e| e.seq == seq && e.src == src && e.tag == tag)?;
-                Some(buf.swap_remove(idx))
-            }
-            PendingSet::Indexed(map) => map.remove(&(src, tag, seq)),
-        }
+        let idx = self
+            .0
+            .iter()
+            .position(|e| e.seq == seq && e.src == src && e.tag == tag)?;
+        Some(self.0.swap_remove(idx))
     }
 }
 
 /// Scheduling record of one rank. Every delivery touches both the mailbox
-/// and the blocked word, so they share a struct — and with the indexed
-/// mailbox boxed the whole record stays within one cache line, making a
-/// delivery to a cold rank one miss instead of three.
+/// and the blocked word, so they share a struct that stays within one cache
+/// line, making a delivery to a cold rank one miss instead of three.
 struct RankState<M> {
     /// Delivered-but-unclaimed envelopes.
-    pending: PendingSet<M>,
+    pending: Mailbox<M>,
     /// `Some(want)` while the rank's fiber is suspended in a receive.
     blocked: Option<Want>,
     /// Whether the rank's closure has returned.
     done: bool,
 }
 
-// A delivery to a cold rank must stay one cache miss: the mailbox is
-// pointer-sized whatever the payload type, so one instance checks them all.
+// A delivery to a cold rank must stay one cache miss: the mailbox is one
+// `Vec` whatever the payload type, so one instance checks them all.
 const _: () = assert!(std::mem::size_of::<RankState<Vec<f64>>>() <= 64);
 
 /// State owned by exactly one worker thread (single-writer; see the
@@ -147,7 +125,14 @@ struct ShardLocal<M> {
     ranks: Vec<RankState<M>>,
     /// Local indices ready to run, in wake order.
     runq: VecDeque<u32>,
+    /// Set once the run is over with ranks still suspended (deadlock or a
+    /// rank panic): a rank resumed now unwinds out of its receive.
+    cancel: bool,
 }
+
+/// Panic payload that unwinds an abandoned rank's fiber. Raised with
+/// `resume_unwind`, so the panic hook never sees it.
+struct Cancelled;
 
 /// One shard: a concurrent inbox for cross-shard envelopes plus the
 /// owner-thread-only scheduling state.
@@ -275,12 +260,13 @@ impl<M: Send> EventWorld<M> {
                         base,
                         ranks: (0..n)
                             .map(|_| RankState {
-                                pending: PendingSet::new(),
+                                pending: Mailbox(Vec::new()),
                                 blocked: None,
                                 done: false,
                             })
                             .collect(),
                         runq: (0..n as u32).collect(),
+                        cancel: false,
                     }),
                 }
             })
@@ -359,7 +345,8 @@ impl<M: Send> EventWorld<M> {
 
     /// Removes and returns the `(src, tag, seq)` envelope for `rank`,
     /// suspending the rank's fiber until it has been delivered. Called
-    /// from the rank's own fiber, i.e. on its shard's worker thread.
+    /// from the rank's own fiber, i.e. on its shard's worker thread. If
+    /// the run is abandoned meanwhile, unwinds the fiber instead.
     pub(crate) fn obtain(&self, rank: usize, src: usize, tag: u64, seq: u64) -> Envelope<M> {
         let shard = self.shard_of(rank);
         let li = rank - shard * self.chunk;
@@ -379,6 +366,9 @@ impl<M: Send> EventWorld<M> {
             // No shard state is borrowed across the switch: the worker
             // (same thread, below this frame) is free to mutate it.
             fiber_yield();
+            if unsafe { self.local_mut(shard) }.cancel {
+                std::panic::resume_unwind(Box::new(Cancelled));
+            }
         }
     }
 }
@@ -486,10 +476,10 @@ fn shard_worker<M, T, F>(
                 let rank = base + li;
                 let world = Arc::clone(world);
                 let spec = Arc::clone(spec);
-                // Safety: the fiber is driven to completion — or abandoned
-                // with no further resumes on the abort path — before `f`
-                // and `results` (borrowed from `run_event`'s frame) die at
-                // the end of the worker scope.
+                // Safety: the fiber is driven to completion — or, once
+                // the run is over, unwound by the cancel sweep below —
+                // before `f` and `results` (borrowed from `run_event`'s
+                // frame) die at the end of the worker scope.
                 unsafe {
                     Fiber::new(stack_size, move || {
                         let comm = Comm::event(rank, spec, world);
@@ -573,6 +563,16 @@ fn shard_worker<M, T, F>(
         world.idle.fetch_sub(1, SeqCst);
         ws.idle_secs += t_idle.elapsed().as_secs_f64();
         drop(inbox);
+    }
+    // Unfinished fibers still held were abandoned, each suspended in
+    // `EventWorld::obtain`. Resumed once with `cancel` set, a fiber unwinds,
+    // dropping its frames and start closure, and its stack goes back to
+    // the pool. `blocked` stays as it was, for the deadlock diagnosis.
+    unsafe { world.local_mut(shard) }.cancel = true;
+    for mut fiber in fibers.into_iter().flatten() {
+        if fiber.is_finished() || !matches!(fiber.resume(), Resume::Yielded) {
+            fiber.recycle();
+        }
     }
     let mut agg = world.agg.lock().unwrap();
     agg.run_secs += ws.run_secs;
@@ -717,23 +717,33 @@ mod tests {
         ((e.src, e.tag, e.seq), e.arrive.to_bits(), e.bytes, e.msg)
     }
 
-    /// `PendingSet` against a plain `Vec` searched by exact key: random
-    /// insert / take sequences that fill past [`SPILL_DEPTH`] and
-    /// drain back, over long-lived multi-envelope streams (taken out of
-    /// `seq` order) and one-shot collective streams, plus probes for keys
-    /// that were never delivered or already taken.
+    fn envelope(src: usize, tag: u64, seq: u64, rng: &mut Rng, id: u64) -> Envelope<u64> {
+        Envelope {
+            src,
+            tag,
+            seq,
+            arrive: rng.next() as f64 * 1e-19,
+            bytes: rng.next() % 4096,
+            msg: id,
+        }
+    }
+
+    /// `Mailbox` against a plain `Vec` searched by exact key: random
+    /// insert / take sequences that fill deep and drain back, over
+    /// long-lived multi-envelope streams (taken out of `seq` order) and
+    /// one-shot collective streams, plus probes for keys that were never
+    /// delivered or already taken. Then many-to-one traffic: 4,096
+    /// one-envelope streams from distinct sources, taken newest first.
     #[test]
-    fn pending_set_matches_a_naive_model_across_the_spill() {
+    fn mailbox_matches_a_naive_model() {
         for seed in 0..40 {
             let mut rng = Rng(seed);
-            let mut set = PendingSet::<u64>::new();
+            let mut set = Mailbox::<u64>(Vec::new());
             let mut model: Vec<Envelope<u64>> = Vec::new();
-            let mut next_seq: FxHashMap<(usize, u64), u64> = FxHashMap::default();
+            let mut next_seq: std::collections::HashMap<(usize, u64), u64> = Default::default();
             let mut one_shot = 1u64 << 40;
-            let mut spilled = false;
             let mut id = 0u64;
-            // Alternate fill and drain phases so the depth crosses the
-            // spill threshold in both directions.
+            // Alternate fill and drain phases so the depth rises and falls.
             for phase in 0..8usize {
                 let filling = phase.is_multiple_of(2);
                 for _ in 0..300 {
@@ -747,18 +757,10 @@ mod tests {
                         };
                         let seq = next_seq.entry((src, tag)).or_insert(0);
                         id += 1;
-                        let env = Envelope {
-                            src,
-                            tag,
-                            seq: *seq,
-                            arrive: rng.next() as f64 * 1e-19,
-                            bytes: rng.next() % 4096,
-                            msg: id,
-                        };
+                        let env = envelope(src, tag, *seq, &mut rng, id);
                         *seq += 1;
                         model.push(Envelope { ..env });
                         set.insert(env);
-                        spilled |= matches!(set, PendingSet::Indexed(_));
                         continue;
                     }
                     // Half the probes name a live envelope (any stream
@@ -780,13 +782,38 @@ mod tests {
                     );
                 }
             }
-            assert!(spilled, "seed {seed}: never crossed SPILL_DEPTH");
             // Everything still pending comes back out exactly once.
             for e in std::mem::take(&mut model) {
                 let got = set.take(e.src, e.tag, e.seq);
                 assert_eq!(got.as_ref().map(view), Some(view(&e)));
                 assert!(set.take(e.src, e.tag, e.seq).is_none());
             }
+            assert!(set.0.is_empty(), "seed {seed}: mailbox kept envelopes");
         }
+        let mut rng = Rng(7);
+        let mut set = Mailbox::<u64>(Vec::new());
+        let sent: Vec<Envelope<u64>> = (0..4096)
+            .map(|src| envelope(src, 0x8000_0001, 0, &mut rng, src as u64))
+            .collect();
+        for e in &sent {
+            set.insert(Envelope { ..*e });
+        }
+        for e in sent.iter().rev() {
+            assert!(set.take(e.src, e.tag, 1).is_none());
+            let got = set.take(e.src, e.tag, e.seq);
+            assert_eq!(got.as_ref().map(view), Some(view(e)), "src {}", e.src);
+            assert!(set.take(e.src, e.tag, e.seq).is_none());
+        }
+        assert!(set.0.is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate envelope")]
+    fn mailbox_rejects_a_duplicate_key() {
+        let mut rng = Rng(1);
+        let mut set = Mailbox::<u64>(Vec::new());
+        set.insert(envelope(3, 9, 0, &mut rng, 1));
+        set.insert(envelope(3, 9, 0, &mut rng, 2));
     }
 }

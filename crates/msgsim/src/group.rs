@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 /// Bit 31 of every collective stream tag; point-to-point tags stay below
 /// it.
-pub(crate) const COLLECTIVE_TAG: u32 = 0x8000_0000;
+const COLLECTIVE_TAG: u32 = 0x8000_0000;
 
 /// A subset of world ranks acting as a communicator (like an
 /// `MPI_Comm_split` result). All members must invoke each collective in the
@@ -85,9 +85,9 @@ impl Group {
     ///
     /// The low 32 bits are `COLLECTIVE_TAG | color << 16 | seq & 0xFFFF`;
     /// the high 32 bits are the wrap generation `seq >> 16`. A tag
-    /// therefore never recurs within a run, which is what lets a finished
-    /// collective retire its stream counters (`Comm::retire`): no later
-    /// message can arrive on a retired tag.
+    /// therefore never recurs within a run, which is what lets a collective
+    /// number its own messages (`Comm::send_stream`): no other operation
+    /// sends on its streams.
     pub(crate) fn next_tag(&mut self) -> u64 {
         let low = COLLECTIVE_TAG | (self.color << 16) | (self.seq & 0xFFFF);
         let tag = (u64::from(self.seq >> 16) << 32) | u64::from(low);

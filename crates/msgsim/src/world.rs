@@ -1,4 +1,12 @@
 //! Rank spawning, point-to-point messaging, and simulated clocks.
+//!
+//! Every envelope carries `(src, tag, seq)`, and a receive takes exactly
+//! the envelope it names, whatever order the transport delivered them in.
+//! Point-to-point [`Comm::send`] / [`Comm::recv`] number each `(peer, tag)`
+//! stream with a per-direction counter (`StreamSeqs`) that lives for the
+//! run. Collectives keep no counters: a collective's tag is used by no
+//! other operation, so the algorithm passes each message's position on its
+//! stream itself (`Comm::send_stream`, `Comm::recv_stream`).
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use mxp_netsim::{GcdLoc, NetworkConfig};
@@ -7,7 +15,6 @@ use std::sync::{Arc, Mutex};
 use crate::collectives::CollectiveTuning;
 use crate::event::EventWorld;
 use crate::fault::{fault_effect, LinkFault};
-use crate::group::COLLECTIVE_TAG;
 use crate::hash::FxHashMap;
 
 /// Description of a job: how many ranks, where each lives, and how the
@@ -175,41 +182,20 @@ pub(crate) enum Endpoint<M> {
     Event(Arc<EventWorld<M>>),
 }
 
-/// Next sequence number of each `(peer, tag)` stream in one direction.
-///
-/// Collective streams (tags carrying [`COLLECTIVE_TAG`]) are kept apart
-/// from point-to-point ones: a collective tag is used by exactly one
-/// operation, so its counters are deleted when that operation finishes
-/// ([`Comm::retire`]) and the table holds only what is in flight; once it
-/// is empty its buckets are released too. Point-to-point counters live for
-/// the run, as MPI's do.
+/// Next sequence number of each point-to-point `(peer, tag)` stream in
+/// one direction. These live for the run, as MPI's do. Collectives keep no
+/// counters here: each numbers its own messages (`Group` tags are never
+/// reused, and an algorithm knows the position of every message it sends
+/// on one), so finishing one leaves nothing behind.
 #[derive(Default)]
-struct StreamSeqs {
-    p2p: FxHashMap<(usize, u64), u64>,
-    collective: FxHashMap<(usize, u64), u64>,
-}
+struct StreamSeqs(FxHashMap<(usize, u32), u64>);
 
 impl StreamSeqs {
     /// Returns the stream's next sequence number and advances it.
-    fn next(&mut self, peer: usize, tag: u64) -> u64 {
-        let map = if tag as u32 & COLLECTIVE_TAG != 0 {
-            &mut self.collective
-        } else {
-            &mut self.p2p
-        };
-        let seq = map.entry((peer, tag)).or_insert(0);
+    fn next(&mut self, peer: usize, tag: u32) -> u64 {
+        let seq = self.0.entry((peer, tag)).or_insert(0);
         *seq += 1;
         *seq - 1
-    }
-
-    fn retire(&mut self, tag: u64) {
-        self.collective.retain(|&(_, t), _| t != tag);
-        if self.collective.is_empty() {
-            // A wide collective grows the table to hundreds of buckets;
-            // kept, they would cost every rank that memory for the rest of
-            // the run and every later `retain` a scan over all of them.
-            self.collective = FxHashMap::default();
-        }
     }
 }
 
@@ -255,13 +241,13 @@ impl<M: Send + 'static> Comm<M> {
         Comm::with_endpoint(rank, spec, Endpoint::Event(world))
     }
 
-    /// Stamps the next stream sequence number and hands the envelope to
-    /// the transport.
-    fn post(&mut self, dst: usize, tag: u64, arrive: f64, bytes: u64, msg: M) {
+    /// Hands the `seq`-th envelope of the `(self, dst, tag)` stream to the
+    /// transport.
+    fn post(&mut self, dst: usize, tag: u64, seq: u64, arrive: f64, bytes: u64, msg: M) {
         let env = Envelope {
             src: self.rank,
             tag,
-            seq: self.send_seq.next(dst, tag),
+            seq,
             arrive,
             bytes,
             msg,
@@ -302,22 +288,12 @@ impl<M: Send + 'static> Comm<M> {
         }
     }
 
-    /// Deletes the sequence counters of a finished collective's stream
-    /// tag, in both directions. Sound because a collective tag is never
-    /// reused within a run (`Group::next_tag` stamps the wrap generation
-    /// into its high word) and this rank has posted every send and receive
-    /// it will ever make on `tag`.
-    pub(crate) fn retire(&mut self, tag: u64) {
-        self.send_seq.retire(tag);
-        self.recv_seq.retire(tag);
+    /// Point-to-point stream counters held (both directions).
+    #[cfg(test)]
+    pub(crate) fn stream_counters(&self) -> usize {
+        self.send_seq.0.len() + self.recv_seq.0.len()
     }
 
-    /// Collective-stream counters currently held (both directions): the
-    /// streams of collectives this rank has started but not finished.
-    #[cfg(test)]
-    pub(crate) fn live_collective_streams(&self) -> usize {
-        self.send_seq.collective.len() + self.recv_seq.collective.len()
-    }
     /// This rank's index.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -404,11 +380,13 @@ impl<M: Send + 'static> Comm<M> {
     /// time the sender is busy for the software overhead plus injection
     /// serialization.
     pub fn send(&mut self, dst: usize, tag: u32, msg: M, bytes: u64) {
-        self.send_stream(dst, tag.into(), msg, bytes);
+        let seq = self.send_seq.next(dst, tag);
+        self.send_stream(dst, tag.into(), seq, msg, bytes);
     }
 
-    /// [`send`](Self::send) on a collective's 64-bit stream tag.
-    pub(crate) fn send_stream(&mut self, dst: usize, tag: u64, msg: M, bytes: u64) {
+    /// [`send`](Self::send) of the `seq`-th message of a collective's
+    /// `(self, dst, tag)` stream; the collective numbers its own messages.
+    pub(crate) fn send_stream(&mut self, dst: usize, tag: u64, seq: u64, msg: M, bytes: u64) {
         let cost = self.spec.net.p2p(
             self.spec.locs[self.rank],
             self.spec.locs[dst],
@@ -418,7 +396,7 @@ impl<M: Send + 'static> Comm<M> {
         self.clock += self.spec.send_overhead + bytes as f64 * cost.sec_per_byte * bw_div;
         self.bytes_sent += bytes;
         let arrive = self.clock + cost.latency + extra_lat;
-        self.post(dst, tag, arrive, bytes, msg);
+        self.post(dst, tag, seq, arrive, bytes, msg);
     }
 
     /// Low-level send with explicitly modeled costs: the sender is busy for
@@ -426,10 +404,12 @@ impl<M: Send + 'static> Comm<M> {
     /// after the path latency. Used by the collectives module to model
     /// vendor black-box algorithms (e.g. Spectrum MPI's pipelined
     /// broadcast) whose internal schedule we don't reproduce hop by hop.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn send_modeled(
         &mut self,
         dst: usize,
         tag: u64,
+        seq: u64,
         msg: M,
         bytes: u64,
         busy: f64,
@@ -447,19 +427,20 @@ impl<M: Send + 'static> Comm<M> {
         self.clock += busy * bw_div;
         self.bytes_sent += bytes;
         let arrive = self.clock + cost.latency + extra_delay + extra_lat;
-        self.post(dst, tag, arrive, bytes, msg);
+        self.post(dst, tag, seq, arrive, bytes, msg);
     }
 
     /// Receives the next message from `src` with tag `tag`, blocking until
     /// it is available. Messages from the same source with the same tag are
     /// delivered in send order.
     pub fn recv(&mut self, src: usize, tag: u32) -> (M, RecvInfo) {
-        self.recv_stream(src, tag.into())
+        let seq = self.recv_seq.next(src, tag);
+        self.recv_stream(src, tag.into(), seq)
     }
 
-    /// [`recv`](Self::recv) on a collective's 64-bit stream tag.
-    pub(crate) fn recv_stream(&mut self, src: usize, tag: u64) -> (M, RecvInfo) {
-        let seq = self.recv_seq.next(src, tag);
+    /// [`recv`](Self::recv) of the `seq`-th message of a collective's
+    /// `(src, self, tag)` stream.
+    pub(crate) fn recv_stream(&mut self, src: usize, tag: u64, seq: u64) -> (M, RecvInfo) {
         let env = self.obtain(src, tag, seq);
         let info = self.accept(env.arrive, env.bytes);
         (env.msg, info)
@@ -562,39 +543,21 @@ mod tests {
     }
 
     #[test]
-    fn retired_collective_table_releases_its_buckets() {
-        // Wide collectives in flight at once grow the collective table to
-        // thousands of buckets; once the last one retires, the table must
-        // be back at its unallocated baseline, while point-to-point
-        // counters keep counting.
+    fn point_to_point_counters_persist() {
+        // Each `(peer, tag)` stream counts from 0 and keeps counting for
+        // the run, whatever other streams do in between.
         let mut s = StreamSeqs::default();
-        let p2p = 7u64;
         for peer in 0..4 {
-            assert_eq!(s.next(peer, p2p), 0);
+            assert_eq!(s.next(peer, 7), 0);
         }
-        for round in 0..3u64 {
-            let tags: Vec<u64> = (0..40u64)
-                .map(|op| (round << 32) | (COLLECTIVE_TAG | op as u32) as u64)
-                .collect();
-            for &tag in &tags {
-                for peer in 0..64 {
-                    assert_eq!(s.next(peer, tag), 0);
-                    assert_eq!(s.next(peer, tag), 1);
-                }
-            }
-            assert!(s.collective.capacity() >= 40 * 64);
-            for &tag in &tags[..39] {
-                s.retire(tag);
-            }
-            assert_eq!(s.collective.len(), 64, "one collective still live");
-            s.retire(tags[39]);
-            assert_eq!(s.collective.len(), 0);
-            assert_eq!(s.collective.capacity(), 0, "round {round}: buckets kept");
+        for peer in 0..64 {
+            assert_eq!(s.next(peer, 9), 0);
+            assert_eq!(s.next(peer, 9), 1);
         }
         for peer in 0..4 {
-            assert_eq!(s.next(peer, p2p), 1, "p2p counter of peer {peer} lost");
+            assert_eq!(s.next(peer, 7), 1, "p2p counter of peer {peer} lost");
         }
-        assert_eq!(s.p2p.len(), 4);
+        assert_eq!(s.0.len(), 4 + 64);
     }
 
     #[test]
