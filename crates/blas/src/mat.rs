@@ -95,13 +95,6 @@ impl<T: Copy + Default> Mat<T> {
         &self.data[start..start + self.rows]
     }
 
-    /// Mutable borrow of column `j`.
-    pub fn col_mut(&mut self, j: usize) -> &mut [T] {
-        let start = self.idx(0, j);
-        let rows = self.rows;
-        &mut self.data[start..start + rows]
-    }
-
     /// Copies a rectangular block out of this matrix into a fresh
     /// tightly-packed `Mat` (`lda = block rows`).
     pub fn block(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> Mat<T> {
@@ -113,16 +106,6 @@ impl<T: Copy + Default> Mat<T> {
             }
         }
         out
-    }
-
-    /// Writes a tightly-packed block into a rectangular region.
-    pub fn set_block(&mut self, r0: usize, c0: usize, block: &Mat<T>) {
-        assert!(r0 + block.rows <= self.rows && c0 + block.cols <= self.cols);
-        for j in 0..block.cols {
-            for i in 0..block.rows {
-                self[(r0 + i, c0 + j)] = block[(i, j)];
-            }
-        }
     }
 }
 
@@ -188,18 +171,12 @@ mod tests {
         let b = m.block(2, 3, 3, 2);
         assert_eq!(b[(0, 0)], m[(2, 3)]);
         assert_eq!(b[(2, 1)], m[(4, 4)]);
-        let mut m2 = Mat::<f64>::zeros(6, 6);
-        m2.set_block(2, 3, &b);
-        assert_eq!(m2[(4, 4)], m[(4, 4)]);
-        assert_eq!(m2[(0, 0)], 0.0);
     }
 
     #[test]
     fn cols_and_identity() {
-        let mut m = Mat::<f64>::identity(3);
+        let m = Mat::<f64>::identity(3);
         assert_eq!(m.col(1), &[0.0, 1.0, 0.0]);
-        m.col_mut(0)[2] = 5.0;
-        assert_eq!(m[(2, 0)], 5.0);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! ```
 //!
 //! Modes: `functional` (real math + verification), `timing` (emergent LogP
-//! simulation), `critical` (closed-form estimate; any scale).
+//! simulation on the event host), `critical` (closed-form estimate; any
+//! scale).
 //!
 //! `--inject SPEC` injects a fault (repeatable; see
 //! [`FaultPlan::parse_spec`] for the grammar), and `--supervise` runs the
@@ -21,7 +22,7 @@ use hplai_core::progress::ProgressMonitor;
 use hplai_core::solve::{run, RunConfig, RunOutcome};
 use hplai_core::supervisor::{recovery_ratio, Supervisor};
 use hplai_core::trace;
-use hplai_core::{frontier, summit, testbed, ProcessGrid, SystemSpec, TrailingPrecision};
+use hplai_core::{frontier, summit, testbed, Backend, ProcessGrid, SystemSpec, TrailingPrecision};
 use mxp_msgsim::BcastAlgo;
 use std::process::exit;
 
@@ -246,7 +247,9 @@ fn main() {
                     });
             }
             let builder = if mode == "timing" {
-                RunConfig::timing(sys.clone(), grid, n, a.b)
+                // The event host's clocks are bitwise equal to the thread
+                // host's, and it is not capped at 8,192 ranks.
+                RunConfig::timing(sys.clone(), grid, n, a.b).backend(Backend::EventTimed)
             } else {
                 RunConfig::functional(sys.clone(), grid, n, a.b)
             };

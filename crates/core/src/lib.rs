@@ -86,7 +86,7 @@ pub use msg::{PanelData, PanelMsg, TrailingPrecision};
 pub use report::{PerfReport, RunProvenance};
 pub use runtime::{
     Backend, BackendError, CommEvent, CommOp, CommScope, CommStats, CommTotals, CommTrace,
-    PanelBcast, RankCtx, TagAllocator, TagError,
+    PanelBcast, RankCtx, TagAllocator,
 };
 pub use service::{
     job_log_filename, parse_batch, BatchError, BatchFile, JobRecord, LatencyStats, ServiceConfig,

@@ -194,14 +194,6 @@ pub enum PanelMsg {
 }
 
 impl PanelMsg {
-    /// Unwraps a reduced-precision panel.
-    pub fn into_panel(self) -> PanelData {
-        match self {
-            PanelMsg::Panel(v) => v,
-            other => panic!("expected Panel, got {other:?}"),
-        }
-    }
-
     /// Unwraps an FP64 vector.
     pub fn into_vec64(self) -> Vec<f64> {
         match self {
@@ -218,14 +210,12 @@ mod tests {
     #[test]
     fn unwrap_helpers() {
         assert_eq!(PanelMsg::VecF64(vec![2.0]).into_vec64(), vec![2.0]);
-        let p = PanelData::F16(vec![F16::ONE]);
-        assert_eq!(PanelMsg::Panel(p.clone()).into_panel(), p);
     }
 
     #[test]
-    #[should_panic(expected = "expected Panel")]
+    #[should_panic(expected = "expected VecF64")]
     fn wrong_unwrap_panics() {
-        PanelMsg::Empty.into_panel();
+        PanelMsg::Empty.into_vec64();
     }
 
     #[test]

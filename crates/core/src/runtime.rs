@@ -8,10 +8,10 @@
 //! of it:
 //!
 //! * **Sub-communicators** — row, column, and world groups addressed by
-//!   [`CommScope`], with their colors issued by a collision-checked
-//!   [`TagAllocator`] instead of magic constants. Their member lists are
-//!   built once per run and shared by every rank, so a rank's state does
-//!   not grow with the world size;
+//!   [`CommScope`], with their colors issued by the [`TagAllocator`]
+//!   instead of magic constants. Their member lists are built once per
+//!   run and shared by every rank, so a rank's state does not grow with
+//!   the world size;
 //! * **Typed collectives** — [`RankCtx::allreduce_f64`],
 //!   [`RankCtx::allreduce_max_by`], [`RankCtx::bcast_panel`] and friends
 //!   pack and unpack [`PanelMsg`] internally, so a wrong-variant message
@@ -163,67 +163,7 @@ pub const COLOR_SPACE: u32 = 0x4000;
 /// p2p tags must stay strictly below it.
 pub const P2P_TAG_SPACE: u32 = 0x8000_0000;
 
-/// A reserved, named range in one of the tag namespaces.
-#[derive(Clone, Debug)]
-struct Claim {
-    name: &'static str,
-    base: u32,
-    len: u32,
-}
-
-impl Claim {
-    fn overlaps(&self, base: u32, len: u32) -> bool {
-        base < self.base + self.len && self.base < base + len
-    }
-}
-
-/// An error from [`TagAllocator`]: the requested range is unusable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TagError {
-    /// The requested range intersects an already-claimed one. This is the
-    /// failure mode the old hand-rolled scheme had latently: `factor`'s
-    /// row groups used bare `my_r` as the color while column groups used
-    /// `0x1000 + my_c`, so any grid with `p_r > 0x1000` rows would have
-    /// silently crossed the wires.
-    Overlap {
-        /// Name of the range being requested.
-        name: &'static str,
-        /// Name of the existing claim it collides with.
-        existing: &'static str,
-        /// First value of the intersection.
-        at: u32,
-    },
-    /// The requested range does not fit in the namespace.
-    OutOfSpace {
-        /// Name of the range being requested.
-        name: &'static str,
-        /// Size of the namespace it was requested from.
-        space: u32,
-    },
-}
-
-impl std::fmt::Display for TagError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            TagError::Overlap { name, existing, at } => {
-                write!(
-                    f,
-                    "tag range {name:?} collides with {existing:?} at {at:#x}"
-                )
-            }
-            TagError::OutOfSpace { name, space } => {
-                write!(
-                    f,
-                    "tag range {name:?} does not fit in a {space:#x}-value space"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for TagError {}
-
-/// A claimed range of group colors. `at(i)` yields the `i`-th color.
+/// An allocated range of group colors. `at(i)` yields the `i`-th color.
 #[derive(Clone, Copy, Debug)]
 pub struct ColorRange {
     base: u32,
@@ -248,7 +188,7 @@ impl ColorRange {
     }
 }
 
-/// A claimed range of point-to-point message tags. `at(i)` yields the
+/// An allocated range of point-to-point message tags. `at(i)` yields the
 /// `i`-th tag; indexing out of range panics rather than silently aliasing
 /// a neighbouring namespace (the failure the old `base | (key & 0xFFFF)`
 /// arithmetic could not detect).
@@ -276,18 +216,19 @@ impl TagRange {
     }
 }
 
-/// Collision-checked allocator for the two tag namespaces: group colors
-/// (collective tag bases) and point-to-point tags.
+/// Bump allocator for the two tag namespaces: group colors (collective
+/// tag bases) and point-to-point tags.
 ///
-/// Ranges can be *claimed* at an explicit base (returning [`TagError`] on
-/// overlap) or *allocated* at the next free position. Allocation order
-/// must be identical on every rank — the allocator is deterministic, so
+/// Each range starts where the previous one in its namespace ended, so
+/// ranges never overlap. Allocation order must be identical on every rank —
 /// identical call sequences yield identical ranges, exactly the matched-
 /// order discipline collectives already demand.
 #[derive(Debug, Default)]
 pub struct TagAllocator {
-    colors: Vec<Claim>,
-    tags: Vec<Claim>,
+    /// First unallocated group color.
+    next_color: u32,
+    /// First unallocated point-to-point tag.
+    next_tag: u32,
 }
 
 impl TagAllocator {
@@ -296,104 +237,31 @@ impl TagAllocator {
         TagAllocator::default()
     }
 
-    /// Claims `len` group colors starting at `base`, rejecting overlap
-    /// with any existing claim.
-    pub fn claim_colors(
-        &mut self,
-        name: &'static str,
-        base: u32,
-        len: u32,
-    ) -> Result<ColorRange, TagError> {
-        let r = Self::claim(&mut self.colors, name, base, len, COLOR_SPACE)?;
-        Ok(ColorRange {
-            base: r.0,
-            len: r.1,
-        })
-    }
-
-    /// Claims `len` point-to-point tags starting at `base`, rejecting
-    /// overlap with any existing claim.
-    pub fn claim_tags(
-        &mut self,
-        name: &'static str,
-        base: u32,
-        len: u32,
-    ) -> Result<TagRange, TagError> {
-        let r = Self::claim(&mut self.tags, name, base, len, P2P_TAG_SPACE)?;
-        Ok(TagRange {
-            base: r.0,
-            len: r.1,
-        })
-    }
-
-    /// Allocates `len` group colors at the lowest free base. Panics if the
-    /// namespace is exhausted (a program error, not an input error).
+    /// Allocates the next `len` group colors. Panics if the namespace is
+    /// exhausted (a program error, not an input error).
     pub fn alloc_colors(&mut self, name: &'static str, len: u32) -> ColorRange {
-        let r = Self::alloc(&mut self.colors, name, len, COLOR_SPACE);
-        ColorRange {
-            base: r.0,
-            len: r.1,
-        }
+        let base = bump(&mut self.next_color, name, len, COLOR_SPACE);
+        ColorRange { base, len }
     }
 
-    /// Allocates `len` point-to-point tags at the lowest free base. Panics
-    /// if the namespace is exhausted.
+    /// Allocates the next `len` point-to-point tags. Panics if the
+    /// namespace is exhausted.
     pub fn alloc_tags(&mut self, name: &'static str, len: u32) -> TagRange {
-        let r = Self::alloc(&mut self.tags, name, len, P2P_TAG_SPACE);
-        TagRange {
-            base: r.0,
-            len: r.1,
-        }
+        let base = bump(&mut self.next_tag, name, len, P2P_TAG_SPACE);
+        TagRange { base, len }
     }
+}
 
-    /// Named claims currently held in the p2p-tag namespace, as
-    /// `(name, base, len)` — the tag-namespace map, for diagnostics.
-    pub fn tag_map(&self) -> Vec<(&'static str, u32, u32)> {
-        self.tags.iter().map(|c| (c.name, c.base, c.len)).collect()
-    }
-
-    fn claim(
-        claims: &mut Vec<Claim>,
-        name: &'static str,
-        base: u32,
-        len: u32,
-        space: u32,
-    ) -> Result<(u32, u32), TagError> {
-        if len == 0 || base.checked_add(len).is_none_or(|end| end > space) {
-            return Err(TagError::OutOfSpace { name, space });
-        }
-        if let Some(c) = claims.iter().find(|c| c.overlaps(base, len)) {
-            return Err(TagError::Overlap {
-                name,
-                existing: c.name,
-                at: base.max(c.base),
-            });
-        }
-        claims.push(Claim { name, base, len });
-        Ok((base, len))
-    }
-
-    fn alloc(claims: &mut Vec<Claim>, name: &'static str, len: u32, space: u32) -> (u32, u32) {
-        assert!(len > 0, "empty range for {name:?}");
-        let mut base = 0u32;
-        // Claims are few; walk them until a gap fits.
-        loop {
-            match claims.iter().find(|c| c.overlaps(base, len)) {
-                None => break,
-                Some(c) => base = c.base + c.len,
-            }
-            assert!(
-                base.checked_add(len).is_some_and(|end| end <= space),
-                "tag namespace exhausted allocating {name:?}"
-            );
-        }
-        assert!(
-            base.checked_add(len).is_some_and(|end| end <= space),
-            "tag namespace exhausted allocating {name:?}"
-        );
-        claims.push(Claim { name, base, len });
-        (base, len)
-    }
+/// Takes `len` values at `*next` from a namespace of `space` values and
+/// returns their base.
+fn bump(next: &mut u32, name: &'static str, len: u32, space: u32) -> u32 {
+    assert!(len > 0, "empty range for {name:?}");
+    let base = *next;
+    *next = base
+        .checked_add(len)
+        .filter(|&end| end <= space)
+        .unwrap_or_else(|| panic!("tag namespace exhausted allocating {name:?}"));
+    base
 }
 
 /// Which sub-communicator a collective runs on.
@@ -522,11 +390,6 @@ impl CommTrace {
             t.hidden += e.hidden;
         }
         t
-    }
-
-    /// Summed declared bytes over every event.
-    pub fn total_bytes(&self) -> u64 {
-        self.events.iter().map(|e| e.bytes).sum()
     }
 
     fn push(&mut self, ev: CommEvent) {
@@ -714,12 +577,6 @@ impl RankCtx {
     /// performing the same allocation sequence receives the same range.
     pub fn alloc_tags(&mut self, name: &'static str, len: u32) -> TagRange {
         self.tags.alloc_tags(name, len)
-    }
-
-    /// The tag allocator, for claims at explicit bases and for the
-    /// namespace maps.
-    pub fn tags(&mut self) -> &mut TagAllocator {
-        &mut self.tags
     }
 
     /// The communication trace recorded so far.
@@ -1024,24 +881,11 @@ mod tests {
         // The historical scheme: row groups colored with bare `my_r`
         // (0..p_r), column groups with `0x1000 + my_c`. On any grid with
         // more than 0x1000 rows the two namespaces interleave — row color
-        // 0x1000 + x IS column color of column x. The allocator refuses
-        // exactly that layout.
+        // 0x1000 + x IS column color of column x. Allocated ranges are
+        // disjoint: the columns start after the last row.
         let mut tags = TagAllocator::new();
         let p_r = 0x1800u32; // representable: color space is 0x4000
         let p_c = 8u32;
-        tags.claim_colors("rows", 0, p_r)
-            .expect("first claim is free");
-        let err = tags.claim_colors("cols", 0x1000, p_c).unwrap_err();
-        assert_eq!(
-            err,
-            TagError::Overlap {
-                name: "cols",
-                existing: "rows",
-                at: 0x1000,
-            }
-        );
-        // The same grid through disjoint allocation works fine.
-        let mut tags = TagAllocator::new();
         let rows = tags.alloc_colors("rows", p_r);
         let cols = tags.alloc_colors("cols", p_c);
         assert_eq!(rows.at(0x17FF), 0x17FF);
@@ -1053,32 +897,20 @@ mod tests {
         let mut a = TagAllocator::new();
         let mut b = TagAllocator::new();
         assert_eq!(a.alloc_tags("x", 10).at(3), b.alloc_tags("x", 10).at(3));
-        // Claim a hole, then allocate past it.
-        let mut t = TagAllocator::new();
-        t.claim_tags("reserved", 0, 100).unwrap();
-        let r = t.alloc_tags("after", 5);
-        assert_eq!(r.at(0), 100);
-        // Adjacent claims never overlap.
-        t.claim_tags("adjacent", 105, 5).unwrap();
-        assert!(t.claim_tags("clash", 104, 2).is_err());
+        // The next range starts right after the previous one.
+        assert_eq!(a.alloc_tags("after", 5).at(0), 10);
     }
 
     #[test]
     fn tag_allocator_bounds_checks() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let mut t = TagAllocator::new();
-        assert!(matches!(
-            t.claim_colors("too-big", 0x3FFF, 2),
-            Err(TagError::OutOfSpace { .. })
-        ));
-        assert!(matches!(
-            t.claim_tags("wrap", u32::MAX - 1, 4),
-            Err(TagError::OutOfSpace { .. })
-        ));
-        let r = t.claim_tags("edge", P2P_TAG_SPACE - 4, 4).unwrap();
+        t.alloc_colors("most", COLOR_SPACE - 1);
+        assert!(catch_unwind(AssertUnwindSafe(|| t.alloc_colors("too-big", 2))).is_err());
+        t.alloc_tags("most", P2P_TAG_SPACE - 4);
+        let r = t.alloc_tags("edge", 4);
         assert_eq!(r.at(3), P2P_TAG_SPACE - 1);
-        let maps = t.tag_map();
-        assert_eq!(maps.len(), 1);
-        assert_eq!(maps[0].0, "edge");
+        assert!(catch_unwind(AssertUnwindSafe(|| t.alloc_tags("full", 1))).is_err());
     }
 
     #[test]
@@ -1167,7 +999,8 @@ mod tests {
         assert_eq!(outs[1].totals(CommOp::Recv).count, 1);
         // Declared byte accounting: 3 allreduces (32 + 16 + 16) + 2
         // bcasts (16 + 8) on every rank, plus the p2p payload of 8.
-        assert_eq!(outs[0].total_bytes(), 32 + 16 + 16 + 16 + 8 + 8);
+        let bytes: u64 = outs[0].events().iter().map(|e| e.bytes).sum();
+        assert_eq!(bytes, 32 + 16 + 16 + 16 + 8 + 8);
     }
 
     #[test]

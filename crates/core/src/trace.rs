@@ -60,16 +60,6 @@ impl PhaseTotals {
     pub fn total(&self) -> f64 {
         self.getrf + self.trsm + self.cast + self.gemm + self.bcast + self.wait
     }
-
-    /// Fraction of accounted time spent in the trailing GEMM — the
-    /// "computational bounded" indicator of Fig. 10.
-    pub fn gemm_fraction(&self) -> f64 {
-        if self.total() == 0.0 {
-            0.0
-        } else {
-            self.gemm / self.total()
-        }
-    }
 }
 
 /// Serializes a rank's records as a Chrome-tracing JSON array: one complete
@@ -276,14 +266,12 @@ mod tests {
         assert!((t.total() - 0.028).abs() < 1e-12);
         // Hidden overlap is tracked but never part of the accounted total.
         assert!((t.hidden - 0.002).abs() < 1e-12);
-        assert!(t.gemm_fraction() > 0.6);
     }
 
     #[test]
     fn empty_records() {
         let t = PhaseTotals::from_records(&[]);
         assert_eq!(t.total(), 0.0);
-        assert_eq!(t.gemm_fraction(), 0.0);
     }
 
     #[test]

@@ -233,21 +233,6 @@ impl GcdModel {
         let panels = 2 * (3 * b as u64 * n_l as u64) + 4 * (b as u64 * b as u64);
         matrix + panels <= self.mem_bytes
     }
-
-    /// Largest `N_L` (multiple of `b`) whose working set fits on the GCD.
-    pub fn max_local_n(&self, b: usize) -> usize {
-        let mut lo = 0usize;
-        let mut hi = 1usize << 20;
-        while lo + 1 < hi {
-            let mid = (lo + hi) / 2;
-            if self.fits_local_matrix(mid, b) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo - lo % b.max(1)
-    }
 }
 
 /// Samples the mixed-GEMM rate surface over a grid of output sizes and
@@ -409,16 +394,6 @@ mod tests {
         assert!(m.fits_local_matrix(119808, 3072));
         assert!(m.fits_local_matrix(122880, 3072));
         assert!(!m.fits_local_matrix(131072, 3072));
-    }
-
-    #[test]
-    fn max_local_n_is_consistent() {
-        let m = GcdModel::mi250x_gcd();
-        let nl = m.max_local_n(3072);
-        assert!(m.fits_local_matrix(nl, 3072));
-        assert!(!m.fits_local_matrix(nl + 3072, 3072));
-        assert_eq!(nl % 3072, 0);
-        assert!(nl >= 119808, "paper's N_L must fit; got {nl}");
     }
 
     #[test]

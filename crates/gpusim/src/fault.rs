@@ -91,16 +91,6 @@ impl GcdFaultKind {
         }
     }
 
-    /// First iteration at which the fault takes effect.
-    pub fn onset(&self) -> usize {
-        match *self {
-            GcdFaultKind::Slowdown { .. } => 0,
-            GcdFaultKind::DegradeAt { at, .. } => at,
-            GcdFaultKind::ThermalRunaway { onset, .. } => onset,
-            GcdFaultKind::Fail { at } => at,
-        }
-    }
-
     /// Short machine-readable name (CSV/event-log key).
     pub fn label(&self) -> &'static str {
         match self {
@@ -155,11 +145,6 @@ impl GcdSpeed {
         self.base
     }
 
-    /// `true` if any fault is injected on this device.
-    pub fn is_faulty(&self) -> bool {
-        !self.faults.is_empty()
-    }
-
     /// Effective speed at iteration `iter` (always > 0; kernel times are
     /// divided by this).
     pub fn at(&self, iter: usize) -> f64 {
@@ -168,11 +153,6 @@ impl GcdSpeed {
             s *= f.factor_at(iter);
         }
         s.max(FAILED_SPEED * self.base)
-    }
-
-    /// Earliest fault onset, if any fault is injected.
-    pub fn first_onset(&self) -> Option<usize> {
-        self.faults.iter().map(|f| f.onset()).min()
     }
 }
 
@@ -191,8 +171,6 @@ mod tests {
         let s = GcdSpeed::nominal();
         assert_eq!(s.at(0), 1.0);
         assert_eq!(s.at(1000), 1.0);
-        assert!(!s.is_faulty());
-        assert_eq!(s.first_onset(), None);
     }
 
     #[test]
@@ -207,7 +185,6 @@ mod tests {
         let s = GcdSpeed::new(0.98).with_fault(GcdFaultKind::DegradeAt { at: 8, factor: 0.5 });
         assert_eq!(s.at(7), 0.98);
         assert_eq!(s.at(8), 0.49);
-        assert_eq!(s.first_onset(), Some(8));
     }
 
     #[test]

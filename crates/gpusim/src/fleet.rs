@@ -93,20 +93,6 @@ impl GcdFleet {
         self.multipliers.iter().copied().fold(1.0, f64::min)
     }
 
-    /// Indices whose measured speed falls below `threshold` × the fleet
-    /// median — the decision rule of the slow-node scan mini-benchmark.
-    pub fn below_threshold(&self, threshold: f64) -> Vec<usize> {
-        let mut sorted = self.multipliers.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = sorted[sorted.len() / 2];
-        self.multipliers
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m < threshold * median)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Returns a same-size fleet with the listed GCDs swapped for healthy
     /// spares (multiplier 1.0). This models the operational exclusion
     /// workflow at fixed job size: the flagged nodes are dropped from the
@@ -141,6 +127,11 @@ impl GcdFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// GCDs below the in-family band `[1 - spread, 1]` at a 5% spread.
+    fn outliers(f: &GcdFleet) -> Vec<usize> {
+        (0..f.len()).filter(|&i| f.speed(i) < 0.9).collect()
+    }
 
     #[test]
     fn uniform_is_all_ones() {
@@ -178,7 +169,7 @@ mod tests {
     #[test]
     fn injected_slow_gcds_are_found() {
         let f = GcdFleet::generate(256, 11, 0.05, 3, 0.7);
-        let found = f.below_threshold(0.9);
+        let found = outliers(&f);
         assert_eq!(found.len(), 3, "found {found:?}");
         for &i in &found {
             assert!(f.speed(i) < 0.75);
@@ -188,7 +179,7 @@ mod tests {
     #[test]
     fn excluding_removes_slow_tail() {
         let f = GcdFleet::generate(128, 21, 0.05, 4, 0.6);
-        let slow = f.below_threshold(0.9);
+        let slow = outliers(&f);
         let healthy = f.excluding(&slow);
         assert_eq!(healthy.len(), 128 - slow.len());
         assert!(healthy.slowest() >= 0.95 - 1e-9);
@@ -197,6 +188,6 @@ mod tests {
     #[test]
     fn no_false_positives_on_clean_fleet() {
         let f = GcdFleet::generate(256, 5, 0.05, 0, 1.0);
-        assert!(f.below_threshold(0.9).is_empty());
+        assert!(outliers(&f).is_empty());
     }
 }

@@ -688,9 +688,12 @@ mod tests {
         Group::new(rank, (0..size).collect(), 1).unwrap()
     }
 
-    fn check_delivery(algo: BcastAlgo, p: usize, tuning: CollectiveTuning) -> Vec<f64> {
+    /// Broadcasts from three roots on both hosts, asserting the payloads
+    /// and that the hosts' clocks agree bitwise. The 8 MB payload is 16
+    /// chunks at 512 KB, so a chain that numbers its chunks wrongly shows.
+    fn check_delivery(algo: BcastAlgo, p: usize, tuning: CollectiveTuning) {
         let w = world(p, 1, tuning);
-        w.run::<Vec<u32>, _, _>(move |mut c| {
+        let job = move |mut c: Comm<Vec<u32>>| {
             let mut g = row_group(c.rank(), p);
             for root in [0usize, p / 2, p - 1] {
                 let payload = (0..64)
@@ -704,8 +707,10 @@ mod tests {
                 let got = g.bcast(&mut c, root, msg, 8 << 20, algo);
                 assert_eq!(got, payload, "algo {algo:?} root {root} rank {}", c.rank());
             }
-            c.now()
-        })
+            c.now().to_bits()
+        };
+        let (thread, event) = (w.run(job), w.run_event(job));
+        assert_eq!(thread, event, "algo {algo:?} p {p}: host clocks differ");
     }
 
     #[test]
