@@ -408,33 +408,22 @@ fn bench_gen_residual(entries: &mut Vec<Entry>, threads: usize, n: usize, b: usi
 /// (untimed), then report `refine` wall-clock divided by sweep count — the
 /// regenerate + GEMV residual + fan-in solve path this PR de-serializes.
 fn bench_ir(entries: &mut Vec<Entry>, threads: usize, n: usize, b: usize, reps: usize) {
-    use hplai_core::factor::{factor, FactorConfig, Fidelity};
+    use hplai_core::factor::factor;
     use hplai_core::grid::ProcessGrid;
     use hplai_core::ir::refine;
-    use hplai_core::msg::TrailingPrecision;
     use hplai_core::systems::testbed;
     use hplai_core::{run_with_backend, RunConfig};
 
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let grid = ProcessGrid::col_major(1, 1, 1);
-        let sys = testbed(1, 1);
-        let rcfg = RunConfig::functional(sys.clone(), grid, n, b)
+        let cfg = RunConfig::functional(testbed(1, 1), grid, n, b)
             .seed(7)
             .build_or_panic();
-        let cfg = FactorConfig {
-            n,
-            b,
-            algo: mxp_msgsim::BcastAlgo::Lib,
-            lookahead: true,
-            fidelity: Fidelity::Functional,
-            seed: 7,
-            prec: TrailingPrecision::Fp16,
-        };
-        let per_sweep: Vec<f64> = run_with_backend(&rcfg, |ctx| {
-            let out = factor(ctx, &sys, &cfg, 1.0);
+        let per_sweep: Vec<f64> = run_with_backend(&cfg, |ctx| {
+            let out = factor(ctx, &cfg, 1.0);
             let t0 = Instant::now();
-            let o = refine(ctx, &sys, &cfg, out.local.as_ref().unwrap(), 1.0);
+            let o = refine(ctx, &cfg, out.local.as_ref().unwrap(), 1.0);
             let secs = t0.elapsed().as_secs_f64();
             assert!(o.converged, "ir bench solve failed to converge");
             secs / o.iters.max(1) as f64

@@ -27,7 +27,7 @@
 //!
 //! The service path threads an `Arc<MatrixCache>` through
 //! [`RunConfig`](crate::solve::RunConfig); the factorization consults it
-//! in [`crate::factor::factor_cached`]. A property test
+//! in [`crate::factor::FactorState::new`]. A property test
 //! (`tests/service.rs`) pins the bitwise-identity and key-sensitivity
 //! claims.
 

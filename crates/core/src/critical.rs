@@ -33,16 +33,17 @@ pub struct CriticalConfig {
     /// Slowest fleet multiplier (1.0 = uniform fleet); the pipeline runs
     /// at the pace of the slowest GCD (§VI-B).
     pub slowest: f64,
-    /// Fraction of panel-broadcast time hideable under the trailing GEMM.
-    /// Full overlap is not physical: the GPU's copy/DMA engines and HBM
-    /// bandwidth are shared between the GEMM and the outbound panels, and
-    /// MPI progress costs cycles. 0.35 reproduces the paper's Fig. 8
-    /// communication sensitivity; 1.0 recovers the idealized Eq. (1) max().
-    pub overlap: f64,
 }
 
+/// Fraction of panel-broadcast time hideable under the trailing GEMM.
+/// Full overlap is not physical: the GPU's copy/DMA engines and HBM
+/// bandwidth are shared between the GEMM and the outbound panels, and MPI
+/// progress costs cycles. 0.35 reproduces the paper's Fig. 8 communication
+/// sensitivity; 1.0 would recover the idealized Eq. (1) max().
+const OVERLAP: f64 = 0.35;
+
 impl CriticalConfig {
-    /// Standard configuration: look-ahead on, uniform fleet, 50% overlap.
+    /// Standard configuration: look-ahead on, uniform fleet.
     pub fn new(n: usize, b: usize, grid: ProcessGrid, algo: BcastAlgo) -> Self {
         CriticalConfig {
             n,
@@ -51,7 +52,6 @@ impl CriticalConfig {
             algo,
             lookahead: true,
             slowest: 1.0,
-            overlap: 0.35,
         }
     }
 }
@@ -74,7 +74,7 @@ pub struct CriticalIter {
     /// Trailing GEMM time.
     pub gemm: f64,
     /// Modeled broadcast time hidden under the remainder GEMM:
-    /// `overlap · min(pbcast, gemm_rem)` (0 without look-ahead) — the
+    /// `OVERLAP · min(pbcast, gemm_rem)` (0 without look-ahead) — the
     /// model-side counterpart of the measured `IterRecord::hidden`.
     pub hidden: f64,
     /// Contribution of this iteration to the total (after overlap).
@@ -201,7 +201,7 @@ pub fn critical_time(sys: &SystemSpec, cfg: &CriticalConfig) -> CriticalOutcome 
             let strip_col = dev.gemm_mixed_time(m_loc.max(1), b.min(n_prev), b, n_l) * slow;
             let strips = strip_row / grid.p_r as f64 + strip_col / grid.p_c as f64;
             let gemm_rem = (gemm - strips).max(0.0);
-            let hidden = cfg.overlap.clamp(0.0, 1.0) * pbcast.min(gemm_rem);
+            let hidden = OVERLAP * pbcast.min(gemm_rem);
             let overlapped = pbcast.max(gemm_rem) + pbcast.min(gemm_rem) - hidden;
             (strips + getrf + dbcast + trsm + cast + overlapped, hidden)
         } else {

@@ -23,18 +23,18 @@
 //! the look-ahead posture, the per-iteration records, the snapshot section
 //! and resume. The policy owns what differs: the panel, the strip solves,
 //! the storage element, the GEMM kernel, their clock charges, and what
-//! [`Stepper::finish`] returns (HPL-MxP's factors for refinement, HPL's
+//! [`Policy::finish`] returns (HPL-MxP's factors for refinement, HPL's
 //! solution). HPL-MxP runs functionally (real panels) and in timing mode
 //! (virtual payloads); kernel times always come from the device model, so
 //! functional runs produce the same simulated clocks the timing runs do.
 
-use crate::cache::{MatrixCache, MatrixKey};
+use crate::cache::MatrixKey;
 use crate::checkpoint::{self, ByteReader, Snapshot, SnapshotError, DRIVER_FACTOR};
 use crate::grid::ProcessGrid;
 use crate::local::{trailing_col, trailing_row, Element, LocalMat, LocalMatrix};
 use crate::msg::{PanelData, TrailingPrecision};
 use crate::runtime::{CommScope, PanelBcast, RankCtx};
-use crate::solve::Stepper;
+use crate::solve::RunConfig;
 use crate::systems::SystemSpec;
 use crate::trace::PhaseTotals;
 use mxp_blas::{Diag, Side, Uplo};
@@ -49,25 +49,6 @@ pub enum Fidelity {
     Functional,
     /// Virtual payloads, simulated clocks only (large N).
     Timing,
-}
-
-/// Configuration of one factorization.
-#[derive(Clone, Debug)]
-pub struct FactorConfig {
-    /// Global matrix dimension.
-    pub n: usize,
-    /// Block size `B`.
-    pub b: usize,
-    /// Panel broadcast algorithm (§IV-B).
-    pub algo: BcastAlgo,
-    /// Whether the look-ahead pipeline is enabled.
-    pub lookahead: bool,
-    /// Execution fidelity.
-    pub fidelity: Fidelity,
-    /// Matrix generator seed.
-    pub seed: u64,
-    /// Storage format of the broadcast panels / trailing GEMM inputs.
-    pub prec: TrailingPrecision,
 }
 
 /// Per-iteration timing record on one rank (the Fig. 10 series).
@@ -386,7 +367,7 @@ impl<T: Element> Core<'_, T> {
 /// One rank's snapshot section, the layout both policies write: the
 /// synchronized start time, the pivot record (HPL), and the raw bits of
 /// the local tiles when the rank holds them. Look-ahead state is never
-/// encoded — [`Stepper::drain`] ran first, so there is none.
+/// encoded — the stepper drained first, so there is none.
 struct Section<T> {
     t0: f64,
     pivots: Vec<usize>,
@@ -439,16 +420,15 @@ impl<T: Element> Section<T> {
 /// [`crate::solve::step_until_done`].
 ///
 /// Each iteration's [`IterRecord`] stays open until the next one is
-/// pushed (or [`Stepper::finish`] runs), because the look-ahead joins of
-/// a checkpoint drain and of `finish` still charge it; then it is folded
+/// pushed (or `finish` runs), because the look-ahead joins of a
+/// checkpoint drain and of `finish` still charge it; then it is folded
 /// into per-rank [`PhaseTotals`] and, unless [`Factorization::keep_series`]
 /// turned that off, appended to the series.
 ///
 /// Panel-boundary checkpointing drives it with a
 /// [`crate::checkpoint::RunCheckpointer`], draining the look-ahead posture
-/// ([`Stepper::drain`]) and encoding a snapshot section
-/// ([`Stepper::encode`]) at every boundary; a restarted run rebuilds the
-/// state with `resume` and steps on bit-identically.
+/// and encoding a snapshot section at every boundary; a restarted run
+/// rebuilds the state from its section and steps on bit-identically.
 pub struct Factorization<'a, P: Policy> {
     pub(crate) core: Core<'a, P::Elem>,
     pub(crate) policy: P,
@@ -548,20 +528,20 @@ impl<'a, P: Policy> Factorization<'a, P> {
         self.core.keep_series = keep;
         self
     }
-}
 
-impl<P: Policy> Stepper for Factorization<'_, P> {
-    type Output = P::Output;
-
-    fn cursor(&self) -> usize {
+    /// Panel iterations completed so far (the distributed panel cursor).
+    pub(crate) fn cursor(&self) -> usize {
         self.core.k
     }
 
-    fn done(&self) -> bool {
+    /// `true` when no panels remain and `finish` may run.
+    pub(crate) fn done(&self) -> bool {
         self.core.k >= self.core.n_b
     }
 
-    fn step(&mut self, ctx: &mut RankCtx) {
+    /// Advances one panel iteration, charging the rank's clock through
+    /// `ctx`.
+    pub(crate) fn step(&mut self, ctx: &mut RankCtx) {
         debug_assert!(!self.done());
         let Factorization { core, policy, prev } = self;
         let (k, b) = (core.k, core.b);
@@ -647,7 +627,7 @@ impl<P: Policy> Stepper for Factorization<'_, P> {
     /// rank's whole trailing region — the union of the strip and remainder
     /// updates the next iterations would have applied — so the local tiles
     /// are a pure function of the cursor and can be snapshotted.
-    fn drain(&mut self, ctx: &mut RankCtx) {
+    pub(crate) fn drain(&mut self, ctx: &mut RankCtx) {
         let Factorization { core, policy, prev } = self;
         let Some(mut p) = prev.take() else {
             return;
@@ -661,14 +641,16 @@ impl<P: Policy> Stepper for Factorization<'_, P> {
         }
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    /// Appends this rank's snapshot section; only after `drain`.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         let core = &self.core;
         debug_assert!(self.prev.is_none(), "encode requires a drained stepper");
         let local = core.local.as_ref().map(|l| &l.data[..]);
         Section::encode(out, core.t0, &core.pivots, local);
     }
 
-    fn checkpoint_bytes(&self) -> u64 {
+    /// Modeled bytes of one checkpoint drain on this rank.
+    pub(crate) fn checkpoint_bytes(&self) -> u64 {
         // The modeled drain: the local tiles (and the pivot record) leave
         // the device, whichever fidelity hosts them — functional and
         // timing clocks must agree under identical checkpoint configs.
@@ -677,7 +659,8 @@ impl<P: Policy> Stepper for Factorization<'_, P> {
         P::Elem::BYTES as u64 * tiles + 8 * core.pivots.len() as u64
     }
 
-    fn finish(self, ctx: &mut RankCtx) -> P::Output {
+    /// Completes the run: the final joins, then the policy's `finish`.
+    pub(crate) fn finish(self, ctx: &mut RankCtx) -> P::Output {
         // Look-ahead leaves the last panels pending; their trailing region
         // is empty (k = n_b - 1 has no blocks after it), so nothing to
         // flush. Ranks still owing a join on the final (zero-extent)
@@ -708,50 +691,39 @@ pub struct Mxp {
 impl sealed::Sealed for Mxp {}
 
 impl<'a> Factorization<'a, Mxp> {
-    /// Builds the stepper at panel cursor 0: materializes the local share
-    /// (functional runs), charges the host-to-device copy, and
-    /// synchronizes — benchmark time starts after this barrier.
-    pub fn new(
-        ctx: &mut RankCtx,
-        sys: &'a SystemSpec,
-        cfg: &FactorConfig,
-        speed: GcdSpeed,
-        cache: Option<&MatrixCache>,
-    ) -> Self {
-        let mut st = Self::configured(ctx, sys, cfg, speed);
-        if cfg.fidelity == Fidelity::Functional {
-            st.core.local = Some(materialize(ctx.grid(), ctx.coords(), cfg, cache));
+    /// Builds the stepper `cfg` describes on this rank. A fresh run starts
+    /// at panel cursor 0: it materializes the local share (functional runs,
+    /// from `cfg.cache` when one is attached), charges the host-to-device
+    /// copy, and synchronizes — benchmark time starts after this barrier.
+    /// With `cfg.restart` set, the stepper is instead rebuilt from this
+    /// rank's section of the snapshot and the rank's clock jumps to the
+    /// drained boundary; a functional snapshot may seed a timing resume.
+    ///
+    /// # Panics
+    ///
+    /// If the restart section fails to decode. [`RunConfig`]'s builder
+    /// validated the header, so such a section is a corrupted file that
+    /// somehow passed its checksum — loud is better than subtly wrong.
+    pub fn new(ctx: &mut RankCtx, cfg: &'a RunConfig, speed: GcdSpeed) -> Self {
+        let policy = Mxp {
+            prec: cfg.prec,
+            shim: BlasShim::new(cfg.sys.gcd.vendor),
+            ws: Workspace::default(),
+        };
+        let mut st = Self::assemble(ctx, &cfg.sys, policy, cfg.n, cfg.b, speed);
+        st.core.lookahead = cfg.lookahead;
+        st.core.algo = cfg.algo;
+        let functional = cfg.fidelity == Fidelity::Functional;
+        if let Some(snap) = cfg.restart.as_deref() {
+            return st
+                .restore(ctx, snap, functional)
+                .unwrap_or_else(|e| panic!("resume from snapshot: {e}"));
+        }
+        if functional {
+            st.core.local = Some(materialize(ctx.grid(), ctx.coords(), cfg));
         }
         ctx.charge(st.core.copy_time(0));
         st.start(ctx)
-    }
-
-    /// Rebuilds the stepper from this rank's section of a panel-boundary
-    /// snapshot and jumps the rank's clock to the drained boundary. The
-    /// caller validates the header; a functional snapshot may seed a
-    /// timing resume.
-    pub fn resume(
-        ctx: &mut RankCtx,
-        sys: &'a SystemSpec,
-        cfg: &FactorConfig,
-        speed: GcdSpeed,
-        snap: &Snapshot,
-    ) -> Result<Self, SnapshotError> {
-        let functional = cfg.fidelity == Fidelity::Functional;
-        Self::configured(ctx, sys, cfg, speed).restore(ctx, snap, functional)
-    }
-
-    fn configured(ctx: &RankCtx, sys: &'a SystemSpec, cfg: &FactorConfig, speed: GcdSpeed) -> Self {
-        let shim = BlasShim::new(sys.gcd.vendor);
-        let policy = Mxp {
-            prec: cfg.prec,
-            shim,
-            ws: Workspace::default(),
-        };
-        let mut st = Self::assemble(ctx, sys, policy, cfg.n, cfg.b, speed);
-        st.core.lookahead = cfg.lookahead;
-        st.core.algo = cfg.algo;
-        st
     }
 }
 
@@ -907,18 +879,13 @@ fn charge_solve(
 /// the cache when one is attached and the key is resident (a memcpy),
 /// generated from the LCG streams otherwise. Cache fills run the identical
 /// generation code, so the two paths are bitwise-indistinguishable.
-fn materialize(
-    grid: &ProcessGrid,
-    coord: (usize, usize),
-    cfg: &FactorConfig,
-    cache: Option<&MatrixCache>,
-) -> LocalMatrix {
+fn materialize(grid: &ProcessGrid, coord: (usize, usize), cfg: &RunConfig) -> LocalMatrix {
     let fresh = || {
         let mut m = LocalMatrix::new(grid, coord, cfg.n, cfg.b);
         m.fill_from(&MatrixGen::new(cfg.seed, cfg.n, MatrixKind::DiagDominant));
         m
     };
-    let Some(cache) = cache else {
+    let Some(cache) = cfg.cache.as_deref() else {
         return fresh();
     };
     let key = MatrixKey {
@@ -934,33 +901,14 @@ fn materialize(
     LocalMatrix::from_data(grid, coord, cfg.n, cfg.b, data.as_ref().clone())
 }
 
-/// Runs the distributed factorization on this rank. `speed` is the GCD's
-/// speed state — a plain `f64` fleet multiplier (1.0 = nominal; times are
-/// divided by it) or a full [`GcdSpeed`] whose injected faults make the
+/// Runs the distributed factorization `cfg` describes on this rank (a
+/// fresh run, or a resumed one when `cfg.restart` is set). `speed` is the
+/// GCD's speed state — a plain `f64` fleet multiplier (1.0 = nominal; times
+/// are divided by it) or a full [`GcdSpeed`] whose injected faults make the
 /// multiplier iteration-dependent. The process grid, sub-communicators,
 /// and comm instrumentation all come from `ctx`.
-pub fn factor(
-    ctx: &mut RankCtx,
-    sys: &SystemSpec,
-    cfg: &FactorConfig,
-    speed: impl Into<GcdSpeed>,
-) -> FactorOutput {
-    factor_cached(ctx, sys, cfg, speed, None)
-}
-
-/// [`factor`] with an optional generated-matrix cache: a functional run
-/// whose [`MatrixKey`] is resident skips the LCG fill and memcpys the
-/// cached buffer instead — byte-identical by the cache's purity contract,
-/// so simulated clocks and results are unchanged. Timing-fidelity runs
-/// never materialize and ignore the cache.
-pub fn factor_cached(
-    ctx: &mut RankCtx,
-    sys: &SystemSpec,
-    cfg: &FactorConfig,
-    speed: impl Into<GcdSpeed>,
-    cache: Option<&MatrixCache>,
-) -> FactorOutput {
-    let state = FactorState::new(ctx, sys, cfg, speed.into(), cache);
+pub fn factor(ctx: &mut RankCtx, cfg: &RunConfig, speed: impl Into<GcdSpeed>) -> FactorOutput {
+    let state = FactorState::new(ctx, cfg, speed.into());
     crate::solve::step_until_done(ctx, state, None).0
 }
 
@@ -1076,22 +1024,16 @@ mod tests {
         fidelity: Fidelity,
     ) -> Vec<FactorOutput> {
         let q = grid.gcds_per_node();
-        let sys = testbed(grid.size() / q, q);
-        let rcfg = RunConfig::functional(sys.clone(), grid, n, b)
+        let builder = match fidelity {
+            Fidelity::Functional => RunConfig::functional,
+            Fidelity::Timing => RunConfig::timing,
+        };
+        let cfg = builder(testbed(grid.size() / q, q), grid, n, b)
             .algo(algo)
             .lookahead(lookahead)
             .seed(42)
             .build_or_panic();
-        let cfg = FactorConfig {
-            n,
-            b,
-            algo,
-            lookahead,
-            fidelity,
-            seed: 42,
-            prec: TrailingPrecision::Fp16,
-        };
-        run_with_backend(&rcfg, |ctx| factor(ctx, &sys, &cfg, 1.0))
+        run_with_backend(&cfg, |ctx| factor(ctx, &cfg, 1.0))
             .expect("testbed grids fit the functional backend")
     }
 
@@ -1268,26 +1210,17 @@ mod tests {
         // §VI-B: "a single slow GPU can severely worsen total performance
         // by stalling the pipeline".
         let grid = ProcessGrid::col_major(2, 2, 4);
-        let sys = testbed(1, 4);
-        let rcfg = RunConfig::functional(sys.clone(), grid, 256, 32)
+        let cfg = RunConfig::timing(testbed(1, 4), grid, 256, 32)
             .lookahead(false)
+            .seed(1)
             .build_or_panic();
-        let cfg = FactorConfig {
-            n: 256,
-            b: 32,
-            algo: BcastAlgo::Lib,
-            lookahead: false,
-            fidelity: Fidelity::Timing,
-            seed: 1,
-            prec: TrailingPrecision::Fp16,
-        };
-        let nominal = run_with_backend(&rcfg, |ctx| factor(ctx, &sys, &cfg, 1.0).elapsed)
+        let nominal = run_with_backend(&cfg, |ctx| factor(ctx, &cfg, 1.0).elapsed)
             .unwrap()
             .into_iter()
             .fold(0.0, f64::max);
-        let degraded = run_with_backend(&rcfg, |ctx| {
+        let degraded = run_with_backend(&cfg, |ctx| {
             let speed = if ctx.rank() == 3 { 0.5 } else { 1.0 };
-            factor(ctx, &sys, &cfg, speed).elapsed
+            factor(ctx, &cfg, speed).elapsed
         })
         .unwrap()
         .into_iter()

@@ -2,15 +2,12 @@
 //!
 //! The paper's motivating comparison: "Our Summit result achieved 9.5 times
 //! the performance of HPL, demonstrating the value of mixed precision"
-//! (§I). This module provides:
-//!
-//! * a **functional** single-address-space HPL solve (pivoted FP64 LU +
-//!   triangular solves) over `mxp-blas`, used by tests to show both
-//!   benchmarks produce correct solutions, and
-//! * a **critical-path cost model** for distributed HPL mirroring
-//!   [`crate::critical`], with the costs mixed precision avoids: FP64 GEMM
-//!   rates, a memory-bound pivoted panel factorization, per-column pivot
-//!   reductions, row-swap traffic, and 4× panel broadcast bytes.
+//! (§I). This module holds the **critical-path cost model** for
+//! distributed HPL, mirroring [`crate::critical`], with the costs mixed
+//! precision avoids: FP64 GEMM rates, a memory-bound pivoted panel
+//! factorization, per-column pivot reductions, row-swap traffic, and 4×
+//! panel broadcast bytes. The functional HPL solve is
+//! [`crate::hpl_dist`]: the `Hpl` policy of the one factorization stepper.
 //!
 //! HPL stores the matrix in FP64, so at equal memory the local dimension
 //! shrinks by √2 relative to HPL-AI ([`hpl_n_local`]).
@@ -18,9 +15,7 @@
 use crate::grid::ProcessGrid;
 use crate::metrics::eflops;
 use crate::systems::SystemSpec;
-use mxp_blas::{apply_pivots, getrf_pivoted, trsv, Diag, Uplo};
 use mxp_gpusim::GcdModel;
-use mxp_lcg::{MatrixGen, MatrixKind};
 use mxp_msgsim::collectives::bcast_cost;
 use mxp_msgsim::BcastAlgo;
 use mxp_netsim::GcdLoc;
@@ -136,50 +131,10 @@ pub fn hpl_critical_time(sys: &SystemSpec, grid: &ProcessGrid, n: usize, b: usiz
     }
 }
 
-/// Functional single-process HPL solve: pivoted FP64 LU + two TRSVs.
-/// Returns `(x, scaled_residual)`.
-pub fn hpl_solve_functional(n: usize, seed: u64) -> (Vec<f64>, f64) {
-    let gen = MatrixGen::new(seed, n, MatrixKind::DiagDominant);
-    let mut a = vec![0.0f64; n * n];
-    gen.fill_tile(0..n, 0..n, n, &mut a);
-    let mut b = vec![0.0f64; n];
-    gen.fill_rhs(0..n, &mut b);
-    let b_orig = b.clone();
-
-    let ipiv = getrf_pivoted(n, &mut a, n).expect("HPL matrix must factor");
-    apply_pivots(&ipiv, &mut b);
-    trsv(Uplo::Lower, Diag::Unit, n, &a, n, &mut b);
-    trsv(Uplo::Upper, Diag::NonUnit, n, &a, n, &mut b);
-    let x = b;
-
-    // Scaled residual against the regenerated matrix.
-    let mut r_inf = 0.0f64;
-    let mut x_inf = 0.0f64;
-    let mut b_inf = 0.0f64;
-    for i in 0..n {
-        let mut acc = -b_orig[i];
-        for (j, &xj) in x.iter().enumerate() {
-            acc += gen.entry(i, j) * xj;
-        }
-        r_inf = r_inf.max(acc.abs());
-        x_inf = x_inf.max(x[i].abs());
-        b_inf = b_inf.max(b_orig[i].abs());
-    }
-    let a_norm = gen.diag_inf_norm() + 0.5 * (n as f64 - 1.0);
-    let scaled = r_inf / (f64::EPSILON * (a_norm * x_inf + b_inf) * n as f64);
-    (x, scaled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::systems::summit;
-
-    #[test]
-    fn functional_hpl_solves_correctly() {
-        let (_, scaled) = hpl_solve_functional(128, 11);
-        assert!(scaled < 16.0, "HPL residual gate: {scaled}");
-    }
 
     #[test]
     fn hplai_is_about_9_5x_hpl_on_summit() {

@@ -810,26 +810,8 @@ mod tests {
         assert!(ai.converged);
         let hpl = run_hpl(grid, 256, 32, MatrixKind::DiagDominant);
         assert!(hpl[0].scaled_residual < 16.0);
-        // Recover HPL-AI's solution for comparison.
-        use crate::factor::{factor, FactorConfig, Fidelity};
-        use crate::ir::refine;
-        use mxp_msgsim::BcastAlgo;
-        let sys2 = testbed(1, 4);
-        let fcfg = FactorConfig {
-            n: 256,
-            b: 32,
-            algo: BcastAlgo::Lib,
-            lookahead: true,
-            fidelity: Fidelity::Functional,
-            seed: 4242,
-            prec: crate::msg::TrailingPrecision::Fp16,
-        };
-        let ai_x = run_with_backend(&cfg, |ctx| {
-            let f = factor(ctx, &sys2, &fcfg, 1.0);
-            refine(ctx, &sys2, &fcfg, f.local.as_ref().unwrap(), 1.0).x
-        })
-        .unwrap();
-        for (i, (a, h)) in ai_x[0].iter().zip(&hpl[0].x).enumerate() {
+        let ai_x = ai.solution.expect("functional runs return the solution");
+        for (i, (a, h)) in ai_x.iter().zip(&hpl[0].x).enumerate() {
             assert!(
                 (a - h).abs() < 1e-7 * h.abs().max(1.0),
                 "x[{i}]: {a} vs {h}"

@@ -17,12 +17,15 @@
 //!   push contributions to later (earlier, for backward) blocks;
 //! * iteration stops when the paper's criterion holds (line 44):
 //!   `‖r‖∞ < 8·N·ε·(2·‖diag(A)‖∞·‖x‖∞ + ‖b‖∞)`.
+//!
+//! [`refine`] is one loop over these sweeps on each rank, configured by
+//! the same [`RunConfig`] as the factorization before it. It is not a
+//! stepper and takes no checkpoints. HPL's closing solve reuses
+//! `fan_in_solve` on its FP64 factors.
 
-use crate::factor::FactorConfig;
-use crate::grid::ProcessGrid;
 use crate::local::{LocalMat, LocalMatrix};
 use crate::runtime::{CommScope, RankCtx, TagRange};
-use crate::solve::Stepper;
+use crate::solve::RunConfig;
 use crate::systems::SystemSpec;
 use mxp_blas::{trsv, vec_inf_norm, Diag, Uplo};
 use mxp_lcg::{MatrixGen, MatrixKind};
@@ -49,145 +52,54 @@ pub struct IrOutcome {
 /// typically converges in 3–5).
 pub const MAX_IR_ITERS: usize = 50;
 
-/// Runs distributed iterative refinement. Requires the factored
-/// [`LocalMatrix`] from [`crate::factor::factor`] (functional mode).
-pub fn refine(
-    ctx: &mut RankCtx,
-    sys: &SystemSpec,
-    cfg: &FactorConfig,
-    local: &LocalMatrix,
-    speed: f64,
-) -> IrOutcome {
-    let state = IrState::new(ctx, sys, cfg, local, speed);
-    crate::solve::step_until_done(ctx, state, None).0
-}
-
-/// The resumable-stepper form of [`refine`]: one [`Stepper::step`] is one
-/// refinement sweep (residual, stopping criterion, and — when not yet
-/// converged — the two fan-in solves plus the correction update).
+/// Runs distributed iterative refinement of the system `cfg` describes.
+/// Requires the factored [`LocalMatrix`] from [`crate::factor::factor`]
+/// (functional mode); `speed` is the host's speed multiplier.
 ///
-/// Refinement opts out of checkpointing (`checkpoint_bytes` keeps its `0`
-/// default): sweeps are cheap relative to the factorization, so the
-/// recovery path simply re-runs IR from the factored matrix. Running
-/// under [`crate::solve::step_until_done`] still gives the phase the same
-/// ownership model as the factorization drivers.
-pub struct IrState<'a> {
-    sys: &'a SystemSpec,
-    local: &'a LocalMatrix,
-    speed: f64,
-    n: usize,
-    b: usize,
-    n_b: usize,
-    grid: ProcessGrid,
-    my_r: usize,
-    my_c: usize,
-    gen: MatrixGen,
-    fwd_tags: TagRange,
-    bwd_tags: TagRange,
-    b_vec: Vec<f64>,
-    diag_norm: f64,
-    b_norm: f64,
-    x: Vec<f64>,
-    /// Widened FP64 copies of the diagonal blocks this rank owns (for the
-    /// fan-in TRSVs), keyed by global block index.
-    my_diag_blocks: Vec<(usize, Vec<f64>)>,
-    iters: usize,
-    converged: bool,
-    residual_inf: f64,
-    // All per-sweep work buffers are hoisted into the state and reused
-    // across sweeps; the only `Vec`s created inside a sweep are message
-    // payloads, whose ownership moves into the comm layer. The vectors
-    // consumed by Allreduce come back as the reduced result, so their
-    // capacity is reclaimed for the next sweep. `A` itself has no buffer:
-    // the residual streams it from the generator.
-    ax: Vec<f64>,
-    r: Vec<f64>,
-    y_seg: Vec<f64>, // solved L-segments (owners only)
-    d_seg: Vec<f64>, // solved U-segments (owners only)
-    t_start: f64,
-}
+/// Each sweep computes the residual, tests the stopping criterion and —
+/// when not yet converged — runs the two fan-in solves plus the correction
+/// update. Refinement takes no checkpoints: sweeps are cheap relative to
+/// the factorization, so the recovery path re-runs IR from the factors.
+pub fn refine(ctx: &mut RankCtx, cfg: &RunConfig, local: &LocalMatrix, speed: f64) -> IrOutcome {
+    let t_start = ctx.now();
+    let (sys, n, b) = (&cfg.sys, cfg.n, cfg.b);
+    let n_b = n / b;
+    let grid = *ctx.grid();
+    let (my_r, my_c) = ctx.coords();
+    let gen = MatrixGen::new(cfg.seed, n, MatrixKind::DiagDominant);
 
-impl<'a> IrState<'a> {
-    /// Builds the per-rank refinement state: contribution tags, the
-    /// replicated right-hand side, the initial guess `x = b / diag(A)`,
-    /// and the widened diagonal blocks this rank owns.
-    pub fn new(
-        ctx: &mut RankCtx,
-        sys: &'a SystemSpec,
-        cfg: &FactorConfig,
-        local: &'a LocalMatrix,
-        speed: f64,
-    ) -> Self {
-        let t_start = ctx.now();
-        let n = cfg.n;
-        let b = cfg.b;
-        let n_b = n / b;
-        let grid = *ctx.grid();
-        let (my_r, my_c) = ctx.coords();
-        let gen = MatrixGen::new(cfg.seed, n, MatrixKind::DiagDominant);
+    // Contribution tags carry the *target* block index, one tag per block
+    // per direction; the allocator keeps the two ranges disjoint from
+    // every other claim in this context's lifetime.
+    let fwd_tags = ctx.alloc_tags("ir-fanin-fwd", n_b as u32);
+    let bwd_tags = ctx.alloc_tags("ir-fanin-bwd", n_b as u32);
 
-        // Contribution tags carry the *target* block index, one tag per
-        // block per direction; the allocator keeps the two ranges disjoint
-        // from every other claim in this context's lifetime.
-        let fwd_tags = ctx.alloc_tags("ir-fanin-fwd", n_b as u32);
-        let bwd_tags = ctx.alloc_tags("ir-fanin-bwd", n_b as u32);
+    // Replicated right-hand side and initial guess x = b / diag(A).
+    let mut b_vec = vec![0.0f64; n];
+    gen.fill_rhs(0..n, &mut b_vec);
+    let diag_norm = gen.diag_inf_norm();
+    let mut x: Vec<f64> = b_vec.iter().map(|&v| v / gen.diag_value()).collect();
+    let b_norm = vec_inf_norm(&b_vec);
+    // Widened FP64 copies of the diagonal blocks this rank owns (for the
+    // fan-in TRSVs), keyed by global block index.
+    let diag_blocks = owned_diag_blocks(local, n_b);
 
-        // Replicated right-hand side and initial guess x = b / diag(A).
-        let mut b_vec = vec![0.0f64; n];
-        gen.fill_rhs(0..n, &mut b_vec);
-        let diag_norm = gen.diag_inf_norm();
-        let x: Vec<f64> = b_vec.iter().map(|&v| v / gen.diag_value()).collect();
-        let b_norm = vec_inf_norm(&b_vec);
-
-        IrState {
-            sys,
-            local,
-            speed,
-            n,
-            b,
-            n_b,
-            grid,
-            my_r,
-            my_c,
-            gen,
-            fwd_tags,
-            bwd_tags,
-            b_vec,
-            diag_norm,
-            b_norm,
-            x,
-            my_diag_blocks: owned_diag_blocks(local, n_b),
-            iters: 0,
-            converged: false,
-            residual_inf: f64::INFINITY,
-            ax: vec![0.0f64; n],
-            r: vec![0.0f64; n],
-            y_seg: vec![0.0f64; n],
-            d_seg: vec![0.0f64; n],
-            t_start,
-        }
-    }
-}
-
-impl Stepper for IrState<'_> {
-    type Output = IrOutcome;
-
-    fn cursor(&self) -> usize {
-        self.iters
-    }
-
-    fn done(&self) -> bool {
-        self.converged || self.iters >= MAX_IR_ITERS
-    }
-
-    fn step(&mut self, ctx: &mut RankCtx) {
-        let (n, b, n_b) = (self.n, self.b, self.n_b);
-        let grid = self.grid;
-        let (my_r, my_c) = (self.my_r, self.my_c);
-        let (sys, speed) = (self.sys, self.speed);
-
+    // Every work buffer is allocated once and reused across sweeps; the
+    // only `Vec`s created inside a sweep are message payloads, whose
+    // ownership moves into the comm layer. The vectors consumed by
+    // Allreduce come back as the reduced result, so their capacity is
+    // reclaimed for the next sweep. `A` itself has no buffer: the residual
+    // streams it from the generator.
+    let mut ax = vec![0.0f64; n];
+    let mut r = vec![0.0f64; n];
+    let mut y_seg = vec![0.0f64; n]; // solved L-segments (owners only)
+    let mut d_seg = vec![0.0f64; n]; // solved U-segments (owners only)
+    let mut iters = 0;
+    let mut converged = false;
+    let mut residual_inf = f64::INFINITY;
+    while iters < MAX_IR_ITERS {
         // ---- residual r = b - A·x via regenerated block columns ---------
-        self.ax.fill(0.0);
+        ax.fill(0.0);
         for k in 0..n_b {
             if grid.owner_of_block(k, k) != (my_r, my_c) {
                 continue;
@@ -197,59 +109,54 @@ impl Stepper for IrState<'_> {
             // the regeneration plus the GEMV it fuses.
             ctx.charge((n * b) as f64 / sys.cpu.gen_rate / speed);
             let cols = k * b..(k + 1) * b;
-            self.gen
-                .gemv_cols(cols.clone(), &self.x[cols], &mut self.ax);
+            gen.gemv_cols(cols.clone(), &x[cols], &mut ax);
             ctx.charge(2.0 * (n * b) as f64 / sys.cpu.flop_rate / speed);
         }
-        ctx.allreduce_f64(CommScope::World, &mut self.ax);
-        for (ri, (bv, av)) in self.r.iter_mut().zip(self.b_vec.iter().zip(&self.ax)) {
+        ctx.allreduce_f64(CommScope::World, &mut ax);
+        for (ri, (bv, av)) in r.iter_mut().zip(b_vec.iter().zip(&ax)) {
             *ri = bv - av;
         }
-        self.residual_inf = vec_inf_norm(&self.r);
-        self.iters += 1;
+        residual_inf = vec_inf_norm(&r);
+        iters += 1;
 
         // ---- the paper's stopping criterion (line 44) --------------------
-        let x_norm = vec_inf_norm(&self.x);
-        let threshold =
-            8.0 * n as f64 * f64::EPSILON * (2.0 * self.diag_norm * x_norm + self.b_norm);
-        if self.residual_inf < threshold {
-            self.converged = true;
-            return;
+        let x_norm = vec_inf_norm(&x);
+        let threshold = 8.0 * n as f64 * f64::EPSILON * (2.0 * diag_norm * x_norm + b_norm);
+        if residual_inf < threshold {
+            converged = true;
+            break;
         }
 
         // ---- fan-in solves L̃·y = r, Ũ·d = y; d summed on every rank ------
         fan_in_solve(
             ctx,
-            self.local,
-            &self.my_diag_blocks,
-            (self.fwd_tags, self.bwd_tags),
-            &self.r,
-            &mut self.y_seg,
-            &mut self.d_seg,
+            local,
+            &diag_blocks,
+            (fwd_tags, bwd_tags),
+            &r,
+            &mut y_seg,
+            &mut d_seg,
             Some((sys.cpu.flop_rate, speed)),
         );
 
         // ---- x ← x + d ----------------------------------------------------
-        for (xi, di) in self.x.iter_mut().zip(&self.d_seg) {
+        for (xi, di) in x.iter_mut().zip(&d_seg) {
             *xi += di;
         }
     }
 
-    fn finish(self, ctx: &mut RankCtx) -> IrOutcome {
-        let x_norm = vec_inf_norm(&self.x);
-        // ‖A‖∞ upper bound: the dominant diagonal plus the off-diagonal row
-        // sum bound (entries are U(-0.5, 0.5)).
-        let a_norm = self.diag_norm + 0.5 * (self.n as f64 - 1.0);
-        let scaled =
-            self.residual_inf / (f64::EPSILON * (a_norm * x_norm + self.b_norm) * self.n as f64);
-        IrOutcome {
-            x: self.x,
-            iters: self.iters,
-            converged: self.converged,
-            residual_inf: self.residual_inf,
-            scaled_residual: scaled,
-            elapsed: ctx.now() - self.t_start,
-        }
+    let x_norm = vec_inf_norm(&x);
+    // ‖A‖∞ upper bound: the dominant diagonal plus the off-diagonal row sum
+    // bound (entries are U(-0.5, 0.5)).
+    let a_norm = diag_norm + 0.5 * (n as f64 - 1.0);
+    let scaled = residual_inf / (f64::EPSILON * (a_norm * x_norm + b_norm) * n as f64);
+    IrOutcome {
+        x,
+        iters,
+        converged,
+        residual_inf,
+        scaled_residual: scaled,
+        elapsed: ctx.now() - t_start,
     }
 }
 
@@ -409,29 +316,19 @@ pub fn ir_time_model(sys: &SystemSpec, n: usize, p_total: usize, iters: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factor::{factor, FactorConfig, Fidelity};
+    use crate::factor::factor;
     use crate::grid::ProcessGrid;
     use crate::solve::{run_with_backend, RunConfig};
     use crate::systems::testbed;
 
     fn solve_end_to_end(grid: ProcessGrid, n: usize, b: usize) -> Vec<IrOutcome> {
         let q = grid.gcds_per_node();
-        let sys = testbed(grid.size() / q, q);
-        let rcfg = RunConfig::functional(sys.clone(), grid, n, b)
+        let cfg = RunConfig::functional(testbed(grid.size() / q, q), grid, n, b)
             .seed(7)
             .build_or_panic();
-        let cfg = FactorConfig {
-            n,
-            b,
-            algo: mxp_msgsim::BcastAlgo::Lib,
-            lookahead: true,
-            fidelity: Fidelity::Functional,
-            seed: 7,
-            prec: crate::msg::TrailingPrecision::Fp16,
-        };
-        run_with_backend(&rcfg, |ctx| {
-            let out = factor(ctx, &sys, &cfg, 1.0);
-            refine(ctx, &sys, &cfg, out.local.as_ref().unwrap(), 1.0)
+        run_with_backend(&cfg, |ctx| {
+            let out = factor(ctx, &cfg, 1.0);
+            refine(ctx, &cfg, out.local.as_ref().unwrap(), 1.0)
         })
         .unwrap()
     }

@@ -77,7 +77,7 @@ pub mod trace;
 
 pub use cache::{CacheStats, MatrixCache, MatrixKey};
 pub use checkpoint::{CheckpointSpec, Snapshot, SnapshotError, SnapshotHeader};
-pub use factor::{FactorConfig, Fidelity, IterRecord};
+pub use factor::{Fidelity, IterRecord};
 pub use fault::FaultPlan;
 pub use grid::{ProcessGrid, RankOrder};
 pub use local::{LocalMat, LocalMatrix};
@@ -95,7 +95,7 @@ pub use service::{
 pub use solve::{
     adjust_n, run, run_sequence, run_with_backend, run_with_series, snapshot_header,
     step_until_done, try_adjust_n, CkptMeter, ConfigError, RunConfig, RunConfigBuilder, RunOutcome,
-    Series, Stepper,
+    Series,
 };
 pub use supervisor::{
     cost_recovery_ratio, recovery_ratio, RecoveryPolicy, RunEvent, SupervisedOutcome, Supervisor,

@@ -1,17 +1,20 @@
 //! End-to-end benchmark runs: factorization + iterative refinement +
-//! metrics, over the thread-per-rank runtime.
+//! metrics, on either runtime backend.
 //!
 //! Run configurations are built with the validating builder returned by
 //! [`RunConfig::functional`] / [`RunConfig::timing`]: chain setters, then
 //! [`RunConfigBuilder::build`] checks the grid/size invariants and returns
-//! a typed [`ConfigError`] instead of panicking mid-run.
+//! a typed [`ConfigError`] instead of panicking mid-run. A [`RunConfig`] is
+//! the one description of an HPL-MxP run: [`FactorState::new`] and
+//! [`crate::ir::refine`] read it directly, and [`step_until_done`] drives
+//! the factorization stepper with the checkpoint protocol.
 
 use crate::cache::MatrixCache;
 use crate::checkpoint::{
     fnv1a, header_mismatch, CheckpointSpec, RunCheckpointer, Snapshot, SnapshotHeader,
     DRIVER_FACTOR,
 };
-use crate::factor::{FactorConfig, FactorState, Fidelity, IterRecord};
+use crate::factor::{FactorState, Factorization, Fidelity, IterRecord, Policy};
 use crate::fault::FaultPlan;
 use crate::grid::ProcessGrid;
 use crate::ir::{ir_time_model, refine};
@@ -380,49 +383,6 @@ pub fn snapshot_header(cfg: &RunConfig) -> SnapshotHeader {
     }
 }
 
-/// A distributed driver decomposed into explicit, resumable panel steps.
-///
-/// "Run to completion" is [`step_until_done`]; checkpointing and restart
-/// ride on the same seam: at a panel boundary the shared loop calls
-/// [`Stepper::drain`] (quiesce in-flight communication posture), charges
-/// the modeled drain cost, and collects [`Stepper::encode`] sections into
-/// a [`Snapshot`]. Drivers own their algorithm; the loop owns the
-/// boundary protocol — steppers never talk to the checkpointer directly.
-pub trait Stepper {
-    /// What the driven-to-completion driver produces on this rank.
-    type Output;
-
-    /// Steps completed so far (the distributed panel cursor).
-    fn cursor(&self) -> usize;
-
-    /// `true` when no steps remain and [`Stepper::finish`] may run.
-    fn done(&self) -> bool;
-
-    /// Advances one panel step, charging the rank's clock through `ctx`.
-    fn step(&mut self, ctx: &mut RankCtx);
-
-    /// Quiesces in-flight state (joins posted broadcasts, applies pending
-    /// look-ahead panels) so [`Stepper::encode`] observes a pure function
-    /// of the cursor. Default: nothing is ever in flight.
-    fn drain(&mut self, _ctx: &mut RankCtx) {}
-
-    /// Appends this rank's resumable state to a snapshot section. Called
-    /// only at a boundary, after [`Stepper::drain`].
-    fn encode(&self, _out: &mut Vec<u8>) {}
-
-    /// Modeled bytes of one checkpoint drain on this rank; `0` — the
-    /// default — opts the driver out of checkpointing entirely.
-    fn checkpoint_bytes(&self) -> u64 {
-        0
-    }
-
-    /// Consumes the stepper: completes trailing work (final joins,
-    /// copy-backs, solves) and produces the rank's output.
-    fn finish(self, ctx: &mut RankCtx) -> Self::Output
-    where
-        Self: Sized;
-}
-
 /// Checkpoint activity of one rank over one driven run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CkptMeter {
@@ -434,47 +394,46 @@ pub struct CkptMeter {
     pub count: usize,
 }
 
-/// Drives a [`Stepper`] to completion — the shared loop both distributed
-/// steppers run under: the factorization (either policy) and iterative
-/// refinement.
+/// Drives a [`Factorization`] (either policy) to completion, one panel
+/// step at a time. The driver owns its algorithm; this loop owns the
+/// checkpoint protocol — the stepper never talks to the checkpointer.
 ///
 /// With a checkpointer attached, every boundary the spec's interval
 /// selects (and that is not the final cursor) runs the drain protocol:
-/// quiesce, charge the modeled drain at the spec bandwidth (traced as a
-/// [`crate::CommOp::Checkpoint`] event), synchronize, then deposit this
-/// rank's encoded section — the last rank to deposit writes the snapshot
-/// file atomically. The charge is identical on every rank and at both
-/// fidelities, so checkpoint-configured runs keep all determinism
-/// invariants (backends, shard counts, functional-vs-timing clocks).
-pub fn step_until_done<S: Stepper>(
+/// quiesce the look-ahead posture, charge the modeled drain at the spec
+/// bandwidth (traced as a [`crate::CommOp::Checkpoint`] event),
+/// synchronize, then deposit this rank's encoded section — the last rank
+/// to deposit writes the snapshot file atomically. The charge is identical
+/// on every rank and at both fidelities, so checkpoint-configured runs
+/// keep all determinism invariants (backends, shard counts,
+/// functional-vs-timing clocks).
+pub fn step_until_done<P: Policy>(
     ctx: &mut RankCtx,
-    mut state: S,
+    mut state: Factorization<'_, P>,
     ckpt: Option<&RunCheckpointer>,
-) -> (S::Output, CkptMeter) {
+) -> (P::Output, CkptMeter) {
     let mut meter = CkptMeter::default();
     while !state.done() {
         state.step(ctx);
         if let Some(ck) = ckpt {
             if !state.done() && ck.due(state.cursor()) {
                 let bytes = state.checkpoint_bytes();
-                if bytes > 0 {
-                    state.drain(ctx);
-                    let dt = bytes as f64 / ck.io_bw();
-                    ctx.charge_checkpoint(bytes, dt);
-                    ctx.barrier(CommScope::World);
-                    let mut section = Vec::new();
-                    state.encode(&mut section);
-                    ck.deposit(
-                        state.cursor(),
-                        ctx.rank(),
-                        ctx.now(),
-                        ctx.wait_total(),
-                        section,
-                    );
-                    meter.bytes += bytes;
-                    meter.time += dt;
-                    meter.count += 1;
-                }
+                state.drain(ctx);
+                let dt = bytes as f64 / ck.io_bw();
+                ctx.charge_checkpoint(bytes, dt);
+                ctx.barrier(CommScope::World);
+                let mut section = Vec::new();
+                state.encode(&mut section);
+                ck.deposit(
+                    state.cursor(),
+                    ctx.rank(),
+                    ctx.now(),
+                    ctx.wait_total(),
+                    section,
+                );
+                meter.bytes += bytes;
+                meter.time += dt;
+                meter.count += 1;
             }
         }
     }
@@ -586,15 +545,6 @@ pub fn run(cfg: &RunConfig) -> RunOutcome {
 /// Simulated results are bitwise identical whichever ranks keep theirs.
 pub fn run_with_series(cfg: &RunConfig, series: Series) -> RunOutcome {
     let grid = cfg.grid;
-    let fcfg = FactorConfig {
-        n: cfg.n,
-        b: cfg.b,
-        algo: cfg.algo,
-        lookahead: cfg.lookahead,
-        fidelity: cfg.fidelity,
-        seed: cfg.seed,
-        prec: cfg.prec,
-    };
     let n_b = cfg.n / cfg.b;
     let ckpt: Option<Arc<RunCheckpointer>> = cfg.checkpoint.as_ref().map(|spec| {
         let ck = RunCheckpointer::new(spec.clone(), snapshot_header(cfg))
@@ -614,20 +564,13 @@ pub fn run_with_series(cfg: &RunConfig, series: Series) -> RunOutcome {
         // IR runs after the factorization: charge it at the end-of-run
         // effective speed.
         let ir_speed = speed.at(n_b);
-        let state = match cfg.restart.as_deref() {
-            // The builder validated the header; a section that still fails
-            // to decode is a corrupted file that somehow passed its
-            // checksum — loud is better than subtly wrong.
-            Some(snap) => FactorState::resume(ctx, &cfg.sys, &fcfg, speed, snap)
-                .unwrap_or_else(|e| panic!("resume from snapshot: {e}")),
-            None => FactorState::new(ctx, &cfg.sys, &fcfg, speed, cfg.cache.as_deref()),
-        }
-        .keep_series(series == Series::AllRanks || ctx.rank() == 0);
+        let state = FactorState::new(ctx, cfg, speed)
+            .keep_series(series == Series::AllRanks || ctx.rank() == 0);
         let (out, ckpt_meter) = step_until_done(ctx, state, ckpt.as_deref());
         let (ir, converged, scaled, ir_iters, x) = match cfg.fidelity {
             Fidelity::Functional => {
                 let local = out.local.as_ref().expect("functional run keeps factors");
-                let ir = refine(ctx, &cfg.sys, &fcfg, local, ir_speed);
+                let ir = refine(ctx, cfg, local, ir_speed);
                 let scaled = Some(ir.scaled_residual);
                 (ir.elapsed, ir.converged, scaled, ir.iters, Some(ir.x))
             }

@@ -8,32 +8,21 @@
 //! runs the whole suite under both `RAYON_NUM_THREADS` values; this test
 //! crosses the boundary within one process.
 
-use hplai_core::factor::{factor, FactorConfig, Fidelity};
+use hplai_core::factor::factor;
 use hplai_core::grid::ProcessGrid;
 use hplai_core::ir::{refine, IrOutcome};
-use hplai_core::msg::TrailingPrecision;
 use hplai_core::systems::testbed;
 use hplai_core::{run_with_backend, RunConfig};
 
 fn solve(grid: ProcessGrid, n: usize, b: usize) -> Vec<IrOutcome> {
     let q = grid.gcds_per_node();
-    let sys = testbed(grid.size() / q, q);
-    let rcfg = RunConfig::functional(sys.clone(), grid, n, b)
+    let cfg = RunConfig::functional(testbed(grid.size() / q, q), grid, n, b)
         .seed(7)
         .build()
         .unwrap();
-    let cfg = FactorConfig {
-        n,
-        b,
-        algo: mxp_msgsim::BcastAlgo::Lib,
-        lookahead: true,
-        fidelity: Fidelity::Functional,
-        seed: 7,
-        prec: TrailingPrecision::Fp16,
-    };
-    run_with_backend(&rcfg, |ctx| {
-        let out = factor(ctx, &sys, &cfg, 1.0);
-        refine(ctx, &sys, &cfg, out.local.as_ref().unwrap(), 1.0)
+    run_with_backend(&cfg, |ctx| {
+        let out = factor(ctx, &cfg, 1.0);
+        refine(ctx, &cfg, out.local.as_ref().unwrap(), 1.0)
     })
     .unwrap()
 }

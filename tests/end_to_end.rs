@@ -20,31 +20,15 @@ fn residual_of(n: usize, seed: u64, x: &[f64]) -> f64 {
 }
 
 fn solve_x(grid: ProcessGrid, n: usize, b: usize, algo: BcastAlgo, lookahead: bool) -> Vec<f64> {
-    use hplai_core::factor::{factor, FactorConfig, Fidelity};
-    use hplai_core::ir::refine;
-    use hplai_core::msg::PanelMsg;
-    use mxp_msgsim::WorldSpec;
     let q = grid.gcds_per_node();
-    let sys = testbed(grid.size() / q, q);
-    let mut spec = WorldSpec::cluster(grid.size() / q, q, sys.net);
-    spec.locs = grid.locs();
-    spec.tuning = sys.tuning;
-    let cfg = FactorConfig {
-        n,
-        b,
-        algo,
-        lookahead,
-        fidelity: Fidelity::Functional,
-        seed: 99,
-        prec: hplai_core::msg::TrailingPrecision::Fp16,
-    };
-    let outs = spec.run::<PanelMsg, _, _>(|c| {
-        let mut ctx = hplai_core::RankCtx::new(c, &grid);
-        let f = factor(&mut ctx, &sys, &cfg, 1.0);
-        refine(&mut ctx, &sys, &cfg, f.local.as_ref().unwrap(), 1.0)
-    });
-    assert!(outs.iter().all(|o| o.converged));
-    outs[0].x.clone()
+    let cfg = RunConfig::functional(testbed(grid.size() / q, q), grid, n, b)
+        .algo(algo)
+        .lookahead(lookahead)
+        .seed(99)
+        .build_or_panic();
+    let out = run(&cfg);
+    assert!(out.converged);
+    out.solution.expect("functional runs return the solution")
 }
 
 #[test]
@@ -98,24 +82,6 @@ fn distributed_solution_is_grid_invariant() {
     for i in 0..64 {
         assert!((a[i] - b[i]).abs() < 1e-9, "1x1 vs 2x2 at {i}");
         assert!((a[i] - c[i]).abs() < 1e-9, "1x1 vs 4x4 at {i}");
-    }
-}
-
-#[test]
-fn hpl_and_hplai_agree_on_the_answer() {
-    // FP64 pivoted HPL and mixed-precision HPL-AI (after IR) solve the
-    // same regenerated system to comparable accuracy.
-    let n = 96;
-    let (x_hpl, scaled) = hplai_core::hpl::hpl_solve_functional(n, 99);
-    assert!(scaled < 16.0);
-    let x_ai = solve_x(ProcessGrid::col_major(2, 2, 4), n, 12, BcastAlgo::Lib, true);
-    for i in 0..n {
-        assert!(
-            (x_hpl[i] - x_ai[i]).abs() < 1e-7,
-            "HPL vs HPL-AI differ at {i}: {} vs {}",
-            x_hpl[i],
-            x_ai[i]
-        );
     }
 }
 

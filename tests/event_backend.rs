@@ -13,7 +13,7 @@
 //! job runs it in release mode; locally:
 //! `cargo test --release -p hplai-core --test event_backend -- --ignored`.
 
-use hplai_core::factor::{factor, FactorConfig, FactorState, Fidelity};
+use hplai_core::factor::{factor, FactorState};
 use hplai_core::ir::ir_time_model;
 use hplai_core::{
     run, run_with_backend, run_with_series, step_until_done, testbed, Backend, CommEvent,
@@ -67,17 +67,8 @@ fn timing_signature(
     shards: usize,
 ) -> (Vec<u64>, Vec<Vec<EventSig>>) {
     let cfg = timing_config(grid, algo, backend, shards);
-    let fcfg = FactorConfig {
-        n: cfg.n,
-        b: cfg.b,
-        algo,
-        lookahead: true,
-        fidelity: Fidelity::Timing,
-        seed: cfg.seed,
-        prec: cfg.prec,
-    };
     let outs = run_with_backend(&cfg, |ctx| {
-        let out = factor(ctx, &cfg.sys, &fcfg, 1.0);
+        let out = factor(ctx, &cfg, 1.0);
         (out.elapsed.to_bits(), signature(ctx.take_trace().events()))
     })
     .expect("differential grids fit both backends");
@@ -308,19 +299,10 @@ fn full_frontier_extent_matches_golden_report() {
         .event_shards(4)
         .build()
         .unwrap();
-    let fcfg = FactorConfig {
-        n,
-        b,
-        algo: cfg.algo,
-        lookahead: true,
-        fidelity: Fidelity::Timing,
-        seed: cfg.seed,
-        prec: cfg.prec,
-    };
     let outs = run_with_backend(&cfg, |ctx| {
         // 75k rank traces, or record series, would dominate memory.
         ctx.set_tracing(false);
-        let state = FactorState::new(ctx, &sys, &fcfg, 1.0.into(), None).keep_series(false);
+        let state = FactorState::new(ctx, &cfg, 1.0.into()).keep_series(false);
         let out = step_until_done(ctx, state, None).0;
         let ir = ir_time_model(&sys, n, ctx.grid().size(), 3);
         ctx.charge(ir);

@@ -9,15 +9,13 @@
 //! tests then overwrite the files under `tests/golden/` with fresh output
 //! instead of comparing.
 
-use hplai_core::factor::{factor, FactorConfig, Fidelity};
+use hplai_core::factor::factor;
 use hplai_core::hpl_dist::hpl_dist_solve;
 use hplai_core::ir::refine;
-use hplai_core::msg::TrailingPrecision;
 use hplai_core::supervisor::Supervisor;
 use hplai_core::trace::{chrome_trace, comm_chrome_trace, event_log_jsonl};
 use hplai_core::{run, run_with_backend, testbed, ProcessGrid, RunConfig};
 use mxp_lcg::MatrixKind;
-use mxp_msgsim::BcastAlgo;
 
 const GOLDEN_TRACE: &str = include_str!("golden/chrome_trace_2x2.json");
 const GOLDEN_EVENTS: &str = include_str!("golden/event_log_2x2.jsonl");
@@ -82,24 +80,14 @@ fn hpl_comm_trace_matches_golden_snapshot() {
 #[test]
 fn ir_comm_trace_matches_golden_snapshot() {
     let grid = ProcessGrid::col_major(2, 2, 4);
-    let sys = testbed(1, 4);
-    let rcfg = RunConfig::functional(sys.clone(), grid, 64, 8)
+    let cfg = RunConfig::functional(testbed(1, 4), grid, 64, 8)
         .seed(4242)
         .build_or_panic();
-    let cfg = FactorConfig {
-        n: 64,
-        b: 8,
-        algo: BcastAlgo::Lib,
-        lookahead: true,
-        fidelity: Fidelity::Functional,
-        seed: 4242,
-        prec: TrailingPrecision::Fp16,
-    };
-    let traces = run_with_backend(&rcfg, |ctx| {
-        let out = factor(ctx, &sys, &cfg, 1.0);
+    let traces = run_with_backend(&cfg, |ctx| {
+        let out = factor(ctx, &cfg, 1.0);
         // Keep only the refinement phase's events in the snapshot.
         let _ = ctx.take_trace();
-        let ir = refine(ctx, &sys, &cfg, out.local.as_ref().unwrap(), 1.0);
+        let ir = refine(ctx, &cfg, out.local.as_ref().unwrap(), 1.0);
         assert!(ir.converged);
         ctx.take_trace()
     })

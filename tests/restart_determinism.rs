@@ -11,7 +11,7 @@
 //! [`SnapshotError`], never resume wrong).
 
 use hplai_core::checkpoint::{latest_in, RunCheckpointer};
-use hplai_core::factor::{FactorConfig, FactorState, Fidelity};
+use hplai_core::factor::FactorState;
 use hplai_core::trace::PhaseTotals;
 use hplai_core::{
     adjust_n, run, run_sequence, run_with_series, snapshot_header, step_until_done, testbed,
@@ -225,24 +225,9 @@ type EventSig = (&'static str, Option<CommScope>, u64, u64, u64);
 /// comm trace on, optionally checkpointing / resuming, and returns every
 /// rank's (final clock bits, event signature).
 fn traced_factor(cfg: &RunConfig, ck: Option<&RunCheckpointer>) -> Vec<(u64, Vec<EventSig>)> {
-    let fcfg = FactorConfig {
-        n: cfg.n,
-        b: cfg.b,
-        algo: cfg.algo,
-        lookahead: cfg.lookahead,
-        fidelity: Fidelity::Timing,
-        seed: cfg.seed,
-        prec: cfg.prec,
-    };
-    let sys = cfg.sys.clone();
     hplai_core::run_with_backend(cfg, |ctx| {
         let speed = cfg.faults.speed_for(ctx.rank(), 1.0);
-        let state = match cfg.restart.as_deref() {
-            Some(snap) => {
-                FactorState::resume(ctx, &sys, &fcfg, speed, snap).expect("snapshot resumes")
-            }
-            None => FactorState::new(ctx, &sys, &fcfg, speed, None),
-        };
+        let state = FactorState::new(ctx, cfg, speed);
         let (out, _) = step_until_done(ctx, state, ck);
         let events = ctx
             .take_trace()
