@@ -276,13 +276,12 @@ fn main() {
                 print!("{}", trace::summary(out.records_rank0()));
             }
             if a.progress {
-                let mon = ProgressMonitor::default();
                 for rec in out.records_rank0() {
-                    if let Some(line) = mon.report_line(rec, n / a.b) {
+                    if let Some(line) = ProgressMonitor::report_line(rec, n / a.b) {
                         println!("{line}");
                     }
                 }
-                let (alerts, terminate) = mon.analyze(
+                let (alerts, terminate) = ProgressMonitor::analyze(
                     out.records_rank0(),
                     &sys.gcd,
                     &grid,

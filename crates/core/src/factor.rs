@@ -75,15 +75,27 @@ pub struct IterRecord {
     pub hidden: f64,
 }
 
+/// Receives each [`IterRecord`] a rank closes, in iteration order, once
+/// nothing amends it any more: how a caller follows a rank's series while
+/// the run makes it (see [`crate::solve::run_observed`]).
+pub trait RecordObserver {
+    /// Takes the next closed record.
+    fn observe(&mut self, rec: &IterRecord);
+}
+
+/// Keeps the whole series.
+impl RecordObserver for Vec<IterRecord> {
+    fn observe(&mut self, rec: &IterRecord) {
+        self.push(*rec);
+    }
+}
+
 /// Result of the factorization on one rank.
 pub struct FactorOutput {
     /// The local LU factors (functional mode only).
     pub local: Option<LocalMatrix>,
-    /// Per-iteration breakdown on this rank; empty when the stepper was
-    /// told not to keep it ([`Factorization::keep_series`]).
-    pub records: Vec<IterRecord>,
-    /// Every iteration's record summed, kept or not: bitwise
-    /// [`PhaseTotals::from_records`] of the full series.
+    /// Every iteration's record summed: bitwise
+    /// [`PhaseTotals::from_records`] of the series the rank closed.
     pub totals: PhaseTotals,
     /// Simulated seconds from the synchronized start to this rank's finish.
     pub elapsed: f64,
@@ -284,9 +296,8 @@ pub struct Core<'a, T> {
     pub(crate) pivots: Vec<usize>,
     /// The newest record, still amended by `drain` and `finish`.
     last: Option<IterRecord>,
-    /// Closed records, when kept.
-    series: Vec<IterRecord>,
-    keep_series: bool,
+    /// Where closed records go, if anywhere.
+    observer: Option<&'a mut dyn RecordObserver>,
     totals: PhaseTotals,
     pub(crate) t0: f64,
     k: usize,
@@ -353,13 +364,8 @@ impl<T: Element> Core<'_, T> {
             return;
         };
         self.totals.add(&rec);
-        if self.keep_series {
-            if self.series.capacity() == 0 {
-                // Exactly the records still to come, allocated lazily so a
-                // rank that keeps none never touches the allocator.
-                self.series.reserve_exact(self.n_b - rec.k);
-            }
-            self.series.push(rec);
+        if let Some(observer) = self.observer.as_deref_mut() {
+            observer.observe(&rec);
         }
     }
 }
@@ -422,8 +428,8 @@ impl<T: Element> Section<T> {
 /// Each iteration's [`IterRecord`] stays open until the next one is
 /// pushed (or `finish` runs), because the look-ahead joins of a
 /// checkpoint drain and of `finish` still charge it; then it is folded
-/// into per-rank [`PhaseTotals`] and, unless [`Factorization::keep_series`]
-/// turned that off, appended to the series.
+/// into per-rank [`PhaseTotals`] and handed to the rank's
+/// [`RecordObserver`], if it has one.
 ///
 /// Panel-boundary checkpointing drives it with a
 /// [`crate::checkpoint::RunCheckpointer`], draining the look-ahead posture
@@ -468,8 +474,7 @@ impl<'a, P: Policy> Factorization<'a, P> {
             local: None,
             pivots: Vec::new(),
             last: None,
-            series: Vec::new(),
-            keep_series: true,
+            observer: None,
             totals: PhaseTotals::default(),
             t0: 0.0,
             k: 0,
@@ -492,8 +497,8 @@ impl<'a, P: Policy> Factorization<'a, P> {
     /// A fresh context sits at simulated time 0, so the clock charge is an
     /// exact `f64` and the restarted run's clocks — and therefore its
     /// message schedule and event signatures — are bit-identical from the
-    /// boundary on to the run that drained the snapshot. Timing records
-    /// restart empty: a resumed run reports the tail it actually executed.
+    /// boundary on to the run that drained the snapshot. A resumed run's
+    /// observer sees only the tail it actually executes.
     pub(crate) fn restore(
         mut self,
         ctx: &mut RankCtx,
@@ -520,12 +525,10 @@ impl<'a, P: Policy> Factorization<'a, P> {
         Ok(self)
     }
 
-    /// Whether to keep the per-iteration series (the default) or only its
-    /// [`PhaseTotals`]. The series costs 64 bytes per iteration, which a
-    /// full machine pays once per rank. Simulated results are the same
-    /// either way.
-    pub fn keep_series(mut self, keep: bool) -> Self {
-        self.core.keep_series = keep;
+    /// Hands every record this rank closes to `observer` (none by
+    /// default). Simulated results are the same either way.
+    pub(crate) fn observed(mut self, observer: Option<&'a mut dyn RecordObserver>) -> Self {
+        self.core.observer = observer;
         self
     }
 
@@ -852,7 +855,6 @@ impl Policy for Mxp {
         FactorOutput {
             elapsed: ctx.now() - core.t0,
             local: core.local,
-            records: core.series,
             totals: core.totals,
         }
     }
@@ -1012,9 +1014,10 @@ fn prec_time_factor(dev: &GcdModel, prec: TrailingPrecision) -> f64 {
 mod tests {
     use super::*;
     use crate::grid::ProcessGrid;
-    use crate::solve::{run_with_backend, RunConfig};
+    use crate::solve::{run_with_backend, step_until_done, RunConfig};
     use crate::systems::testbed;
 
+    /// Every rank's factorization output and the series it closed.
     fn run_factor(
         grid: ProcessGrid,
         n: usize,
@@ -1022,7 +1025,7 @@ mod tests {
         algo: BcastAlgo,
         lookahead: bool,
         fidelity: Fidelity,
-    ) -> Vec<FactorOutput> {
+    ) -> Vec<(FactorOutput, Vec<IterRecord>)> {
         let q = grid.gcds_per_node();
         let builder = match fidelity {
             Fidelity::Functional => RunConfig::functional,
@@ -1033,8 +1036,12 @@ mod tests {
             .lookahead(lookahead)
             .seed(42)
             .build_or_panic();
-        run_with_backend(&cfg, |ctx| factor(ctx, &cfg, 1.0))
-            .expect("testbed grids fit the functional backend")
+        run_with_backend(&cfg, |ctx| {
+            let mut series = Vec::new();
+            let state = FactorState::new(ctx, &cfg, 1.0.into()).observed(Some(&mut series));
+            (step_until_done(ctx, state, None).0, series)
+        })
+        .expect("testbed grids fit the functional backend")
     }
 
     /// Gathers the distributed factors into one dense LU and checks
@@ -1044,7 +1051,7 @@ mod tests {
         let gen = MatrixGen::new(42, n, MatrixKind::DiagDominant);
         // Assemble the global LU from local pieces.
         let mut lu = vec![0.0f64; n * n];
-        for (rank, out) in outs.iter().enumerate() {
+        for (rank, (out, _)) in outs.iter().enumerate() {
             let loc = out.local.as_ref().unwrap();
             let (r, c) = grid.coord_of(rank);
             let n_b = n / b;
@@ -1168,10 +1175,10 @@ mod tests {
             true,
             Fidelity::Timing,
         );
-        for out in &outs {
+        for (out, records) in &outs {
             assert!(out.local.is_none());
             assert!(out.elapsed > 0.0);
-            assert_eq!(out.records.len(), 8);
+            assert_eq!(records.len(), 8);
         }
     }
 
@@ -1195,7 +1202,7 @@ mod tests {
             true,
             Fidelity::Timing,
         );
-        for (a, b) in f.iter().zip(&t) {
+        for ((a, _), (b, _)) in f.iter().zip(&t) {
             assert!(
                 (a.elapsed - b.elapsed).abs() < 1e-9,
                 "functional {} vs timing {}",

@@ -5,11 +5,15 @@
 //! and report the calculation's progress, and be able to terminate abnormal
 //! runs." The monitor compares each iteration's measured kernel times
 //! against the device model's expectation (the paper compares against the
-//! Fig. 5/6 reference curves) and raises alerts when a component falls
-//! behind by more than a configurable factor.
+//! Fig. 5/6 reference curves) and raises an alert when GETRF or the
+//! trailing GEMM runs more than [`ProgressMonitor::SLOWDOWN_THRESHOLD`]
+//! times slower than expected. The check looks at one record at a time:
+//! the supervisor runs it on every rank as each record closes, and
+//! [`ProgressMonitor::analyze`] folds it over a finished series.
 
 use crate::factor::IterRecord;
 use crate::grid::ProcessGrid;
+use crate::local::count_owned;
 use mxp_gpusim::GcdModel;
 
 /// A detected anomaly in the run's progress.
@@ -17,40 +21,30 @@ use mxp_gpusim::GcdModel;
 pub struct Alert {
     /// Iteration the anomaly was observed at.
     pub k: usize,
-    /// Component that regressed ("getrf", "trsm", "gemm", "wait").
+    /// Component that regressed: "getrf" or "gemm".
     pub component: &'static str,
     /// Measured / expected time ratio.
     pub slowdown: f64,
 }
 
-/// Progress monitor configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct ProgressMonitor {
-    /// Report cadence: summarize every `report_every` iterations.
-    pub report_every: usize,
-    /// Alert when a kernel runs this many times slower than the model.
-    pub slowdown_threshold: f64,
-    /// Abort the run after this many alerts (the "quickly terminate runs
-    /// that incur a significant slowdown" policy).
-    pub max_alerts: usize,
-}
-
-impl Default for ProgressMonitor {
-    fn default() -> Self {
-        ProgressMonitor {
-            report_every: 10,
-            slowdown_threshold: 2.0,
-            max_alerts: 5,
-        }
-    }
-}
+/// The progress monitor. Its policy is three constants, the same for
+/// every run.
+#[derive(Debug)]
+pub struct ProgressMonitor;
 
 impl ProgressMonitor {
-    /// Scans a rank's per-iteration records against the model expectation
-    /// and returns alerts plus whether the run should be terminated.
-    #[allow(clippy::too_many_arguments)]
+    /// Report cadence: [`ProgressMonitor::report_line`] summarizes every
+    /// this many iterations.
+    pub const REPORT_EVERY: usize = 10;
+    /// Alert when a kernel runs this many times slower than the model.
+    pub const SLOWDOWN_THRESHOLD: f64 = 2.0;
+    /// Terminate the run once one rank has raised this many alerts (the
+    /// "quickly terminate runs that incur a significant slowdown" policy).
+    pub const MAX_ALERTS: usize = 5;
+
+    /// Checks a rank's finished series against the model expectation and
+    /// returns its alerts plus whether the run should be terminated.
     pub fn analyze(
-        &self,
         records: &[IterRecord],
         dev: &GcdModel,
         grid: &ProcessGrid,
@@ -59,78 +53,27 @@ impl ProgressMonitor {
         owner_coord: (usize, usize),
         lookahead: bool,
     ) -> (Vec<Alert>, bool) {
-        use crate::local::count_owned;
+        let expect = Expectation {
+            dev,
+            grid: *grid,
+            n,
+            b,
+            owner_coord,
+            lookahead,
+        };
         let mut alerts = Vec::new();
-        let n_b = n / b;
-        let n_l = n / grid.p_r;
-        let (my_r, my_c) = owner_coord;
-        let total_r = count_owned(n_b, my_r, grid.p_r);
-        let total_c = count_owned(n_b, my_c, grid.p_c);
         for rec in records {
-            let k = rec.k;
-            let (kr, kc) = grid.owner_of_block(k, k);
-
-            if (kr, kc) == owner_coord && rec.getrf > 0.0 {
-                let expect = dev.getrf_time(b);
-                check(
-                    &mut alerts,
-                    k,
-                    "getrf",
-                    rec.getrf,
-                    expect,
-                    self.slowdown_threshold,
-                );
-            }
-
-            // Expected GEMM time mirrors the driver's decomposition. With
-            // look-ahead, iteration k applies the previous panels as two
-            // strips plus a remainder; thin strips run at lower model rates,
-            // so a monolithic estimate would raise false alerts.
-            let m_cur = (total_r - count_owned(k + 1, my_r, grid.p_r)) * b;
-            let n_cur = (total_c - count_owned(k + 1, my_c, grid.p_c)) * b;
-            let expect = if lookahead {
-                if k == 0 {
-                    0.0 // iteration 0 does no trailing update
-                } else {
-                    let m_prev = (total_r - count_owned(k, my_r, grid.p_r)) * b;
-                    let n_prev = (total_c - count_owned(k, my_c, grid.p_c)) * b;
-                    let mut e = 0.0;
-                    if my_r == kr && n_prev > 0 {
-                        e += dev.gemm_mixed_time(b.min(m_prev), n_prev, b, n_l);
-                    }
-                    if my_c == kc && m_cur > 0 && n_prev > 0 {
-                        e += dev.gemm_mixed_time(m_cur, b.min(n_prev), b, n_l);
-                    }
-                    if m_cur > 0 && n_cur > 0 {
-                        e += dev.gemm_mixed_time(m_cur, n_cur, b, n_l);
-                    }
-                    e
-                }
-            } else if m_cur > 0 && n_cur > 0 {
-                dev.gemm_mixed_time(m_cur, n_cur, b, n_l)
-            } else {
-                0.0
-            };
-            if rec.gemm > 0.0 && expect > 0.0 {
-                check(
-                    &mut alerts,
-                    k,
-                    "gemm",
-                    rec.gemm,
-                    expect,
-                    self.slowdown_threshold,
-                );
-            }
+            expect.check(rec, &mut alerts);
         }
-        let terminate = alerts.len() >= self.max_alerts;
+        let terminate = alerts.len() >= Self::MAX_ALERTS;
         (alerts, terminate)
     }
 
     /// Formats the periodic progress line for iteration `k` (the paper's
     /// "detailed progress report for each component at definable
     /// iterations").
-    pub fn report_line(&self, rec: &IterRecord, n_b: usize) -> Option<String> {
-        if !rec.k.is_multiple_of(self.report_every) {
+    pub fn report_line(rec: &IterRecord, n_b: usize) -> Option<String> {
+        if !rec.k.is_multiple_of(Self::REPORT_EVERY) {
             return None;
         }
         Some(format!(
@@ -148,15 +91,77 @@ impl ProgressMonitor {
     }
 }
 
-fn check(
+/// What the device model expects of one rank's records: the per-record
+/// check behind both [`ProgressMonitor::analyze`] and the supervisor.
+pub(crate) struct Expectation<'a> {
+    pub(crate) dev: &'a GcdModel,
+    pub(crate) grid: ProcessGrid,
+    pub(crate) n: usize,
+    pub(crate) b: usize,
+    /// The rank's grid coordinates.
+    pub(crate) owner_coord: (usize, usize),
+    pub(crate) lookahead: bool,
+}
+
+impl Expectation<'_> {
+    /// Appends `rec`'s alerts: the GETRF check's, then the GEMM check's.
+    pub(crate) fn check(&self, rec: &IterRecord, alerts: &mut Vec<Alert>) {
+        let (dev, grid, b) = (self.dev, &self.grid, self.b);
+        let n_b = self.n / b;
+        let n_l = self.n / grid.p_r;
+        let (my_r, my_c) = self.owner_coord;
+        let total_r = count_owned(n_b, my_r, grid.p_r);
+        let total_c = count_owned(n_b, my_c, grid.p_c);
+        let k = rec.k;
+        let (kr, kc) = grid.owner_of_block(k, k);
+
+        if (kr, kc) == self.owner_coord && rec.getrf > 0.0 {
+            push_if_slow(alerts, k, "getrf", rec.getrf, dev.getrf_time(b));
+        }
+
+        // Expected GEMM time mirrors the driver's decomposition. With
+        // look-ahead, iteration k applies the previous panels as two
+        // strips plus a remainder; thin strips run at lower model rates,
+        // so a monolithic estimate would raise false alerts.
+        let m_cur = (total_r - count_owned(k + 1, my_r, grid.p_r)) * b;
+        let n_cur = (total_c - count_owned(k + 1, my_c, grid.p_c)) * b;
+        let expect = if self.lookahead {
+            if k == 0 {
+                0.0 // iteration 0 does no trailing update
+            } else {
+                let m_prev = (total_r - count_owned(k, my_r, grid.p_r)) * b;
+                let n_prev = (total_c - count_owned(k, my_c, grid.p_c)) * b;
+                let mut e = 0.0;
+                if my_r == kr && n_prev > 0 {
+                    e += dev.gemm_mixed_time(b.min(m_prev), n_prev, b, n_l);
+                }
+                if my_c == kc && m_cur > 0 && n_prev > 0 {
+                    e += dev.gemm_mixed_time(m_cur, b.min(n_prev), b, n_l);
+                }
+                if m_cur > 0 && n_cur > 0 {
+                    e += dev.gemm_mixed_time(m_cur, n_cur, b, n_l);
+                }
+                e
+            }
+        } else if m_cur > 0 && n_cur > 0 {
+            dev.gemm_mixed_time(m_cur, n_cur, b, n_l)
+        } else {
+            0.0
+        };
+        if rec.gemm > 0.0 && expect > 0.0 {
+            push_if_slow(alerts, k, "gemm", rec.gemm, expect);
+        }
+    }
+}
+
+fn push_if_slow(
     alerts: &mut Vec<Alert>,
     k: usize,
     component: &'static str,
     measured: f64,
     expected: f64,
-    threshold: f64,
 ) {
-    if expected > 0.0 && measured > threshold * expected {
+    if expected > 0.0 && measured > ProgressMonitor::SLOWDOWN_THRESHOLD * expected {
         alerts.push(Alert {
             k,
             component,
@@ -203,8 +208,8 @@ mod tests {
         let dev = GcdModel::mi250x_gcd();
         let grid = ProcessGrid::col_major(2, 2, 4);
         let recs = healthy_records(&dev, &grid, 4096, 256);
-        let mon = ProgressMonitor::default();
-        let (alerts, terminate) = mon.analyze(&recs, &dev, &grid, 4096, 256, (0, 0), false);
+        let (alerts, terminate) =
+            ProgressMonitor::analyze(&recs, &dev, &grid, 4096, 256, (0, 0), false);
         assert!(alerts.is_empty(), "{alerts:?}");
         assert!(!terminate);
     }
@@ -220,8 +225,8 @@ mod tests {
         for rec in recs.iter_mut().take(8) {
             rec.gemm *= 50.0; // pathological slowdown
         }
-        let mon = ProgressMonitor::default();
-        let (alerts, terminate) = mon.analyze(&recs, &dev, &grid, 4096, 256, (0, 0), false);
+        let (alerts, terminate) =
+            ProgressMonitor::analyze(&recs, &dev, &grid, 4096, 256, (0, 0), false);
         assert!(alerts.len() >= 5);
         assert!(terminate);
         assert!(alerts[0].slowdown > 10.0);
@@ -235,26 +240,21 @@ mod tests {
         for rec in recs.iter_mut() {
             rec.gemm *= 1.3; // 30% off nominal: not alert-worthy
         }
-        let mon = ProgressMonitor::default();
-        let (alerts, _) = mon.analyze(&recs, &dev, &grid, 4096, 256, (0, 0), false);
+        let (alerts, _) = ProgressMonitor::analyze(&recs, &dev, &grid, 4096, 256, (0, 0), false);
         assert!(alerts.is_empty());
     }
 
     #[test]
     fn report_cadence() {
-        let mon = ProgressMonitor {
-            report_every: 4,
-            ..Default::default()
-        };
         let rec = IterRecord {
-            k: 8,
+            k: 2 * ProgressMonitor::REPORT_EVERY,
             ..Default::default()
         };
-        assert!(mon.report_line(&rec, 100).is_some());
+        assert!(ProgressMonitor::report_line(&rec, 100).is_some());
         let rec = IterRecord {
-            k: 9,
+            k: 2 * ProgressMonitor::REPORT_EVERY + 1,
             ..Default::default()
         };
-        assert!(mon.report_line(&rec, 100).is_none());
+        assert!(ProgressMonitor::report_line(&rec, 100).is_none());
     }
 }

@@ -455,18 +455,11 @@ pub struct RankCtx {
 }
 
 impl RankCtx {
-    /// Builds the context for this rank. Group colors are reserved up
-    /// front (one per grid row, one per grid column, one for the world) so
-    /// no later claim can collide with them.
-    ///
-    /// The groups get member lists of their own; a run hosting many ranks
-    /// goes through [`crate::run_with_backend`], which shares one set.
-    pub fn new(comm: Comm<PanelMsg>, grid: &ProcessGrid) -> Self {
-        RankCtx::with_members(comm, &GridMembers::new(grid))
-    }
-
-    /// [`RankCtx::new`] over member lists shared with the run's other
-    /// ranks. This rank's index in each group follows from its grid
+    /// Builds the context for this rank over member lists shared with the
+    /// run's other ranks ([`crate::run_with_backend`] builds one set per
+    /// run). Group colors are reserved up front (one per grid row, one per
+    /// grid column, one for the world) so no later claim can collide with
+    /// them. This rank's index in each group follows from its grid
     /// coordinates: its rank in the world, its column in its row, its row
     /// in its column.
     pub(crate) fn with_members(comm: Comm<PanelMsg>, members: &GridMembers) -> Self {
@@ -956,9 +949,9 @@ mod tests {
 
     #[test]
     fn typed_collectives_round_trip() {
-        let grid = ProcessGrid::col_major(2, 1, 2);
+        let members = GridMembers::new(&ProcessGrid::col_major(2, 1, 2));
         let outs = two_rank_world().run::<PanelMsg, _, _>(|c| {
-            let mut ctx = RankCtx::new(c, &grid);
+            let mut ctx = RankCtx::with_members(c, &members);
             ctx.barrier(CommScope::World);
             // Sum allreduce.
             let mut v = vec![ctx.rank() as f64 + 1.0; 4];
@@ -1006,10 +999,10 @@ mod tests {
     #[test]
     fn panel_bcast_split_phase_matches_blocking() {
         use crate::msg::TrailingPrecision;
-        let grid = ProcessGrid::col_major(2, 1, 2);
+        let members = GridMembers::new(&ProcessGrid::col_major(2, 1, 2));
         let panel = PanelData::cast(TrailingPrecision::Fp32, 2, 2, &[1.0, 2.0, 3.0, 4.0], 2);
         let outs = two_rank_world().run::<PanelMsg, _, _>(|c| {
-            let mut ctx = RankCtx::new(c, &grid);
+            let mut ctx = RankCtx::with_members(c, &members);
             let mine = (ctx.rank() == 0).then(|| panel.clone());
             // Blocking path.
             let (got, _) = ctx.bcast_panel(CommScope::Col, 0, mine.as_ref(), 16, BcastAlgo::Lib);
@@ -1028,9 +1021,9 @@ mod tests {
 
     #[test]
     fn trace_timestamps_are_nondecreasing() {
-        let grid = ProcessGrid::col_major(2, 1, 2);
+        let members = GridMembers::new(&ProcessGrid::col_major(2, 1, 2));
         let outs = two_rank_world().run::<PanelMsg, _, _>(|c| {
-            let mut ctx = RankCtx::new(c, &grid);
+            let mut ctx = RankCtx::with_members(c, &members);
             for _ in 0..3 {
                 let mut v = vec![1.0];
                 ctx.allreduce_f64(CommScope::World, &mut v);

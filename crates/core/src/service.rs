@@ -116,10 +116,10 @@ pub struct JobRecord {
 
 impl JobRecord {
     /// FNV-1a digest over every *simulated* quantity of this job: the
-    /// job-tagged event log, the solution vector bits, the per-rank
-    /// iteration records, the performance report (simulated quantities
-    /// only; the run's host provenance is left out), and the supervision
-    /// provenance. Two runs of the same
+    /// job-tagged event log, the solution vector bits, rank 0's iteration
+    /// records, every rank's phase totals, the performance report
+    /// (simulated quantities only; the run's host provenance is left out),
+    /// and the supervision provenance. Two runs of the same
     /// config must produce equal signatures regardless of worker count,
     /// rayon pool width, backend host or cache state — the
     /// concurrency-determinism test is built on this.
@@ -142,12 +142,15 @@ impl JobRecord {
                 fnv(&mut h, &v.to_bits().to_le_bytes());
             }
         }
-        for records in &out.records {
-            for r in records {
-                fnv(&mut h, &r.k.to_le_bytes());
-                for v in [r.getrf, r.trsm, r.cast, r.gemm, r.bcast, r.wait, r.hidden] {
-                    fnv(&mut h, &v.to_bits().to_le_bytes());
-                }
+        for r in out.records_rank0() {
+            fnv(&mut h, &r.k.to_le_bytes());
+            for v in [r.getrf, r.trsm, r.cast, r.gemm, r.bcast, r.wait, r.hidden] {
+                fnv(&mut h, &v.to_bits().to_le_bytes());
+            }
+        }
+        for t in &out.totals {
+            for v in [t.getrf, t.trsm, t.cast, t.gemm, t.bcast, t.wait, t.hidden] {
+                fnv(&mut h, &v.to_bits().to_le_bytes());
             }
         }
         let perf = serde_json::to_string(&out.perf).expect("perf serializes infallibly");

@@ -14,7 +14,7 @@ use crate::checkpoint::{
     fnv1a, header_mismatch, CheckpointSpec, RunCheckpointer, Snapshot, SnapshotHeader,
     DRIVER_FACTOR,
 };
-use crate::factor::{FactorState, Factorization, Fidelity, IterRecord, Policy};
+use crate::factor::{FactorState, Factorization, Fidelity, IterRecord, Policy, RecordObserver};
 use crate::fault::FaultPlan;
 use crate::grid::ProcessGrid;
 use crate::ir::{ir_time_model, refine};
@@ -487,9 +487,8 @@ pub struct RunOutcome {
     /// compare it bitwise across thread counts and backends.
     pub solution: Option<Vec<f64>>,
     /// Per-iteration breakdown, rank-major. [`run`] keeps only rank 0's
-    /// series and leaves every other rank's empty;
-    /// [`run_with_series`] with [`Series::AllRanks`] keeps them all — the
-    /// input of progress monitoring and fault supervision.
+    /// series and leaves every other rank's empty; [`run_observed`] keeps
+    /// none, and its observers keep what the caller asked for.
     pub records: Vec<Vec<IterRecord>>,
     /// Every rank's per-phase totals (rank-major), whichever series were
     /// kept: bitwise [`PhaseTotals::from_records`] of the full series.
@@ -501,49 +500,50 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// Rank 0's per-iteration breakdown (the Fig. 10 series).
+    /// Rank 0's per-iteration breakdown (the Fig. 10 series; empty when
+    /// the outcome keeps none).
     pub fn records_rank0(&self) -> &[IterRecord] {
-        &self.records[0]
+        self.records.first().map_or(&[], Vec::as_slice)
     }
 }
 
-struct RankResult {
+struct RankResult<O> {
     factor: f64,
     ir: f64,
     converged: bool,
     scaled: Option<f64>,
     ir_iters: usize,
     x: Option<Vec<f64>>,
-    records: Vec<IterRecord>,
     totals: PhaseTotals,
     comm_bytes: u64,
     comm_wait: f64,
     ckpt: CkptMeter,
     trace: CommTrace,
-}
-
-/// Which ranks' per-iteration series a run keeps (see
-/// [`run_with_series`]). Every rank's [`PhaseTotals`] are kept either way.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Series {
-    /// Rank 0's series only (the Fig. 10 / trace input): what [`run`]
-    /// keeps, so per-rank state does not grow with run length.
-    Rank0,
-    /// Every rank's series (the supervisor's progress monitor).
-    AllRanks,
+    observer: Option<O>,
 }
 
 /// Executes a full benchmark run and aggregates the outcome — the one
 /// driver behind the CLI, the service, the supervisor and the timing
 /// bins. Only rank 0 records a [`CommTrace`] ([`RunOutcome::trace_rank0`])
-/// and keeps its per-iteration series ([`RunOutcome::records`]).
+/// and keeps its per-iteration series ([`RunOutcome::records`]), so
+/// per-rank state does not grow with run length.
 pub fn run(cfg: &RunConfig) -> RunOutcome {
-    run_with_series(cfg, Series::Rank0)
+    let n_b = cfg.n / cfg.b;
+    let (mut out, series) = run_observed(cfg, |rank| (rank == 0).then(|| Vec::with_capacity(n_b)));
+    out.records = series.into_iter().map(Option::unwrap_or_default).collect();
+    out
 }
 
-/// [`run`], keeping the per-iteration series of the ranks `series` names.
-/// Simulated results are bitwise identical whichever ranks keep theirs.
-pub fn run_with_series(cfg: &RunConfig, series: Series) -> RunOutcome {
+/// [`run`], handing each record a rank closes to that rank's observer as
+/// the run makes it. `observer(rank)` builds the rank's observer on the
+/// rank (`None`: it has none); they come back rank-major. The outcome keeps
+/// no series: [`RunOutcome::records`] is empty.
+/// Simulated results are bitwise identical whatever observes them.
+pub fn run_observed<O, F>(cfg: &RunConfig, observer: F) -> (RunOutcome, Vec<Option<O>>)
+where
+    O: RecordObserver + Send,
+    F: Fn(usize) -> Option<O> + Sync,
+{
     let grid = cfg.grid;
     let n_b = cfg.n / cfg.b;
     let ckpt: Option<Arc<RunCheckpointer>> = cfg.checkpoint.as_ref().map(|spec| {
@@ -553,7 +553,7 @@ pub fn run_with_series(cfg: &RunConfig, series: Series) -> RunOutcome {
     });
 
     let started = std::time::Instant::now();
-    let mut results: Vec<RankResult> = run_with_backend(cfg, |ctx| {
+    let mut results: Vec<RankResult<O>> = run_with_backend(cfg, |ctx| {
         ctx.set_tracing(ctx.rank() == 0);
         let base = cfg
             .fleet
@@ -564,8 +564,9 @@ pub fn run_with_series(cfg: &RunConfig, series: Series) -> RunOutcome {
         // IR runs after the factorization: charge it at the end-of-run
         // effective speed.
         let ir_speed = speed.at(n_b);
+        let mut observer = observer(ctx.rank());
         let state = FactorState::new(ctx, cfg, speed)
-            .keep_series(series == Series::AllRanks || ctx.rank() == 0);
+            .observed(observer.as_mut().map(|o| o as &mut dyn RecordObserver));
         let (out, ckpt_meter) = step_until_done(ctx, state, ckpt.as_deref());
         let (ir, converged, scaled, ir_iters, x) = match cfg.fidelity {
             Fidelity::Functional => {
@@ -589,12 +590,12 @@ pub fn run_with_series(cfg: &RunConfig, series: Series) -> RunOutcome {
             scaled,
             ir_iters,
             x,
-            records: out.records,
             totals: out.totals,
             comm_bytes: ctx.bytes_sent(),
             comm_wait: ctx.wait_total(),
             ckpt: ckpt_meter,
             trace: ctx.take_trace(),
+            observer,
         }
     })
     .unwrap_or_else(|e| panic!("run: {e}"));
@@ -611,7 +612,7 @@ pub fn run_with_series(cfg: &RunConfig, series: Series) -> RunOutcome {
     let hidden = results.iter().map(|r| r.totals.hidden).sum::<f64>() / results.len() as f64;
     let comm_bytes = results.iter().map(|r| r.comm_bytes).sum::<u64>();
     let comm_wait = results.iter().map(|r| r.comm_wait).fold(0.0, f64::max);
-    RunOutcome {
+    let outcome = RunOutcome {
         perf: PerfReport::new(cfg.n, grid.size(), runtime, factor_time, ir_time)
             .with_overlap(hidden)
             .with_comm(comm_bytes, comm_wait)
@@ -631,8 +632,9 @@ pub fn run_with_series(cfg: &RunConfig, series: Series) -> RunOutcome {
         solution: results[0].x.take(),
         trace_rank0: std::mem::take(&mut results[0].trace),
         totals: results.iter().map(|r| r.totals).collect(),
-        records: results.into_iter().map(|r| r.records).collect(),
-    }
+        records: Vec::new(),
+    };
+    (outcome, results.into_iter().map(|r| r.observer).collect())
 }
 
 /// Rounds a requested problem size up to the nearest valid `N` — "the size
@@ -754,11 +756,14 @@ mod tests {
         // both backends — fidelity functional (real payloads on fibers).
         let grid = ProcessGrid::col_major(2, 2, 4);
         let base = RunConfig::functional(testbed(1, 4), grid, 64, 8);
-        let threads = run_with_series(&base.clone().build().unwrap(), Series::AllRanks);
-        let fibers = run_with_series(
-            &base.backend(Backend::EventTimed).build().unwrap(),
-            Series::AllRanks,
-        );
+        // Every rank's series, from a `Vec` observer on the same run.
+        let every_series = |cfg: &RunConfig| {
+            let (mut out, series) = run_observed(cfg, |_| Some(Vec::new()));
+            out.records = series.into_iter().map(Option::unwrap_or_default).collect();
+            out
+        };
+        let threads = every_series(&base.clone().build().unwrap());
+        let fibers = every_series(&base.backend(Backend::EventTimed).build().unwrap());
         assert_eq!(
             threads.perf.runtime.to_bits(),
             fibers.perf.runtime.to_bits()

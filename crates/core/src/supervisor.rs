@@ -6,26 +6,29 @@
 //! slow nodes, and resubmitting with offenders excluded. [`Supervisor`]
 //! automates that loop over the simulated benchmark:
 //!
-//! 1. execute the run and stream every rank's per-iteration records
-//!    through the [`ProgressMonitor`];
+//! 1. execute the run, checking each record against the
+//!    [`ProgressMonitor`]'s model expectation on every rank as it closes;
 //! 2. convert anomalies into typed [`RunEvent`]s (serializable to a JSONL
 //!    event log via [`crate::trace::event_log_jsonl`]);
 //! 3. apply the configured [`RecoveryPolicy`]: report only, or abort,
 //!    scan the fleet with the [`crate::scan`] mini-benchmark, exclude the
 //!    slow GCDs and rerun — from scratch or from the last checkpoint.
 //!
-//! Because runs are simulated, "aborting" truncates the already-computed
-//! record stream at the termination iteration and charges only the
-//! truncated cost — exactly the time a real early termination would have
-//! saved.
+//! Because runs are simulated, "aborting" cuts the attempt at the
+//! termination iteration after it has run and charges only the cost up to
+//! it — exactly the time a real early termination would have saved. The
+//! cut is the [`ProgressMonitor::MAX_ALERTS`]-th alert over all ranks,
+//! known only once every rank has finished, so each rank keeps its
+//! accounted cost after every record (8 bytes per iteration) rather than
+//! its series (64).
 
 use crate::checkpoint::{latest_in, Snapshot, SnapshotError};
-use crate::factor::regrid_snapshot;
+use crate::factor::{regrid_snapshot, IterRecord, RecordObserver};
 use crate::grid::ProcessGrid;
-use crate::progress::ProgressMonitor;
+use crate::progress::{Alert, Expectation, ProgressMonitor};
 use crate::report::PerfReport;
 use crate::scan::scan_fleet;
-use crate::solve::{run_with_series, RunConfig, RunOutcome, Series};
+use crate::solve::{run_observed, RunConfig, RunOutcome};
 use mxp_gpusim::GcdFleet;
 use serde::{write_json_string, Serialize};
 use std::fmt::Write as _;
@@ -264,10 +267,67 @@ pub struct SupervisedOutcome {
 /// Drives supervised benchmark runs: monitoring, typed events, recovery.
 #[derive(Clone, Copy, Debug)]
 pub struct Supervisor {
-    /// The progress monitor applied to every rank's record stream.
-    pub monitor: ProgressMonitor,
     /// The recovery policy applied on termination.
     pub policy: RecoveryPolicy,
+}
+
+/// One rank's supervision, fed each record as it closes.
+struct Watch<'a> {
+    expect: Expectation<'a>,
+    /// The monitor's alerts, in record order.
+    alerts: Vec<Alert>,
+    /// Iteration of the first record.
+    first_k: usize,
+    /// `cost[i]`: the accounted seconds of the first `i + 1` records.
+    cost: Vec<f64>,
+    /// Rank 0's series (`--trace`/`--progress` read it); `None` elsewhere.
+    series: Option<Vec<IterRecord>>,
+}
+
+impl<'a> Watch<'a> {
+    fn new(cfg: &'a RunConfig, rank: usize) -> Self {
+        // A resumed attempt's records start at its snapshot's cursor.
+        let first_k = cfg
+            .restart
+            .as_ref()
+            .map_or(0, |snap| snap.header.k as usize);
+        let records = cfg.n / cfg.b - first_k;
+        Watch {
+            expect: Expectation {
+                dev: &cfg.sys.gcd,
+                grid: cfg.grid,
+                n: cfg.n,
+                b: cfg.b,
+                owner_coord: cfg.grid.coord_of(rank),
+                lookahead: cfg.lookahead,
+            },
+            alerts: Vec::new(),
+            first_k,
+            cost: Vec::with_capacity(records),
+            series: (rank == 0).then(|| Vec::with_capacity(records)),
+        }
+    }
+
+    /// Accounted seconds of this rank's records up to iteration `k`, one
+    /// of the iterations it closed.
+    fn cost_through(&self, k: usize) -> f64 {
+        self.cost[k - self.first_k]
+    }
+}
+
+impl RecordObserver for Watch<'_> {
+    fn observe(&mut self, rec: &IterRecord) {
+        debug_assert_eq!(rec.k, self.first_k + self.cost.len());
+        self.expect.check(rec, &mut self.alerts);
+        // The left fold from `-0.0`, `f64::sum`'s seed: each entry is
+        // bitwise the `sum()` of its prefix.
+        let before = self.cost.last().copied().unwrap_or(-0.0);
+        self.cost
+            .push(before + (rec.getrf + rec.trsm + rec.cast + rec.gemm + rec.wait));
+        if let Some(series) = &mut self.series {
+            series.push(*rec);
+        }
+    }
 }
 
 /// Alerts of one attempt, merged across ranks and sorted by iteration.
@@ -278,11 +338,42 @@ struct Analysis {
     abort_k: usize,
 }
 
+impl Analysis {
+    fn new(watches: &[Watch], n_b: usize, attempt: usize) -> Self {
+        let mut alerts: Vec<(usize, RunEvent)> = Vec::new();
+        let mut terminate = false;
+        for (rank, watch) in watches.iter().enumerate() {
+            terminate |= watch.alerts.len() >= ProgressMonitor::MAX_ALERTS;
+            alerts.extend(watch.alerts.iter().map(|a| {
+                let event = RunEvent::Alert {
+                    attempt,
+                    rank,
+                    k: a.k,
+                    component: a.component,
+                    slowdown: a.slowdown,
+                };
+                (a.k, event)
+            }));
+        }
+        alerts.sort_by_key(|(k, _)| *k);
+        // The run is cut at the iteration the alert budget was exhausted.
+        let abort_k = if terminate {
+            alerts[ProgressMonitor::MAX_ALERTS - 1].0
+        } else {
+            n_b
+        };
+        Analysis {
+            alerts: alerts.into_iter().map(|(_, e)| e).collect(),
+            terminate,
+            abort_k,
+        }
+    }
+}
+
 impl Supervisor {
-    /// A monitoring-only supervisor with default thresholds.
+    /// A monitoring-only supervisor.
     pub fn reporting() -> Self {
         Supervisor {
-            monitor: ProgressMonitor::default(),
             policy: RecoveryPolicy::Report,
         }
     }
@@ -291,7 +382,6 @@ impl Supervisor {
     /// termination, fleet scan, exclusion, rerun.
     pub fn with_rerun(scan_threshold: f64, max_reruns: usize) -> Self {
         Supervisor {
-            monitor: ProgressMonitor::default(),
             policy: RecoveryPolicy::AbortAndRerun {
                 scan_threshold,
                 max_reruns,
@@ -304,65 +394,12 @@ impl Supervisor {
     /// surviving ranks instead of swapping in spares).
     pub fn with_restart(scan_threshold: f64, max_restarts: usize, elastic: bool) -> Self {
         Supervisor {
-            monitor: ProgressMonitor::default(),
             policy: RecoveryPolicy::RestartFromCheckpoint {
                 scan_threshold,
                 max_restarts,
                 elastic,
             },
         }
-    }
-
-    fn analyze(&self, cfg: &RunConfig, out: &RunOutcome, attempt: usize) -> Analysis {
-        let dev = &cfg.sys.gcd;
-        let mut alerts: Vec<(usize, RunEvent)> = Vec::new();
-        let mut terminate = false;
-        for (rank, records) in out.records.iter().enumerate() {
-            let coord = cfg.grid.coord_of(rank);
-            let (rank_alerts, rank_term) =
-                self.monitor
-                    .analyze(records, dev, &cfg.grid, cfg.n, cfg.b, coord, cfg.lookahead);
-            terminate |= rank_term;
-            for a in rank_alerts {
-                alerts.push((
-                    a.k,
-                    RunEvent::Alert {
-                        attempt,
-                        rank,
-                        k: a.k,
-                        component: a.component,
-                        slowdown: a.slowdown,
-                    },
-                ));
-            }
-        }
-        alerts.sort_by_key(|(k, _)| *k);
-        // The run is cut at the iteration the alert budget was exhausted.
-        let abort_k = if terminate && alerts.len() >= self.monitor.max_alerts {
-            alerts[self.monitor.max_alerts - 1].0
-        } else {
-            cfg.n / cfg.b
-        };
-        Analysis {
-            alerts: alerts.into_iter().map(|(_, e)| e).collect(),
-            terminate,
-            abort_k,
-        }
-    }
-
-    /// Simulated cost of an attempt terminated at iteration `abort_k`: the
-    /// slowest rank's accounted time over the truncated record prefix.
-    fn truncated_cost(out: &RunOutcome, abort_k: usize) -> f64 {
-        out.records
-            .iter()
-            .map(|records| {
-                records
-                    .iter()
-                    .filter(|r| r.k <= abort_k)
-                    .map(|r| r.getrf + r.trsm + r.cast + r.gemm + r.wait)
-                    .sum::<f64>()
-            })
-            .fold(0.0, f64::max)
     }
 
     /// Runs `cfg` under supervision, applying the recovery policy on
@@ -386,9 +423,13 @@ impl Supervisor {
                 n: cfg.n,
                 ranks: cfg.grid.size(),
             });
-            // The progress monitor and `truncated_cost` read every rank.
-            let out = run_with_series(&cfg, Series::AllRanks);
-            let analysis = self.analyze(&cfg, &out, attempt);
+            let (mut out, watches) = run_observed(&cfg, |rank| Some(Watch::new(&cfg, rank)));
+            let mut watches: Vec<Watch> = watches.into_iter().flatten().collect();
+            out.records = watches
+                .iter_mut()
+                .map(|w| w.series.take().unwrap_or_default())
+                .collect();
+            let analysis = Analysis::new(&watches, cfg.n / cfg.b, attempt);
             if let (None, Some(RunEvent::Alert { k, .. })) =
                 (detection_iter, analysis.alerts.first())
             {
@@ -400,9 +441,13 @@ impl Supervisor {
                 break (out, true, false);
             }
 
-            // Early termination: charge only the truncated prefix.
+            // Early termination: charge only the slowest rank's cost up to
+            // the cut.
             let abort_k = analysis.abort_k;
-            total_cost += Self::truncated_cost(&out, abort_k);
+            total_cost += watches
+                .iter()
+                .map(|w| w.cost_through(abort_k))
+                .fold(0.0, f64::max);
             events.push(RunEvent::EarlyTermination {
                 attempt,
                 k: abort_k,
@@ -606,7 +651,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::grid::ProcessGrid;
-    use crate::solve::{run, RunConfig};
+    use crate::solve::run;
     use crate::systems::testbed;
 
     fn faulted_cfg(spec: &str) -> RunConfig {
@@ -661,7 +706,7 @@ mod tests {
         let out = sup.supervise(&faulted_cfg("slow-gcd:3x:g3"));
         let k = out.detection_iter.expect("fault must be detected");
         assert!(
-            k <= sup.monitor.report_every,
+            k <= ProgressMonitor::REPORT_EVERY,
             "detected only at iteration {k}"
         );
     }
@@ -756,6 +801,94 @@ mod tests {
             .any(|e| matches!(e, RunEvent::Restarted { ranks: 2, from_k, .. } if *from_k > 0)));
         assert_eq!(out.outcome.perf.simulated_ranks, 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A watch and a `Vec` observer fed the same records.
+    struct Both<'a>(Watch<'a>, Vec<IterRecord>);
+
+    impl RecordObserver for Both<'_> {
+        fn observe(&mut self, rec: &IterRecord) {
+            self.0.observe(rec);
+            self.1.observe(rec);
+        }
+    }
+
+    /// Runs `cfg` with a watch and a `Vec` observer on every rank, and
+    /// checks what the watch streamed against the batch computations over
+    /// the series the `Vec` collected. Returns the number of alerts.
+    fn assert_streaming_matches_batch(cfg: &RunConfig) -> usize {
+        let (_, observers) =
+            run_observed(cfg, |rank| Some(Both(Watch::new(cfg, rank), Vec::new())));
+        let mut alerts = 0;
+        for (rank, both) in observers.into_iter().enumerate() {
+            let Both(watch, series) = both.expect("every rank is observed");
+            let coord = cfg.grid.coord_of(rank);
+            let (batch, _) = ProgressMonitor::analyze(
+                &series,
+                &cfg.sys.gcd,
+                &cfg.grid,
+                cfg.n,
+                cfg.b,
+                coord,
+                cfg.lookahead,
+            );
+            assert_eq!(watch.alerts, batch, "rank {rank}: alerts");
+            assert_eq!(watch.series.as_ref(), (rank == 0).then_some(&series));
+            for rec in &series {
+                let want: f64 = series
+                    .iter()
+                    .filter(|r| r.k <= rec.k)
+                    .map(|r| r.getrf + r.trsm + r.cast + r.gemm + r.wait)
+                    .sum();
+                let got = watch.cost_through(rec.k);
+                assert_eq!(got.to_bits(), want.to_bits(), "rank {rank} k {}", rec.k);
+            }
+            alerts += watch.alerts.len();
+        }
+        alerts
+    }
+
+    #[test]
+    fn streamed_supervision_matches_the_batch_scan() {
+        let cfg = faulted_cfg("slow-gcd:3x:g3");
+        assert!(
+            assert_streaming_matches_batch(&cfg) > 0,
+            "fault raised no alert"
+        );
+    }
+
+    #[test]
+    fn streamed_supervision_matches_the_batch_scan_when_resumed() {
+        let dir = std::env::temp_dir().join(format!("hplai-sup-stream-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = ckpt_cfg(&dir, Some("slow-gcd:3x:g3"));
+        run(&cfg);
+        let n_b = cfg.n / cfg.b;
+        let path = latest_in(&dir, n_b / 2).expect("mid-run snapshot exists");
+        let snap = Snapshot::load(&path).expect("snapshot loads");
+        assert!(snap.header.k > 0, "resumes mid-run");
+        let resumed = cfg
+            .to_builder()
+            .restart_from(Arc::new(snap))
+            .build()
+            .unwrap();
+        assert!(
+            assert_streaming_matches_batch(&resumed) > 0,
+            "fault raised no alert"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn supervised_outcome_keeps_only_rank0_series() {
+        for cfg in [clean_cfg(), faulted_cfg("slow-gcd:3x:g3")] {
+            let out = Supervisor::reporting().supervise(&cfg).outcome;
+            assert_eq!(out.records[0], run(&cfg).records[0], "rank 0 series");
+            assert!(
+                out.records[1..].iter().all(Vec::is_empty),
+                "only rank 0 keeps its series"
+            );
+        }
     }
 
     #[test]

@@ -23,17 +23,13 @@ fn main() {
 
     println!("== healthy run ==");
     let out = run(&cfg);
-    let mon = ProgressMonitor {
-        report_every: 4,
-        ..Default::default()
-    };
     for rec in out.records_rank0() {
-        if let Some(line) = mon.report_line(rec, 16) {
+        if let Some(line) = ProgressMonitor::report_line(rec, 16) {
             println!("{line}");
         }
     }
     print!("{}", trace::summary(out.records_rank0()));
-    let (alerts, _) = mon.analyze(
+    let (alerts, _) = ProgressMonitor::analyze(
         out.records_rank0(),
         &sys.gcd,
         &grid,
@@ -52,7 +48,7 @@ fn main() {
         .expect("some seed degrades rank 0");
     let sick_cfg = cfg.to_builder().fleet(fleet).build_or_panic();
     let sick = run(&sick_cfg);
-    let (alerts, terminate) = mon.analyze(
+    let (alerts, terminate) = ProgressMonitor::analyze(
         sick.records_rank0(),
         &sys.gcd,
         &grid,

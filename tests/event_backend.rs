@@ -16,8 +16,8 @@
 use hplai_core::factor::{factor, FactorState};
 use hplai_core::ir::ir_time_model;
 use hplai_core::{
-    run, run_with_backend, run_with_series, step_until_done, testbed, Backend, CommEvent,
-    CommScope, PerfReport, ProcessGrid, RunConfig, Series,
+    run, run_observed, run_with_backend, step_until_done, testbed, Backend, CommEvent, CommScope,
+    PerfReport, ProcessGrid, RunConfig, RunOutcome,
 };
 use mxp_msgsim::BcastAlgo;
 use proptest::prelude::*;
@@ -186,17 +186,22 @@ fn cross_shard_deadlock_is_diagnosed_with_shard_ownership() {
     }
 }
 
+/// [`run`], with every rank's series taken from a `Vec` observer on the
+/// same run.
+fn run_every_series(cfg: &RunConfig) -> RunOutcome {
+    let (mut out, series) = run_observed(cfg, |_| Some(Vec::new()));
+    out.records = series.into_iter().map(Option::unwrap_or_default).collect();
+    out
+}
+
 #[test]
 fn backends_agree_on_the_functional_solution() {
     // Real payloads on fibers: the solve itself (math, pivoting-free
     // mixed-precision path, IR) must come out bit-identical.
     let grid = ProcessGrid::node_local(2, 2, 2, 2);
     let base = RunConfig::functional(testbed(1, 4), grid, 128, 16);
-    let threads = run_with_series(&base.clone().build().unwrap(), Series::AllRanks);
-    let fibers = run_with_series(
-        &base.backend(Backend::EventTimed).build().unwrap(),
-        Series::AllRanks,
-    );
+    let threads = run_every_series(&base.clone().build().unwrap());
+    let fibers = run_every_series(&base.backend(Backend::EventTimed).build().unwrap());
     assert_eq!(threads.converged, fibers.converged);
     assert_eq!(
         threads.scaled_residual.unwrap().to_bits(),
@@ -300,9 +305,9 @@ fn full_frontier_extent_matches_golden_report() {
         .build()
         .unwrap();
     let outs = run_with_backend(&cfg, |ctx| {
-        // 75k rank traces, or record series, would dominate memory.
+        // 75k rank traces would dominate memory; no rank keeps a series.
         ctx.set_tracing(false);
-        let state = FactorState::new(ctx, &cfg, 1.0.into()).keep_series(false);
+        let state = FactorState::new(ctx, &cfg, 1.0.into());
         let out = step_until_done(ctx, state, None).0;
         let ir = ir_time_model(&sys, n, ctx.grid().size(), 3);
         ctx.charge(ir);

@@ -155,8 +155,7 @@ fn progress_monitor_clean_on_healthy_driver_run() {
     let sys = testbed(1, 4);
     let cfg = RunConfig::timing(sys.clone(), grid, 2048, 256).build_or_panic();
     let out = run(&cfg);
-    let mon = ProgressMonitor::default();
-    let (alerts, terminate) = mon.analyze(
+    let (alerts, terminate) = ProgressMonitor::analyze(
         out.records_rank0(),
         &sys.gcd,
         &grid,
@@ -179,8 +178,7 @@ fn progress_monitor_catches_a_slow_gcd() {
         .fleet(GcdFleet::from_multipliers(vec![0.3, 1.0, 1.0, 1.0]))
         .build_or_panic();
     let out = run(&cfg);
-    let mon = ProgressMonitor::default();
-    let (alerts, terminate) = mon.analyze(
+    let (alerts, terminate) = ProgressMonitor::analyze(
         out.records_rank0(),
         &sys.gcd,
         &grid,

@@ -14,9 +14,9 @@ use hplai_core::checkpoint::{latest_in, RunCheckpointer};
 use hplai_core::factor::FactorState;
 use hplai_core::trace::PhaseTotals;
 use hplai_core::{
-    adjust_n, run, run_sequence, run_with_series, snapshot_header, step_until_done, testbed,
-    Backend, CheckpointSpec, CommScope, ConfigError, ProcessGrid, RunConfig, RunOutcome, Series,
-    Snapshot, SnapshotError,
+    adjust_n, run, run_observed, run_sequence, snapshot_header, step_until_done, testbed, Backend,
+    CheckpointSpec, CommScope, ConfigError, ProcessGrid, RunConfig, RunOutcome, Snapshot,
+    SnapshotError,
 };
 use mxp_msgsim::BcastAlgo;
 use proptest::prelude::*;
@@ -35,6 +35,14 @@ fn scratch_dir(tag: &str) -> PathBuf {
     ));
     std::fs::remove_dir_all(&dir).ok();
     dir
+}
+
+/// [`run`], with every rank's series taken from a `Vec` observer on the
+/// same run.
+fn run_every_series(cfg: &RunConfig) -> RunOutcome {
+    let (mut out, series) = run_observed(cfg, |_| Some(Vec::new()));
+    out.records = series.into_iter().map(Option::unwrap_or_default).collect();
+    out
 }
 
 /// Runs the checkpointed functional solve to completion, resumes a second
@@ -57,7 +65,7 @@ fn assert_restart_bitwise(grid: ProcessGrid, algo: BcastAlgo, backend: Backend, 
         .backend(backend)
         .event_shards(shards)
         .checkpoint(CheckpointSpec::new(&dir, 3));
-    let full = run_with_series(&base.clone().build().unwrap(), Series::AllRanks);
+    let full = run_every_series(&base.clone().build().unwrap());
 
     // Resume from a mid-run boundary, not the newest snapshot: the
     // restarted run must redo a real tail, not a final sliver.
@@ -65,10 +73,7 @@ fn assert_restart_bitwise(grid: ProcessGrid, algo: BcastAlgo, backend: Backend, 
     let snap = Snapshot::load(&path).expect("snapshot loads");
     let from_k = snap.header.k as usize;
     assert!(0 < from_k && from_k < n_b, "{label}: mid-run cursor");
-    let resumed = run_with_series(
-        &base.restart_from(Arc::new(snap)).build().unwrap(),
-        Series::AllRanks,
-    );
+    let resumed = run_every_series(&base.restart_from(Arc::new(snap)).build().unwrap());
 
     let (xa, xb) = (
         full.solution.as_ref().expect("functional solution"),
@@ -143,7 +148,7 @@ fn totals_bits(t: &PhaseTotals) -> [u64; 7] {
 /// asserts the folded totals are bitwise the sums of the full series.
 fn assert_totals_fold_the_series(cfg: &RunConfig, label: &str) -> RunOutcome {
     let folded = run(cfg);
-    let all = run_with_series(cfg, Series::AllRanks);
+    let all = run_every_series(cfg);
     assert_eq!(folded.records[0], all.records[0], "{label}: rank 0 series");
     assert!(
         folded.records[1..].iter().all(Vec::is_empty),

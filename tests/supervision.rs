@@ -2,6 +2,7 @@
 //! full functional driver with injected faults, the supervisor's recovery
 //! workflow end to end, and determinism of the typed event log.
 
+use hplai_core::progress::ProgressMonitor;
 use hplai_core::solve::run;
 use hplai_core::supervisor::{recovery_ratio, RunEvent, Supervisor};
 use hplai_core::{testbed, FaultPlan, ProcessGrid, RunConfig};
@@ -24,9 +25,9 @@ fn functional_run_with_slow_gcd_alerts_within_report_cadence() {
     let out = sup.supervise(&functional_cfg(faults));
     let k = out.detection_iter.expect("3x straggler must be detected");
     assert!(
-        k <= sup.monitor.report_every,
+        k <= ProgressMonitor::REPORT_EVERY,
         "detected only at iteration {k}, cadence is {}",
-        sup.monitor.report_every
+        ProgressMonitor::REPORT_EVERY
     );
     assert!(out.outcome.converged, "injected faults must not break math");
     assert!(out.outcome.scaled_residual.unwrap() < 16.0);
