@@ -3,13 +3,13 @@
 //! the energy to solve one system with HPL-AI vs HPL, and the GFLOPS/W of
 //! both benchmarks on both machines.
 
+use crate::{Args, Output, Table};
 use hplai_core::critical::{critical_time, CriticalConfig};
 use hplai_core::hpl::{hpl_critical_time, hpl_n_local};
 use hplai_core::{frontier, summit, ProcessGrid, SystemSpec};
-use mxp_bench::Table;
 use mxp_msgsim::BcastAlgo;
 
-fn main() {
+pub fn run(_: &Args) -> Output {
     let mut t = Table::new(
         "Energy to solution and efficiency: HPL-AI vs HPL",
         "§VIII outlook (future work, implemented)",
@@ -40,6 +40,7 @@ fn main() {
         ),
     ];
 
+    let mut out = Output::default();
     for (sys, n_l, grid, b, algo) in cases {
         let p = grid.p_r;
         let ai = critical_time(&sys, &CriticalConfig::new(n_l * p, b, grid, algo));
@@ -61,15 +62,16 @@ fn main() {
             &format!("{:.1}", hpl.gflops_per_watt),
             &format!("{:.0}", hpl.energy.total_j() / hpl.runtime),
         ]);
-        println!(
+        out.note(format!(
             "{}: HPL-AI is {:.1}x more energy-efficient than HPL (GFLOPS/W)",
             sys.name,
             ai.gflops_per_watt / hpl.gflops_per_watt
-        );
+        ));
     }
-    t.emit("energy");
-    println!(
+    out.table("energy", t);
+    out.note(
         "the §VIII hypothesis holds in the model: the mixed-precision speedup carries over to \
-         energy efficiency, slightly attenuated because tensor math draws peak board power."
+         energy efficiency, slightly attenuated because tensor math draws peak board power.",
     );
+    out
 }

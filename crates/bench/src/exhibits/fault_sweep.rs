@@ -13,29 +13,29 @@
 //! Both campaigns are charged their full simulated cost (truncated
 //! attempts, the fleet scan, checkpoint I/O, and the final attempt), so
 //! `benefit = rerun_cost / restart_cost` isolates exactly what restarting
-//! from a checkpoint saves. The trajectory is persisted to
-//! `BENCH_fault.json` at the repository root, and `--floor R` turns the
-//! sweep into a CI gate: every point that actually restarted from a
-//! snapshot must beat the full-rerun baseline by more than `R`.
+//! from a checkpoint saves. The trajectory is reported as
+//! `BENCH_fault.json`, and `--floor R` turns the sweep into a CI gate:
+//! every point that actually restarted from a snapshot must beat the
+//! full-rerun baseline by more than `R`.
 //!
 //! ```text
-//! fault_sweep [--summit] [--floor R]
+//! repro fault_sweep [--quick] [--floor R]
 //! ```
 //!
-//! `--summit` appends the acceptance point: the same incident at full
-//! Summit extent (27,648 ranks on the event backend), where a restart
-//! salvages minutes of simulated work per fault. The default sweep also
-//! runs one elastic incident (the faulted grid column is dropped and the
-//! run finishes on the survivors) and writes its typed event log to
-//! `results/fault_events.jsonl`.
+//! The sweep also runs one elastic incident (the faulted grid column is
+//! dropped and the run finishes on the survivors) and writes its typed
+//! event log to `results/fault_events.jsonl`. A full run ends with the
+//! acceptance point, which `--quick` leaves out: the same incident at
+//! full Summit extent (27,648 ranks on the event backend), where a
+//! restart salvages minutes of simulated work per fault.
 
-use hplai_core::solve::run;
+use crate::{secs, Args, Output, Table};
+use hplai_core::solve::run as run_sim;
 use hplai_core::supervisor::{cost_recovery_ratio, RunEvent, Supervisor};
 use hplai_core::trace::event_log_jsonl;
 use hplai_core::{
     summit, testbed, Backend, CheckpointSpec, FaultPlan, ProcessGrid, RunConfig, SystemSpec,
 };
-use mxp_bench::{results_dir, secs, Table};
 use mxp_msgsim::BcastAlgo;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -86,15 +86,13 @@ struct FaultPoint {
     checkpoint_time: f64,
 }
 
-/// `BENCH_fault.json` schema.
+/// The bench report.
 #[derive(Clone, Debug, Serialize)]
 struct Report {
-    /// Schema tag for downstream tooling.
-    schema: String,
     /// Gate the sweep was run with (`--floor`), if any.
     floor: Option<f64>,
     /// Measured incidents: the interval × onset grid first, then the
-    /// elastic demo, then (with `--summit`) the full-extent point.
+    /// elastic demo, then (unless `--quick`) the full-extent point.
     points: Vec<FaultPoint>,
 }
 
@@ -105,32 +103,37 @@ fn ckpt_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs one incident through both recovery workflows and measures the
-/// checkpoint restart against the full rerun and the fault-free baseline.
-#[allow(clippy::too_many_arguments)]
-fn incident(
-    series: &str,
-    sys: &SystemSpec,
+/// The run a series of incidents faults.
+struct Setup {
+    sys: SystemSpec,
     grid: ProcessGrid,
     n: usize,
     b: usize,
     backend: Backend,
+}
+
+/// Runs one incident — GCD `victim` degrades 4× at panel `onset_k` —
+/// through both recovery workflows and measures the checkpoint restart
+/// against the full rerun and the fault-free baseline.
+fn incident(
+    series: &str,
+    s: &Setup,
     interval: usize,
-    spec: &str,
     onset_k: usize,
+    victim: usize,
     elastic: bool,
 ) -> (FaultPoint, Vec<RunEvent>) {
+    let spec = format!("degrade:4x:k{onset_k}:g{victim}");
     let dir = ckpt_dir(&format!("{series}-i{interval}-k{onset_k}"));
     let build = |faults: FaultPlan| {
-        RunConfig::timing(sys.clone(), grid, n, b)
+        RunConfig::timing(s.sys.clone(), s.grid, s.n, s.b)
             .algo(BcastAlgo::Lib)
-            .backend(backend)
+            .backend(s.backend)
             .checkpoint(CheckpointSpec::new(&dir, interval))
             .faults(faults)
             .build_or_panic()
     };
-    let faults = FaultPlan::new().parse_spec(spec, 0).expect("valid spec");
-    let cfg = build(faults);
+    let cfg = build(FaultPlan::new().parse_spec(&spec, 0).expect("valid spec"));
 
     let restart = Supervisor::with_restart(1.15, 2, elastic).supervise(&cfg);
     std::fs::remove_dir_all(&dir).ok();
@@ -138,7 +141,7 @@ fn incident(
     std::fs::remove_dir_all(&dir).ok();
     // Fault-free baseline of the same checkpointed configuration: the
     // numerator both cost-recovery ratios share.
-    let baseline = run(&build(FaultPlan::new()));
+    let baseline = run_sim(&build(FaultPlan::new()));
     std::fs::remove_dir_all(&dir).ok();
 
     let restarted_from_k = restart.events.iter().find_map(|e| match e {
@@ -147,12 +150,12 @@ fn incident(
     });
     let point = FaultPoint {
         series: series.to_string(),
-        grid: format!("{}x{}", grid.p_r, grid.p_c),
-        ranks: grid.size(),
-        n,
-        b,
+        grid: format!("{}x{}", s.grid.p_r, s.grid.p_c),
+        ranks: s.grid.size(),
+        n: s.n,
+        b: s.b,
         interval,
-        fault: spec.to_string(),
+        fault: spec,
         onset_k,
         detect_k: restart.detection_iter,
         restarted_from_k,
@@ -169,76 +172,42 @@ fn incident(
     (point, restart.events)
 }
 
-fn repo_root() -> PathBuf {
-    results_dir()
-        .parent()
-        .expect("results dir has a parent")
-        .to_path_buf()
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let summit_point = args.iter().any(|a| a == "--summit");
-    let floor: Option<f64> = args
-        .iter()
-        .position(|a| a == "--floor")
-        .map(|i| args[i + 1].parse().expect("--floor takes a ratio"));
-
-    let sys = testbed(1, 4);
-    let grid = ProcessGrid::col_major(2, 2, 4);
-    let (n, b) = (2048, 128);
+pub fn run(args: &Args) -> Output {
+    let tb = Setup {
+        sys: testbed(1, 4),
+        grid: ProcessGrid::col_major(2, 2, 4),
+        n: 2048,
+        b: 128,
+        backend: Backend::Functional,
+    };
     let mut points = Vec::new();
 
     // Checkpoint interval × fault onset: gcd 3 degrades 4× at panel
     // `onset_k` of the 16-iteration run. Early onsets abort before the
     // sparse intervals have written anything (the fall-back-to-scratch
     // corner); late onsets leave most of the run salvageable.
-    for &interval in &[2usize, 4, 8] {
-        for &onset_k in &[4usize, 8, 12] {
-            let spec = format!("degrade:4x:k{onset_k}:g3");
-            let (p, _) = incident(
-                "grid",
-                &sys,
-                grid,
-                n,
-                b,
-                Backend::Functional,
-                interval,
-                &spec,
-                onset_k,
-                false,
-            );
-            points.push(p);
+    for interval in [2, 4, 8] {
+        for onset_k in [4, 8, 12] {
+            points.push(incident("grid", &tb, interval, onset_k, 3, false).0);
         }
     }
 
     // Elastic incident: the faulted rank's grid column is dropped and the
     // run finishes on the surviving 2 ranks. Its typed event log is the
     // CI artifact documenting the abort → scan → re-grid → restart chain.
-    let (elastic, events) = incident(
-        "elastic",
-        &sys,
-        grid,
-        n,
-        b,
-        Backend::Functional,
-        4,
-        "degrade:4x:k8:g2",
-        8,
-        true,
-    );
-    let log_path = results_dir().join("fault_events.jsonl");
-    std::fs::write(&log_path, event_log_jsonl(&events)).expect("write fault_events.jsonl");
-    eprintln!("wrote {}", log_path.display());
+    let (elastic, events) = incident("elastic", &tb, 4, 8, 2, true);
+    let mut out = Output::default();
+    out.files
+        .push(("fault_events.jsonl".into(), event_log_jsonl(&events)));
     points.push(elastic);
 
-    if summit_point {
+    if !args.quick {
         // The acceptance point: the same incident at full Summit extent
         // (96×288 = 27,648 ranks, N = 221,184) on the sharded event
         // backend, checkpointing every 24 panels.
         let sys = summit();
         let grid = ProcessGrid::node_local(96, 288, 3, 2);
-        let n = 288 * sys.paper_b;
+        let (n, b) = (288 * sys.paper_b, sys.paper_b);
         // At this extent every rank owns exactly one block column (288
         // columns over 288 grid columns) and is busy only while that
         // column is in the trailing matrix — a victim in grid column 200
@@ -247,25 +216,20 @@ fn main() {
         let victim = (0..grid.size())
             .find(|&r| grid.coord_of(r).1 == 200)
             .expect("grid has column 200");
-        let spec = format!("degrade:4x:k96:g{victim}");
         eprintln!(
-            "summit acceptance point: {} ranks, N = {n} ({} iterations), {spec}",
+            "summit acceptance point: {} ranks, N = {n} ({} iterations), degrade:4x:k96:g{victim}",
             grid.size(),
-            n / sys.paper_b
+            n / b
         );
-        let (p, _) = incident(
-            "summit",
-            &sys,
+        let backend = Backend::EventTimed;
+        let full = Setup {
+            sys,
             grid,
             n,
-            sys.paper_b,
-            Backend::EventTimed,
-            24,
-            &spec,
-            96,
-            false,
-        );
-        points.push(p);
+            b,
+            backend,
+        };
+        points.push(incident("summit", &full, 24, 96, victim, false).0);
     }
 
     let mut t = Table::new(
@@ -299,41 +263,25 @@ fn main() {
             &p.recovered,
         ]);
     }
-    t.emit("fault_sweep");
+    out.table("fault_sweep", t);
 
-    let report = Report {
-        schema: "fault-recovery-v1".into(),
-        floor,
-        points,
-    };
-    let path = repo_root().join("BENCH_fault.json");
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&report).expect("serialize"),
-    )
-    .expect("write BENCH_fault.json");
-    eprintln!("wrote {}", path.display());
-
-    if let Some(floor) = floor {
+    if let Some(floor) = args.floor {
         // CI gate: every incident that resumed from a snapshot must beat
         // the full-rerun baseline by more than the floor.
-        let restarted: Vec<&FaultPoint> = report
-            .points
+        let worst = points
             .iter()
             .filter(|p| p.restarted_from_k.is_some())
-            .collect();
-        assert!(
-            !restarted.is_empty(),
-            "floor gate needs at least one restarted incident"
-        );
-        let worst = restarted
-            .iter()
             .map(|p| p.benefit)
-            .fold(f64::INFINITY, f64::min);
-        if worst <= floor {
-            eprintln!("FAIL: worst restart benefit {worst:.3} <= floor {floor}");
-            std::process::exit(1);
-        }
-        eprintln!("floor gate passed: worst restart benefit {worst:.3} > {floor}");
+            .reduce(f64::min)
+            .expect("floor gate needs at least one restarted incident");
+        out.gates.push((
+            worst > floor,
+            format!("worst restart benefit {worst:.3}, floor {floor} (exclusive)"),
+        ));
     }
+    out.report = Some(Box::new(Report {
+        floor: args.floor,
+        points,
+    }));
+    out
 }

@@ -6,12 +6,12 @@
 //! The paper's observation: "the HPL-AI benchmark is computational bounded
 //! until the final trailing iterations."
 
-use hplai_core::solve::{run, RunConfig};
+use crate::{Args, Output, Table};
+use hplai_core::solve::{run as run_sim, RunConfig};
 use hplai_core::{frontier, ProcessGrid};
-use mxp_bench::Table;
 use mxp_msgsim::BcastAlgo;
 
-fn main() {
+pub fn run(_: &Args) -> Output {
     let mut sys = frontier();
     sys.nodes = 8; // 64 GCDs
     let grid = ProcessGrid::node_local(8, 8, 2, 4);
@@ -23,7 +23,7 @@ fn main() {
     let cfg = RunConfig::timing(sys, grid, n_l * 8, b)
         .algo(BcastAlgo::Ring2M)
         .build_or_panic();
-    let out = run(&cfg);
+    let sim = run_sim(&cfg);
 
     let mut t = Table::new(
         "Per-iteration component times on rank 0, Frontier 64 GCDs (ms)",
@@ -31,7 +31,7 @@ fn main() {
         &["k", "getrf", "trsm", "cast", "gemm", "wait"],
     );
     let ms = |v: f64| format!("{:.3}", v * 1e3);
-    for rec in out.records_rank0() {
+    for rec in sim.records_rank0() {
         t.row(&[
             &rec.k,
             &ms(rec.getrf),
@@ -41,27 +41,28 @@ fn main() {
             &ms(rec.wait),
         ]);
     }
-    t.emit("fig10");
+    let mut out = Output::new("fig10", t);
 
     // Compute-bound head, communication-visible tail. (Iteration 0 does no
     // GEMM under look-ahead — panels apply one iteration later — so take
     // the busiest record as "head".)
-    let head = out
+    let head = sim
         .records_rank0()
         .iter()
         .max_by(|a, b| a.gemm.partial_cmp(&b.gemm).unwrap())
         .unwrap();
-    let n_rec = out.records_rank0().len();
-    let tail = out.records_rank0()[n_rec - 2];
-    println!(
+    let n_rec = sim.records_rank0().len();
+    let tail = sim.records_rank0()[n_rec - 2];
+    out.note(format!(
         "head: gemm {:.1}ms vs wait {:.1}ms; tail: gemm {:.3}ms vs wait {:.3}ms",
         head.gemm * 1e3,
         head.wait * 1e3,
         tail.gemm * 1e3,
         tail.wait * 1e3
-    );
-    println!(
+    ));
+    out.note(format!(
         "total factor time {:.2}s, {} GFLOPS/GCD",
-        out.perf.factor_time, out.perf.gflops_per_gcd as u64
-    );
+        sim.perf.factor_time, sim.perf.gflops_per_gcd as u64
+    ));
+    out
 }

@@ -3,50 +3,24 @@
 //! by a warm-up mini-benchmark) vs Frontier's fast first two runs followed
 //! by a small thermal sag (Finding 10).
 
-use hplai_core::critical::{critical_time, CriticalConfig};
+use super::critical;
+use crate::{gflops, Args, Output, Table};
 use hplai_core::{frontier, summit, ProcessGrid};
-use mxp_bench::{gflops, Table};
 use mxp_gpusim::thermal::WarmupProfile;
 use mxp_gpusim::RunSequence;
 use mxp_msgsim::BcastAlgo;
 
-fn main() {
+pub fn run(_: &Args) -> Output {
     let mut t = Table::new(
         "GFLOPS/GCD over six consecutive runs (Summit 2916 GCDs, Frontier 3136)",
         "Fig. 12",
         &["run", "Summit cold", "Summit warmed", "Frontier"],
     );
 
-    let s = summit();
-    let s_base = critical_time(
-        &s,
-        &CriticalConfig {
-            slowest: 1.0,
-            ..CriticalConfig::new(
-                61440 * 54,
-                768,
-                ProcessGrid::node_local(54, 54, 3, 2),
-                BcastAlgo::Lib,
-            )
-        },
-    )
-    .perf
-    .gflops_per_gcd;
-    let f = frontier();
-    let f_base = critical_time(
-        &f,
-        &CriticalConfig {
-            slowest: 1.0,
-            ..CriticalConfig::new(
-                119808 * 56,
-                3072,
-                ProcessGrid::node_local(56, 56, 2, 4),
-                BcastAlgo::Ring2M,
-            )
-        },
-    )
-    .perf
-    .gflops_per_gcd;
+    let s_grid = ProcessGrid::node_local(54, 54, 3, 2);
+    let s_base = critical(&summit(), s_grid, 61440, 768, BcastAlgo::Lib).gflops_per_gcd;
+    let f_grid = ProcessGrid::node_local(56, 56, 2, 4);
+    let f_base = critical(&frontier(), f_grid, 119808, 3072, BcastAlgo::Ring2M).gflops_per_gcd;
 
     let cold = RunSequence::new(WarmupProfile::Summit, false, 2022);
     let warmed = RunSequence::new(WarmupProfile::Summit, true, 2022);
@@ -59,12 +33,13 @@ fn main() {
             &gflops(f_base * ftr.perf_multiplier(run)),
         ]);
     }
-    t.emit("fig12");
+    let mut out = Output::new("fig12", t);
 
     let first_penalty = 1.0 - cold.perf_multiplier(0) / cold.perf_multiplier(1);
-    println!(
+    out.note(format!(
         "Summit run 1 is {:.1}% slower than run 2 without warm-up (paper: ~20%); \
          Frontier runs 1-2 are fastest, later runs settle within ~0.34%",
         first_penalty * 100.0
-    );
+    ));
+    out
 }

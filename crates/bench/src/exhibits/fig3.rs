@@ -7,10 +7,10 @@
 //! here shows the same striping: rates jump at multiples of the kernel tile
 //! quantum and sag elsewhere.
 
-use mxp_bench::{tf, Table};
+use crate::{tf, Args, Output, Table};
 use mxp_gpusim::{gemm_heatmap, GcdModel};
 
-fn main() {
+pub fn run(_: &Args) -> Output {
     let dev = GcdModel::mi250x_gcd();
     let lda = 119808; // the run's fixed local leading dimension
     let ks = [512usize, 1024, 1536, 2048, 2560, 3072, 3584, 4096];
@@ -39,16 +39,17 @@ fn main() {
             cells.iter().map(|c| c as &dyn std::fmt::Display).collect();
         t.row(&refs);
     }
-    t.emit("fig3");
+    let mut out = Output::new("fig3", t);
 
     // The paper's point in one line: B = 3072 is only "red" for aligned
     // sizes.
     let aligned = dev.gemm_mixed_rate(8192, 8192, 3072, lda);
     let misaligned = dev.gemm_mixed_rate(8192 - 128, 8192 - 128, 3072 - 64, lda);
-    println!(
+    out.note(format!(
         "aligned (8192, k=3072): {} TF vs misaligned (8064, k=3008): {} TF — {:.0}% drop",
         tf(aligned),
         tf(misaligned),
         (1.0 - misaligned / aligned) * 100.0
-    );
+    ));
+    out
 }

@@ -1,10 +1,10 @@
 //! Fig. 5: per-iteration LU kernel rates (GEMM/GETRF/TRSM) on a V100 as
 //! the trailing matrix shrinks, one series per block size `B`.
 
-use mxp_bench::{tf, Table};
+use crate::{tf, Args, Output, Table};
 use mxp_gpusim::{kernel_curves, GcdModel};
 
-fn main() {
+pub fn run(_: &Args) -> Output {
     let dev = GcdModel::v100();
     let n_l = 61440usize;
     let bs = [256usize, 512, 768, 1024, 2048];
@@ -25,9 +25,9 @@ fn main() {
             ]);
         }
     }
-    t.emit("fig5");
-
-    println!(
-        "shape check: every rate grows with B, and GEMM grows with trailing size (paper §V-C)."
+    let mut out = Output::new("fig5", t);
+    out.note(
+        "shape check: every rate grows with B, and GEMM grows with trailing size (paper §V-C).",
     );
+    out
 }

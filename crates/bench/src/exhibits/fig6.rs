@@ -2,10 +2,10 @@
 //! GCD, one series per block size `B` — including the rocSOLVER GETRF
 //! shortfall of Finding 3.
 
-use mxp_bench::{tf, Table};
+use crate::{tf, Args, Output, Table};
 use mxp_gpusim::{kernel_curves, GcdModel};
 
-fn main() {
+pub fn run(_: &Args) -> Output {
     let dev = GcdModel::mi250x_gcd();
     let n_l = 119808usize;
     let bs = [1024usize, 2048, 3072, 4096];
@@ -26,13 +26,14 @@ fn main() {
             ]);
         }
     }
-    t.emit("fig6");
+    let mut out = Output::new("fig6", t);
 
     // Finding 3 in numbers.
     let v100 = GcdModel::v100();
-    println!(
+    out.note(format!(
         "Finding 3: rocsolver_sgetrf reaches {:.0}% of fp32 peak at its tuned B vs cusolver's {:.0}%",
         100.0 * dev.getrf_rate(3072) / dev.fp32_peak,
         100.0 * v100.getrf_rate(768) / v100.fp32_peak,
-    );
+    ));
+    out
 }

@@ -2,10 +2,10 @@
 //! dimensions — the `LDA = 122880` cliff that drives the paper's
 //! `N_L = 119808` choice (§V-D).
 
-use mxp_bench::{tf, Table};
+use crate::{tf, Args, Output, Table};
 use mxp_gpusim::GcdModel;
 
-fn main() {
+pub fn run(_: &Args) -> Output {
     let dev = GcdModel::mi250x_gcd();
     let b = 3072usize;
     let ldas = [119808usize, 122880, 117760, 123904];
@@ -31,14 +31,15 @@ fn main() {
             cells.iter().map(|c| c as &dyn std::fmt::Display).collect();
         t.row(&refs);
     }
-    t.emit("fig7");
+    let mut out = Output::new("fig7", t);
 
     let good = dev.gemm_mixed_rate(59904, 59904, b, 119808);
     let bad = dev.gemm_mixed_rate(59904, 59904, b, 122880);
-    println!(
+    out.note(format!(
         "LDA=122880 loses {:.0}% vs LDA=119808 ({} vs {} TF): \"significantly lower performance\" (§V-D)",
         (1.0 - bad / good) * 100.0,
         tf(bad),
         tf(good)
-    );
+    ));
+    out
 }

@@ -3,14 +3,15 @@
 //! a scale all three can run. Quantifies the "guideline, not a complete
 //! model" caveat.
 
+use super::critical;
+use crate::{secs, Args, NamedPerf, Output, Table};
 use hplai_core::critical::{critical_time, CriticalConfig};
-use hplai_core::solve::{run, RunConfig};
+use hplai_core::solve::{run as run_sim, RunConfig};
 use hplai_core::{testbed, ProcessGrid};
-use mxp_bench::{emit_perf_reports, secs, NamedPerf, Table};
 use mxp_model::{parallel_time, parallel_time_lookahead, LuParams};
 use mxp_msgsim::BcastAlgo;
 
-fn main() {
+pub fn run(_: &Args) -> Output {
     let sys = testbed(16, 4);
     let grid = ProcessGrid::node_local(8, 8, 2, 2);
     let (n_l, b) = (8192usize, 512usize);
@@ -25,17 +26,8 @@ fn main() {
     let cfg = RunConfig::timing(sys.clone(), grid, n, b)
         .algo(BcastAlgo::Lib)
         .build_or_panic();
-    let emergent = run(&cfg).perf.factor_time;
-
-    let crit = critical_time(
-        &sys,
-        &CriticalConfig {
-            slowest: 1.0,
-            ..CriticalConfig::new(n, b, grid, BcastAlgo::Lib)
-        },
-    )
-    .perf
-    .factor_time;
+    let emergent = run_sim(&cfg).perf.factor_time;
+    let crit = critical(&sys, grid, n_l, b, BcastAlgo::Lib).factor_time;
 
     let params = LuParams {
         n,
@@ -53,7 +45,7 @@ fn main() {
     t.row(&[&"critical-path driver", &secs(crit), &rel(crit)]);
     t.row(&[&"Eq. (3) projected bound", &secs(eq3), &rel(eq3)]);
     t.row(&[&"Eq. (1) with look-ahead", &secs(eq1_la), &rel(eq1_la)]);
-    t.emit("model_vs_sim");
+    let mut out = Output::new("model_vs_sim", t);
 
     // Differential matrix: critical-path model against the emergent
     // simulation across broadcast algorithms with look-ahead on and off —
@@ -74,47 +66,42 @@ fn main() {
             "hidden (sim) s",
         ],
     );
-    let mut reports = Vec::new();
     for algo in BcastAlgo::ALL {
-        for lookahead in [false, true] {
+        for (lookahead, la) in [(false, "off"), (true, "on")] {
             let cfg = RunConfig::timing(d_sys.clone(), d_grid, d_n, d_b)
                 .algo(algo)
                 .lookahead(lookahead)
                 .build_or_panic();
-            let out = run(&cfg);
-            let sim = out.perf;
+            let sim = run_sim(&cfg);
             let model = critical_time(
                 &d_sys,
                 &CriticalConfig {
                     lookahead,
-                    slowest: 1.0,
                     ..CriticalConfig::new(d_n, d_b, d_grid, algo)
                 },
             )
             .perf;
             d.row(&[
                 &algo.label(),
-                &if lookahead { "on" } else { "off" },
-                &secs(sim.factor_time),
+                &la,
+                &secs(sim.perf.factor_time),
                 &secs(model.factor_time),
-                &format!("{:.3}", model.factor_time / sim.factor_time),
-                &secs(sim.overlap_hidden),
+                &format!("{:.3}", model.factor_time / sim.perf.factor_time),
+                &secs(sim.perf.overlap_hidden),
             ]);
-            let la = if lookahead { "on" } else { "off" };
-            reports.push(NamedPerf::hosted(
+            out.perf.push(NamedPerf::hosted(
                 format!("emergent {} lookahead={la}", algo.label()),
-                &out,
+                &sim,
             ));
-            reports.push(NamedPerf::new(
+            out.perf.push(NamedPerf::new(
                 format!("critical {} lookahead={la}", algo.label()),
                 model,
             ));
         }
     }
-    d.emit("model_vs_sim_matrix");
-    emit_perf_reports("model_vs_sim", &reports);
-
-    println!(
-        "the analytic bounds bracket the simulators; none back-solves optimal parameters exactly (§IV caveat)."
+    out.table("model_vs_sim_matrix", d);
+    out.note(
+        "the analytic bounds bracket the simulators; none back-solves optimal parameters exactly (§IV caveat).",
     );
+    out
 }

@@ -6,11 +6,11 @@
 //! critical-path model prices the performance cost (FP32 trailing updates
 //! forfeit the tensor cores and double the panel traffic).
 
-use hplai_core::solve::{run, RunConfig};
+use crate::{Args, Output, Table};
+use hplai_core::solve::{run as run_sim, RunConfig};
 use hplai_core::{testbed, ProcessGrid, TrailingPrecision};
-use mxp_bench::Table;
 
-fn main() {
+pub fn run(_: &Args) -> Output {
     let mut t = Table::new(
         "Panel precision ablation (functional, N=384, 16 GCDs)",
         "§VIII extension",
@@ -32,23 +32,24 @@ fn main() {
         let cfg = RunConfig::functional(sys, grid, 384, 32)
             .prec(prec)
             .build_or_panic();
-        let out = run(&cfg);
+        let sim = run_sim(&cfg);
         t.row(&[
             &prec.tag(),
-            &out.ir_iters,
-            &format!("{:.3e}", out.scaled_residual.unwrap()),
-            &out.converged,
-            &format!("{:.4}", out.perf.factor_time),
+            &sim.ir_iters,
+            &format!("{:.3e}", sim.scaled_residual.unwrap()),
+            &sim.converged,
+            &format!("{:.4}", sim.perf.factor_time),
         ]);
     }
-    t.emit("precision_ablation");
-    println!(
+    let mut out = Output::new("precision_ablation", t);
+    out.note(format!(
         "coarser formats need more refinement sweeps (u: fp32 {:.1e} < fp16 {:.1e} < bf16 {:.1e}),",
         TrailingPrecision::Fp32.unit_roundoff(),
         TrailingPrecision::Fp16.unit_roundoff(),
         TrailingPrecision::Bf16.unit_roundoff(),
+    ));
+    out.note(
+        "while fp32 panels forfeit the tensor cores — fp16 is the sweet spot the paper rides.",
     );
-    println!(
-        "while fp32 panels forfeit the tensor cores — fp16 is the sweet spot the paper rides."
-    );
+    out
 }

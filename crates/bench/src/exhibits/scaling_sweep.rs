@@ -3,7 +3,7 @@
 //! The sharded discrete-event scheduler exists so that scaling *sweeps* —
 //! many grid extents of the same machine, simulated back to back — finish
 //! in minutes instead of hours. This harness measures that claim and
-//! persists the trajectory to `BENCH_scaling.json` at the repository root:
+//! reports the trajectory as `BENCH_scaling.json`:
 //!
 //! * **Strong scaling**: the machine's full-extent problem (fixed `N`,
 //!   paper block size) factored on a growing sub-machine grid, 4 points
@@ -23,7 +23,7 @@
 //! `results/scaling_sweep_perf.json`.
 //!
 //! ```text
-//! scaling_sweep [--quick] [--best-of N] [--floor <ranks_per_sec>]
+//! repro scaling_sweep [--quick] [--best-of N] [--floor <ranks_per_sec>]
 //! ```
 //!
 //! `--quick` runs the Summit series only (the CI smoke configuration);
@@ -44,12 +44,78 @@
 //! schema. Simulated results are bit-identical across samples, so only
 //! the host-side timings differ.
 
+use crate::{gflops, Args, NamedPerf, Output, Table};
 use hplai_core::trace::comm_chrome_trace;
-use hplai_core::{frontier, run, summit, Backend, ProcessGrid, RunConfig, SystemSpec};
-use mxp_bench::{emit_perf_reports, gflops, results_dir, NamedPerf, SchedPhases, Table};
+use hplai_core::{frontier, run as run_sim, summit, Backend, ProcessGrid, RunConfig, SystemSpec};
 use mxp_msgsim::BcastAlgo;
 use serde::Serialize;
 use std::time::Instant;
+
+/// Scheduler-phase breakdown of one event-backend run, from
+/// [`mxp_msgsim::last_event_stats`]: where the host wall-clock went, so a
+/// throughput regression is attributable to fiber switching, delivery, or
+/// rank compute rather than a single opaque number. Serialized
+/// alongside each headline point.
+#[derive(Clone, Debug, Serialize)]
+pub struct SchedPhases {
+    /// Worker seconds inside rank fibers (rank compute + switches).
+    pub run_secs: f64,
+    /// Worker seconds draining cross-shard inboxes.
+    pub deliver_secs: f64,
+    /// Worker seconds parked idle.
+    pub idle_secs: f64,
+    /// Estimated context-switch seconds (calibrated cost × resumes).
+    pub switch_secs_est: f64,
+    /// Fiber resumes performed.
+    pub resumes: u64,
+    /// Same-shard envelope deliveries.
+    pub local_msgs: u64,
+    /// Cross-shard envelope deliveries.
+    pub cross_msgs: u64,
+    /// Fiber stacks recycled from the pool.
+    pub stacks_reused: u64,
+    /// Fiber stacks freshly allocated.
+    pub stacks_allocated: u64,
+    /// Fraction of worker time that was scheduling overhead.
+    pub sched_overhead: f64,
+}
+
+impl SchedPhases {
+    /// Captures the breakdown of one [`mxp_msgsim::EventStats`].
+    pub fn from_stats(s: &mxp_msgsim::EventStats) -> Self {
+        SchedPhases {
+            run_secs: s.run_secs,
+            deliver_secs: s.deliver_secs,
+            idle_secs: s.idle_secs,
+            switch_secs_est: s.switch_secs_est,
+            resumes: s.resumes,
+            local_msgs: s.local_msgs,
+            cross_msgs: s.cross_msgs,
+            stacks_reused: s.stacks_reused,
+            stacks_allocated: s.stacks_allocated,
+            sched_overhead: s.sched_overhead(),
+        }
+    }
+
+    /// One-line human rendering (the sweep's progress output).
+    pub fn describe(&self, shards: usize) -> String {
+        format!(
+            "{shards} shard(s); run {:.1}s, deliver {:.1}s, idle {:.1}s, switch est {:.1}s \
+             over {} resumes; {} local + {} cross msgs; stacks {} reused / {} new; \
+             sched overhead {:.1}%",
+            self.run_secs,
+            self.deliver_secs,
+            self.idle_secs,
+            self.switch_secs_est,
+            self.resumes,
+            self.local_msgs,
+            self.cross_msgs,
+            self.stacks_reused,
+            self.stacks_allocated,
+            100.0 * self.sched_overhead
+        )
+    }
+}
 
 /// One measured grid extent in a scaling series.
 #[derive(Clone, Debug, Serialize)]
@@ -91,11 +157,9 @@ struct SweepPoint {
     peak_rss_mb: f64,
 }
 
-/// Trajectory file schema.
+/// The bench report.
 #[derive(Clone, Debug, Serialize)]
 struct Report {
-    /// Schema tag for downstream tooling.
-    schema: String,
     /// Measured points, strong series first, in grid order per series.
     points: Vec<SweepPoint>,
 }
@@ -123,16 +187,12 @@ fn peak_rss_mb() -> f64 {
         / 1024.0
 }
 
-/// Runs one grid extent of `sys` with problem size `n` and returns its
-/// measurement and labelled report. At the machine's full extent it also
-/// writes rank 0's comm trace.
-fn run_point(
-    sys: &SystemSpec,
-    grid: ProcessGrid,
-    n: usize,
-    b: usize,
-    mode: &str,
-) -> (SweepPoint, NamedPerf) {
+/// One measured point: the bench row, its labelled perf report, and at
+/// the machine's full extent rank 0's comm trace as `(file name, JSON)`.
+type Measured = (SweepPoint, NamedPerf, Option<(String, String)>);
+
+/// Runs one grid extent of `sys` with problem size `n` and measures it.
+fn run_point(sys: &SystemSpec, grid: ProcessGrid, n: usize, b: usize, mode: &str) -> Measured {
     let cfg = RunConfig::timing(sys.clone(), grid, n, b)
         .algo(BcastAlgo::Lib)
         .backend(Backend::EventTimed)
@@ -144,7 +204,7 @@ fn run_point(
         sys.name, grid.p_r, grid.p_c
     );
     let started = Instant::now();
-    let out = run(&cfg);
+    let out = run_sim(&cfg);
     let wall = started.elapsed().as_secs_f64();
     let stats = mxp_msgsim::last_event_stats();
     if let Some(s) = &stats {
@@ -152,15 +212,10 @@ fn run_point(
     }
     let peak_rss_mb = peak_rss_mb();
     eprintln!("  {wall:.1} s wall, process peak RSS {peak_rss_mb:.0} MiB");
-    if ranks == sys.total_gcds() {
-        let path = results_dir().join(format!(
-            "scaling_sweep_{}.trace.json",
-            sys.name.to_lowercase()
-        ));
-        std::fs::write(&path, comm_chrome_trace(out.trace_rank0.events(), 0))
-            .expect("write comm trace");
-        eprintln!("  wrote {}", path.display());
-    }
+    let trace = (ranks == sys.total_gcds()).then(|| {
+        let name = format!("scaling_sweep_{}.trace.json", sys.name.to_lowercase());
+        (name, comm_chrome_trace(out.trace_rank0.events(), 0))
+    });
     let point = SweepPoint {
         system: sys.name.to_string(),
         mode: mode.to_string(),
@@ -180,7 +235,7 @@ fn run_point(
         peak_rss_mb,
     };
     let label = format!("{} {mode} {ranks}", sys.name);
-    (point, NamedPerf::hosted(label, &out))
+    (point, NamedPerf::hosted(label, &out), trace)
 }
 
 /// Marker environment variable: set on re-executed children, which run
@@ -196,6 +251,7 @@ fn fold_best_of(points: &mut [SweepPoint], best_of: usize, quick: bool) {
     for sample in 1..best_of {
         eprintln!("best-of sample {}/{best_of}: fresh process", sample + 1);
         let mut cmd = std::process::Command::new(&exe);
+        cmd.arg("scaling_sweep");
         if quick {
             cmd.arg("--quick");
         }
@@ -268,7 +324,7 @@ fn ladder(sys: &SystemSpec, q_r: usize, q_c: usize) -> Vec<ProcessGrid> {
 /// (fixed per-rank tile count) over the same ladder. The weak series'
 /// top rung has `N = lcm(P_r, P_c)·B` on the full grid — the strong
 /// series' configuration there — so its measurement is reused.
-fn sweep_system(sys: &SystemSpec, q_r: usize, q_c: usize, out: &mut Vec<(SweepPoint, NamedPerf)>) {
+fn sweep_system(sys: &SystemSpec, q_r: usize, q_c: usize, out: &mut Vec<Measured>) {
     let b = sys.paper_b;
     let grids = ladder(sys, q_r, q_c);
     let (full, rungs) = grids.split_last().expect("ladder is non-empty");
@@ -280,7 +336,7 @@ fn sweep_system(sys: &SystemSpec, q_r: usize, q_c: usize, out: &mut Vec<(SweepPo
         );
         out.push(run_point(sys, *g, n_full, b, "strong"));
     }
-    let (top, top_report) = out.last().cloned().expect("strong series measured");
+    let (top, top_report, _) = out.last().cloned().expect("strong series measured");
     for g in rungs {
         out.push(run_point(sys, *g, lcm(g.p_r, g.p_c) * b, b, "weak"));
     }
@@ -294,27 +350,12 @@ fn sweep_system(sys: &SystemSpec, q_r: usize, q_c: usize, out: &mut Vec<(SweepPo
             label,
             ..top_report
         },
+        None,
     ));
 }
 
-fn repo_root() -> std::path::PathBuf {
-    results_dir()
-        .parent()
-        .expect("results dir has a parent")
-        .to_path_buf()
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let best_of: usize = args
-        .iter()
-        .position(|a| a == "--best-of")
-        .map_or(1, |i| args[i + 1].parse().expect("--best-of takes a count"));
-    let floor: Option<f64> = args
-        .iter()
-        .position(|a| a == "--floor")
-        .map(|i| args[i + 1].parse().expect("--floor takes ranks/sec"));
+pub fn run(args: &Args) -> Output {
+    let (quick, best_of) = (args.quick, args.best_of.unwrap_or(1));
     let child = std::env::var_os(CHILD_ENV).is_some();
 
     // `run` records the f32 kernel's ISA: resolve it now, so a first-use
@@ -327,7 +368,13 @@ fn main() {
         // Frontier: 9408 nodes × 8 GCDs, 2x4 node-local grid.
         sweep_system(&frontier(), 2, 4, &mut measured);
     }
-    let (mut points, mut reports): (Vec<SweepPoint>, Vec<NamedPerf>) = measured.into_iter().unzip();
+    let mut out = Output::default();
+    let mut points = Vec::new();
+    for (point, perf, trace) in measured {
+        points.push(point);
+        out.perf.push(perf);
+        out.files.extend(trace);
+    }
 
     if child {
         // Re-executed sample: report wall times to the parent and stop —
@@ -336,12 +383,14 @@ fn main() {
             .iter()
             .map(|p| format!("{:.6}", p.wall_secs))
             .collect();
-        println!("WALLS {}", walls.join(" "));
-        return;
+        return Output {
+            notes: vec![format!("WALLS {}", walls.join(" "))],
+            ..Output::default()
+        };
     }
     if best_of > 1 {
         fold_best_of(&mut points, best_of, quick);
-        for (np, p) in reports.iter_mut().zip(&points) {
+        for (np, p) in out.perf.iter_mut().zip(&points) {
             if let Some(prov) = &mut np.provenance {
                 prov.wall_vs_virtual_time = p.wall_secs / p.virtual_secs;
             }
@@ -382,35 +431,22 @@ fn main() {
             &format!("{:.0}", p.peak_rss_mb),
         ]);
     }
-    t.emit("scaling_sweep");
-    emit_perf_reports("scaling_sweep", &reports);
+    out.table("scaling_sweep", t);
 
-    let report = Report {
-        schema: "event-scaling-v2".into(),
-        points,
-    };
-    let path = repo_root().join("BENCH_scaling.json");
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&report).expect("serialize"),
-    )
-    .expect("write BENCH_scaling.json");
-    eprintln!("wrote {}", path.display());
-
-    if let Some(floor) = floor {
+    if let Some(floor) = args.floor {
         let full = summit().total_gcds();
-        let p = report
-            .points
+        let p = points
             .iter()
             .find(|p| p.system == "Summit" && p.ranks == full)
             .expect("every sweep ends at Summit's full extent");
-        if p.ranks_per_sec < floor {
-            eprintln!(
-                "FLOOR VIOLATION: {:.0} ranks/sec < required {floor} at {} ranks",
+        out.gates.push((
+            p.ranks_per_sec >= floor,
+            format!(
+                "{:.0} ranks/sec at {} ranks, floor {floor}",
                 p.ranks_per_sec, p.ranks
-            );
-            std::process::exit(1);
-        }
-        eprintln!("floor ok: {:.0} ranks/sec >= {floor}", p.ranks_per_sec);
+            ),
+        ));
     }
+    out.report = Some(Box::new(Report { points }));
+    out
 }

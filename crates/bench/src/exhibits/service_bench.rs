@@ -1,34 +1,35 @@
 //! `service_bench` — throughput of the multi-solve service.
 //!
-//! Queues thousands of small functional solves — a mixed batch cycling
-//! over seeds, broadcast algorithms, precisions and both runtime
-//! backends — and drains them through [`SolveService`]'s bounded worker
-//! pool. Reports solves per second and per-solve latency percentiles to
-//! `BENCH_service.json` at the repository root.
+//! Queues small functional solves — a mixed batch cycling over seeds,
+//! broadcast algorithms, precisions and both runtime backends — and drains
+//! them through [`SolveService`]'s bounded worker pool of 4. Reports
+//! solves per second and per-solve latency percentiles as
+//! `BENCH_service.json`.
 //!
 //! ```text
-//! service_bench [--jobs N] [--workers W] [--floor SOLVES_PER_SEC]
+//! repro service_bench [--quick] [--floor SOLVES_PER_SEC]
 //! ```
 //!
-//! Defaults: 1000 jobs, 4 workers. The seed cycle (32 distinct matrices)
-//! exercises the content-addressed matrix cache: most jobs reuse a
-//! generated buffer instead of regenerating it. `--floor S` exits
-//! non-zero below `S` solves per second — the CI guard against a
-//! scheduling or caching regression.
+//! A full run drains 1000 jobs, `--quick` 200. The seed cycle (32 distinct
+//! matrices) exercises the content-addressed matrix cache: most jobs reuse
+//! a generated buffer instead of regenerating it. `--floor S` fails the
+//! run below `S` solves per second — the CI guard against a scheduling or
+//! caching regression.
 
+use crate::{Args, Output, Table};
 use hplai_core::{
     testbed, Backend, CacheStats, LatencyStats, PerfReport, ProcessGrid, RunConfig, ServiceConfig,
     SolveService, TrailingPrecision,
 };
-use mxp_bench::{results_dir, Table};
 use mxp_msgsim::BcastAlgo;
 use serde::Serialize;
 
-/// `BENCH_service.json` schema.
+/// Service worker threads.
+const WORKERS: usize = 4;
+
+/// The bench report.
 #[derive(Clone, Debug, Serialize)]
 struct Report {
-    /// Schema tag for downstream tooling.
-    schema: String,
     /// Jobs drained.
     jobs: usize,
     /// Worker threads.
@@ -45,13 +46,6 @@ struct Report {
     cache: CacheStats,
     /// Fleet-wide aggregate over every job's simulated run.
     aggregate: PerfReport,
-}
-
-fn repo_root() -> std::path::PathBuf {
-    results_dir()
-        .parent()
-        .expect("results dir has a parent")
-        .to_path_buf()
 }
 
 /// The mixed batch: small functional solves over a cycle of seeds,
@@ -75,21 +69,13 @@ fn batch(jobs: usize, seeds: usize) -> Vec<RunConfig> {
         .collect()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| args[i + 1].parse::<f64>().expect("numeric flag value"))
-    };
-    let jobs = flag("--jobs").map(|v| v as usize).unwrap_or(1000);
-    let workers = flag("--workers").map(|v| v as usize).unwrap_or(4);
-    let floor = flag("--floor");
-    let seeds = 32usize.min(jobs.max(1));
+pub fn run(args: &Args) -> Output {
+    let jobs = if args.quick { 200 } else { 1000 };
+    let seeds = 32;
 
-    eprintln!("service_bench: {jobs} jobs ({seeds} distinct matrices), {workers} workers");
+    eprintln!("service_bench: {jobs} jobs ({seeds} distinct matrices), {WORKERS} workers");
     let mut svc = SolveService::new(ServiceConfig {
-        workers,
+        workers: WORKERS,
         ..Default::default()
     });
     svc.submit_all(batch(jobs, seeds));
@@ -100,7 +86,6 @@ fn main() {
     );
 
     let report = Report {
-        schema: "service-bench-v1".into(),
         jobs,
         workers: drained.workers,
         distinct_matrices: seeds,
@@ -137,24 +122,14 @@ fn main() {
         &format!("{:.2}", report.latency.max_ms),
         &format!("{:.1}", 100.0 * report.cache.hit_rate()),
     ]);
-    println!("{}", t.render());
-
-    let path = repo_root().join("BENCH_service.json");
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&report).expect("serialize"),
-    )
-    .expect("write BENCH_service.json");
-    eprintln!("wrote {}", path.display());
-
-    if let Some(floor) = floor {
-        if report.solves_per_sec < floor {
-            eprintln!(
-                "FLOOR VIOLATION: {:.1} solves/s < required {floor}",
-                report.solves_per_sec
-            );
-            std::process::exit(1);
-        }
-        eprintln!("floor ok: {:.1} solves/s >= {floor}", report.solves_per_sec);
+    let mut out = Output::default();
+    out.note(t.render());
+    if let Some(floor) = args.floor {
+        out.gates.push((
+            report.solves_per_sec >= floor,
+            format!("{:.1} solves/s, floor {floor}", report.solves_per_sec),
+        ));
     }
+    out.report = Some(Box::new(report));
+    out
 }

@@ -2,20 +2,21 @@
 //! scan, with injected slow GCDs, and the performance recovered by
 //! excluding them from the big run.
 
+use crate::{gflops, Args, Output, Table};
 use hplai_core::critical::{critical_time, CriticalConfig};
 use hplai_core::scan::{scan_fleet, scan_report};
 use hplai_core::{frontier, ProcessGrid};
-use mxp_bench::{gflops, Table};
 use mxp_gpusim::GcdFleet;
 use mxp_msgsim::BcastAlgo;
 
-fn main() {
+pub fn run(_: &Args) -> Output {
     let sys = frontier();
     // A 1024-GCD fleet with the paper's ~5% in-family spread plus three
     // genuinely unhealthy GCDs (30% slow).
     let fleet = GcdFleet::generate(1024, 2022, 0.05, 3, 0.7);
     let outcome = scan_fleet(&sys.gcd, &fleet, 8192, 1024, 1.15);
-    print!("{}", scan_report(&outcome, sys.gcds_per_node));
+    let mut out = Output::default();
+    out.note(scan_report(&outcome, sys.gcds_per_node).trim_end());
 
     let mut t = Table::new(
         "Effect of excluding flagged GCDs (Frontier, 1024 GCDs)",
@@ -44,10 +45,11 @@ fn main() {
         &format!("{:.3}", healthy.slowest()),
         &gflops(without_slow.perf.gflops_per_gcd),
     ]);
-    t.emit("slow_node_scan");
-    println!(
+    out.table("slow_node_scan", t);
+    out.note(format!(
         "a single slow GCD stalls the whole pipeline: +{:.1}% from excluding {} GCDs",
         (without_slow.perf.gflops_per_gcd / with_slow.perf.gflops_per_gcd - 1.0) * 100.0,
         outcome.slow.len()
-    );
+    ));
+    out
 }

@@ -2,12 +2,12 @@
 //! performed at scale") but omits the chart for space — this harness
 //! generates it. Fixed global N, growing GCD counts.
 
+use crate::{gflops, secs, Args, NamedPerf, Output, Table};
 use hplai_core::critical::{critical_time, CriticalConfig};
 use hplai_core::{summit, ProcessGrid};
-use mxp_bench::{emit_perf_reports, gflops, secs, NamedPerf, Table};
 use mxp_msgsim::BcastAlgo;
 
-fn main() {
+pub fn run(_: &Args) -> Output {
     let sys = summit();
     let n = 61440 * 12; // fits the smallest configuration's GPU memory
     let mut t = Table::new(
@@ -23,32 +23,28 @@ fn main() {
         ],
     );
     let mut base: Option<f64> = None;
-    let mut reports = Vec::new();
+    let mut out = Output::default();
     for p in [12usize, 18, 24, 36, 54] {
         if n % p != 0 || (n / p) % 768 != 0 {
             continue;
         }
-        let out = critical_time(
-            &sys,
-            &CriticalConfig {
-                slowest: 1.0,
-                ..CriticalConfig::new(n, 768, ProcessGrid::col_major(p, p, 6), BcastAlgo::Lib)
-            },
-        );
-        let b0 = *base.get_or_insert(out.perf.runtime);
-        let speedup = b0 / out.perf.runtime;
+        let grid = ProcessGrid::col_major(p, p, 6);
+        let perf = critical_time(&sys, &CriticalConfig::new(n, 768, grid, BcastAlgo::Lib)).perf;
+        let b0 = *base.get_or_insert(perf.runtime);
+        let speedup = b0 / perf.runtime;
         let ideal = (p * p) as f64 / 144.0;
         t.row(&[
             &(p * p),
             &p,
-            &secs(out.perf.runtime),
-            &gflops(out.perf.gflops_per_gcd),
+            &secs(perf.runtime),
+            &gflops(perf.gflops_per_gcd),
             &format!("{speedup:.2}"),
             &format!("{:.1}", 100.0 * speedup / ideal),
         ]);
-        reports.push(NamedPerf::new(format!("{} GCDs", p * p), out.perf));
+        out.perf
+            .push(NamedPerf::new(format!("{} GCDs", p * p), perf));
     }
-    t.emit("strong_scaling");
-    emit_perf_reports("strong_scaling", &reports);
-    println!("efficiency falls with scale at fixed N: the communication-bound regime of §VI-A.");
+    out.table("strong_scaling", t);
+    out.note("efficiency falls with scale at fixed N: the communication-bound regime of §VI-A.");
+    out
 }

@@ -1,8 +1,8 @@
 //! Table I: key architectural specifications for Summit and Frontier.
 
-use mxp_bench::Table;
+use crate::{Args, Output, Table};
 
-fn main() {
+pub fn run(_: &Args) -> Output {
     let mut t = Table::new(
         "Key architectural specifications",
         "Table I",
@@ -11,5 +11,5 @@ fn main() {
     for (label, s, f) in hplai_core::systems::table1_rows() {
         t.row(&[&label, &s, &f]);
     }
-    t.emit("table1");
+    Output::new("table1", t)
 }

@@ -1,9 +1,9 @@
 //! Table II: cross-platform BLAS library function mapping.
 
-use mxp_bench::Table;
+use crate::{Args, Output, Table};
 use mxp_gpusim::{BlasShim, Vendor};
 
-fn main() {
+pub fn run(_: &Args) -> Output {
     let cuda = BlasShim::new(Vendor::Nvidia);
     let rocm = BlasShim::new(Vendor::Amd);
     let mut t = Table::new(
@@ -15,9 +15,10 @@ fn main() {
     t.row(&[&"TRSM", &cuda.trsm_name(), &rocm.trsm_name()]);
     t.row(&[&"GETRF", &cuda.getrf_name(), &rocm.getrf_name()]);
     t.row(&[&"TRSV", &cuda.trsv_name(), &rocm.trsv_name()]);
-    t.emit("table2");
-    println!(
+    let mut out = Output::new("table2", t);
+    out.note(format!(
         "API quirk (§III-B): cuSOLVER GETRF requires a workspace query: {}",
         cuda.getrf_needs_workspace_query()
-    );
+    ));
+    out
 }

@@ -1,28 +1,28 @@
-//! # mxp-bench — harnesses that regenerate every table and figure
+//! # mxp-bench — the exhibits that reproduce the paper
 //!
-//! One binary per paper exhibit (see DESIGN.md §3 for the index):
+//! One runner, `repro`, over one registry, [`EXHIBITS`]: an entry per
+//! table, figure or study of the paper (DESIGN.md §3 has the index), plus
+//! the four harnesses that measure the host (`kernel_bench`,
+//! `scaling_sweep`, `service_bench`, `fault_sweep`).
 //!
-//! | binary | reproduces |
-//! |--------|------------|
-//! | `table1` | Table I — architecture specifications |
-//! | `table2` | Table II — cross-platform BLAS mapping |
-//! | `fig3` | rocBLAS GEMM flop-rate heat map |
-//! | `fig4` | total performance vs block size `B` at scale |
-//! | `fig5` | per-iteration kernel rates, V100 |
-//! | `fig6` | per-iteration kernel rates, MI250X GCD |
-//! | `fig7` | GEMM rate vs LDA (the 122880 cliff) |
-//! | `fig8` | communication techniques × node-local grids |
-//! | `fig9` | memory-weak scaling + parallel efficiency |
-//! | `fig10` | per-iteration timing breakdown, Frontier 64 GCDs |
-//! | `fig11` | exascale achievement runs |
-//! | `fig12` | run-to-run variability (warm-up) |
-//! | `hpl_vs_hplai` | the §I "9.5× HPL" comparison |
-//! | `strong_scaling` | §VI-A strong scaling (chart omitted in paper) |
-//! | `slow_node_scan` | §VI-B slow-node identification |
-//! | `model_vs_sim` | Eqs. (1)–(5) vs the simulators |
+//! ```text
+//! repro <exhibit> [flags]
+//! ```
 //!
-//! Each binary prints a formatted table and writes `results/<name>.csv` and
-//! `results/<name>.json` so EXPERIMENTS.md entries are regenerable.
+//! `repro` with no argument lists the registry. An exhibit is a function
+//! from its parsed [`Args`] to an [`Output`]: the tables, perf reports,
+//! bench report, artifacts and notes it produced. Only the runner writes
+//! files: each table goes to `results/<stem>.{csv,json}` ([`Table::emit`]),
+//! perf reports to `results/<exhibit>_perf.json` ([`emit_perf_reports`]),
+//! and a measuring harness's report to `BENCH_<name>.json` at the
+//! repository root ([`write_bench`]; `results/BENCH_<name>.json` for a
+//! `--quick` run, so a partial run never replaces a committed file).
+
+mod args;
+mod exhibits;
+
+pub use args::{ArgError, Args, FLAGS};
+pub use exhibits::{find, Exhibit, EXHIBITS};
 
 use hplai_core::{PerfReport, RunOutcome, RunProvenance};
 use serde::Serialize;
@@ -33,7 +33,7 @@ use std::path::PathBuf;
 /// A printable, persistable result table.
 #[derive(Clone, Debug, Serialize)]
 pub struct Table {
-    /// Table title (also the output file stem).
+    /// Table title.
     pub title: String,
     /// Which paper exhibit this regenerates.
     pub exhibit: String,
@@ -90,92 +90,26 @@ impl Table {
         out
     }
 
+    /// The table as CSV: a header line, then one line per row.
+    pub fn csv(&self) -> String {
+        let mut csv = self.headers.join(",") + "\n";
+        for row in &self.rows {
+            csv.push_str(&row.join(","));
+            csv.push('\n');
+        }
+        csv
+    }
+
+    /// The table as pretty-printed JSON (no trailing newline).
+    pub fn json(&self) -> String {
+        serde_json::to_string_pretty(self).expect("serialize")
+    }
+
     /// Prints the table and persists CSV + JSON under `results/`.
     pub fn emit(&self, file_stem: &str) {
         println!("{}", self.render());
-        let dir = results_dir();
-        let csv = self.headers.join(",")
-            + "\n"
-            + &self
-                .rows
-                .iter()
-                .map(|r| r.join(","))
-                .collect::<Vec<_>>()
-                .join("\n")
-            + "\n";
-        fs::write(dir.join(format!("{file_stem}.csv")), csv).expect("write csv");
-        fs::write(
-            dir.join(format!("{file_stem}.json")),
-            serde_json::to_string_pretty(self).expect("serialize"),
-        )
-        .expect("write json");
-        eprintln!("wrote results/{file_stem}.csv and .json");
-    }
-}
-
-/// Scheduler-phase breakdown of one event-backend run, from
-/// [`mxp_msgsim::last_event_stats`]: where the host wall-clock went, so a
-/// throughput regression is attributable to fiber switching, delivery, or
-/// rank compute rather than a single opaque number. Serialized by the
-/// scaling-sweep bin alongside its headline points.
-#[derive(Clone, Debug, Serialize)]
-pub struct SchedPhases {
-    /// Worker seconds inside rank fibers (rank compute + switches).
-    pub run_secs: f64,
-    /// Worker seconds draining cross-shard inboxes.
-    pub deliver_secs: f64,
-    /// Worker seconds parked idle.
-    pub idle_secs: f64,
-    /// Estimated context-switch seconds (calibrated cost × resumes).
-    pub switch_secs_est: f64,
-    /// Fiber resumes performed.
-    pub resumes: u64,
-    /// Same-shard envelope deliveries.
-    pub local_msgs: u64,
-    /// Cross-shard envelope deliveries.
-    pub cross_msgs: u64,
-    /// Fiber stacks recycled from the pool.
-    pub stacks_reused: u64,
-    /// Fiber stacks freshly allocated.
-    pub stacks_allocated: u64,
-    /// Fraction of worker time that was scheduling overhead.
-    pub sched_overhead: f64,
-}
-
-impl SchedPhases {
-    /// Captures the breakdown of one [`mxp_msgsim::EventStats`].
-    pub fn from_stats(s: &mxp_msgsim::EventStats) -> Self {
-        SchedPhases {
-            run_secs: s.run_secs,
-            deliver_secs: s.deliver_secs,
-            idle_secs: s.idle_secs,
-            switch_secs_est: s.switch_secs_est,
-            resumes: s.resumes,
-            local_msgs: s.local_msgs,
-            cross_msgs: s.cross_msgs,
-            stacks_reused: s.stacks_reused,
-            stacks_allocated: s.stacks_allocated,
-            sched_overhead: s.sched_overhead(),
-        }
-    }
-
-    /// One-line human rendering (the bins' progress output).
-    pub fn describe(&self, shards: usize) -> String {
-        format!(
-            "{shards} shard(s); run {:.1}s, deliver {:.1}s, idle {:.1}s, switch est {:.1}s \
-             over {} resumes; {} local + {} cross msgs; stacks {} reused / {} new; \
-             sched overhead {:.1}%",
-            self.run_secs,
-            self.deliver_secs,
-            self.idle_secs,
-            self.switch_secs_est,
-            self.resumes,
-            self.local_msgs,
-            self.cross_msgs,
-            self.stacks_reused,
-            self.stacks_allocated,
-            100.0 * self.sched_overhead
-        )
+        write_result(&format!("{file_stem}.csv"), &self.csv());
+        write_result(&format!("{file_stem}.json"), &self.json());
     }
 }
 
@@ -241,33 +175,109 @@ pub fn emit_perf_reports(file_stem: &str, reports: &[NamedPerf]) {
         r.serialize_json(&mut json);
     }
     json.push_str("\n]\n");
-    let path = results_dir().join(format!("{file_stem}_perf.json"));
-    fs::write(&path, json).expect("write perf json");
-    eprintln!("wrote results/{file_stem}_perf.json");
+    write_result(&format!("{file_stem}_perf.json"), &json);
 }
 
-/// The `results/` directory (created on demand), anchored at the workspace
-/// root: walk up from the current directory to the first ancestor holding
-/// a `Cargo.toml` with a `[workspace]` table.
+/// Writes `contents` to `results/<name>`.
+pub fn write_result(name: &str, contents: &str) {
+    fs::write(results_dir().join(name), contents).expect("write result file");
+    eprintln!("wrote results/{name}");
+}
+
+/// The one bench-file envelope: which exhibit wrote the report, and
+/// whether it was a `--quick` run.
+struct Envelope<'a> {
+    exhibit: &'a str,
+    quick: bool,
+    report: &'a dyn Serialize,
+}
+
+impl Serialize for Envelope<'_> {
+    fn serialize_json(&self, out: &mut String) {
+        out.push_str("{\"schema\":\"mxp-bench-v1\",\"exhibit\":");
+        serde::write_json_string(self.exhibit, out);
+        out.push_str(",\"quick\":");
+        self.quick.serialize_json(out);
+        out.push_str(",\"report\":");
+        self.report.serialize_json(out);
+        out.push('}');
+    }
+}
+
+/// Writes a measuring harness's report as `BENCH_<name>.json` in the
+/// `mxp-bench-v1` envelope: at the repository root for a full run, under
+/// `results/` for a `--quick` one, so a partial run never replaces the
+/// committed trajectory.
+pub fn write_bench(name: &str, exhibit: &str, quick: bool, report: &dyn Serialize) {
+    let dir = if quick { results_dir() } else { repo_root() };
+    let path = dir.join(format!("BENCH_{name}.json"));
+    let envelope = Envelope {
+        exhibit,
+        quick,
+        report,
+    };
+    fs::write(
+        &path,
+        serde_json::to_string_pretty(&envelope).expect("serialize"),
+    )
+    .expect("write bench file");
+    eprintln!("wrote {}", path.display());
+}
+
+/// The workspace root: the first ancestor of the current directory whose
+/// `Cargo.toml` has a `[workspace]` table (the current directory if none).
+pub fn repo_root() -> PathBuf {
+    let cwd = std::env::current_dir().expect("cwd");
+    cwd.ancestors()
+        .find(|dir| {
+            fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|t| t.contains("[workspace]"))
+        })
+        .unwrap_or(&cwd)
+        .to_path_buf()
+}
+
+/// The `results/` directory under [`repo_root`], created on demand.
 pub fn results_dir() -> PathBuf {
-    let mut dir = std::env::current_dir().expect("cwd");
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.exists() {
-            if let Ok(text) = fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    let r = dir.join("results");
-                    fs::create_dir_all(&r).expect("create results dir");
-                    return r;
-                }
-            }
-        }
-        if !dir.pop() {
-            // Fall back to the current directory.
-            let r = PathBuf::from("results");
-            fs::create_dir_all(&r).expect("create results dir");
-            return r;
-        }
+    let r = repo_root().join("results");
+    fs::create_dir_all(&r).expect("create results dir");
+    r
+}
+
+/// What one exhibit run produced. The exhibit computes it; the runner
+/// prints and persists it.
+#[derive(Default)]
+pub struct Output {
+    /// Tables and the file stems they persist under.
+    pub tables: Vec<(String, Table)>,
+    /// Labelled perf reports, persisted as `results/<exhibit>_perf.json`.
+    pub perf: Vec<NamedPerf>,
+    /// A measuring harness's report, persisted by [`write_bench`].
+    pub report: Option<Box<dyn Serialize>>,
+    /// Other artifacts, as `(file name under results/, contents)`.
+    pub files: Vec<(String, String)>,
+    /// Lines printed after the tables.
+    pub notes: Vec<String>,
+    /// Floor gates as `(passed, description)`; a failed one makes the
+    /// runner exit 1 after everything is written.
+    pub gates: Vec<(bool, String)>,
+}
+
+impl Output {
+    /// An output holding one table, persisted as `results/<stem>.{csv,json}`.
+    pub fn new(stem: &str, table: Table) -> Self {
+        let mut out = Output::default();
+        out.table(stem, table);
+        out
+    }
+
+    /// Adds a table persisted as `results/<stem>.{csv,json}`.
+    pub fn table(&mut self, stem: &str, table: Table) {
+        self.tables.push((stem.to_string(), table));
+    }
+
+    /// Adds a line printed after the tables.
+    pub fn note(&mut self, line: impl Into<String>) {
+        self.notes.push(line.into());
     }
 }
 
@@ -342,6 +352,52 @@ mod tests {
         let mut s = String::new();
         NamedPerf::new("model", np.perf).serialize_json(&mut s);
         assert!(!s.contains("provenance"), "{s}");
+    }
+
+    #[test]
+    fn registry_lists_every_exhibit_once() {
+        let mut names: Vec<&str> = EXHIBITS.iter().map(|e| e.name).collect();
+        assert_eq!(names.len(), 23);
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 23, "duplicate exhibit name");
+        let measured: Vec<&str> = EXHIBITS
+            .iter()
+            .filter(|e| e.bench.is_some())
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(
+            measured,
+            [
+                "fault_sweep",
+                "kernel_bench",
+                "scaling_sweep",
+                "service_bench"
+            ]
+        );
+        assert!(find("fig11").is_some() && find("fig13").is_none());
+    }
+
+    #[test]
+    fn bench_envelope_wraps_the_report() {
+        let report = vec![1.5f64];
+        let envelope = Envelope {
+            exhibit: "fault_sweep",
+            quick: true,
+            report: &report,
+        };
+        let v = serde_json::from_str(&serde_json::to_string(&envelope).unwrap()).unwrap();
+        assert_eq!(v["schema"], "mxp-bench-v1");
+        assert_eq!(v["exhibit"], "fault_sweep");
+        assert_eq!(v["quick"].as_bool(), Some(true));
+        assert_eq!(v["report"][0].as_f64(), Some(1.5));
+    }
+
+    #[test]
+    fn table_csv_has_a_header_and_one_line_per_row() {
+        let mut t = Table::new("demo", "Fig. 0", &["a", "b"]);
+        t.row(&[&1, &"x"]);
+        assert_eq!(t.csv(), "a,b\n1,x\n");
     }
 
     #[test]
