@@ -5,7 +5,7 @@ use crate::Exhibit;
 use std::fmt;
 
 /// Every flag name the runner knows. Each [`Exhibit`] accepts a subset.
-pub const FLAGS: [&str; 6] = [
+pub(crate) const FLAGS: [&str; 6] = [
     "--quick",
     "--threads",
     "--floor",

@@ -1,6 +1,6 @@
 //! `kernel_bench` — wall-clock GFLOP/s trajectory of the BLAS engine.
 //!
-//! Unlike the paper-exhibit bins (which report *simulated* time), this
+//! Unlike the simulated exhibits (which report *simulated* time), this
 //! harness measures the **host kernels themselves**: `gemm` (f32/f64),
 //! `gemm_mixed` (fp16/bf16), `trsm`, `getrf`, the pack/cast kernels, the
 //! LCG matrix generation (`gen`, Gelem/s, including IR's streamed

@@ -6,37 +6,13 @@ use hplai_core::critical::{critical_time, CriticalConfig};
 use hplai_core::{PerfReport, ProcessGrid, SystemSpec};
 use mxp_msgsim::BcastAlgo;
 
-mod energy;
-mod fault_sweep;
-mod fig10;
-mod fig11;
-mod fig12;
-mod fig3;
-mod fig4;
-mod fig5;
-mod fig6;
-mod fig7;
-mod fig8;
-mod fig9;
-mod hpl_vs_hplai;
-mod kernel_bench;
-mod lookahead_ablation;
-mod model_vs_sim;
-mod precision_ablation;
-mod scaling_sweep;
-mod service_bench;
-mod slow_node_scan;
-mod strong_scaling;
-mod table1;
-mod table2;
-
 /// One runnable exhibit.
 pub struct Exhibit {
-    /// Name on the command line (the former bench binary's name).
+    /// Name on the command line.
     pub name: &'static str,
     /// The paper exhibit or study it reproduces.
     pub reproduces: &'static str,
-    /// Flags it accepts, a subset of [`crate::FLAGS`].
+    /// Flags it accepts, a subset of those the runner knows.
     pub flags: &'static [&'static str],
     /// Stem of the `BENCH_<stem>.json` a measuring harness writes; `None`
     /// for a simulated exhibit, whose tables depend on nothing but the
@@ -46,50 +22,57 @@ pub struct Exhibit {
     pub run: Run,
 }
 
-const fn simulated(name: &'static str, what: &'static str, run: Run) -> Exhibit {
-    Exhibit {
-        name,
-        reproduces: what,
-        flags: &[],
-        bench: None,
-        run,
-    }
-}
-
 type Run = fn(&Args) -> Output;
 
-/// Every exhibit, in paper order, then the measuring harnesses.
-#[rustfmt::skip]
-pub const EXHIBITS: &[Exhibit] = &[
-    simulated("table1", "Table I: architecture specifications", table1::run),
-    simulated("table2", "Table II: cross-platform BLAS mapping", table2::run),
-    simulated("fig3", "Fig. 3: rocBLAS GEMM flop-rate heat map", fig3::run),
-    simulated("fig4", "Fig. 4: performance vs block size B at scale", fig4::run),
-    simulated("fig5", "Fig. 5: per-iteration kernel rates, V100", fig5::run),
-    simulated("fig6", "Fig. 6: per-iteration kernel rates, MI250X GCD", fig6::run),
-    simulated("fig7", "Fig. 7: GEMM rate vs LDA (the 122880 cliff)", fig7::run),
-    simulated("fig8", "Fig. 8: communication techniques x node-local grids", fig8::run),
-    simulated("fig9", "Fig. 9: memory-weak scaling and parallel efficiency", fig9::run),
-    simulated("fig10", "Fig. 10: per-iteration timing breakdown, Frontier 64 GCDs", fig10::run),
-    simulated("fig11", "Fig. 11: exascale achievement runs", fig11::run),
-    simulated("fig12", "Fig. 12: run-to-run variability (warm-up)", fig12::run),
-    simulated("hpl_vs_hplai", "§I: HPL-AI vs FP64 HPL (the 9.5x claim)", hpl_vs_hplai::run),
-    simulated("strong_scaling", "§VI-A: strong scaling (chart omitted in paper)", strong_scaling::run),
-    simulated("slow_node_scan", "§VI-B: slow-node identification", slow_node_scan::run),
-    simulated("energy", "§VIII: energy to solution, HPL-AI vs HPL", energy::run),
-    simulated("precision_ablation", "§VIII: FP16 vs BF16 vs FP32 panels", precision_ablation::run),
-    simulated("model_vs_sim", "§IV: Eqs. (1)-(5) vs the simulators", model_vs_sim::run),
-    simulated("lookahead_ablation", "§IV-B: look-ahead on vs off", lookahead_ablation::run),
-    Exhibit { name: "fault_sweep", reproduces: "§VI-B: checkpoint restart vs full rerun after a fault",
-        bench: Some("fault"), flags: &["--quick", "--floor"], run: fault_sweep::run },
-    Exhibit { name: "kernel_bench", reproduces: "host BLAS, generation and IR throughput",
-        bench: Some("kernels"), flags: &["--quick", "--threads", "--floor", "--trsm-floor", "--gen-floor"],
-        run: kernel_bench::run },
-    Exhibit { name: "scaling_sweep", reproduces: "event-backend strong and weak scaling to full extent",
-        bench: Some("scaling"), flags: &["--quick", "--best-of", "--floor"], run: scaling_sweep::run },
-    Exhibit { name: "service_bench", reproduces: "multi-solve service throughput",
-        bench: Some("service"), flags: &["--quick", "--floor"], run: service_bench::run },
-];
+/// Declares each exhibit's module and its registry entry, so an exhibit
+/// is named once: `name: "what it reproduces"`, and for a measuring
+/// harness `, bench "<BENCH_ stem>" [flags]`.
+macro_rules! exhibits {
+    ($($name:ident: $what:literal $(, bench $bench:literal [$($flag:literal)*])?;)*) => {
+        $(mod $name;)*
+
+        /// Every exhibit, in paper order, then the measuring harnesses.
+        pub const EXHIBITS: &[Exhibit] = &[$(Exhibit {
+            name: stringify!($name),
+            reproduces: $what,
+            flags: &[$($($flag),*)?],
+            bench: exhibits!(@bench $($bench)?),
+            run: $name::run,
+        }),*];
+    };
+    (@bench) => { None };
+    (@bench $bench:literal) => { Some($bench) };
+}
+
+exhibits! {
+    table1: "Table I: architecture specifications";
+    table2: "Table II: cross-platform BLAS mapping";
+    fig3: "Fig. 3: rocBLAS GEMM flop-rate heat map";
+    fig4: "Fig. 4: performance vs block size B at scale";
+    fig5: "Fig. 5: per-iteration kernel rates, V100";
+    fig6: "Fig. 6: per-iteration kernel rates, MI250X GCD";
+    fig7: "Fig. 7: GEMM rate vs LDA (the 122880 cliff)";
+    fig8: "Fig. 8: communication techniques x node-local grids";
+    fig9: "Fig. 9: memory-weak scaling and parallel efficiency";
+    fig10: "Fig. 10: per-iteration timing breakdown, Frontier 64 GCDs";
+    fig11: "Fig. 11: exascale achievement runs";
+    fig12: "Fig. 12: run-to-run variability (warm-up)";
+    hpl_vs_hplai: "§I: HPL-AI vs FP64 HPL (the 9.5x claim)";
+    strong_scaling: "§VI-A: strong scaling (chart omitted in paper)";
+    slow_node_scan: "§VI-B: slow-node identification";
+    energy: "§VIII: energy to solution, HPL-AI vs HPL";
+    precision_ablation: "§VIII: FP16 vs BF16 vs FP32 panels";
+    model_vs_sim: "§IV: Eqs. (1)-(5) vs the simulators";
+    lookahead_ablation: "§IV-B: look-ahead on vs off";
+    fault_sweep: "§VI-B: checkpoint restart vs full rerun after a fault",
+        bench "fault" ["--quick" "--floor"];
+    kernel_bench: "host BLAS, generation and IR throughput",
+        bench "kernels" ["--quick" "--threads" "--floor" "--trsm-floor" "--gen-floor"];
+    scaling_sweep: "event-backend strong and weak scaling to full extent",
+        bench "scaling" ["--quick" "--best-of" "--floor"];
+    service_bench: "multi-solve service throughput",
+        bench "service" ["--quick" "--floor"];
+}
 
 /// The exhibit named `name`.
 pub fn find(name: &str) -> Option<&'static Exhibit> {

@@ -54,66 +54,33 @@ use std::time::Instant;
 /// Scheduler-phase breakdown of one event-backend run, from
 /// [`mxp_msgsim::last_event_stats`]: where the host wall-clock went, so a
 /// throughput regression is attributable to fiber switching, delivery, or
-/// rank compute rather than a single opaque number. Serialized
-/// alongside each headline point.
-#[derive(Clone, Debug, Serialize)]
-pub struct SchedPhases {
-    /// Worker seconds inside rank fibers (rank compute + switches).
-    pub run_secs: f64,
-    /// Worker seconds draining cross-shard inboxes.
-    pub deliver_secs: f64,
-    /// Worker seconds parked idle.
-    pub idle_secs: f64,
-    /// Estimated context-switch seconds (calibrated cost × resumes).
-    pub switch_secs_est: f64,
-    /// Fiber resumes performed.
-    pub resumes: u64,
-    /// Same-shard envelope deliveries.
-    pub local_msgs: u64,
-    /// Cross-shard envelope deliveries.
-    pub cross_msgs: u64,
-    /// Fiber stacks recycled from the pool.
-    pub stacks_reused: u64,
-    /// Fiber stacks freshly allocated.
-    pub stacks_allocated: u64,
-    /// Fraction of worker time that was scheduling overhead.
-    pub sched_overhead: f64,
-}
+/// rank compute rather than a single opaque number. Serialized with each
+/// point as the stats' worker seconds, counters and `sched_overhead`.
+#[derive(Clone, Debug)]
+struct Phases(mxp_msgsim::EventStats);
 
-impl SchedPhases {
-    /// Captures the breakdown of one [`mxp_msgsim::EventStats`].
-    pub fn from_stats(s: &mxp_msgsim::EventStats) -> Self {
-        SchedPhases {
-            run_secs: s.run_secs,
-            deliver_secs: s.deliver_secs,
-            idle_secs: s.idle_secs,
-            switch_secs_est: s.switch_secs_est,
-            resumes: s.resumes,
-            local_msgs: s.local_msgs,
-            cross_msgs: s.cross_msgs,
-            stacks_reused: s.stacks_reused,
-            stacks_allocated: s.stacks_allocated,
-            sched_overhead: s.sched_overhead(),
+impl Serialize for Phases {
+    fn serialize_json(&self, out: &mut String) {
+        let s = &self.0;
+        let fields = [
+            ("run_secs", s.run_secs),
+            ("deliver_secs", s.deliver_secs),
+            ("idle_secs", s.idle_secs),
+            ("switch_secs_est", s.switch_secs_est),
+            ("resumes", s.resumes as f64),
+            ("local_msgs", s.local_msgs as f64),
+            ("cross_msgs", s.cross_msgs as f64),
+            ("stacks_reused", s.stacks_reused as f64),
+            ("stacks_allocated", s.stacks_allocated as f64),
+            ("sched_overhead", s.sched_overhead()),
+        ];
+        for (i, (key, value)) in fields.into_iter().enumerate() {
+            out.push_str(if i == 0 { "{\"" } else { ",\"" });
+            out.push_str(key);
+            out.push_str("\":");
+            value.serialize_json(out);
         }
-    }
-
-    /// One-line human rendering (the sweep's progress output).
-    pub fn describe(&self, shards: usize) -> String {
-        format!(
-            "{shards} shard(s); run {:.1}s, deliver {:.1}s, idle {:.1}s, switch est {:.1}s \
-             over {} resumes; {} local + {} cross msgs; stacks {} reused / {} new; \
-             sched overhead {:.1}%",
-            self.run_secs,
-            self.deliver_secs,
-            self.idle_secs,
-            self.switch_secs_est,
-            self.resumes,
-            self.local_msgs,
-            self.cross_msgs,
-            self.stacks_reused,
-            self.stacks_allocated,
-            100.0 * self.sched_overhead
-        )
+        out.push('}');
     }
 }
 
@@ -150,7 +117,7 @@ struct SweepPoint {
     /// sample); the shared-box noise the best-of mode exists to tame.
     wall_spread: f64,
     /// Per-phase scheduler breakdown.
-    phases: Option<SchedPhases>,
+    phases: Option<Phases>,
     /// Peak resident memory of the sweep process so far, MiB (`VmHWM`
     /// read after the point): monotone along the sweep, so a point that
     /// raises it is the one that needed the memory.
@@ -208,7 +175,22 @@ fn run_point(sys: &SystemSpec, grid: ProcessGrid, n: usize, b: usize, mode: &str
     let wall = started.elapsed().as_secs_f64();
     let stats = mxp_msgsim::last_event_stats();
     if let Some(s) = &stats {
-        eprintln!("  {}", SchedPhases::from_stats(s).describe(s.shards));
+        eprintln!(
+            "  {} shard(s); run {:.1}s, deliver {:.1}s, idle {:.1}s, switch est {:.1}s \
+             over {} resumes; {} local + {} cross msgs; stacks {} reused / {} new; \
+             sched overhead {:.1}%",
+            s.shards,
+            s.run_secs,
+            s.deliver_secs,
+            s.idle_secs,
+            s.switch_secs_est,
+            s.resumes,
+            s.local_msgs,
+            s.cross_msgs,
+            s.stacks_reused,
+            s.stacks_allocated,
+            100.0 * s.sched_overhead()
+        );
     }
     let peak_rss_mb = peak_rss_mb();
     eprintln!("  {wall:.1} s wall, process peak RSS {peak_rss_mb:.0} MiB");
@@ -231,7 +213,7 @@ fn run_point(sys: &SystemSpec, grid: ProcessGrid, n: usize, b: usize, mode: &str
         shards: stats.map_or(0, |s| s.shards),
         best_of: 1,
         wall_spread: 1.0,
-        phases: stats.as_ref().map(SchedPhases::from_stats),
+        phases: stats.map(Phases),
         peak_rss_mb,
     };
     let label = format!("{} {mode} {ranks}", sys.name);

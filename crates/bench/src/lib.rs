@@ -21,7 +21,7 @@
 mod args;
 mod exhibits;
 
-pub use args::{ArgError, Args, FLAGS};
+pub use args::{ArgError, Args};
 pub use exhibits::{find, Exhibit, EXHIBITS};
 
 use hplai_core::{PerfReport, RunOutcome, RunProvenance};
@@ -226,7 +226,7 @@ pub fn write_bench(name: &str, exhibit: &str, quick: bool, report: &dyn Serializ
 
 /// The workspace root: the first ancestor of the current directory whose
 /// `Cargo.toml` has a `[workspace]` table (the current directory if none).
-pub fn repo_root() -> PathBuf {
+fn repo_root() -> PathBuf {
     let cwd = std::env::current_dir().expect("cwd");
     cwd.ancestors()
         .find(|dir| {
@@ -237,7 +237,7 @@ pub fn repo_root() -> PathBuf {
 }
 
 /// The `results/` directory under [`repo_root`], created on demand.
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let r = repo_root().join("results");
     fs::create_dir_all(&r).expect("create results dir");
     r
