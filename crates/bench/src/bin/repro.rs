@@ -2,7 +2,8 @@
 //! it, and writes its files. With no exhibit it lists the registry.
 //!
 //! Exit codes: 0 on success, 1 when a floor gate fails (after every file
-//! is written), 2 on a command-line error.
+//! is written), 2 on a command-line error (and when a full `kernel_bench`
+//! run would load its GEMM blocking from a cached tuning file).
 
 use mxp_bench::{emit_perf_reports, find, write_bench, write_result, Args, EXHIBITS};
 use std::process::exit;

@@ -22,11 +22,16 @@
 //! `trsm_r_up_f32`; guards the vectorised TRSM base cases), and
 //! `--gen-floor G` for single-thread `gen_fill_f64` in Gelem/s (guards
 //! the vectorized lane fill).
+//!
+//! A full run records blocking parameters swept in the process: when they
+//! would be loaded from a cached tuning file instead, it exits 2 before
+//! measuring anything and asks for a rerun with `HPLAI_TUNE_FILE=none`.
+//! `--quick` runs take whatever the tuner resolves.
 
 use crate::{Args, Output, Table};
 use mxp_blas::{
     cast_f32_to_low, gemm, gemm_mixed, getrf_nopiv, kernel_info_f32, kernel_info_f64,
-    trans_cast_f32_to_low, trsm, Diag, LowPrec, Real, Side, Trans, Uplo,
+    trans_cast_f32_to_low, trsm, Diag, LowPrec, Real, Side, TuneSource, Trans, Uplo,
 };
 use mxp_precision::{B16, F16};
 use serde::Serialize;
@@ -449,8 +454,29 @@ fn bench_hplai(n: usize, b: usize) -> f64 {
     best
 }
 
+/// Exits 2 when the GEMM blocking comes from a cached tuning file: the
+/// root `BENCH_kernels.json` must not depend on the machine's cache.
+fn refuse_cached_tuning() {
+    for info in [kernel_info_f32(), kernel_info_f64()] {
+        if info.source == TuneSource::File {
+            let file = info.tune_file.unwrap_or_default();
+            eprintln!(
+                "repro kernel_bench: the {} blocking was loaded from the tuning file {}, \
+                 so a full run would not record swept parameters; \
+                 rerun with HPLAI_TUNE_FILE=none",
+                info.kernel,
+                file.display()
+            );
+            std::process::exit(2);
+        }
+    }
+}
+
 pub fn run(args: &Args) -> Output {
     let quick = args.quick;
+    if !quick {
+        refuse_cached_tuning();
+    }
     let requested = args.threads.clone().unwrap_or_else(|| vec![1, 2, 4]);
     // More workers than cores only measures oversubscription, so each
     // requested count is capped at the host's parallelism (duplicates

@@ -15,6 +15,10 @@
 //! [`FaultPlan::parse_spec`] for the grammar), and `--supervise` runs the
 //! job under the [`Supervisor`]'s abort/scan/exclude/rerun loop, printing
 //! the typed event log as JSON Lines.
+//!
+//! Exit codes: 0 on success; 1 when a functional solve does not converge
+//! or a supervised run does not recover; 2 on a usage or configuration
+//! error.
 
 use hplai_core::critical::{critical_time, CriticalConfig};
 use hplai_core::fault::FaultPlan;
@@ -169,8 +173,9 @@ fn grid_of(a: &Args, sys: &SystemSpec) -> ProcessGrid {
 
 /// Runs `cfg` under the supervisor's abort/scan/exclude/rerun loop,
 /// printing the JSONL event log and a recovery summary against the
-/// fault-free baseline, and returns the final attempt's outcome.
-fn supervised_run(cfg: &RunConfig) -> RunOutcome {
+/// fault-free baseline, and returns the final attempt's outcome and
+/// whether the run recovered.
+fn supervised_run(cfg: &RunConfig) -> (RunOutcome, bool) {
     let sup = Supervisor::with_rerun(1.15, 2);
     let supervised = sup.supervise(cfg);
     print!("{}", trace::event_log_jsonl(&supervised.events));
@@ -200,7 +205,7 @@ fn supervised_run(cfg: &RunConfig) -> RunOutcome {
             100.0 * ratio
         );
     }
-    supervised.outcome
+    (supervised.outcome, supervised.recovered)
 }
 
 fn main() {
@@ -264,10 +269,10 @@ fn main() {
                     eprintln!("invalid configuration: {e}");
                     exit(2)
                 });
-            let out = if a.supervise {
+            let (out, recovered) = if a.supervise {
                 supervised_run(&cfg)
             } else {
-                run(&cfg)
+                (run(&cfg), true)
             };
             if let Some(path) = &a.trace_path {
                 let json = trace::chrome_trace(out.records_rank0(), 0);
@@ -281,15 +286,7 @@ fn main() {
                         println!("{line}");
                     }
                 }
-                let (alerts, terminate) = ProgressMonitor::analyze(
-                    out.records_rank0(),
-                    &sys.gcd,
-                    &grid,
-                    n,
-                    a.b,
-                    grid.coord_of(0),
-                    a.lookahead,
-                );
+                let (alerts, terminate) = ProgressMonitor::analyze(out.records_rank0());
                 if !alerts.is_empty() {
                     println!("progress alerts: {alerts:?} (terminate: {terminate})");
                 }
@@ -317,6 +314,9 @@ fn main() {
                 if !out.converged {
                     exit(1);
                 }
+            }
+            if !recovered {
+                exit(1);
             }
         }
         other => {

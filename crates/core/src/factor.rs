@@ -20,13 +20,17 @@
 //!    broadcast panels overlap the bulk compute.
 //!
 //! The stepper owns the cursor, the trailing extents, the broadcasts and
-//! the look-ahead posture, the per-iteration records, the snapshot section
-//! and resume. The policy owns what differs: the panel, the strip solves,
-//! the storage element, the GEMM kernel, their clock charges, and what
+//! the look-ahead posture, the per-iteration records, the GEMM windows'
+//! clock charges, the snapshot section and resume. The policy owns what
+//! differs: the panel and the strip solves with their clock charges, the
+//! storage element, the GEMM kernel with its device-model time, and what
 //! [`Policy::finish`] returns (HPL-MxP's factors for refinement, HPL's
-//! solution). HPL-MxP runs functionally (real panels) and in timing mode
-//! (virtual payloads); kernel times always come from the device model, so
-//! functional runs produce the same simulated clocks the timing runs do.
+//! solution). Every GETRF and GEMM charge records its model seconds at
+//! nominal speed beside the charged seconds, the progress monitor's
+//! reference ([`crate::progress`]). HPL-MxP runs functionally (real
+//! panels) and in timing mode (virtual payloads); kernel times always come
+//! from the device model, so functional runs produce the same simulated
+//! clocks the timing runs do.
 
 use crate::cache::MatrixKey;
 use crate::checkpoint::{self, ByteReader, Snapshot, SnapshotError, DRIVER_FACTOR};
@@ -58,12 +62,18 @@ pub struct IterRecord {
     pub k: usize,
     /// Simulated seconds in GETRF.
     pub getrf: f64,
+    /// Device-model seconds of the GETRF work charged to `getrf`: what it
+    /// costs on a GCD at nominal speed (the progress monitor's reference).
+    pub getrf_model: f64,
     /// Simulated seconds in the two panel TRSMs.
     pub trsm: f64,
     /// Simulated seconds in CAST / TRANS_CAST.
     pub cast: f64,
     /// Simulated seconds in trailing GEMM (strips + remainder).
     pub gemm: f64,
+    /// Device-model seconds of the GEMM windows charged to `gemm`, at
+    /// nominal speed.
+    pub gemm_model: f64,
     /// Simulated seconds busy in panel broadcasts (injection and
     /// forwarding overheads; excludes idle time, which lands in `wait`).
     pub bcast: f64,
@@ -73,6 +83,16 @@ pub struct IterRecord {
     /// broadcast post and its join — the overlap the look-ahead pipeline
     /// actually earned (not additional busy time; never part of totals).
     pub hidden: f64,
+}
+
+impl IterRecord {
+    /// Charges `t` device-model seconds of GETRF work at device speed `sp`.
+    pub(crate) fn charge_getrf(&mut self, ctx: &mut RankCtx, t: f64, sp: f64) {
+        let dt = t / sp;
+        ctx.charge(dt);
+        self.getrf += dt;
+        self.getrf_model += t;
+    }
 }
 
 /// Receives each [`IterRecord`] a rank closes, in iteration order, once
@@ -129,9 +149,9 @@ pub trait Policy: sealed::Sealed + Sized {
         rec: &mut IterRecord,
     ) -> [Option<PanelData>; 2];
 
-    /// Applies `C -= L·U` over the non-empty window `w`, charges the
-    /// device time, and returns it.
-    fn gemm(&self, ctx: &mut RankCtx, core: &mut Core<'_, Self::Elem>, sp: f64, w: &Window) -> f64;
+    /// Applies `C -= L·U` over the non-empty window `w` and returns its
+    /// device-model seconds at nominal speed.
+    fn gemm(&self, core: &mut Core<'_, Self::Elem>, w: &Window) -> f64;
 
     /// Completes the run once the last panel is joined and its record
     /// closed: HPL-MxP copies its factors back for refinement, HPL solves.
@@ -244,19 +264,19 @@ impl Panels {
     }
 
     /// Applies the panels to the `m × n` window at local `(lr, lc)` inside
-    /// the trailing region they cover, and returns the charged GEMM time
-    /// (nothing for an empty window).
+    /// the trailing region they cover, charging its time at device speed
+    /// `sp` to `rec` (nothing for an empty window).
     fn apply<P: Policy>(
         &self,
         ctx: &mut RankCtx,
         policy: &P,
         core: &mut Core<'_, P::Elem>,
         sp: f64,
-        (lr, lc): (usize, usize),
-        (m, n): (usize, usize),
-    ) -> f64 {
+        ((lr, lc), (m, n)): ((usize, usize), (usize, usize)),
+        rec: &mut IterRecord,
+    ) {
         if m == 0 || n == 0 {
-            return 0.0;
+            return;
         }
         let (lr0, lc0) = core.trailing(self.k);
         let w = Window {
@@ -271,7 +291,11 @@ impl Panels {
             u_off: lc - lc0,
             u_ext: self.n_loc,
         };
-        policy.gemm(ctx, core, sp, &w)
+        let t = policy.gemm(core, &w);
+        let dt = t / sp;
+        ctx.charge(dt);
+        rec.gemm += dt;
+        rec.gemm_model += t;
     }
 }
 
@@ -580,12 +604,12 @@ impl<'a, P: Policy> Factorization<'a, P> {
             if at.in_row && p.n_loc > 0 {
                 // Row strip: the B rows of block k × all trailing columns.
                 let rows = (b.min(p.m_loc), p.n_loc);
-                rec.gemm += p.apply(ctx, policy, core, at.sp, at_prev, rows);
+                p.apply(ctx, policy, core, at.sp, (at_prev, rows), &mut rec);
             }
             if at.in_col && at.m_loc > 0 {
                 // Column strip: trailing rows below block k × its B cols.
                 let cols = (at.m_loc, b.min(p.n_loc));
-                rec.gemm += p.apply(ctx, policy, core, at.sp, (lr, at_prev.1), cols);
+                p.apply(ctx, policy, core, at.sp, ((lr, at_prev.1), cols), &mut rec);
             }
         }
 
@@ -612,12 +636,12 @@ impl<'a, P: Policy> Factorization<'a, P> {
             // after block k in both dimensions), then stash this
             // iteration's panels for the next strips.
             if let Some(p) = prev.take() {
-                rec.gemm += p.apply(ctx, policy, core, at.sp, whole.0, whole.1);
+                p.apply(ctx, policy, core, at.sp, whole, &mut rec);
             }
             *prev = Some(next);
         } else {
             // Immediate full trailing update with this iteration's panels.
-            rec.gemm += next.apply(ctx, policy, core, at.sp, whole.0, whole.1);
+            next.apply(ctx, policy, core, at.sp, whole, &mut rec);
         }
 
         rec.wait = ctx.wait_total() - wait_at_start;
@@ -636,12 +660,13 @@ impl<'a, P: Policy> Factorization<'a, P> {
             return;
         };
         debug_assert!(p.k + 1 == core.k);
-        p.resolve(ctx, core.last.as_mut());
-        let (sp, region) = (core.speed.at(core.k), core.trailing(p.k));
-        let dt = p.apply(ctx, policy, core, sp, region, (p.m_loc, p.n_loc));
-        if let Some(r) = core.last.as_mut() {
-            r.gemm += dt;
-        }
+        // The drain amends the (still open) record of the stashing step.
+        let mut rec = core.last.take().expect("open record");
+        p.resolve(ctx, Some(&mut rec));
+        let sp = core.speed.at(core.k);
+        let whole = (core.trailing(p.k), (p.m_loc, p.n_loc));
+        p.apply(ctx, policy, core, sp, whole, &mut rec);
+        core.last = Some(rec);
     }
 
     /// Appends this rank's snapshot section; only after `drain`.
@@ -764,9 +789,7 @@ impl Policy for Mxp {
                     .expect("diagonally dominant block must factor");
                 diag = Some(PanelData::F32(loc.pack(lr, b, lc, b)));
             }
-            let dt = dev.getrf_time(b) / sp;
-            ctx.charge(dt);
-            rec.getrf += dt;
+            rec.charge_getrf(ctx, dev.getrf_time(b), sp);
         }
         let diag_bytes = 4 * (b * b) as u64;
         for (on, scope, root) in [
@@ -831,7 +854,7 @@ impl Policy for Mxp {
 
     /// `C -= L16 · U16ᵀ` with the cast panels (`U` travels transposed, so
     /// its offset and extent count rows of `Uᵀ`).
-    fn gemm(&self, ctx: &mut RankCtx, core: &mut Core<'_, f32>, sp: f64, w: &Window) -> f64 {
+    fn gemm(&self, core: &mut Core<'_, f32>, w: &Window) -> f64 {
         let b = core.b;
         if let Some(loc) = core.local.as_mut() {
             let (off, ldc) = (loc.idx(w.lr, w.lc), loc.lda());
@@ -843,10 +866,7 @@ impl Policy for Mxp {
         // The device-model LDA is the stored leading dimension of the local
         // matrix (fixed at N_Lr for the whole run — the Fig. 7 effect).
         let dev = &core.sys.gcd;
-        let dt =
-            dev.gemm_mixed_time(w.m, w.n, b, core.n_loc_r) * prec_time_factor(dev, self.prec) / sp;
-        ctx.charge(dt);
-        dt
+        dev.gemm_mixed_time(w.m, w.n, b, core.n_loc_r) * prec_time_factor(dev, self.prec)
     }
 
     fn finish(self, ctx: &mut RankCtx, core: Core<'_, f32>) -> FactorOutput {

@@ -215,9 +215,7 @@ impl Policy for Hpl {
                         best_row = g_row;
                     }
                 }
-                let dt = 8.0 * rows_per_rank / dev.mem_bw / sp;
-                ctx.charge(dt);
-                rec.getrf += dt;
+                rec.charge_getrf(ctx, 8.0 * rows_per_rank / dev.mem_bw, sp);
                 // Distributed IAMAX: the allreduce keeps the largest
                 // magnitude (smallest global row on ties, matching serial
                 // IAMAX).
@@ -248,9 +246,8 @@ impl Policy for Hpl {
                         local.data[off] -= l * seg[c - j];
                     }
                 }
-                let dt = 2.0 * (b - j) as f64 * rows_per_rank / (dev.fp64_peak * 0.15) / sp;
-                ctx.charge(dt);
-                rec.getrf += dt;
+                let t = 2.0 * (b - j) as f64 * rows_per_rank / (dev.fp64_peak * 0.15);
+                rec.charge_getrf(ctx, t, sp);
             }
         }
         // Everyone learns this panel's pivots (row-scope broadcast from the
@@ -314,7 +311,7 @@ impl Policy for Hpl {
 
     /// The FP64 trailing GEMM: `U12` is `B × extent`, so its offset counts
     /// columns.
-    fn gemm(&self, ctx: &mut RankCtx, core: &mut Core<'_, f64>, sp: f64, w: &Window) -> f64 {
+    fn gemm(&self, core: &mut Core<'_, f64>, w: &Window) -> f64 {
         let (PanelData::F64(l), PanelData::F64(u)) = (w.l, w.u) else {
             panic!("HPL panels are FP64");
         };
@@ -339,9 +336,7 @@ impl Policy for Hpl {
             lda,
         );
         let flops = 2.0 * (w.m * w.n * b) as f64;
-        let dt = flops / crate::hpl::dgemm_rate(&core.sys.gcd, b) / sp;
-        ctx.charge(dt);
-        dt
+        flops / crate::hpl::dgemm_rate(&core.sys.gcd, b)
     }
 
     fn finish(self, ctx: &mut RankCtx, core: Core<'_, f64>) -> HplDistOutcome {

@@ -3,18 +3,16 @@
 //! "Large runs at full scale are always at the peril of process and node
 //! failures … It is therefore prudent to have built-in mechanisms to track
 //! and report the calculation's progress, and be able to terminate abnormal
-//! runs." The monitor compares each iteration's measured kernel times
-//! against the device model's expectation (the paper compares against the
-//! Fig. 5/6 reference curves) and raises an alert when GETRF or the
-//! trailing GEMM runs more than [`ProgressMonitor::SLOWDOWN_THRESHOLD`]
-//! times slower than expected. The check looks at one record at a time:
-//! the supervisor runs it on every rank as each record closes, and
+//! runs." The monitor compares each iteration's charged kernel seconds
+//! with the device-model seconds the stepper recorded beside them when it
+//! charged the same work (the paper compares against the Fig. 5/6
+//! reference curves), and raises an alert when GETRF or the trailing GEMM
+//! runs more than [`ProgressMonitor::SLOWDOWN_THRESHOLD`] times slower
+//! than its model. [`ProgressMonitor::check`] looks at one record at a
+//! time: the supervisor runs it on every rank as each record closes, and
 //! [`ProgressMonitor::analyze`] folds it over a finished series.
 
 use crate::factor::IterRecord;
-use crate::grid::ProcessGrid;
-use crate::local::count_owned;
-use mxp_gpusim::GcdModel;
 
 /// A detected anomaly in the run's progress.
 #[derive(Clone, Debug, PartialEq)]
@@ -42,29 +40,27 @@ impl ProgressMonitor {
     /// "quickly terminate runs that incur a significant slowdown" policy).
     pub const MAX_ALERTS: usize = 5;
 
-    /// Checks a rank's finished series against the model expectation and
-    /// returns its alerts plus whether the run should be terminated.
-    pub fn analyze(
-        records: &[IterRecord],
-        dev: &GcdModel,
-        grid: &ProcessGrid,
-        n: usize,
-        b: usize,
-        owner_coord: (usize, usize),
-        lookahead: bool,
-    ) -> (Vec<Alert>, bool) {
-        let expect = Expectation {
-            dev,
-            grid: *grid,
-            n,
-            b,
-            owner_coord,
-            lookahead,
-        };
-        let mut alerts = Vec::new();
-        for rec in records {
-            expect.check(rec, &mut alerts);
-        }
+    /// `rec`'s alerts: GETRF's, then the trailing GEMM's. A component
+    /// the record charged no model work to raises none.
+    pub fn check(rec: &IterRecord) -> impl Iterator<Item = Alert> {
+        let k = rec.k;
+        [
+            ("getrf", rec.getrf, rec.getrf_model),
+            ("gemm", rec.gemm, rec.gemm_model),
+        ]
+        .into_iter()
+        .filter(|&(_, measured, model)| model > 0.0 && measured > Self::SLOWDOWN_THRESHOLD * model)
+        .map(move |(component, measured, model)| Alert {
+            k,
+            component,
+            slowdown: measured / model,
+        })
+    }
+
+    /// Checks a rank's finished series and returns its alerts plus
+    /// whether the run should be terminated.
+    pub fn analyze(records: &[IterRecord]) -> (Vec<Alert>, bool) {
+        let alerts: Vec<Alert> = records.iter().flat_map(Self::check).collect();
         let terminate = alerts.len() >= Self::MAX_ALERTS;
         (alerts, terminate)
     }
@@ -91,125 +87,51 @@ impl ProgressMonitor {
     }
 }
 
-/// What the device model expects of one rank's records: the per-record
-/// check behind both [`ProgressMonitor::analyze`] and the supervisor.
-pub(crate) struct Expectation<'a> {
-    pub(crate) dev: &'a GcdModel,
-    pub(crate) grid: ProcessGrid,
-    pub(crate) n: usize,
-    pub(crate) b: usize,
-    /// The rank's grid coordinates.
-    pub(crate) owner_coord: (usize, usize),
-    pub(crate) lookahead: bool,
-}
-
-impl Expectation<'_> {
-    /// Appends `rec`'s alerts: the GETRF check's, then the GEMM check's.
-    pub(crate) fn check(&self, rec: &IterRecord, alerts: &mut Vec<Alert>) {
-        let (dev, grid, b) = (self.dev, &self.grid, self.b);
-        let n_b = self.n / b;
-        let n_l = self.n / grid.p_r;
-        let (my_r, my_c) = self.owner_coord;
-        let total_r = count_owned(n_b, my_r, grid.p_r);
-        let total_c = count_owned(n_b, my_c, grid.p_c);
-        let k = rec.k;
-        let (kr, kc) = grid.owner_of_block(k, k);
-
-        if (kr, kc) == self.owner_coord && rec.getrf > 0.0 {
-            push_if_slow(alerts, k, "getrf", rec.getrf, dev.getrf_time(b));
-        }
-
-        // Expected GEMM time mirrors the driver's decomposition. With
-        // look-ahead, iteration k applies the previous panels as two
-        // strips plus a remainder; thin strips run at lower model rates,
-        // so a monolithic estimate would raise false alerts.
-        let m_cur = (total_r - count_owned(k + 1, my_r, grid.p_r)) * b;
-        let n_cur = (total_c - count_owned(k + 1, my_c, grid.p_c)) * b;
-        let expect = if self.lookahead {
-            if k == 0 {
-                0.0 // iteration 0 does no trailing update
-            } else {
-                let m_prev = (total_r - count_owned(k, my_r, grid.p_r)) * b;
-                let n_prev = (total_c - count_owned(k, my_c, grid.p_c)) * b;
-                let mut e = 0.0;
-                if my_r == kr && n_prev > 0 {
-                    e += dev.gemm_mixed_time(b.min(m_prev), n_prev, b, n_l);
-                }
-                if my_c == kc && m_cur > 0 && n_prev > 0 {
-                    e += dev.gemm_mixed_time(m_cur, b.min(n_prev), b, n_l);
-                }
-                if m_cur > 0 && n_cur > 0 {
-                    e += dev.gemm_mixed_time(m_cur, n_cur, b, n_l);
-                }
-                e
-            }
-        } else if m_cur > 0 && n_cur > 0 {
-            dev.gemm_mixed_time(m_cur, n_cur, b, n_l)
-        } else {
-            0.0
-        };
-        if rec.gemm > 0.0 && expect > 0.0 {
-            push_if_slow(alerts, k, "gemm", rec.gemm, expect);
-        }
-    }
-}
-
-fn push_if_slow(
-    alerts: &mut Vec<Alert>,
-    k: usize,
-    component: &'static str,
-    measured: f64,
-    expected: f64,
-) {
-    if expected > 0.0 && measured > ProgressMonitor::SLOWDOWN_THRESHOLD * expected {
-        alerts.push(Alert {
-            k,
-            component,
-            slowdown: measured / expected,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factor::IterRecord;
+    use crate::grid::ProcessGrid;
     use mxp_gpusim::GcdModel;
 
+    /// Rank (0, 0)'s records of a nominal-speed run without look-ahead:
+    /// every charge equals its model seconds.
     fn healthy_records(dev: &GcdModel, grid: &ProcessGrid, n: usize, b: usize) -> Vec<IterRecord> {
         let n_b = n / b;
         let n_l = n / grid.p_r;
         (0..n_b)
             .map(|k| {
-                let blocks_left_r = (n_b - k - 1).div_ceil(grid.p_r);
-                let blocks_left_c = (n_b - k - 1).div_ceil(grid.p_c);
-                let m = blocks_left_r * b;
-                let nn = blocks_left_c * b;
+                let m = (n_b - k - 1).div_ceil(grid.p_r) * b;
+                let nn = (n_b - k - 1).div_ceil(grid.p_c) * b;
+                let getrf = if grid.owner_of_block(k, k) == (0, 0) {
+                    dev.getrf_time(b)
+                } else {
+                    0.0
+                };
+                let gemm = if m > 0 && nn > 0 {
+                    dev.gemm_mixed_time(m, nn, b, n_l)
+                } else {
+                    0.0
+                };
                 IterRecord {
                     k,
-                    getrf: if grid.owner_of_block(k, k) == (0, 0) {
-                        dev.getrf_time(b)
-                    } else {
-                        0.0
-                    },
-                    gemm: if m > 0 && nn > 0 {
-                        dev.gemm_mixed_time(m, nn, b, n_l)
-                    } else {
-                        0.0
-                    },
+                    getrf,
+                    getrf_model: getrf,
+                    gemm,
+                    gemm_model: gemm,
                     ..Default::default()
                 }
             })
             .collect()
     }
 
+    fn records() -> Vec<IterRecord> {
+        let grid = ProcessGrid::col_major(2, 2, 4);
+        healthy_records(&GcdModel::mi250x_gcd(), &grid, 4096, 256)
+    }
+
     #[test]
     fn healthy_run_raises_no_alerts() {
-        let dev = GcdModel::mi250x_gcd();
-        let grid = ProcessGrid::col_major(2, 2, 4);
-        let recs = healthy_records(&dev, &grid, 4096, 256);
-        let (alerts, terminate) =
-            ProgressMonitor::analyze(&recs, &dev, &grid, 4096, 256, (0, 0), false);
+        let (alerts, terminate) = ProgressMonitor::analyze(&records());
         assert!(alerts.is_empty(), "{alerts:?}");
         assert!(!terminate);
     }
@@ -219,14 +141,11 @@ mod tests {
         // §VI-B: "We observed several fabric hangs during this Frontier run
         // which could have been shutdown by our early termination
         // mechanism."
-        let dev = GcdModel::mi250x_gcd();
-        let grid = ProcessGrid::col_major(2, 2, 4);
-        let mut recs = healthy_records(&dev, &grid, 4096, 256);
+        let mut recs = records();
         for rec in recs.iter_mut().take(8) {
             rec.gemm *= 50.0; // pathological slowdown
         }
-        let (alerts, terminate) =
-            ProgressMonitor::analyze(&recs, &dev, &grid, 4096, 256, (0, 0), false);
+        let (alerts, terminate) = ProgressMonitor::analyze(&recs);
         assert!(alerts.len() >= 5);
         assert!(terminate);
         assert!(alerts[0].slowdown > 10.0);
@@ -234,14 +153,37 @@ mod tests {
 
     #[test]
     fn mild_jitter_is_tolerated() {
-        let dev = GcdModel::mi250x_gcd();
-        let grid = ProcessGrid::col_major(2, 2, 4);
-        let mut recs = healthy_records(&dev, &grid, 4096, 256);
+        let mut recs = records();
         for rec in recs.iter_mut() {
             rec.gemm *= 1.3; // 30% off nominal: not alert-worthy
         }
-        let (alerts, _) = ProgressMonitor::analyze(&recs, &dev, &grid, 4096, 256, (0, 0), false);
+        let (alerts, _) = ProgressMonitor::analyze(&recs);
         assert!(alerts.is_empty());
+    }
+
+    #[test]
+    fn getrf_alerts_before_gemm_and_unmodeled_work_never_alerts() {
+        let rec = IterRecord {
+            k: 3,
+            getrf: 3.0,
+            getrf_model: 1.0,
+            gemm: 5.0,
+            gemm_model: 2.0,
+            // Charged seconds with no model work behind them.
+            trsm: 9.0,
+            ..Default::default()
+        };
+        let alerts: Vec<Alert> = ProgressMonitor::check(&rec).collect();
+        let got: Vec<_> = alerts
+            .iter()
+            .map(|a| (a.k, a.component, a.slowdown))
+            .collect();
+        assert_eq!(got, [(3, "getrf", 3.0), (3, "gemm", 2.5)]);
+        let unmodeled = IterRecord {
+            gemm: 1.0,
+            ..Default::default()
+        };
+        assert_eq!(ProgressMonitor::check(&unmodeled).count(), 0);
     }
 
     #[test]

@@ -36,6 +36,7 @@
 //! [`PerfReport`].
 
 use crate::cache::{CacheStats, MatrixCache};
+use crate::checkpoint::fnv1a;
 use crate::report::PerfReport;
 use crate::runtime::Backend;
 use crate::solve::{ConfigError, RunConfig};
@@ -124,48 +125,39 @@ impl JobRecord {
     /// rayon pool width, backend host or cache state — the
     /// concurrency-determinism test is built on this.
     pub fn signature(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let fnv = |h: &mut u64, bytes: &[u8]| {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        fnv(
-            &mut h,
-            tagged_event_log_jsonl(self.id, &self.outcome.events).as_bytes(),
-        );
+        let mut buf = tagged_event_log_jsonl(self.id, &self.outcome.events).into_bytes();
+        let mut put = |bytes: &[u8]| buf.extend_from_slice(bytes);
         let out = &self.outcome.outcome;
         if let Some(x) = &out.solution {
-            fnv(&mut h, &x.len().to_le_bytes());
+            put(&x.len().to_le_bytes());
             for v in x {
-                fnv(&mut h, &v.to_bits().to_le_bytes());
+                put(&v.to_bits().to_le_bytes());
             }
         }
         for r in out.records_rank0() {
-            fnv(&mut h, &r.k.to_le_bytes());
+            put(&r.k.to_le_bytes());
             for v in [r.getrf, r.trsm, r.cast, r.gemm, r.bcast, r.wait, r.hidden] {
-                fnv(&mut h, &v.to_bits().to_le_bytes());
+                put(&v.to_bits().to_le_bytes());
             }
         }
         for t in &out.totals {
             for v in [t.getrf, t.trsm, t.cast, t.gemm, t.bcast, t.wait, t.hidden] {
-                fnv(&mut h, &v.to_bits().to_le_bytes());
+                put(&v.to_bits().to_le_bytes());
             }
         }
         let perf = serde_json::to_string(&out.perf).expect("perf serializes infallibly");
-        fnv(&mut h, perf.as_bytes());
+        put(perf.as_bytes());
         if let Some(r) = out.scaled_residual {
-            fnv(&mut h, &r.to_bits().to_le_bytes());
+            put(&r.to_bits().to_le_bytes());
         }
-        fnv(&mut h, &out.ir_iters.to_le_bytes());
-        fnv(&mut h, &[out.converged as u8, self.outcome.recovered as u8]);
-        fnv(&mut h, &self.outcome.attempts.to_le_bytes());
-        fnv(&mut h, &self.outcome.total_cost.to_bits().to_le_bytes());
+        put(&out.ir_iters.to_le_bytes());
+        put(&[out.converged as u8, self.outcome.recovered as u8]);
+        put(&self.outcome.attempts.to_le_bytes());
+        put(&self.outcome.total_cost.to_bits().to_le_bytes());
         if let Some(k) = self.outcome.detection_iter {
-            fnv(&mut h, &k.to_le_bytes());
+            put(&k.to_le_bytes());
         }
-        h
+        fnv1a(&buf)
     }
 }
 

@@ -6,8 +6,8 @@
 //! slow nodes, and resubmitting with offenders excluded. [`Supervisor`]
 //! automates that loop over the simulated benchmark:
 //!
-//! 1. execute the run, checking each record against the
-//!    [`ProgressMonitor`]'s model expectation on every rank as it closes;
+//! 1. execute the run, checking each record with the [`ProgressMonitor`]
+//!    on every rank as it closes;
 //! 2. convert anomalies into typed [`RunEvent`]s (serializable to a JSONL
 //!    event log via [`crate::trace::event_log_jsonl`]);
 //! 3. apply the configured [`RecoveryPolicy`]: report only, or abort,
@@ -20,12 +20,12 @@
 //! cut is the [`ProgressMonitor::MAX_ALERTS`]-th alert over all ranks,
 //! known only once every rank has finished, so each rank keeps its
 //! accounted cost after every record (8 bytes per iteration) rather than
-//! its series (64).
+//! its series (80).
 
 use crate::checkpoint::{latest_in, Snapshot, SnapshotError};
 use crate::factor::{regrid_snapshot, IterRecord, RecordObserver};
 use crate::grid::ProcessGrid;
-use crate::progress::{Alert, Expectation, ProgressMonitor};
+use crate::progress::{Alert, ProgressMonitor};
 use crate::report::PerfReport;
 use crate::scan::scan_fleet;
 use crate::solve::{run_observed, RunConfig, RunOutcome};
@@ -272,8 +272,7 @@ pub struct Supervisor {
 }
 
 /// One rank's supervision, fed each record as it closes.
-struct Watch<'a> {
-    expect: Expectation<'a>,
+struct Watch {
     /// The monitor's alerts, in record order.
     alerts: Vec<Alert>,
     /// Iteration of the first record.
@@ -284,8 +283,8 @@ struct Watch<'a> {
     series: Option<Vec<IterRecord>>,
 }
 
-impl<'a> Watch<'a> {
-    fn new(cfg: &'a RunConfig, rank: usize) -> Self {
+impl Watch {
+    fn new(cfg: &RunConfig, rank: usize) -> Self {
         // A resumed attempt's records start at its snapshot's cursor.
         let first_k = cfg
             .restart
@@ -293,14 +292,6 @@ impl<'a> Watch<'a> {
             .map_or(0, |snap| snap.header.k as usize);
         let records = cfg.n / cfg.b - first_k;
         Watch {
-            expect: Expectation {
-                dev: &cfg.sys.gcd,
-                grid: cfg.grid,
-                n: cfg.n,
-                b: cfg.b,
-                owner_coord: cfg.grid.coord_of(rank),
-                lookahead: cfg.lookahead,
-            },
             alerts: Vec::new(),
             first_k,
             cost: Vec::with_capacity(records),
@@ -315,10 +306,10 @@ impl<'a> Watch<'a> {
     }
 }
 
-impl RecordObserver for Watch<'_> {
+impl RecordObserver for Watch {
     fn observe(&mut self, rec: &IterRecord) {
         debug_assert_eq!(rec.k, self.first_k + self.cost.len());
-        self.expect.check(rec, &mut self.alerts);
+        self.alerts.extend(ProgressMonitor::check(rec));
         // The left fold from `-0.0`, `f64::sum`'s seed: each entry is
         // bitwise the `sum()` of its prefix.
         let before = self.cost.last().copied().unwrap_or(-0.0);
@@ -804,9 +795,9 @@ mod tests {
     }
 
     /// A watch and a `Vec` observer fed the same records.
-    struct Both<'a>(Watch<'a>, Vec<IterRecord>);
+    struct Both(Watch, Vec<IterRecord>);
 
-    impl RecordObserver for Both<'_> {
+    impl RecordObserver for Both {
         fn observe(&mut self, rec: &IterRecord) {
             self.0.observe(rec);
             self.1.observe(rec);
@@ -822,16 +813,7 @@ mod tests {
         let mut alerts = 0;
         for (rank, both) in observers.into_iter().enumerate() {
             let Both(watch, series) = both.expect("every rank is observed");
-            let coord = cfg.grid.coord_of(rank);
-            let (batch, _) = ProgressMonitor::analyze(
-                &series,
-                &cfg.sys.gcd,
-                &cfg.grid,
-                cfg.n,
-                cfg.b,
-                coord,
-                cfg.lookahead,
-            );
+            let (batch, _) = ProgressMonitor::analyze(&series);
             assert_eq!(watch.alerts, batch, "rank {rank}: alerts");
             assert_eq!(watch.series.as_ref(), (rank == 0).then_some(&series));
             for rec in &series {

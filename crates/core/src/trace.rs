@@ -253,6 +253,7 @@ mod tests {
                 wait: 0.003,
                 bcast: 0.001,
                 hidden: 0.002,
+                ..Default::default()
             },
         ]
     }

@@ -29,15 +29,7 @@ fn main() {
         }
     }
     print!("{}", trace::summary(out.records_rank0()));
-    let (alerts, _) = ProgressMonitor::analyze(
-        out.records_rank0(),
-        &sys.gcd,
-        &grid,
-        8192,
-        512,
-        grid.coord_of(0),
-        true,
-    );
+    let (alerts, _) = ProgressMonitor::analyze(out.records_rank0());
     println!("alerts: {}\n", alerts.len());
 
     println!("== run with a sick GCD (rank 0 at 40% speed) ==");
@@ -48,15 +40,7 @@ fn main() {
         .expect("some seed degrades rank 0");
     let sick_cfg = cfg.to_builder().fleet(fleet).build_or_panic();
     let sick = run(&sick_cfg);
-    let (alerts, terminate) = ProgressMonitor::analyze(
-        sick.records_rank0(),
-        &sys.gcd,
-        &grid,
-        8192,
-        512,
-        grid.coord_of(0),
-        true,
-    );
+    let (alerts, terminate) = ProgressMonitor::analyze(sick.records_rank0());
     println!(
         "alerts: {} (first: {:?}); early termination: {terminate}",
         alerts.len(),

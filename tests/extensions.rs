@@ -155,15 +155,7 @@ fn progress_monitor_clean_on_healthy_driver_run() {
     let sys = testbed(1, 4);
     let cfg = RunConfig::timing(sys.clone(), grid, 2048, 256).build_or_panic();
     let out = run(&cfg);
-    let (alerts, terminate) = ProgressMonitor::analyze(
-        out.records_rank0(),
-        &sys.gcd,
-        &grid,
-        2048,
-        256,
-        grid.coord_of(0),
-        true,
-    );
+    let (alerts, terminate) = ProgressMonitor::analyze(out.records_rank0());
     assert!(alerts.is_empty(), "false alerts: {alerts:?}");
     assert!(!terminate);
 }
@@ -178,15 +170,7 @@ fn progress_monitor_catches_a_slow_gcd() {
         .fleet(GcdFleet::from_multipliers(vec![0.3, 1.0, 1.0, 1.0]))
         .build_or_panic();
     let out = run(&cfg);
-    let (alerts, terminate) = ProgressMonitor::analyze(
-        out.records_rank0(),
-        &sys.gcd,
-        &grid,
-        2048,
-        256,
-        grid.coord_of(0),
-        true,
-    );
+    let (alerts, terminate) = ProgressMonitor::analyze(out.records_rank0());
     assert!(!alerts.is_empty(), "slow GCD must trip the monitor");
     assert!(terminate, "enough alerts to terminate the run");
 }

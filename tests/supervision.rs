@@ -5,7 +5,11 @@
 use hplai_core::progress::ProgressMonitor;
 use hplai_core::solve::run;
 use hplai_core::supervisor::{recovery_ratio, RunEvent, Supervisor};
-use hplai_core::{testbed, FaultPlan, ProcessGrid, RunConfig};
+use hplai_core::{
+    testbed, CheckpointSpec, FaultPlan, ProcessGrid, RunConfig, RunConfigBuilder, TrailingPrecision,
+};
+use mxp_gpusim::GcdFleet;
+use std::path::PathBuf;
 
 fn functional_cfg(faults: FaultPlan) -> RunConfig {
     let grid = ProcessGrid::col_major(2, 2, 4);
@@ -68,6 +72,74 @@ fn invalid_configs_are_errors_not_panics() {
         matches!(err, ConfigError::FaultTargetOutOfRange { gcd: 9, .. }),
         "{err}"
     );
+}
+
+/// The 4-rank timing testbed: N 2048, B 128 on a column-major 2×2 grid.
+fn timing_builder() -> RunConfigBuilder {
+    RunConfig::timing(testbed(1, 4), ProcessGrid::col_major(2, 2, 4), 2048, 128)
+}
+
+/// A scratch checkpoint directory, wiped before use.
+fn ckpt_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("hplai-supervision-{}-{tag}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Alert events of a supervised run, as `(rank, k, component)`.
+fn alerts(events: &[RunEvent]) -> Vec<(usize, usize, &'static str)> {
+    events
+        .iter()
+        .filter_map(|e| match e {
+            RunEvent::Alert {
+                rank, k, component, ..
+            } => Some((*rank, *k, *component)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn healthy_fp32_panel_run_raises_no_alert() {
+    // The FP32 trailing update runs at the FP32 rate; the monitor's
+    // reference is what the stepper charged, so it carries that factor.
+    let cfg = timing_builder()
+        .prec(TrailingPrecision::Fp32)
+        .build_or_panic();
+    let out = Supervisor::with_rerun(1.15, 2).supervise(&cfg);
+    assert_eq!(alerts(&out.events), [], "events: {:?}", out.events);
+    assert!(out.recovered);
+    assert_eq!(out.attempts, 1);
+}
+
+#[test]
+fn checkpoint_drains_of_a_healthy_fleet_raise_no_alert() {
+    // A drain charges its GEMM to the record it amends, at the GCD's
+    // speed; a ≤5% slow in-family GCD stays far under the 2x gate.
+    let dir = ckpt_dir("healthy-drains");
+    let cfg = timing_builder()
+        .fleet(GcdFleet::generate(4, 7, 0.05, 0, 1.0))
+        .checkpoint(CheckpointSpec::new(&dir, 4))
+        .build_or_panic();
+    let out = Supervisor::reporting().supervise(&cfg);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(alerts(&out.events), [], "events: {:?}", out.events);
+    assert!(out.recovered);
+}
+
+#[test]
+fn no_alert_precedes_the_fault_onset() {
+    // Checkpoints every 2 panels drain at every even boundary, including
+    // the one the 4x degradation starts at (k = 8).
+    let dir = ckpt_dir("onset");
+    let cfg = timing_builder()
+        .faults(FaultPlan::new().parse_spec("degrade:4x:k8:g3", 0).unwrap())
+        .checkpoint(CheckpointSpec::new(&dir, 2))
+        .build_or_panic();
+    let out = Supervisor::reporting().supervise(&cfg);
+    std::fs::remove_dir_all(&dir).ok();
+    let k = out.detection_iter.expect("a 4x degradation is detected");
+    assert!(k >= 8, "first alert at k = {k}, before the onset at 8");
 }
 
 mod determinism {
