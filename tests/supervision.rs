@@ -129,8 +129,10 @@ fn checkpoint_drains_of_a_healthy_fleet_raise_no_alert() {
 
 #[test]
 fn no_alert_precedes_the_fault_onset() {
-    // Checkpoints every 2 panels drain at every even boundary, including
-    // the one the 4x degradation starts at (k = 8).
+    // Checkpoints every 2 panels drain at every even boundary. Before k = 8
+    // every charge runs at nominal speed; the drain at boundary 8 already
+    // runs degraded and amends record 7, whose own healthy GEMM keeps that
+    // record under the 2x gate.
     let dir = ckpt_dir("onset");
     let cfg = timing_builder()
         .faults(FaultPlan::new().parse_spec("degrade:4x:k8:g3", 0).unwrap())
