@@ -163,10 +163,38 @@ fn system_of(a: &Args) -> SystemSpec {
     }
 }
 
+/// Exits 2 unless every grid and node-tile extent is positive; runs before
+/// [`system_of`], which sizes the testbed from them.
+fn check_extents(a: &Args) {
+    if [a.p_r, a.p_c, a.q_r, a.q_c].contains(&0) {
+        eprintln!(
+            "invalid configuration: grid {}x{} with node tile {}x{}: extents must be positive",
+            a.p_r, a.p_c, a.q_r, a.q_c
+        );
+        exit(2);
+    }
+}
+
+/// The process grid, or exit 2 when the grid does not split into nodes.
 fn grid_of(a: &Args, sys: &SystemSpec) -> ProcessGrid {
     if a.col_major {
-        ProcessGrid::col_major(a.p_r, a.p_c, sys.gcds_per_node)
+        let q = sys.gcds_per_node;
+        if !(a.p_r * a.p_c).is_multiple_of(q) {
+            eprintln!(
+                "invalid configuration: grid {}x{} not divisible into {q}-GCD nodes",
+                a.p_r, a.p_c
+            );
+            exit(2);
+        }
+        ProcessGrid::col_major(a.p_r, a.p_c, q)
     } else {
+        if !(a.p_r.is_multiple_of(a.q_r) && a.p_c.is_multiple_of(a.q_c)) {
+            eprintln!(
+                "invalid configuration: grid {}x{} not tileable by {}x{} nodes",
+                a.p_r, a.p_c, a.q_r, a.q_c
+            );
+            exit(2);
+        }
         ProcessGrid::node_local(a.p_r, a.p_c, a.q_r, a.q_c)
     }
 }
@@ -210,6 +238,7 @@ fn supervised_run(cfg: &RunConfig) -> (RunOutcome, bool) {
 
 fn main() {
     let a = parse_args();
+    check_extents(&a);
     let sys = system_of(&a);
     let grid = grid_of(&a, &sys);
     let n = a.n_l * a.p_r;
@@ -276,7 +305,10 @@ fn main() {
             };
             if let Some(path) = &a.trace_path {
                 let json = trace::chrome_trace(out.records_rank0(), 0);
-                std::fs::write(path, json).expect("write trace");
+                if let Err(e) = std::fs::write(path, json) {
+                    eprintln!("cannot write trace {path}: {e}");
+                    exit(2);
+                }
                 println!("wrote Chrome trace to {path} (open in about:tracing / Perfetto)");
                 print!("{}", trace::summary(out.records_rank0()));
             }

@@ -149,6 +149,16 @@ mod imp {
     /// neighbouring allocations.
     const CANARY: usize = 0x5AFE_57AC_CAFE_F1BE;
 
+    /// Cache lines of saved stack, from the saved stack pointer upward,
+    /// that [`Fiber::prefetch`] requests at most: 8 KB, the two pages a
+    /// rank of the 6,912-rank Summit timing run touches. Suspended in a
+    /// receive, such a rank holds ~6.0 KB of live stack (6.3 KB at most),
+    /// so the whole of it is fetched. On that run the whole live stack
+    /// gave a lower median wall time than the canary line alone or the
+    /// first 16, 32 or 64 lines (EXPERIMENTS.md); the cap bounds the cost
+    /// for a fiber suspended deeper.
+    const PREFETCH_LINES: usize = 128;
+
     /// Outcome of one [`Fiber::resume`].
     pub enum Resume {
         /// The fiber called [`fiber_yield`] and can be resumed again.
@@ -243,6 +253,36 @@ mod imp {
             }
         }
 
+        /// Starts loading this suspended fiber's context into the cache
+        /// without waiting for it: the canary line `resume` checks, and the
+        /// saved stack from the registers the switch pops upward through
+        /// the frames it returns into, up to `PREFETCH_LINES` (128) lines.
+        /// A scheduler calls it for the fiber it will resume next, so the
+        /// lines arrive while the current one runs. Only a hint: nothing
+        /// is read or written.
+        #[inline]
+        pub fn prefetch(&self) {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            for line in self.prefetch_lines() {
+                // SAFETY: a prefetch never faults and has no visible effect;
+                // every address lies inside this fiber's own allocation.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(line as *const i8) };
+            }
+        }
+
+        /// Addresses [`Fiber::prefetch`] requests: the canary word at the
+        /// low end, then one per cache line from the line holding the saved
+        /// stack pointer up to `PREFETCH_LINES` lines or the 16-aligned
+        /// top, whichever comes first. Everything from the stack pointer to
+        /// that top is live, so no untouched page is hinted.
+        fn prefetch_lines(&self) -> impl Iterator<Item = usize> {
+            let base = self.stack.as_ptr() as usize;
+            let top16 = (base + self.stack.capacity()) & !15usize;
+            let lo = (self.sp & !63usize).max(base);
+            let hi = lo.saturating_add(PREFETCH_LINES * 64).min(top16);
+            std::iter::once(base).chain((lo..hi).step_by(64))
+        }
+
         /// `true` once the fiber's closure has returned or panicked.
         pub fn is_finished(&self) -> bool {
             self.finished
@@ -306,6 +346,77 @@ mod imp {
         }
         unreachable!("finished fiber resumed");
     }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use std::hint::black_box;
+
+        /// Checks `f`'s prefetch span: the canary word first, then whole
+        /// lines upward from the saved stack pointer's line, at most
+        /// `PREFETCH_LINES` of them, every address inside the live stack.
+        /// Returns the live stack depth in bytes.
+        fn check_span(f: &Fiber) -> usize {
+            let base = f.stack.as_ptr() as usize;
+            let top16 = (base + f.stack.capacity()) & !15usize;
+            assert!(base < f.sp && f.sp < top16, "saved sp outside the stack");
+            let lines: Vec<usize> = f.prefetch_lines().collect();
+            assert_eq!(lines[0], base, "first line is not the canary");
+            let stack = &lines[1..];
+            let lo = f.sp & !63usize;
+            assert_eq!(stack.first(), Some(&lo), "span does not start at sp");
+            assert!(stack.windows(2).all(|w| w[1] == w[0] + 64));
+            assert_eq!(stack.len(), PREFETCH_LINES.min((top16 - lo).div_ceil(64)));
+            for &a in &lines {
+                assert!(
+                    base <= a && a < top16,
+                    "{a:#x} outside [{base:#x}, {top16:#x})"
+                );
+            }
+            top16 - f.sp
+        }
+
+        /// Recurses `n` frames of 256 live bytes each, then yields.
+        fn deep(n: usize) {
+            let frame = black_box([n as u8; 256]);
+            if n == 0 {
+                fiber_yield();
+            } else {
+                deep(n - 1);
+            }
+            black_box(&frame);
+        }
+
+        fn finish(mut f: Fiber) {
+            while !matches!(f.resume(), Resume::Finished) {}
+            f.recycle();
+        }
+
+        #[test]
+        fn prefetch_span_stays_in_the_live_stack() {
+            const STACK: usize = 256 << 10;
+            // Fresh: only the planted entry frame is live.
+            let fresh = unsafe { Fiber::new(STACK, fiber_yield) };
+            assert_eq!(check_span(&fresh), 64);
+            finish(fresh);
+
+            // Shallow: suspended one call below its closure, the whole
+            // live stack fits the span.
+            let mut shallow = unsafe { Fiber::new(STACK, fiber_yield) };
+            assert!(matches!(shallow.resume(), Resume::Yielded));
+            let depth = check_span(&shallow);
+            assert!(depth > 64 && depth < PREFETCH_LINES * 64, "depth {depth}");
+            finish(shallow);
+
+            // Deep: 64 × 256 B of frames, past `PREFETCH_LINES` lines; the
+            // span stops there, below the top.
+            let mut deep_fiber = unsafe { Fiber::new(STACK, || deep(64)) };
+            assert!(matches!(deep_fiber.resume(), Resume::Yielded));
+            let depth = check_span(&deep_fiber);
+            assert!(depth > PREFETCH_LINES * 64 + 64, "depth {depth}");
+            finish(deep_fiber);
+        }
+    }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -349,6 +460,9 @@ mod imp {
         pub fn resume(&mut self) -> Resume {
             unimplemented!("fibers are not implemented for this target")
         }
+
+        /// No-op on this target.
+        pub fn prefetch(&self) {}
 
         /// Unavailable on this target.
         pub fn is_finished(&self) -> bool {

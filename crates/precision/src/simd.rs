@@ -275,8 +275,13 @@ mod x86 {
     //! runtime check is the safety argument for every call site here.
     //!
     //! All loads and stores are unaligned (`loadu`/`storeu`): callers hand
-    //! in arbitrary slices. Tails shorter than one vector run the scalar
-    //! converter, which each SIMD body matches bit for bit.
+    //! in arbitrary slices. The AVX-512 bodies convert a tail shorter than
+    //! one vector in one more vector step: the f32 side is read or written
+    //! under a lane mask, the 16-bit side goes through a zero-padded
+    //! 16-lane stack buffer (masked 16-bit moves would need AVX-512BW).
+    //! The GEMM's B-pack widens 8-wide rows, all tail. The 8-lane bodies
+    //! finish their tails with the scalar converter, which every SIMD body
+    //! matches bit for bit.
 
     use crate::{B16, F16};
     use core::arch::x86_64::*;
@@ -306,6 +311,24 @@ mod x86 {
         }
     }
 
+    /// Lane mask selecting the first `rest` (< 16) lanes.
+    fn tail_mask(rest: usize) -> __mmask16 {
+        debug_assert!(rest < 16);
+        (1u16 << rest) - 1
+    }
+
+    /// The `rest` (< 16) 16-bit values at `p`, zero-padded to 16 lanes.
+    ///
+    /// # Safety
+    /// `p` must be valid for reading `rest` values.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load_u16_tail(p: *const u16, rest: usize) -> __m256i {
+        let mut buf = [0u16; 16];
+        // SAFETY: the caller's bound on `p`; `rest` < 16 fits the buffer.
+        core::ptr::copy_nonoverlapping(p, buf.as_mut_ptr(), rest);
+        _mm256_loadu_si256(buf.as_ptr() as *const __m256i)
+    }
+
     /// # Safety
     /// Caller must have verified AVX-512F support.
     #[target_feature(enable = "avx512f")]
@@ -320,8 +343,11 @@ mod x86 {
             _mm512_storeu_ps(dp.add(i), _mm512_cvtph_ps(h));
             i += 16;
         }
-        for j in i..n {
-            dst[j] = src[j].to_f32();
+        if i < n {
+            // SAFETY: n - i < 16 values remain in both slices; the masked
+            // store writes only those lanes.
+            let h = load_u16_tail(sp.add(i), n - i);
+            _mm512_mask_storeu_ps(dp.add(i), tail_mask(n - i), _mm512_cvtph_ps(h));
         }
     }
 
@@ -358,8 +384,13 @@ mod x86 {
             _mm256_storeu_si256(dp.add(i) as *mut __m256i, _mm512_cvtps_ph::<RNE>(v));
             i += 16;
         }
-        for j in i..n {
-            dst[j] = F16::from_f32(src[j]);
+        if i < n {
+            // SAFETY: n - i < 16 values remain in both slices; the masked
+            // load reads only those lanes and the copy writes only them.
+            let v = _mm512_maskz_loadu_ps(tail_mask(n - i), sp.add(i));
+            let mut buf = [0u16; 16];
+            _mm256_storeu_si256(buf.as_mut_ptr() as *mut __m256i, _mm512_cvtps_ph::<RNE>(v));
+            core::ptr::copy_nonoverlapping(buf.as_ptr(), dp.add(i), n - i);
         }
     }
 
@@ -399,8 +430,11 @@ mod x86 {
             _mm512_storeu_ps(dp.add(i), _mm512_castsi512_ps(w));
             i += 16;
         }
-        for j in i..n {
-            dst[j] = src[j].to_f32();
+        if i < n {
+            // SAFETY: as in `widen_f16_avx512`'s tail.
+            let h = load_u16_tail(sp.add(i), n - i);
+            let w = _mm512_slli_epi32::<16>(_mm512_cvtepu16_epi32(h));
+            _mm512_mask_storeu_ps(dp.add(i), tail_mask(n - i), _mm512_castsi512_ps(w));
         }
     }
 
@@ -617,6 +651,75 @@ mod tests {
                         assert_eq!(w.to_bits(), n16[i].to_f32().to_bits());
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn tails_match_scalar_with_special_values() {
+        // Every tail length after zero or one full vector, over ±0,
+        // subnormals, ±Inf, NaNs with payloads and rounding ties; lanes
+        // past the slice end must stay untouched.
+        let f16_bits = [
+            0x0000u16, 0x8000, 0x0001, 0x8001, 0x03ff, 0x83ff, 0x0400, 0x3c00, 0xbc01, 0x7bff,
+            0x7c00, 0xfc00, 0x7e00, 0x7c01, 0xfe01, 0x7fff,
+        ];
+        let b16_bits = [
+            0x0000u16, 0x8000, 0x0001, 0x8001, 0x007f, 0x0080, 0x3f80, 0xbf81, 0x7f7f, 0x7f80,
+            0xff80, 0x7fc0, 0x7f81, 0xffc1, 0x7fff, 0x1234,
+        ];
+        let f32_vals = [
+            0.0f32,
+            -0.0,
+            f32::from_bits(0x0000_0001),
+            f32::from_bits(0x8000_0001),
+            2.0f32.powi(-24), // smallest f16 subnormal
+            -3.0 * 2.0f32.powi(-26),
+            2.0f32.powi(-14) * (1.0 - 2.0f32.powi(-11)), // f16 subnormal tie
+            1.0 + 2.0f32.powi(-12),                      // f16 tie, to even
+            f32::from_bits(0x3f80_8000),                 // b16 tie, to even
+            65520.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0xffc5_4321),
+            f32::MAX,
+        ];
+        const SENTINEL: u16 = 0xa5a5;
+        for isa in supported_isas() {
+            for len in 1..=31usize {
+                let pick = |i: usize| (i * 7 + len) % 16;
+                let h16: Vec<F16> = (0..len).map(|i| F16(f16_bits[pick(i)])).collect();
+                let b16: Vec<B16> = (0..len).map(|i| B16(b16_bits[pick(i)])).collect();
+                let x32: Vec<f32> = (0..len).map(|i| f32_vals[pick(i)]).collect();
+
+                let mut w = vec![f32::from_bits(0xdead_beef); len + 16];
+                widen_f16_slice_with(isa, &h16, &mut w[..len]);
+                for (i, h) in h16.iter().enumerate() {
+                    assert_eq!(w[i].to_bits(), h.to_f32().to_bits(), "isa {isa} len {len}");
+                }
+                assert!(w[len..].iter().all(|x| x.to_bits() == 0xdead_beef));
+
+                widen_b16_slice_with(isa, &b16, &mut w[..len]);
+                for (i, h) in b16.iter().enumerate() {
+                    assert_eq!(w[i].to_bits(), h.to_f32().to_bits(), "isa {isa} len {len}");
+                }
+                assert!(w[len..].iter().all(|x| x.to_bits() == 0xdead_beef));
+
+                let mut n16 = vec![F16(SENTINEL); len + 16];
+                narrow_f16_slice_with(isa, &x32, &mut n16[..len]);
+                for (i, &x) in x32.iter().enumerate() {
+                    assert_eq!(n16[i].0, F16::from_f32(x).0, "isa {isa} len {len}");
+                }
+                assert!(n16[len..].iter().all(|h| h.0 == SENTINEL));
+
+                let mut nb = vec![B16(SENTINEL); len + 16];
+                narrow_b16_slice_with(isa, &x32, &mut nb[..len]);
+                for (i, &x) in x32.iter().enumerate() {
+                    assert_eq!(nb[i].0, B16::from_f32(x).0, "isa {isa} len {len}");
+                }
+                assert!(nb[len..].iter().all(|h| h.0 == SENTINEL));
             }
         }
     }
