@@ -1,82 +1,31 @@
-//! `hplai-serve` — the multi-solve service front-end.
-//!
-//! Reads a batch file (JSON document or JSONL; see
-//! [`hplai_core::parse_batch`] for the grammar), queues every expanded
-//! job on a [`SolveService`], drains the queue concurrently, and prints
-//! the per-job table plus the aggregate summary.
-//!
-//! ```text
-//! hplai-serve --batch sweep.json [--workers N] [--cache-mb M]
-//!             [--log-dir DIR] [--out FILE] [--floor SOLVES_PER_SEC]
-//! ```
-//!
-//! Command-line `--workers`/`--cache-mb` override the batch file's
-//! `service` section. `--log-dir` writes one job-id-tagged JSONL event
-//! log per job (`jobNNNNNN.events.jsonl`). `--out` writes the
-//! `service-v1` summary JSON. `--floor S` exits non-zero if throughput
-//! falls below `S` solves per second.
+//! `hplai-serve` — the multi-solve service front-end: reads a batch file
+//! ([`hplai_core::parse_batch`]), queues every expanded job on a
+//! [`SolveService`], drains the queue concurrently, and prints the per-job
+//! table plus the aggregate summary. Its flags are the [`HPLAI_SERVE`]
+//! front-end of the knob table (`--help` lists them with the batch job
+//! keys); `--workers`/`--cache-mb` override the batch file's `service`
+//! section, `--log-dir` writes one JSONL event log per job, `--out` the
+//! `service-v1` summary JSON, and `--floor S` exits 1 below S solves/s.
 
+use hplai_core::knobs::{Key, KnobError, BATCH_JOB, HPLAI_SERVE};
 use hplai_core::{parse_batch, ServiceConfig, SolveService};
 use std::process::exit;
 
-struct Args {
-    batch: Option<String>,
-    workers: Option<usize>,
-    cache_mb: Option<usize>,
-    log_dir: Option<String>,
-    out: Option<String>,
-    floor: Option<f64>,
-}
-
 fn usage() -> ! {
-    eprintln!(
-        "usage: hplai-serve --batch FILE [--workers N] [--cache-mb M]\n\
-         \x20                 [--log-dir DIR] [--out FILE] [--floor SOLVES_PER_SEC]\n\
-         batch file: JSON document {{\"service\": ..., \"defaults\": ..., \"jobs\": [...]}}\n\
-         \x20           or JSONL (one job object per line); array values sweep, `repeat` unrolls"
-    );
+    let (flags, keys) = (HPLAI_SERVE.usage(), BATCH_JOB.usage());
+    eprint!("usage: hplai-serve --batch FILE [OPTION]...\n{flags}batch job keys:\n{keys}");
     exit(2);
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        batch: None,
-        workers: None,
-        cache_mb: None,
-        log_dir: None,
-        out: None,
-        floor: None,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |argv: &[String], i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--batch" => args.batch = Some(value(&argv, &mut i)),
-            "--workers" => {
-                args.workers = Some(value(&argv, &mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--cache-mb" => {
-                args.cache_mb = Some(value(&argv, &mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--log-dir" => args.log_dir = Some(value(&argv, &mut i)),
-            "--out" => args.out = Some(value(&argv, &mut i)),
-            "--floor" => {
-                args.floor = Some(value(&argv, &mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    args
-}
-
 fn main() {
-    let args = parse_args();
-    let Some(batch_path) = &args.batch else {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = HPLAI_SERVE.parse_flags(&argv).unwrap_or_else(|e| {
+        if e != KnobError::Help {
+            eprintln!("hplai-serve: {e}");
+        }
+        usage()
+    });
+    let Some(batch_path) = args.text(Key::Batch) else {
         usage()
     };
     let text = std::fs::read_to_string(batch_path).unwrap_or_else(|e| {
@@ -90,13 +39,13 @@ fn main() {
 
     // CLI overrides beat the batch file's `service` section.
     let mut cfg = ServiceConfig::default();
-    if let Some(w) = args.workers.or(batch.workers) {
+    if let Some(w) = args.uint(Key::Workers).or(batch.workers) {
         cfg.workers = w.max(1);
     }
-    if let Some(mb) = args.cache_mb.or(batch.cache_mb) {
+    if let Some(mb) = args.uint(Key::CacheMb).or(batch.cache_mb) {
         cfg.cache_bytes = mb << 20;
     }
-    cfg.log_dir = args.log_dir.as_ref().map(Into::into);
+    cfg.log_dir = args.text(Key::LogDir).map(Into::into);
 
     let n_jobs = batch.jobs.len();
     eprintln!(
@@ -138,7 +87,7 @@ fn main() {
         s.converged,
     );
 
-    if let Some(out) = &args.out {
+    if let Some(out) = args.text(Key::Out) {
         let json = serde_json::to_string_pretty(&s).expect("summary serializes");
         std::fs::write(out, json).unwrap_or_else(|e| {
             eprintln!("hplai-serve: cannot write {out}: {e}");
@@ -154,7 +103,7 @@ fn main() {
         );
         exit(1);
     }
-    if let Some(floor) = args.floor {
+    if let Some(floor) = args.text(Key::Floor).and_then(|f| f.parse::<f64>().ok()) {
         if s.solves_per_sec < floor {
             eprintln!(
                 "FLOOR VIOLATION: {:.1} solves/s < required {floor}",

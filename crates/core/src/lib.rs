@@ -62,6 +62,7 @@ pub mod grid;
 pub mod hpl;
 pub mod hpl_dist;
 pub mod ir;
+pub mod knobs;
 pub mod local;
 pub mod metrics;
 pub mod msg;

@@ -37,15 +37,11 @@
 
 use crate::cache::{CacheStats, MatrixCache};
 use crate::checkpoint::fnv1a;
+use crate::knobs::{Key, KnobError, Pairs, BATCH_JOB, SERVICE};
 use crate::report::PerfReport;
-use crate::runtime::Backend;
 use crate::solve::{ConfigError, RunConfig};
 use crate::supervisor::{SupervisedOutcome, Supervisor};
-use crate::systems::{frontier, summit, testbed};
 use crate::trace::tagged_event_log_jsonl;
-use crate::ProcessGrid;
-use crate::TrailingPrecision;
-use mxp_msgsim::BcastAlgo;
 use serde::Serialize;
 use serde_json::Value;
 use std::collections::VecDeque;
@@ -489,6 +485,26 @@ pub enum BatchError {
     },
     /// The file expanded to zero jobs.
     NoJobs,
+    /// The file expands to more jobs than the cap ([`MAX_JOBS`]).
+    TooManyJobs {
+        /// The cap.
+        cap: usize,
+    },
+}
+
+impl BatchError {
+    /// Places a knob error at job index `job` of `context`.
+    fn from_knob(err: KnobError, job: usize, context: &str) -> BatchError {
+        match err {
+            KnobError::Unknown(key) => BatchError::UnknownKey {
+                context: context.into(),
+                key,
+            },
+            KnobError::Bad { key, msg } => BatchError::BadValue { job, key, msg },
+            KnobError::Config(err) => BatchError::Config { job, err },
+            KnobError::Help => BatchError::Parse(err.to_string()),
+        }
+    }
 }
 
 impl std::fmt::Display for BatchError {
@@ -503,6 +519,7 @@ impl std::fmt::Display for BatchError {
             }
             BatchError::Config { job, err } => write!(f, "job {job}: invalid configuration: {err}"),
             BatchError::NoJobs => write!(f, "batch file expands to zero jobs"),
+            BatchError::TooManyJobs { cap } => write!(f, "batch file expands to over {cap} jobs"),
         }
     }
 }
@@ -521,82 +538,46 @@ pub struct BatchFile {
     pub jobs: Vec<RunConfig>,
 }
 
-/// Job-spec keys the grammar accepts (anything else is a typo, rejected
-/// loudly rather than silently ignored).
-const JOB_KEYS: &[&str] = &[
-    "system",
-    "mode",
-    "n",
-    "b",
-    "pr",
-    "pc",
-    "gcds_per_node",
-    "algo",
-    "precision",
-    "lookahead",
-    "seed",
-    "backend",
-    "repeat",
-];
+/// Most jobs one batch file may expand to. Every job is a [`RunConfig`]
+/// (528 B with its `SystemSpec`) held until the drain, so the cap stops a
+/// typo such as a `repeat` of 1e15 before anything is allocated. It is 100
+/// times the 1000 jobs `service_bench` drains.
+pub const MAX_JOBS: usize = 100_000;
 
-/// Parses a batch file in either accepted shape:
-///
-/// * **JSON document** — an object with optional `service` (`workers`,
-///   `cache_mb`) and `defaults` sections and a `jobs` array. Each job
-///   merges over `defaults`; any job/defaults value may be an **array**,
-///   which expands to the cross-product of all array-valued keys (the
-///   Ramble workload-sweep idiom), and `repeat: k` unrolls a spec into
-///   `k` copies with consecutive seeds.
-/// * **JSONL** — one job object per line, no service/defaults sections.
-///   A single top-level object without a `jobs` key is treated as one
-///   job spec (the one-line degenerate case of JSONL).
-///
-/// Job keys: `system` (`testbed`|`summit`|`frontier`), `mode`
-/// (`functional`|`timing`), `n`, `b`, `pr`, `pc`, `gcds_per_node`,
-/// `algo` (`bcast`|`ibcast`|`ring1`|`ring1m`|`ring2m`), `precision`
-/// (`fp16`|`bf16`|`fp32`), `lookahead`, `seed`, `backend`
-/// (`threads`|`event`), `repeat`. Defaults: a functional
-/// `n = 64, b = 8` solve on a 2×2 testbed grid.
+/// Parses a batch file: a JSON document with optional `service`
+/// (`workers`, `cache_mb`) and `defaults` sections and a `jobs` array, or
+/// JSONL, one job object per line (a lone object without `jobs` is one
+/// job). Each job merges over `defaults`; an **array** value sweeps, the
+/// jobs being the cross-product of all array-valued keys (the Ramble
+/// workload-sweep idiom), and `repeat: k` unrolls `k` copies with
+/// consecutive seeds. Job keys are those [`BATCH_JOB`] lists, declared in
+/// [`KNOBS`](crate::knobs::KNOBS). A file expanding to more than
+/// [`MAX_JOBS`] jobs is refused.
 pub fn parse_batch(text: &str) -> Result<BatchFile, BatchError> {
-    match serde_json::from_str(text) {
-        Ok(Value::Object(members)) => {
-            if members.iter().any(|(k, _)| k == "jobs") {
-                parse_document(&members)
-            } else {
-                // A bare job object: the one-line JSONL degenerate case.
-                let jobs = expand_jobs(&[], &[Value::Object(members)])?;
-                finish(None, None, jobs)
-            }
+    let (service, defaults, specs) = match serde_json::from_str(text) {
+        Ok(Value::Object(members)) if members.iter().any(|(k, _)| k == "jobs") => {
+            parse_document(members)?
         }
-        Ok(_) => Err(BatchError::Parse("top level must be an object".into())),
+        // A bare job object: the one-line JSONL degenerate case.
+        Ok(spec @ Value::Object(_)) => (Pairs::default(), Vec::new(), vec![spec]),
+        Ok(_) => return Err(BatchError::Parse("top level must be an object".into())),
+        // Not one JSON document — try JSONL: every non-empty line must be
+        // a job object.
         Err(whole_file_err) => {
-            // Not one JSON document — try JSONL: every non-empty line must
-            // be a job object.
-            let mut specs = Vec::new();
-            for line in text.lines() {
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                match serde_json::from_str(line) {
-                    Ok(v @ Value::Object(_)) => specs.push(v),
-                    _ => return Err(BatchError::Parse(whole_file_err.to_string())),
-                }
-            }
-            let jobs = expand_jobs(&[], &specs)?;
-            finish(None, None, jobs)
+            let lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
+            let spec = |line| match serde_json::from_str(line) {
+                Ok(v @ Value::Object(_)) => Ok(v),
+                _ => Err(BatchError::Parse(whole_file_err.to_string())),
+            };
+            let specs = lines.map(spec).collect::<Result<_, _>>()?;
+            (Pairs::default(), Vec::new(), specs)
         }
-    }
-}
-
-fn finish(
-    workers: Option<usize>,
-    cache_mb: Option<usize>,
-    jobs: Vec<RunConfig>,
-) -> Result<BatchFile, BatchError> {
+    };
+    let jobs = expand_jobs(&defaults, &specs)?;
     if jobs.is_empty() {
         return Err(BatchError::NoJobs);
     }
+    let (workers, cache_mb) = (service.uint(Key::Workers), service.uint(Key::CacheMb));
     Ok(BatchFile {
         workers,
         cache_mb,
@@ -604,91 +585,48 @@ fn finish(
     })
 }
 
-fn parse_document(members: &[(String, Value)]) -> Result<BatchFile, BatchError> {
-    let mut workers = None;
-    let mut cache_mb = None;
-    let mut defaults: &[(String, Value)] = &[];
-    let mut jobs: &[Value] = &[];
-    for (key, value) in members {
-        match key.as_str() {
-            "service" => {
-                let Value::Object(svc) = value else {
-                    return Err(BatchError::BadValue {
-                        job: 0,
-                        key: key.clone(),
-                        msg: "must be an object".into(),
-                    });
-                };
-                for (k, v) in svc {
-                    match k.as_str() {
-                        "workers" => workers = Some(require_usize(v, 0, k)?),
-                        "cache_mb" => cache_mb = Some(require_usize(v, 0, k)?),
-                        other => {
-                            return Err(BatchError::UnknownKey {
-                                context: "service".into(),
-                                key: other.into(),
-                            })
-                        }
-                    }
-                }
-            }
-            "defaults" => {
-                let Value::Object(d) = value else {
-                    return Err(BatchError::BadValue {
-                        job: 0,
-                        key: key.clone(),
-                        msg: "must be an object".into(),
-                    });
-                };
-                check_job_keys(d, "defaults")?;
-                defaults = d;
-            }
-            "jobs" => {
-                let Value::Array(j) = value else {
-                    return Err(BatchError::BadValue {
-                        job: 0,
-                        key: key.clone(),
-                        msg: "must be an array".into(),
-                    });
-                };
-                jobs = j;
-            }
-            other => {
-                return Err(BatchError::UnknownKey {
-                    context: "batch".into(),
-                    key: other.into(),
-                })
-            }
-        }
-    }
-    let expanded = expand_jobs(defaults, jobs)?;
-    finish(workers, cache_mb, expanded)
-}
+/// The `service` section, `defaults` and `jobs` of a batch document.
+type Document = (Pairs, Vec<(String, Value)>, Vec<Value>);
 
-fn check_job_keys(map: &[(String, Value)], context: &str) -> Result<(), BatchError> {
-    for (k, _) in map {
-        if !JOB_KEYS.contains(&k.as_str()) {
-            return Err(BatchError::UnknownKey {
-                context: context.into(),
-                key: k.clone(),
-            });
+fn parse_document(members: Vec<(String, Value)>) -> Result<Document, BatchError> {
+    let mut doc: Document = Default::default();
+    for (key, value) in members {
+        let shape = |msg: &str| BatchError::BadValue {
+            job: 0,
+            key: key.clone(),
+            msg: msg.into(),
+        };
+        match (key.as_str(), value) {
+            ("service", Value::Object(svc)) => {
+                let knob_err = |e| BatchError::from_knob(e, 0, "service");
+                doc.0 = SERVICE.parse_json(&svc).map_err(knob_err)?;
+            }
+            ("defaults", Value::Object(d)) => doc.1 = d,
+            ("jobs", Value::Array(j)) => doc.2 = j,
+            ("service" | "defaults", _) => return Err(shape("must be an object")),
+            ("jobs", _) => return Err(shape("must be an array")),
+            _ => {
+                let context = "batch".into();
+                return Err(BatchError::UnknownKey { context, key });
+            }
         }
     }
-    Ok(())
+    Ok(doc)
 }
 
 /// Merges each spec over the defaults, expands sweep arrays to their
 /// cross-product and unrolls `repeat`, producing concrete [`RunConfig`]s.
+/// Each expansion is counted against [`MAX_JOBS`] before it is built.
 fn expand_jobs(
     defaults: &[(String, Value)],
     specs: &[Value],
 ) -> Result<Vec<RunConfig>, BatchError> {
     let mut out = Vec::new();
+    let too_many = BatchError::TooManyJobs { cap: MAX_JOBS };
     for spec in specs {
         let Value::Object(spec) = spec else {
             return Err(BatchError::Parse("every job must be an object".into()));
         };
-        check_job_keys(spec, "job")?;
         // Merge: defaults first, spec keys override.
         let mut merged: Vec<(String, Value)> = defaults.to_vec();
         for (k, v) in spec {
@@ -698,186 +636,59 @@ fn expand_jobs(
                 merged.push((k.clone(), v.clone()));
             }
         }
-        // Cross-product over array-valued keys, declaration order.
+        // Unknown keys fail even in a spec that sweeps to no job.
+        for (key, _) in &merged {
+            let knob_err = |e| BatchError::from_knob(e, out.len(), "job");
+            BATCH_JOB.lookup(key).map_err(knob_err)?;
+        }
+        let sweep = merged.iter().try_fold(1usize, |n, (_, v)| match v {
+            Value::Array(items) => n.checked_mul(items.len()),
+            _ => Some(n),
+        });
+        if sweep.is_none_or(|n| n > MAX_JOBS - out.len()) {
+            return Err(too_many);
+        }
+        // Cross-product over array-valued keys, declaration order; a
+        // scalar is a one-item sweep.
         let mut combos: Vec<Vec<(String, Value)>> = vec![Vec::new()];
         for (k, v) in &merged {
-            match v {
-                Value::Array(items) => {
-                    combos = combos
-                        .iter()
-                        .flat_map(|c| {
-                            items.iter().map(move |item| {
-                                let mut c2 = c.clone();
-                                c2.push((k.clone(), item.clone()));
-                                c2
-                            })
-                        })
-                        .collect();
-                }
-                _ => {
-                    for c in &mut combos {
-                        c.push((k.clone(), v.clone()));
-                    }
-                }
-            }
+            let items = match v {
+                Value::Array(items) => items.as_slice(),
+                scalar => std::slice::from_ref(scalar),
+            };
+            let extend = |c: &Vec<_>| {
+                let with = |item: &Value| [c.clone(), vec![(k.clone(), item.clone())]].concat();
+                items.iter().map(with).collect::<Vec<_>>()
+            };
+            combos = combos.iter().flat_map(extend).collect();
         }
         for combo in combos {
-            let job_idx = out.len();
-            let repeat = match combo.iter().find(|(k, _)| k == "repeat") {
-                Some((k, v)) => require_usize(v, job_idx, k)?.max(1),
-                None => 1,
-            };
-            for r in 0..repeat {
-                let job_idx = out.len();
-                out.push(build_job(&combo, job_idx, r as u64)?);
+            let job = out.len();
+            let knob_err = |e| BatchError::from_knob(e, job, "job");
+            let pairs = BATCH_JOB.parse_json(&combo).map_err(knob_err)?;
+            let repeat = pairs.uint(Key::Repeat).unwrap_or(1).max(1);
+            if repeat > MAX_JOBS - out.len() {
+                return Err(too_many);
+            }
+            let (cfg, _) = BATCH_JOB.run(&pairs).map_err(knob_err)?;
+            for r in 0..repeat as u64 {
+                // Consecutive seeds, modulo 2^64.
+                let mut copy = cfg.clone();
+                copy.seed = cfg.seed.wrapping_add(r);
+                out.push(copy);
             }
         }
     }
     Ok(out)
 }
 
-/// Builds one concrete config from scalar key/value pairs; `seed_offset`
-/// differentiates `repeat` copies.
-fn build_job(
-    combo: &[(String, Value)],
-    job: usize,
-    seed_offset: u64,
-) -> Result<RunConfig, BatchError> {
-    let mut system = "testbed".to_string();
-    let mut mode = "functional".to_string();
-    let mut n = 64usize;
-    let mut b = 8usize;
-    let mut p_r = 2usize;
-    let mut p_c = 2usize;
-    let mut gcds_per_node: Option<usize> = None;
-    let mut algo = BcastAlgo::Lib;
-    let mut prec = TrailingPrecision::Fp16;
-    let mut lookahead = true;
-    let mut seed = 2022u64;
-    let mut backend = Backend::Functional;
-
-    let bad = |key: &str, msg: &str| BatchError::BadValue {
-        job,
-        key: key.into(),
-        msg: msg.into(),
-    };
-    for (key, value) in combo {
-        match key.as_str() {
-            "system" => system = require_str(value, job, key)?.to_string(),
-            "mode" => mode = require_str(value, job, key)?.to_string(),
-            "n" => n = require_usize(value, job, key)?,
-            "b" => b = require_usize(value, job, key)?,
-            "pr" => p_r = require_usize(value, job, key)?,
-            "pc" => p_c = require_usize(value, job, key)?,
-            "gcds_per_node" => gcds_per_node = Some(require_usize(value, job, key)?),
-            "algo" => {
-                algo = match require_str(value, job, key)? {
-                    "bcast" => BcastAlgo::Lib,
-                    "ibcast" => BcastAlgo::IBcast,
-                    "ring1" => BcastAlgo::Ring1,
-                    "ring1m" => BcastAlgo::Ring1M,
-                    "ring2m" => BcastAlgo::Ring2M,
-                    other => {
-                        return Err(bad(key, &format!("unknown broadcast algorithm {other:?}")))
-                    }
-                }
-            }
-            "precision" => {
-                prec = match require_str(value, job, key)? {
-                    "fp16" => TrailingPrecision::Fp16,
-                    "bf16" => TrailingPrecision::Bf16,
-                    "fp32" => TrailingPrecision::Fp32,
-                    other => return Err(bad(key, &format!("unknown precision {other:?}"))),
-                }
-            }
-            "lookahead" => {
-                lookahead = value
-                    .as_bool()
-                    .ok_or_else(|| bad(key, "must be a boolean"))?
-            }
-            "seed" => seed = require_usize(value, job, key)? as u64,
-            "backend" => {
-                backend = match require_str(value, job, key)? {
-                    "threads" | "functional" => Backend::Functional,
-                    "event" | "event-timed" => Backend::EventTimed,
-                    other => return Err(bad(key, &format!("unknown backend {other:?}"))),
-                }
-            }
-            "repeat" => {} // consumed by the expansion loop
-            other => {
-                return Err(BatchError::UnknownKey {
-                    context: format!("job {job}"),
-                    key: other.into(),
-                })
-            }
-        }
-    }
-
-    let ranks = p_r * p_c;
-    if ranks == 0 {
-        return Err(bad("pr", "grid must have at least one rank"));
-    }
-    let (sys, per_node) = match system.as_str() {
-        "testbed" => {
-            // Default placement: the whole grid on one node, which every
-            // grid shape satisfies; `gcds_per_node` overrides.
-            let per_node = gcds_per_node.unwrap_or(ranks);
-            if per_node == 0 || !ranks.is_multiple_of(per_node) {
-                return Err(bad(
-                    "gcds_per_node",
-                    &format!("{ranks} ranks do not fill whole nodes of {per_node}"),
-                ));
-            }
-            (testbed(ranks / per_node, per_node), per_node)
-        }
-        "summit" => (summit(), summit().gcds_per_node),
-        "frontier" => (frontier(), frontier().gcds_per_node),
-        other => return Err(bad("system", &format!("unknown system {other:?}"))),
-    };
-    if !ranks.is_multiple_of(per_node) {
-        return Err(bad(
-            "pr",
-            &format!("{ranks} ranks do not fill whole {per_node}-GCD nodes"),
-        ));
-    }
-    let grid = ProcessGrid::col_major(p_r, p_c, per_node);
-    let builder = match mode.as_str() {
-        "functional" => RunConfig::functional(sys, grid, n, b),
-        "timing" => RunConfig::timing(sys, grid, n, b),
-        other => return Err(bad("mode", &format!("unknown mode {other:?}"))),
-    };
-    builder
-        .algo(algo)
-        .prec(prec)
-        .lookahead(lookahead)
-        .seed(seed + seed_offset)
-        .backend(backend)
-        .build()
-        .map_err(|err| BatchError::Config { job, err })
-}
-
-fn require_usize(v: &Value, job: usize, key: &str) -> Result<usize, BatchError> {
-    match v.as_f64() {
-        Some(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => Ok(f as usize),
-        _ => Err(BatchError::BadValue {
-            job,
-            key: key.into(),
-            msg: "must be a non-negative integer".into(),
-        }),
-    }
-}
-
-fn require_str<'v>(v: &'v Value, job: usize, key: &str) -> Result<&'v str, BatchError> {
-    v.as_str().ok_or_else(|| BatchError::BadValue {
-        job,
-        key: key.into(),
-        msg: "must be a string".into(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::Backend;
+    use crate::systems::testbed;
+    use crate::{ProcessGrid, TrailingPrecision};
+    use mxp_msgsim::BcastAlgo;
 
     #[test]
     fn document_with_defaults_and_sweep_expands_cross_product() {
@@ -958,6 +769,19 @@ mod tests {
         assert!(matches!(&err, BatchError::BadValue { key, .. } if key == "n"));
         let err = parse_batch(r#"{"jobs": [{"algo": "ring9"}]}"#).unwrap_err();
         assert!(matches!(&err, BatchError::BadValue { key, .. } if key == "algo"));
+    }
+
+    #[test]
+    fn expansions_above_the_job_cap_are_refused() {
+        let seeds: Vec<String> = (0..400).map(|s| s.to_string()).collect();
+        let sweep = format!(
+            r#"{{"jobs": [{{"seed": [{0}], "b": [{0}]}}]}}"#,
+            seeds.join(",")
+        );
+        for text in [r#"{"jobs": [{"repeat": 1e15}]}"#, &sweep] {
+            let err = parse_batch(text).unwrap_err();
+            assert_eq!(err, BatchError::TooManyJobs { cap: MAX_JOBS }, "{err}");
+        }
     }
 
     #[test]
