@@ -22,16 +22,11 @@
 //! `trsm_r_up_f32`; guards the vectorised TRSM base cases), and
 //! `--gen-floor G` for single-thread `gen_fill_f64` in Gelem/s (guards
 //! the vectorized lane fill).
-//!
-//! A full run records blocking parameters swept in the process: when they
-//! would be loaded from a cached tuning file instead, it exits 2 before
-//! measuring anything and asks for a rerun with `HPLAI_TUNE_FILE=none`.
-//! `--quick` runs take whatever the tuner resolves.
 
 use crate::{Args, Output, Table};
 use mxp_blas::{
     cast_f32_to_low, gemm, gemm_mixed, getrf_nopiv, kernel_info_f32, kernel_info_f64,
-    trans_cast_f32_to_low, trsm, Diag, LowPrec, Real, Side, TuneSource, Trans, Uplo,
+    trans_cast_f32_to_low, trsm, Diag, LowPrec, Real, Side, Trans, Uplo,
 };
 use mxp_precision::{B16, F16};
 use serde::Serialize;
@@ -88,12 +83,6 @@ struct Report {
     kernel_f32: String,
     /// Resolved f64 micro-kernel variant name.
     kernel_f64: String,
-    /// Where the blocking parameters came from: `"swept"`, `"file"`, or
-    /// `"default"`.
-    tune_source: String,
-    /// The tuning file consulted or written (empty when persistence is
-    /// disabled via `HPLAI_TUNE_FILE=none`).
-    tune_file: String,
     /// Kernel measurements.
     entries: Vec<Entry>,
     /// End-to-end functional `hplai` solve wall-clock seconds.
@@ -454,29 +443,8 @@ fn bench_hplai(n: usize, b: usize) -> f64 {
     best
 }
 
-/// Exits 2 when the GEMM blocking comes from a cached tuning file: the
-/// root `BENCH_kernels.json` must not depend on the machine's cache.
-fn refuse_cached_tuning() {
-    for info in [kernel_info_f32(), kernel_info_f64()] {
-        if info.source == TuneSource::File {
-            let file = info.tune_file.unwrap_or_default();
-            eprintln!(
-                "repro kernel_bench: the {} blocking was loaded from the tuning file {}, \
-                 so a full run would not record swept parameters; \
-                 rerun with HPLAI_TUNE_FILE=none",
-                info.kernel,
-                file.display()
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
 pub fn run(args: &Args) -> Output {
     let quick = args.quick;
-    if !quick {
-        refuse_cached_tuning();
-    }
     let requested = args.threads.clone().unwrap_or_else(|| vec![1, 2, 4]);
     // More workers than cores only measures oversubscription, so each
     // requested count is capped at the host's parallelism (duplicates
@@ -569,12 +537,6 @@ pub fn run(args: &Args) -> Output {
         simd_isa: info32.isa.name().into(),
         kernel_f32: info32.kernel.into(),
         kernel_f64: info64.kernel.into(),
-        tune_source: info32.source.name().into(),
-        tune_file: info32
-            .tune_file
-            .as_deref()
-            .map(|p| p.display().to_string())
-            .unwrap_or_default(),
         entries,
         hplai_functional_secs: hplai_secs,
         hplai_n,

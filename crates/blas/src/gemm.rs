@@ -10,8 +10,8 @@
 //!
 //! # Engine structure (DESIGN.md §9, §14)
 //!
-//! The engine is BLIS-shaped, parameterized by the [`KernelParams`] the
-//! autotuner in `tune.rs` resolves (register tile `mr × nr`, L2 block `mc`,
+//! The engine is BLIS-shaped, parameterized by the [`KernelParams`] of the
+//! dispatched table entry (register tile `mr × nr`, L2 block `mc`,
 //! pinned k-slab `kc`) and by the dispatched micro-kernel (`kernel.rs` —
 //! AVX2/AVX-512/NEON/portable). For each `kc`-deep slab of the `k`
 //! dimension:
@@ -61,7 +61,7 @@ pub(crate) const PACK_AMORTIZE: usize = 16;
 /// The per-task flop floor for element type `R`'s resolved blocking
 /// parameters — shared by the TRSM/GEMV task-count derivations.
 pub(crate) fn min_flops_per_task<R: Real>() -> f64 {
-    tune::with_resolved::<R, _>(|rk| rk.params.min_flops_per_task())
+    tune::with_resolved::<R, _>(|v| v.params().min_flops_per_task())
 }
 
 /// Full-precision GEMM: `C ← α·op(A)·op(B) + β·C`.
@@ -94,10 +94,10 @@ pub fn gemm<R: Real>(
     c: &mut [R],
     ldc: usize,
 ) {
-    tune::with_resolved::<R, _>(|rk| {
+    tune::with_resolved::<R, _>(|v| {
         gemm_impl(
-            rk.micro,
-            rk.params,
+            v.micro,
+            v.params(),
             false,
             transa,
             transb,
@@ -143,10 +143,10 @@ pub fn gemm_mixed<L: LowPrec>(
     c: &mut [f32],
     ldc: usize,
 ) {
-    tune::with_resolved::<f32, _>(|rk| {
+    tune::with_resolved::<f32, _>(|v| {
         gemm_impl(
-            rk.micro,
-            rk.params,
+            v.micro,
+            v.params(),
             false,
             transa,
             transb,
@@ -168,8 +168,8 @@ pub fn gemm_mixed<L: LowPrec>(
 }
 
 /// Runs the packed engine with an explicit kernel variant and parameter
-/// set, bypassing the process-wide resolution — the hook the autotuner's
-/// sweep and the SIMD differential suite drive. `serial` forces the whole
+/// set, bypassing the process-wide resolution — the hook the SIMD
+/// differential suite drives. `serial` forces the whole
 /// call onto the calling thread (no rayon dispatch).
 ///
 /// Not part of the stable API.
@@ -231,7 +231,7 @@ pub fn gemm_with_variant<R: Real>(
 /// splits along rows, a wide one along columns. `(1, 1)` means the call
 /// runs serially.
 pub fn gemm_task_grid(m: usize, n: usize, k: usize) -> (usize, usize) {
-    let params = tune::with_resolved::<f32, _>(|rk| rk.params);
+    let params = tune::with_resolved::<f32, _>(|v| v.params());
     task_grid(m, n, k, &params, rayon::current_num_threads())
 }
 
@@ -1015,7 +1015,7 @@ mod tests {
         // along rows — the old engine's n-only chunking left it serial.
         // The pool width is passed explicitly: other tests set
         // RAYON_NUM_THREADS concurrently.
-        let params = tune::with_resolved::<f32, _>(|rk| rk.params);
+        let params = tune::with_resolved::<f32, _>(|v| v.params());
         let (ti, tj) = task_grid(4096, 128, 4096, &params, 4);
         assert!(ti * tj >= 2, "tall-skinny grid {ti}x{tj} did not split");
         assert!(ti >= 2, "expected a row split, got {ti}x{tj}");
@@ -1023,7 +1023,7 @@ mod tests {
 
     #[test]
     fn task_grid_serial_below_flop_floor() {
-        let params = tune::with_resolved::<f32, _>(|rk| rk.params);
+        let params = tune::with_resolved::<f32, _>(|v| v.params());
         let grid = task_grid(32, 32, 32, &params, 4);
         assert_eq!(grid, (1, 1), "tiny GEMM must not pay parallel dispatch");
     }

@@ -44,8 +44,8 @@ impl core::fmt::Display for GetrfError {
 impl std::error::Error for GetrfError {}
 
 /// Panel width of the blocked factorization, read from the resolved kernel
-/// parameters (`nb`, pinned at [`crate::tune::NB_PINNED`] = 32 — it is
-/// bit-affecting, so the tuner never sweeps it).
+/// parameters (`nb`, pinned at [`crate::tune::NB_PINNED`] = 32 in every
+/// table entry, because it is bit-affecting).
 ///
 /// The pinned value was swept when the recursive panel factor landed (the
 /// `nb_sweep_report` test below regenerates this table): single-thread f32
@@ -57,7 +57,7 @@ impl std::error::Error for GetrfError {}
 /// updates, and wider panels just move flops into the lower-rate in-panel
 /// GEMMs.
 fn panel_width<R: Real>() -> usize {
-    crate::tune::with_resolved::<R, _>(|rk| rk.params.nb)
+    crate::tune::with_resolved::<R, _>(|v| v.params().nb)
 }
 
 /// Base-case width of the recursive panel factorization: below this the

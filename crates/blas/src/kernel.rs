@@ -6,11 +6,15 @@
 //! from packed A/B micro-panels. This module provides the implementations:
 //!
 //! * explicit `std::arch` AVX2+FMA and AVX-512F kernels for f32 and f64 on
-//!   x86-64 (several register-tile shapes each — the autotuner in
-//!   `tune.rs` picks between them),
+//!   x86-64,
 //! * NEON kernels on aarch64,
 //! * a portable `mul_add` kernel — the exact seed-engine 16×4 tile — that
 //!   compiles everywhere and is what `HPLAI_KERNEL=portable` forces.
+//!
+//! The table holds exactly one f32 and one f64 entry per ISA level, each
+//! with a fixed register tile and L2 block `mc`, chosen once by timing
+//! the functional solve (EXPERIMENTS.md, "One kernel per ISA").
+//! Dispatch is a lookup of the active level ([`variant_for`]).
 //!
 //! # The bitwise-determinism invariant
 //!
@@ -25,9 +29,9 @@
 //! owns exactly this chain, so AVX2, AVX-512, NEON and portable kernels
 //! produce **bit-identical** tiles from the same packed panels. Tile shape
 //! (`mr`, `nr`) and the L2 block (`mc`) only change how panels are cut,
-//! never any element's accumulation order, which is why the autotuner may
-//! sweep them freely; only the k-slab depth `kc` is bit-affecting, and it
-//! is pinned (see `tune.rs`). The differential suite
+//! never any element's accumulation order, which is why each level may
+//! pick its own; only the k-slab depth `kc` is bit-affecting, and it is
+//! pinned (see `tune.rs`). The differential suite
 //! (`tests/simd_differential.rs`) enforces the invariant for every kernel
 //! the host can run.
 //!
@@ -46,9 +50,10 @@
 //!   are legal; `bp` and `acc` have no alignment requirement (broadcast
 //!   loads / unaligned stores);
 //! * the caller verified the variant's ISA is available on this host
-//!   (dispatch goes through [`variants_for`], which filters by
-//!   [`Isa`] support).
+//!   (dispatch goes through [`variant_for`] at [`active_isa`], which the
+//!   host supports).
 
+use crate::tune::KernelParams;
 use mxp_precision::Real;
 pub use mxp_precision::{simd::active_isa, simd::detected_isa, simd::supported_isas, Isa};
 
@@ -60,13 +65,13 @@ pub(crate) type MicroFn<R> = unsafe fn(kc: usize, ap: *const R, bp: *const R, ac
 /// stack-resident accumulator tile).
 pub(crate) const MAX_MR: usize = 32;
 /// Largest `nr` any shipped variant uses.
-pub(crate) const MAX_NR: usize = 12;
+pub(crate) const MAX_NR: usize = 8;
 
-/// One compiled micro-kernel: an ISA, a register-tile shape, and the
-/// function that computes it.
+/// One compiled micro-kernel: an ISA, a register-tile shape, its L2
+/// block, and the function that computes it.
 pub struct KernelVariant<R> {
-    /// Stable identifier, recorded in tuning files and bench provenance
-    /// (e.g. `"avx512_f32_32x8"`).
+    /// Stable identifier, recorded in bench provenance (e.g.
+    /// `"avx512_f32_32x8"`).
     pub name: &'static str,
     /// ISA level the kernel requires.
     pub isa: Isa,
@@ -74,12 +79,36 @@ pub struct KernelVariant<R> {
     pub mr: usize,
     /// Register-tile width (columns of C per micro-kernel call).
     pub nr: usize,
+    /// L2 block: rows of packed A per macro-kernel pass (bit-neutral).
+    pub mc: usize,
     pub(crate) micro: MicroFn<R>,
 }
 
 impl<R> KernelVariant<R> {
     pub(crate) fn micro(&self) -> MicroFn<R> {
         self.micro
+    }
+
+    /// The entry's blocking: its tile and `mc`, every other knob pinned.
+    pub fn params(&self) -> KernelParams {
+        KernelParams {
+            mc: self.mc,
+            ..KernelParams::nominal(self.mr, self.nr)
+        }
+    }
+}
+
+impl<R: Real> KernelVariant<R> {
+    /// The portable seed tile at its nominal blocking, for any `Real`.
+    pub(crate) fn portable_16x4() -> Self {
+        KernelVariant {
+            name: "portable_16x4",
+            isa: Isa::Portable,
+            mr: 16,
+            nr: 4,
+            mc: KernelParams::nominal(16, 4).mc,
+            micro: portable_micro::<R, 16, 4>,
+        }
     }
 }
 
@@ -172,21 +201,7 @@ mod x86 {
     }
 
     // AVX2+FMA, f32: 8-lane vectors. 16×6 uses 12 accumulator ymm + 2 A
-    // vectors + 1 broadcast = 15 of 16; 16×4 is the seed tile shape.
-    simd_micro!(
-        f32_avx2_16x4,
-        "avx2,fma",
-        f32,
-        __m256,
-        8,
-        2,
-        4,
-        _mm256_load_ps,
-        _mm256_storeu_ps,
-        _mm256_set1_ps,
-        _mm256_fmadd_ps,
-        _mm256_setzero_ps
-    );
+    // vectors + 1 broadcast = 15 of 16.
     simd_micro!(
         f32_avx2_16x6,
         "avx2,fma",
@@ -202,21 +217,7 @@ mod x86 {
         _mm256_setzero_ps
     );
 
-    // AVX2+FMA, f64: 4-lane vectors.
-    simd_micro!(
-        f64_avx2_8x4,
-        "avx2,fma",
-        f64,
-        __m256d,
-        4,
-        2,
-        4,
-        _mm256_load_pd,
-        _mm256_storeu_pd,
-        _mm256_set1_pd,
-        _mm256_fmadd_pd,
-        _mm256_setzero_pd
-    );
+    // AVX2+FMA, f64: 4-lane vectors, the same 12-accumulator layout.
     simd_micro!(
         f64_avx2_8x6,
         "avx2,fma",
@@ -233,22 +234,7 @@ mod x86 {
     );
 
     // AVX-512F, f32: 16-lane vectors. 32×8 holds 16 accumulator zmm + 2 A
-    // vectors + broadcasts well inside the 32-register file; 16×12 trades
-    // height for width on ragged trailing shapes.
-    simd_micro!(
-        f32_avx512_16x8,
-        "avx512f",
-        f32,
-        __m512,
-        16,
-        1,
-        8,
-        _mm512_load_ps,
-        _mm512_storeu_ps,
-        _mm512_set1_ps,
-        _mm512_fmadd_ps,
-        _mm512_setzero_ps
-    );
+    // vectors + broadcasts well inside the 32-register file.
     simd_micro!(
         f32_avx512_32x8,
         "avx512f",
@@ -263,36 +249,9 @@ mod x86 {
         _mm512_fmadd_ps,
         _mm512_setzero_ps
     );
-    simd_micro!(
-        f32_avx512_16x12,
-        "avx512f",
-        f32,
-        __m512,
-        16,
-        1,
-        12,
-        _mm512_load_ps,
-        _mm512_storeu_ps,
-        _mm512_set1_ps,
-        _mm512_fmadd_ps,
-        _mm512_setzero_ps
-    );
 
-    // AVX-512F, f64: 8-lane vectors.
-    simd_micro!(
-        f64_avx512_8x8,
-        "avx512f",
-        f64,
-        __m512d,
-        8,
-        1,
-        8,
-        _mm512_load_pd,
-        _mm512_storeu_pd,
-        _mm512_set1_pd,
-        _mm512_fmadd_pd,
-        _mm512_setzero_pd
-    );
+    // AVX-512F, f64: 8-lane vectors. 16×8 holds 16 accumulator zmm + 2 A
+    // vectors.
     simd_micro!(
         f64_avx512_16x8,
         "avx512f",
@@ -301,20 +260,6 @@ mod x86 {
         8,
         2,
         8,
-        _mm512_load_pd,
-        _mm512_storeu_pd,
-        _mm512_set1_pd,
-        _mm512_fmadd_pd,
-        _mm512_setzero_pd
-    );
-    simd_micro!(
-        f64_avx512_8x12,
-        "avx512f",
-        f64,
-        __m512d,
-        8,
-        1,
-        12,
         _mm512_load_pd,
         _mm512_storeu_pd,
         _mm512_set1_pd,
@@ -384,9 +329,10 @@ mod neon {
     }
 }
 
-/// Every compiled f32 kernel variant, best candidates first. The table is
-/// a superset of what any given host can run; [`variants_for`] filters by
-/// runtime feature detection.
+/// The f32 dispatch table: one entry per ISA level compiled for this
+/// target, each with the tile and `mc` the functional solve ran fastest
+/// with (EXPERIMENTS.md, "One kernel per ISA"). The table is a superset
+/// of what a given host can run; [`variant_for`] picks the active level.
 pub fn variants_f32() -> &'static [KernelVariant<f32>] {
     &[
         #[cfg(target_arch = "x86_64")]
@@ -395,23 +341,8 @@ pub fn variants_f32() -> &'static [KernelVariant<f32>] {
             isa: Isa::Avx512,
             mr: 32,
             nr: 8,
+            mc: 256,
             micro: x86::f32_avx512_32x8,
-        },
-        #[cfg(target_arch = "x86_64")]
-        KernelVariant {
-            name: "avx512_f32_16x12",
-            isa: Isa::Avx512,
-            mr: 16,
-            nr: 12,
-            micro: x86::f32_avx512_16x12,
-        },
-        #[cfg(target_arch = "x86_64")]
-        KernelVariant {
-            name: "avx512_f32_16x8",
-            isa: Isa::Avx512,
-            mr: 16,
-            nr: 8,
-            micro: x86::f32_avx512_16x8,
         },
         #[cfg(target_arch = "x86_64")]
         KernelVariant {
@@ -419,22 +350,17 @@ pub fn variants_f32() -> &'static [KernelVariant<f32>] {
             isa: Isa::Avx2,
             mr: 16,
             nr: 6,
+            mc: 256,
             micro: x86::f32_avx2_16x6,
         },
-        #[cfg(target_arch = "x86_64")]
-        KernelVariant {
-            name: "avx2_f32_16x4",
-            isa: Isa::Avx2,
-            mr: 16,
-            nr: 4,
-            micro: x86::f32_avx2_16x4,
-        },
+        // Not measured on aarch64: the nominal `mc` = 8·mr.
         #[cfg(target_arch = "aarch64")]
         KernelVariant {
             name: "neon_f32_16x4",
             isa: Isa::Neon,
             mr: 16,
             nr: 4,
+            mc: 128,
             micro: neon::f32_neon_16x4,
         },
         KernelVariant {
@@ -442,12 +368,14 @@ pub fn variants_f32() -> &'static [KernelVariant<f32>] {
             isa: Isa::Portable,
             mr: 16,
             nr: 4,
+            mc: 256,
             micro: portable_micro::<f32, 16, 4>,
         },
     ]
 }
 
-/// Every compiled f64 kernel variant (see [`variants_f32`]).
+/// The f64 dispatch table (see [`variants_f32`]; timed on the FP64 HPL
+/// solve).
 pub fn variants_f64() -> &'static [KernelVariant<f64>] {
     &[
         #[cfg(target_arch = "x86_64")]
@@ -456,23 +384,8 @@ pub fn variants_f64() -> &'static [KernelVariant<f64>] {
             isa: Isa::Avx512,
             mr: 16,
             nr: 8,
+            mc: 128,
             micro: x86::f64_avx512_16x8,
-        },
-        #[cfg(target_arch = "x86_64")]
-        KernelVariant {
-            name: "avx512_f64_8x12",
-            isa: Isa::Avx512,
-            mr: 8,
-            nr: 12,
-            micro: x86::f64_avx512_8x12,
-        },
-        #[cfg(target_arch = "x86_64")]
-        KernelVariant {
-            name: "avx512_f64_8x8",
-            isa: Isa::Avx512,
-            mr: 8,
-            nr: 8,
-            micro: x86::f64_avx512_8x8,
         },
         #[cfg(target_arch = "x86_64")]
         KernelVariant {
@@ -480,22 +393,17 @@ pub fn variants_f64() -> &'static [KernelVariant<f64>] {
             isa: Isa::Avx2,
             mr: 8,
             nr: 6,
+            mc: 128,
             micro: x86::f64_avx2_8x6,
         },
-        #[cfg(target_arch = "x86_64")]
-        KernelVariant {
-            name: "avx2_f64_8x4",
-            isa: Isa::Avx2,
-            mr: 8,
-            nr: 4,
-            micro: x86::f64_avx2_8x4,
-        },
+        // Not measured on aarch64: the nominal `mc` = 8·mr.
         #[cfg(target_arch = "aarch64")]
         KernelVariant {
             name: "neon_f64_8x4",
             isa: Isa::Neon,
             mr: 8,
             nr: 4,
+            mc: 64,
             micro: neon::f64_neon_8x4,
         },
         KernelVariant {
@@ -503,25 +411,16 @@ pub fn variants_f64() -> &'static [KernelVariant<f64>] {
             isa: Isa::Portable,
             mr: 16,
             nr: 4,
+            mc: 256,
             micro: portable_micro::<f64, 16, 4>,
         },
     ]
 }
 
-/// The variants of `all` that run at exactly ISA level `isa` (the host
-/// must support `isa`; the tuner sweeps within one level so the dispatched
-/// name always reflects the level that was forced or detected). Falls back
-/// to the portable entries when the level has no native kernels.
-pub fn variants_for<R>(
-    all: &'static [KernelVariant<R>],
-    isa: Isa,
-) -> Vec<&'static KernelVariant<R>> {
-    let exact: Vec<_> = all.iter().filter(|v| v.isa == isa).collect();
-    if exact.is_empty() {
-        all.iter().filter(|v| v.isa == Isa::Portable).collect()
-    } else {
-        exact
-    }
+/// The entry of `all` at ISA level `isa`, which the host must support.
+pub fn variant_for<R>(all: &'static [KernelVariant<R>], isa: Isa) -> &'static KernelVariant<R> {
+    let entry = all.iter().find(|v| v.isa == isa);
+    entry.expect("every level the host supports has a table entry")
 }
 
 /// All variants this host can actually execute, across every supported

@@ -17,11 +17,11 @@
 //!   reduced format (`F16`, `B16`, or `f32` via the [`LowPrec`] trait),
 //!   widened to f32, and accumulated in f32.
 //! * The packed GEMM engine dispatches to explicit `std::arch` micro-kernels
-//!   (AVX2+FMA, AVX-512F, NEON — see [`kernel`]) selected once per process
-//!   by runtime feature detection, with blocking parameters resolved by the
-//!   persisted autotuner in [`tune`]. `HPLAI_KERNEL=portable|avx2|avx512`
-//!   forces a level; every level is bitwise identical to the portable
-//!   reference (DESIGN.md §14).
+//!   (AVX2+FMA, AVX-512F, NEON — see [`kernel`]) selected by runtime
+//!   feature detection: one f32 and one f64 micro-kernel per ISA level,
+//!   each with fixed blocking parameters ([`tune`]).
+//!   `HPLAI_KERNEL=portable|avx2|avx512|neon` forces a level; every level
+//!   is bitwise identical to the portable reference (DESIGN.md §14).
 //! * All level-3 kernels are cache-blocked and parallelized with rayon;
 //!   level-2/1 kernels are sequential (they are never on the critical path
 //!   at the scales the functional mode runs).
@@ -56,8 +56,8 @@ pub use mxp_precision::Isa;
 pub use norms::{mat_inf_norm, vec_inf_norm, vec_inf_norm_f32};
 pub use trsm::{trsm, Diag, Side, Uplo};
 pub use trsv::trsv;
-pub use tune::{
-    kernel_info_f32, kernel_info_f64, tune_stats, KernelInfo, KernelParams, TuneSource, TuneStats,
-};
+#[doc(hidden)]
+pub use tune::tune_stats;
+pub use tune::{kernel_info_f32, kernel_info_f64, KernelInfo, KernelParams};
 
 pub use mxp_precision::{LowPrec, Real};

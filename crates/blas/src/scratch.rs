@@ -25,11 +25,13 @@
 //!   kernel running on a rayon worker reuses the buffers of the previous
 //!   dispatch on that worker (the vendored rayon pool keeps workers — and
 //!   therefore their arenas — alive across calls).
-//! * [`take`] pops the **largest** pooled buffer of the element type
+//! * [`take`] pops the **smallest pooled buffer the request fits**
 //!   (re-fitting it to the request), so one buffer serves a shrinking
 //!   sequence of requests — exactly the shape of a right-looking
-//!   factorization whose trailing matrix shrinks every step — instead of
-//!   ping-ponging between per-size buffers.
+//!   factorization whose trailing matrix shrinks every step — and a
+//!   smaller request held at the same time as a larger one never takes
+//!   the buffer the larger one needs. When no buffer fits, the largest is
+//!   dropped and replaced by a fresh allocation.
 //! * The returned [`ScratchGuard`] owns the buffer; dropping it returns
 //!   the buffer to the pool. Contents are **unspecified** (stale data from
 //!   a previous use) — every current caller fully overwrites its scratch
@@ -198,13 +200,15 @@ pub fn take<T: Copy + Default + 'static>(len: usize) -> ScratchGuard<T> {
             .get_mut(&TypeId::of::<T>())?
             .downcast_mut::<Vec<AlignedBuf<T>>>()
             .expect("pool entry type");
-        // Pop the largest buffer so the request re-fits (and any later,
-        // smaller request re-fits too) without reallocating.
-        let best = bufs
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, b)| b.cap)
-            .map(|(i, _)| i)?;
+        // Pop the smallest buffer the request fits, so a larger buffer
+        // stays pooled for a larger request held at the same time; when
+        // none fits, pop the largest, which the caller replaces.
+        let caps = bufs.iter().map(|b| b.cap).enumerate();
+        let fit = caps
+            .clone()
+            .filter(|&(_, c)| c >= len)
+            .min_by_key(|&(_, c)| c);
+        let (best, _) = fit.or_else(|| caps.max_by_key(|&(_, c)| c))?;
         Some(bufs.swap_remove(best))
     });
     let mut buf = match pooled {
@@ -261,6 +265,19 @@ mod tests {
             "expected at most one fresh allocation, got {}",
             m1 - m0
         );
+    }
+
+    #[test]
+    fn a_small_request_leaves_the_large_buffer_pooled() {
+        // Two buffers pooled, then a small and a large request held at
+        // once, the small one first: both must fit without allocating.
+        drop((take::<u16>(300), take::<u16>(200)));
+        let (_, m0) = stats();
+        let small = take::<u16>(150);
+        let large = take::<u16>(300);
+        let (_, m1) = stats();
+        drop((small, large));
+        assert_eq!(m1 - m0, 0, "best fit must leave the 300 for the 300");
     }
 
     #[test]

@@ -61,9 +61,9 @@ pub enum Diag {
 /// from the resolved kernel parameters — pinned at
 /// [`crate::tune::TB_PINNED`] = 64, which keeps the triangular tile plus a
 /// B panel in L1/L2. It is bit-affecting (the blocked substitution order
-/// changes with it), so the tuner never sweeps it.
+/// changes with it), so every table entry pins it.
 fn trsm_cutoff<R: Real>() -> usize {
-    crate::tune::with_resolved::<R, _>(|rk| rk.params.tb)
+    crate::tune::with_resolved::<R, _>(|v| v.params().tb)
 }
 
 /// Solves a triangular system in place: `B ← α · op(A)⁻¹ · B` (Left) or

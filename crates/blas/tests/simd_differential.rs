@@ -6,7 +6,7 @@
 //! all kernels accumulate each output element as one FMA chain over `l = 0..k`
 //! in ascending order, so lane count and register layout are bit-neutral.
 //! These tests drive each variant directly through the `gemm_with_variant`
-//! hook (bypassing the process-global dispatch cache), so one test binary
+//! hook (bypassing process-wide dispatch), so one test binary
 //! covers every ISA level the machine supports; the CI matrix additionally
 //! runs the whole suite under `HPLAI_KERNEL=portable` to exercise the forced
 //! process-wide fallback.
@@ -310,33 +310,4 @@ proptest! {
             prop_assert_eq!(w[i].to_bits(), x.to_f32().to_bits(), "bf16 widen {}", i);
         }
     }
-}
-
-/// First resolution against an empty tuning file sweeps and persists; a
-/// second resolution against the same file loads it without any sweep work
-/// (the acceptance criterion for the persisted autotuner). Uses the
-/// cache-bypassing `resolve_fresh_with_file` hook so this is independent of
-/// the process-global dispatch state and of other tests in this binary.
-#[test]
-fn tuning_file_roundtrip_skips_sweep() {
-    use mxp_blas::TuneSource;
-    let path =
-        std::env::temp_dir().join(format!("hplai-difftest-tune-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-
-    let first = mxp_blas::tune::resolve_fresh_with_file("f32", Some(&path));
-    assert_eq!(first.source, TuneSource::Swept, "cold file must sweep");
-    assert!(path.exists(), "sweep result must be persisted");
-
-    let second = mxp_blas::tune::resolve_fresh_with_file("f32", Some(&path));
-    assert_eq!(
-        second.source,
-        TuneSource::File,
-        "warm file must satisfy resolution with zero sweep work"
-    );
-    assert_eq!(second.kernel, first.kernel);
-    assert_eq!(second.params, first.params);
-    assert_eq!(second.tune_file.as_deref(), Some(path.as_path()));
-
-    let _ = std::fs::remove_file(&path);
 }

@@ -28,6 +28,10 @@ fn main() {
     let Some(batch_path) = args.text(Key::Batch) else {
         usage()
     };
+    let cache_bytes = HPLAI_SERVE.cache_bytes(&args).unwrap_or_else(|e| {
+        eprintln!("hplai-serve: {e}");
+        exit(2);
+    });
     let text = std::fs::read_to_string(batch_path).unwrap_or_else(|e| {
         eprintln!("hplai-serve: cannot read {batch_path}: {e}");
         exit(2);
@@ -42,8 +46,8 @@ fn main() {
     if let Some(w) = args.uint(Key::Workers).or(batch.workers) {
         cfg.workers = w.max(1);
     }
-    if let Some(mb) = args.uint(Key::CacheMb).or(batch.cache_mb) {
-        cfg.cache_bytes = mb << 20;
+    if let Some(bytes) = cache_bytes.or(batch.cache_bytes()) {
+        cfg.cache_bytes = bytes;
     }
     cfg.log_dir = args.text(Key::LogDir).map(Into::into);
 

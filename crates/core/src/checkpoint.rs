@@ -7,8 +7,7 @@
 //! look-ahead posture at a panel boundary and encodes one byte section per
 //! rank, in a layout both policies share; the [`RunCheckpointer`] collects
 //! the sections (plus each rank's simulated clock) and writes one
-//! [`Snapshot`] file per boundary with an atomic tmp+rename, the same
-//! discipline the autotuner uses for its persisted tuning file. A restart
+//! [`Snapshot`] file per boundary with an atomic tmp+rename. A restart
 //! checks the header with [`header_mismatch`].
 //!
 //! # On-disk format (`hplai-ckpt-v1`)

@@ -375,6 +375,15 @@ impl FrontEnd {
         Ok(pairs)
     }
 
+    /// The `cache_mb` value in bytes, refused when that overflows `usize`.
+    pub fn cache_bytes(&self, pairs: &Pairs) -> Result<Option<usize>, KnobError> {
+        let Some(mb) = pairs.uint(Key::CacheMb) else {
+            return Ok(None);
+        };
+        let overflow = || self.bad(Key::CacheMb, format!("{mb} MiB overflows a byte count"));
+        mb.checked_mul(1 << 20).map(Some).ok_or_else(overflow)
+    }
+
     /// One usage line per accepted key, generated from [`KNOBS`].
     pub fn usage(&self) -> String {
         let line = |&key: &Key| {
@@ -398,9 +407,10 @@ impl FrontEnd {
     /// placement rule: every given extent is positive and `pr`×`pc` fits
     /// in `usize`; `n` is global, else N = `nl`×`pr`; each node holds a
     /// `qr`×`qc` tile of the grid unless `col_major`, where nodes take
-    /// consecutive ranks, Summit and Frontier bring their node size, and
-    /// the testbed takes `gcds_per_node`, else `qr`×`qc`, else the whole
-    /// grid; the testbed has as many nodes as the grid fills.
+    /// consecutive ranks, Summit and Frontier bring their node size (a
+    /// `gcds_per_node` that differs is refused), and the testbed takes
+    /// `gcds_per_node`, else `qr`×`qc`, else the whole grid; the testbed
+    /// has as many nodes as the grid fills.
     pub fn run(&self, pairs: &Pairs) -> Result<(RunConfig, Mode), KnobError> {
         let mode: Mode = pairs.choice(Key::Mode);
         let unread = CRITICAL_UNREAD
@@ -459,6 +469,15 @@ impl FrontEnd {
         let overflow = || self.bad(Key::Pc, format!("{p_r} * {p_c} ranks overflows"));
         let ranks = p_r.checked_mul(p_c).ok_or_else(overflow)?;
         let machine = pairs.choice::<Machine>(Key::System).map(|spec| spec());
+        if let (Some(sys), Some(q)) = (&machine, per_node) {
+            if q != sys.gcds_per_node {
+                let why = format!(
+                    "{q} differs from the machine's {}-GCD nodes",
+                    sys.gcds_per_node
+                );
+                return Err(self.bad(Key::GcdsPerNode, why));
+            }
+        }
         let grid = if pairs.switch(Key::ColMajor) {
             let (key, q) = match (&machine, per_node, q_r.zip(q_c)) {
                 (Some(sys), _, _) => (Key::Pr, Some(sys.gcds_per_node)),
@@ -499,6 +518,27 @@ mod tests {
             let clash = |o: &Knob| o.name == k.name || o.flag() == k.flag();
             assert!(!KNOBS[..i].iter().any(clash), "{}", k.name);
         }
+    }
+
+    #[test]
+    fn a_machine_refuses_a_node_size_not_its_own() {
+        let job = |text: &str| {
+            let Ok(Json::Object(members)) = serde_json::from_str(text) else {
+                panic!("{text}")
+            };
+            BATCH_JOB
+                .parse_json(&members)
+                .and_then(|p| BATCH_JOB.run(&p))
+        };
+        let on_summit =
+            |q| format!(r#"{{"system": "summit", "n": 48, "pc": 3, "gcds_per_node": {q}}}"#);
+        let err = job(&on_summit(4)).unwrap_err();
+        assert!(
+            matches!(&err, KnobError::Bad { key, .. } if key == "gcds_per_node"),
+            "{err}"
+        );
+        let (cfg, _) = job(&on_summit(6)).unwrap();
+        assert_eq!(cfg.grid.gcds_per_node(), 6);
     }
 
     #[test]

@@ -538,6 +538,14 @@ pub struct BatchFile {
     pub jobs: Vec<RunConfig>,
 }
 
+impl BatchFile {
+    /// [`cache_mb`](Self::cache_mb) in bytes; [`parse_batch`] refuses a
+    /// value whose byte count overflows.
+    pub fn cache_bytes(&self) -> Option<usize> {
+        self.cache_mb.map(|mb| mb << 20)
+    }
+}
+
 /// Most jobs one batch file may expand to. Every job is a [`RunConfig`]
 /// (528 B with its `SystemSpec`) held until the drain, so the cap stops a
 /// typo such as a `repeat` of 1e15 before anything is allocated. It is 100
@@ -577,6 +585,8 @@ pub fn parse_batch(text: &str) -> Result<BatchFile, BatchError> {
     if jobs.is_empty() {
         return Err(BatchError::NoJobs);
     }
+    let knob_err = |e| BatchError::from_knob(e, 0, "service");
+    SERVICE.cache_bytes(&service).map_err(knob_err)?;
     let (workers, cache_mb) = (service.uint(Key::Workers), service.uint(Key::CacheMb));
     Ok(BatchFile {
         workers,
@@ -851,7 +861,7 @@ mod tests {
         .unwrap();
         let mut svc = SolveService::new(ServiceConfig {
             workers: batch.workers.unwrap(),
-            cache_bytes: batch.cache_mb.unwrap() << 20,
+            cache_bytes: batch.cache_bytes().unwrap(),
             ..Default::default()
         });
         svc.submit_all(batch.jobs);

@@ -93,3 +93,48 @@ fn hplai_serve_bad_value_names_the_flag() {
         "{stderr}"
     );
 }
+
+/// Runs `hplai-serve args`, asserts exit code 2 and no panic, returns
+/// stderr.
+fn serve_error(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_hplai-serve"))
+        .args(args)
+        .output()
+        .expect("hplai-serve starts");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "hplai-serve {args:?}: {stderr}");
+    assert!(
+        !stderr.contains("panicked"),
+        "hplai-serve {args:?}: {stderr}"
+    );
+    stderr
+}
+
+/// 2^44 MiB is 2^64 bytes: one past what `usize` holds.
+const OVERFLOWING_MB: &str = "17592186044416";
+
+#[test]
+fn hplai_serve_refuses_an_overflowing_cache_mb_flag() {
+    let batch = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/batches/sweep.json"
+    );
+    let stderr = serve_error(&["--batch", batch, "--cache-mb", OVERFLOWING_MB]);
+    assert!(
+        stderr.contains("--cache-mb") && stderr.contains("overflows"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn hplai_serve_refuses_an_overflowing_batch_cache_mb() {
+    let path = std::env::temp_dir().join(format!("hplai-cache-mb-{}.json", std::process::id()));
+    let text = format!(r#"{{"service": {{"cache_mb": {OVERFLOWING_MB}}}, "jobs": [{{}}]}}"#);
+    std::fs::write(&path, text).expect("temp batch file is writable");
+    let stderr = serve_error(&["--batch", path.to_str().expect("utf-8 temp path")]);
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        stderr.contains("\"cache_mb\"") && stderr.contains("overflows"),
+        "{stderr}"
+    );
+}
